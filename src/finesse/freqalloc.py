@@ -9,6 +9,11 @@ a truncated two-mode-pair matrix exponential for the coherent channel, a
 max-pump/lifetime model anchored at 250 ns of gate time at 1 GHz detuning
 for the incoherent one.  Assignments are then optimized with Nelder-Mead
 under box bounds and a minimum qubit-spacing penalty.
+
+Each resonance rule is one row of RESONANCE_RULES over x = (omega_q..., omega_s,
+0): two endpoints and a divisor, the resonance being |x_i - x_j| / divisor.
+The loss evaluator expands the catalog into index arrays once per (module,
+params), so one cost call is a gather plus the three cost laws.
 """
 from __future__ import annotations
 
@@ -68,6 +73,19 @@ class PhysicalConstants:
         return pi / (12.0 * self.g3 * self.lam**2 * self.anchor_gate_time)
 
 
+# Intra-module resonance rules: (x_i, x_j, divisor, key tag).  "a" and "b"
+# range over the qubits (pairs a < b), "s" is the coupler and "0" is zero.
+RESONANCE_RULES = {
+    "pair_conversion": ("a", "b", 1, "pair"),
+    "snail_sub2": ("s", "0", 2, "snail_sub2"),
+    "snail_sub3": ("s", "0", 3, "snail_sub3"),
+    "snail_qubit": ("s", "a", 1, "sq"),
+    "snail_qubit_half": ("s", "a", 2, "sqh"),
+    "qubit_sub2": ("a", "0", 2, "q2"),
+    "qubit_sub3": ("a", "0", 3, "q3"),
+}
+
+
 @dataclass(frozen=True)
 class SpectatorTerm:
     """One catalog row: operator form, normalized prefactor, resonance rule."""
@@ -77,28 +95,23 @@ class SpectatorTerm:
     normalized_prefactor: float
     rule: str
 
+    def resonances(self, n: int) -> list[tuple[int, int, int, tuple]]:
+        """(i, j, divisor, key) rows in key order: each resonance is
+        |x_i - x_j| / divisor over x = (omega_q[0..n-1], omega_s, 0)."""
+        if self.rule not in RESONANCE_RULES:
+            raise ValueError(f"inter-module rule {self.rule!r} needs neighbor frequencies")
+        i, j, divisor, tag = RESONANCE_RULES[self.rule]
+        if j == "b":
+            return [(a, b, divisor, (tag, a, b)) for a in range(n) for b in range(a + 1, n)]
+        at = {"s": n, "0": n + 1}
+        if "a" in (i, j):
+            return [(at.get(i, a), at.get(j, a), divisor, (tag, a)) for a in range(n)]
+        return [(at[i], at[j], divisor, (tag,))]
+
     def frequencies(self, omega_q: Sequence[float], omega_s: float):
         """Pump-frame resonance frequencies with an identifying key each."""
-        n = len(omega_q)
-        if self.rule == "pair_conversion":
-            return [
-                (abs(omega_q[a] - omega_q[b]), ("pair", a, b))
-                for a in range(n)
-                for b in range(a + 1, n)
-            ]
-        if self.rule == "snail_sub2":
-            return [(omega_s / 2.0, ("snail_sub2",))]
-        if self.rule == "snail_sub3":
-            return [(omega_s / 3.0, ("snail_sub3",))]
-        if self.rule == "snail_qubit":
-            return [(abs(omega_s - w), ("sq", a)) for a, w in enumerate(omega_q)]
-        if self.rule == "snail_qubit_half":
-            return [(abs(omega_s - w) / 2.0, ("sqh", a)) for a, w in enumerate(omega_q)]
-        if self.rule == "qubit_sub2":
-            return [(w / 2.0, ("q2", a)) for a, w in enumerate(omega_q)]
-        if self.rule == "qubit_sub3":
-            return [(w / 3.0, ("q3", a)) for a, w in enumerate(omega_q)]
-        raise ValueError(f"inter-module rule {self.rule!r} needs neighbor frequencies")
+        x = (*omega_q, omega_s, 0.0)
+        return [(abs(x[i] - x[j]) / d, key) for i, j, d, key in self.resonances(len(omega_q))]
 
 
 # Order-of-magnitude catalog for driven, intra-module, and inter-module
@@ -140,18 +153,6 @@ class FrequencyAssignment:
 
     def conversion(self, a: int, b: int) -> float:
         return abs(self.omega_q[a] - self.omega_q[b])
-
-    @property
-    def snail_differences(self) -> tuple[float, ...]:
-        return tuple(abs(self.omega_s - w) for w in self.omega_q)
-
-    @property
-    def subharmonics(self) -> dict[str, tuple[float, ...]]:
-        return {
-            "qubit_half": tuple(w / 2.0 for w in self.omega_q),
-            "qubit_third": tuple(w / 3.0 for w in self.omega_q),
-            "snail": (self.omega_s / 2.0, self.omega_s / 3.0),
-        }
 
     @property
     def min_qubit_separation(self) -> float:
@@ -221,20 +222,18 @@ def spectator_frequencies(
     return out
 
 
-def coherent_infidelity(delta: float, x0: float, x1: float) -> float:
-    """Empirical spectator law 2*x0/(x1+delta)^2, clamped to [0, 1]."""
-    val = 2.0 * x0 / (x1 + delta) ** 2
-    return min(max(val, 0.0), 1.0)
+def coherent_infidelity(delta, x0, x1):
+    """Empirical spectator law 2*x0/(x1+delta)^2, clamped to [0, 1]; elementwise."""
+    return np.clip(2.0 * x0 / (x1 + delta) ** 2, 0.0, 1.0)
 
 
-def incoherent_infidelity(delta: float, x0: float, x1: float) -> float:
-    """Lifetime law x0/(x1+delta), clamped to [0, 1]."""
-    val = x0 / (x1 + delta)
-    return min(max(val, 0.0), 1.0)
+def incoherent_infidelity(delta, x0, x1):
+    """Lifetime law x0/(x1+delta), clamped to [0, 1]; elementwise."""
+    return np.clip(x0 / (x1 + delta), 0.0, 1.0)
 
 
-def compose_infidelity(eps_coh: float, eps_inc: float) -> float:
-    """Independent-channel combination 1 - (1-inc)(1-coh)."""
+def compose_infidelity(eps_coh, eps_inc):
+    """Independent-channel combination 1 - (1-inc)(1-coh); elementwise."""
     return 1.0 - (1.0 - eps_inc) * (1.0 - eps_coh)
 
 
@@ -335,7 +334,7 @@ def calibrate_coherent_model(
     slope, intercept = np.polyfit(grid, y, 1)
     x0 = 1.0 / (2.0 * slope**2)
     x1 = intercept / slope
-    model = np.array([coherent_infidelity(d, x0, x1) for d in grid])
+    model = coherent_infidelity(grid, x0, x1)
     residual = float(np.sqrt(np.mean((model / eps - 1.0) ** 2)))
     if residual > FIT_RESIDUAL_LIMIT:
         raise CalibrationError(
@@ -367,7 +366,7 @@ def calibrate_incoherent_model(
     slope, intercept = np.polyfit(grid, 1.0 / eps, 1)
     x0 = 1.0 / slope
     x1 = intercept / slope
-    model = np.array([incoherent_infidelity(d, x0, x1) for d in grid])
+    model = incoherent_infidelity(grid, x0, x1)
     residual = float(np.sqrt(np.mean((model / eps - 1.0) ** 2)))
     if residual > FIT_RESIDUAL_LIMIT:
         raise CalibrationError(f"incoherent fit residual {residual:.3g} exceeds {FIT_RESIDUAL_LIMIT}")
@@ -416,55 +415,50 @@ class _CostEvaluator:
     def __init__(self, module: FreqModule, params: CostModelParams, k: int, delta_q: float):
         if k >= len(module.gates):
             raise ValueError("worst-gate exclusion k must leave at least one gate")
-        self.module = module
         self.params = params
         self.k = k
         self.delta_q = delta_q
         n = module.num_qubits
-        self.pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.gate_pair_idx = np.array(
-            [self.pair_index[(min(a, b), max(a, b))] for a, b in module.gates]
+        # Catalog order, then key order: the coherent sum adds columns in it.
+        i, j, div, keys, x0, x1 = zip(
+            *(
+                (*row, *params.coherent_for(term.normalized_prefactor))
+                for term in LOSS_CATALOG
+                for row in term.resonances(n)
+            )
         )
-
-    def _spectator_table(self, omega_q: np.ndarray, omega_s: float):
-        """Frequencies plus effective (x0, x1) arrays for the loss catalog."""
-        freqs, x0s, x1s, pair_ids = [], [], [], []
-        for term in LOSS_CATALOG:
-            x0, x1 = self.params.coherent_for(term.normalized_prefactor)
-            for freq, key in term.frequencies(omega_q, omega_s):
-                freqs.append(freq)
-                x0s.append(x0)
-                x1s.append(x1)
-                pair_ids.append(self.pair_index[(key[1], key[2])] if key[0] == "pair" else -1)
-        return (
-            np.asarray(freqs),
-            np.asarray(x0s),
-            np.asarray(x1s),
-            np.asarray(pair_ids),
-        )
+        self.res_i, self.res_j = np.array(i), np.array(j)
+        self.res_div = np.array(div, dtype=float)
+        self.x0, self.x1 = np.array(x0), np.array(x1)
+        self.gate_a, self.gate_b = np.array(module.gates).T
+        self.own = np.array([[key == ("pair", *sorted(g)) for key in keys] for g in module.gates])
+        self.pair_a, self.pair_b = np.triu_indices(n, 1)
 
     def gate_infidelities(self, omega_q: np.ndarray, omega_s: float):
-        freqs, x0s, x1s, pair_ids = self._spectator_table(omega_q, omega_s)
-        pumps = np.array([abs(omega_q[a] - omega_q[b]) for a, b in self.module.gates])
-        det = np.abs(pumps[:, None] - freqs[None, :])
-        eps = np.clip(2.0 * x0s[None, :] / (x1s[None, :] + det) ** 2, 0.0, 1.0)
-        own = pair_ids[None, :] == self.gate_pair_idx[:, None]
-        eps_coh = np.clip(np.where(own, 0.0, eps).sum(axis=1), 0.0, 1.0)
-        first_q = np.array([g[0] for g in self.module.gates])
-        det_inc = np.abs(omega_q[first_q] - omega_s / 2.0)
-        eps_inc = np.clip(self.params.inc_x0 / (self.params.inc_x1 + det_inc), 0.0, 1.0)
-        eps_gate = 1.0 - (1.0 - eps_inc) * (1.0 - eps_coh)
-        return eps_coh, eps_inc, eps_gate
+        """Per-gate (eps_coh, eps_inc, eps_gate) arrays in module.gates order.
+
+        Gate (a, b) is pumped at |w_a - w_b|.  Its coherent part sums the
+        coherent law over every loss-catalog resonance except its own pair
+        conversion, detuning measured from the pump, clamped to [0, 1].  Its
+        incoherent part is the lifetime law at |w_a - omega_s/2|.
+        """
+        x = np.concatenate((omega_q, (omega_s, 0.0)))
+        freqs = np.abs(x[self.res_i] - x[self.res_j]) / self.res_div
+        pumps = np.abs(omega_q[self.gate_a] - omega_q[self.gate_b])
+        eps = coherent_infidelity(np.abs(pumps[:, None] - freqs[None, :]), self.x0, self.x1)
+        eps_coh = np.clip(np.where(self.own, 0.0, eps).sum(axis=1), 0.0, 1.0)
+        det_inc = np.abs(omega_q[self.gate_a] - omega_s / 2.0)
+        eps_inc = incoherent_infidelity(det_inc, self.params.inc_x0, self.params.inc_x1)
+        return eps_coh, eps_inc, compose_infidelity(eps_coh, eps_inc)
 
     def penalty(self, omega_q: np.ndarray) -> float:
+        """Sum of PENALTY_WEIGHT*((delta_q - gap)/delta_q)^2 over qubit pairs
+        closer than delta_q."""
+        gaps = np.abs(omega_q[self.pair_a] - omega_q[self.pair_b])
         total = 0.0
-        n = len(omega_q)
-        for a in range(n):
-            for b in range(a + 1, n):
-                gap = abs(omega_q[a] - omega_q[b])
-                if gap < self.delta_q:
-                    total += PENALTY_WEIGHT * ((self.delta_q - gap) / self.delta_q) ** 2
+        # A sequential sum: numpy's pairwise summation would reorder it.
+        for gap in gaps[gaps < self.delta_q]:
+            total += PENALTY_WEIGHT * ((self.delta_q - gap) / self.delta_q) ** 2
         return total
 
     def cost(self, omega_q: np.ndarray, omega_s: float) -> float:
@@ -480,8 +474,8 @@ def allocation_cost(
     k: int = 0,
     delta_q: float = DEFAULT_DELTA_Q,
 ) -> float:
-    """Algorithm-1 loss: spectator sums, lifetime term, spacing penalty,
-    worst-k gates dropped."""
+    """Algorithm-1 loss: eps_gate summed over all but the k worst gates, plus
+    the spacing penalty (see _CostEvaluator.gate_infidelities and .penalty)."""
     ev = _CostEvaluator(module, params, k, delta_q)
     return ev.cost(np.asarray(assign.omega_q, dtype=float), assign.omega_s)
 

@@ -139,9 +139,6 @@ class CircuitDag:
         """Dependency arcs as (gate id, successor id) pairs, deduplicated."""
         return {(src, dst) for src, dsts in self._succ.items() for dst in dsts}
 
-    def two_qubit_gates(self):
-        return [g for g in self.gates if g.is_two_qubit]
-
     def reversed(self) -> "CircuitDag":
         """Gate order reversed; used for the layout-refining reverse pass."""
         return CircuitDag(self.num_qubits, list(reversed(self.gates)))

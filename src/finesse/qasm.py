@@ -94,6 +94,13 @@ def _tokenize(text: str) -> tuple[list[_Token], dict[str, int]]:
     return tokens, root_names
 
 
+def _integer(tok: _Token, what: str) -> int:
+    """Value of a plain decimal integer token, else a positioned QasmError."""
+    if tok.kind != "num" or not tok.text.isdecimal():
+        raise QasmError(f"{what} must be an integer, found {tok.text!r}", tok.line, tok.col)
+    return int(tok.text)
+
+
 @dataclass
 class _MacroDef:
     name: str
@@ -110,7 +117,6 @@ class _Parser:
         self.reg_name: str | None = None
         self.reg_size = 0
         self.macros: dict[str, _MacroDef] = {}
-        self.opaque_2q: set[str] = set()
         self.ops: list[Gate] = []
         self._next_id = 0
         self._measured = False
@@ -203,10 +209,8 @@ class _Parser:
         if self._peek() and self._peek().text == "[":
             self._next()
             idx_tok = self._next()
-            if idx_tok.kind != "num" or "." in idx_tok.text:
-                raise QasmError("qubit index must be an integer", idx_tok.line, idx_tok.col)
+            idx = _integer(idx_tok, "qubit index")
             self._expect("]")
-            idx = int(idx_tok.text)
             if idx >= self.reg_size:
                 raise QasmError(f"qubit index {idx} out of range", idx_tok.line, idx_tok.col)
             return idx
@@ -369,7 +373,7 @@ class _Parser:
         if self.reg_name is not None:
             raise QasmError("quantum register redeclared", name_tok.line, name_tok.col)
         self.reg_name = name_tok.text
-        self.reg_size = int(size_tok.text)
+        self.reg_size = _integer(size_tok, "register size")
 
     def _parse_gate_def(self):
         name_tok = self._expect_id()
@@ -411,14 +415,10 @@ class _Parser:
         self.macros[name_tok.text] = _MacroDef(name_tok.text, params, args, body, name_tok.line)
 
     def _parse_opaque(self):
-        name_tok = self._expect_id()
-        argc = 1
+        self._expect_id()
         while self._peek() and self._peek().text != ";":
-            if self._next().text == ",":
-                argc += 1
+            self._next()
         self._expect(";")
-        if argc == 2:
-            self.opaque_2q.add(name_tok.text)
 
     def _parse_barrier(self, tok: _Token):
         wires: list[int] = []

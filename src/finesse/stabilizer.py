@@ -83,9 +83,6 @@ class CliffordTableau:
         else:
             raise NonCliffordError(f"{kind} is not a Clifford gate")
 
-    def key(self):
-        return self.x.tobytes(), self.z.tobytes(), self.sign.tobytes()
-
 
 def tableau_of(dag: CircuitDag) -> CliffordTableau:
     tab = CliffordTableau(dag.num_qubits)

@@ -9,7 +9,7 @@ the supercontrolled bases (cx, ecr, iswap) and for every iswap root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import pi
 
 import numpy as np
@@ -153,11 +153,11 @@ class BasisGate:
             return gates.ISWAP
         return gates.root_iswap(self.n)
 
-    @property
+    @cached_property
     def coordinates(self) -> tuple[float, float, float]:
         return weyl_coordinates(self.unitary)
 
-    @property
+    @cached_property
     def is_supercontrolled(self) -> bool:
         c = self.coordinates
         return abs(c[0] - pi / 4) < WEYL_TOL and abs(c[2]) < WEYL_TOL

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it validates: path minima by
 exhaustive enumeration, two-qubit class labels by Makhlin invariants, basis
 counts by sampled reachability with Nelder-Mead polish, spectator infidelity
-by a closed form of the factorized matrix exponential.
+by a closed form of the factorized matrix exponential, the allocation loss by
+explicit loops over every resonance, gate and qubit pair.
 """
 from __future__ import annotations
 
@@ -180,3 +181,72 @@ def factorized_spectator_infidelity(amp: float) -> float:
     """Closed form of the 16-dim oracle: target and spectator commute, so
     eps = 1 - (1 + 4 (1 + cos amp)^2) / 17."""
     return 1.0 - (1.0 + 4.0 * (1.0 + np.cos(amp)) ** 2) / 17.0
+
+
+# --- Algorithm-1 allocation loss --------------------------------------------
+
+
+def reference_resonances(rule: str, omega_q, omega_s: float) -> list:
+    """(frequency, key) per pump-frame resonance of one intra-module rule."""
+    n = len(omega_q)
+    if rule == "pair_conversion":
+        return [
+            (abs(omega_q[a] - omega_q[b]), ("pair", a, b))
+            for a in range(n)
+            for b in range(a + 1, n)
+        ]
+    if rule == "snail_sub2":
+        return [(omega_s / 2.0, ("snail_sub2",))]
+    if rule == "snail_sub3":
+        return [(omega_s / 3.0, ("snail_sub3",))]
+    if rule == "snail_qubit":
+        return [(abs(omega_s - w), ("sq", a)) for a, w in enumerate(omega_q)]
+    if rule == "snail_qubit_half":
+        return [(abs(omega_s - w) / 2.0, ("sqh", a)) for a, w in enumerate(omega_q)]
+    if rule == "qubit_sub2":
+        return [(w / 2.0, ("q2", a)) for a, w in enumerate(omega_q)]
+    if rule == "qubit_sub3":
+        return [(w / 3.0, ("q3", a)) for a, w in enumerate(omega_q)]
+    raise KeyError(rule)
+
+
+# Loss-catalog rules with their normalized prefactors (reference rows).
+_LOSS_PREFACTORS = {
+    "pair_conversion": 1.0,
+    "snail_qubit": 10.0,
+    "qubit_sub2": 10.0,
+    "snail_qubit_half": 0.067,
+    "qubit_sub3": 0.044,
+}
+
+
+def reference_allocation_loss(omega_q, omega_s, gates, fit, k, delta_q, weight=1e3):
+    """Algorithm-1 loss term by term; fit = (coh_x0, coh_x1, inc_x0, inc_x1).
+
+    A category with prefactor R carries (coh_x0 R^2, coh_x1 R).  Returns
+    (eps_coh, eps_inc, eps_gate, cost) with one entry per gate.
+    """
+    coh_x0, coh_x1, inc_x0, inc_x1 = fit
+    eps_coh, eps_inc, eps_gate = [], [], []
+    for a, b in gates:
+        pump = abs(omega_q[a] - omega_q[b])
+        own = ("pair", min(a, b), max(a, b))
+        total = 0.0
+        for rule, ratio in _LOSS_PREFACTORS.items():
+            x0, x1 = coh_x0 * ratio**2, coh_x1 * ratio
+            for freq, key in reference_resonances(rule, omega_q, omega_s):
+                if key != own:
+                    total += min(1.0, 2.0 * x0 / (x1 + abs(pump - freq)) ** 2)
+        coh = min(1.0, total)
+        inc = min(1.0, inc_x0 / (inc_x1 + abs(omega_q[a] - omega_s / 2.0)))
+        eps_coh.append(coh)
+        eps_inc.append(inc)
+        eps_gate.append(1.0 - (1.0 - inc) * (1.0 - coh))
+    cost = sum(sorted(eps_gate, reverse=True)[k:])
+    n = len(omega_q)
+    for a in range(n):
+        for b in range(a + 1, n):
+            gap = abs(omega_q[a] - omega_q[b])
+            if gap < delta_q:
+                cost += weight * ((delta_q - gap) / delta_q) ** 2
+    return eps_coh, eps_inc, eps_gate, cost

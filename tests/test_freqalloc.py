@@ -6,7 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from finesse import freqalloc as fa
-from oracles import factorized_spectator_infidelity
+from oracles import (
+    factorized_spectator_infidelity,
+    reference_allocation_loss,
+    reference_resonances,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,22 @@ class TestSpectatorCatalog:
         }
         inter = {t.normalized_prefactor for t in fa.SPECTATOR_CATALOG if t.category == "inter_module"}
         assert inter == {1.0, 0.1, 0.01, 0.001, 0.0001}
+
+    @pytest.mark.parametrize("term", fa.INTRA_CATALOG, ids=lambda t: t.rule)
+    def test_rule_frequencies_match_reference(self, term):
+        for omega_q, omega_s in (
+            ((4.0e9, 4.5e9), 4.4e9),
+            ((3.5e9, 3.8e9, 4.6e9, 5.2e9, 5.6e9), 4.25e9),
+        ):
+            got = term.frequencies(omega_q, omega_s)
+            assert got == reference_resonances(term.rule, omega_q, omega_s)
+
+    @pytest.mark.parametrize(
+        "term", [t for t in fa.SPECTATOR_CATALOG if t.category == "inter_module"], ids=lambda t: t.rule
+    )
+    def test_inter_module_rule_needs_neighbors(self, term):
+        with pytest.raises(ValueError, match="neighbor frequencies"):
+            term.frequencies((4.0e9, 4.5e9), 4.4e9)
 
 
 # Cost-law parameters of test_strictly_decreasing and the closed-form points
@@ -215,7 +235,47 @@ class TestCalibration:
         assert got == pytest.approx(expected, rel=5e-2)
 
 
+@st.composite
+def _loss_points(draw):
+    """(module, k, omega_q, omega_s): default or custom gate lists, the
+    latter with randomly reversed pairs; every valid k; spread or crowded
+    qubits (crowded ones trigger the spacing penalty)."""
+    n = draw(st.integers(2, 5))
+    gates = ()
+    if draw(st.booleans()):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        gates = tuple((b, a) if draw(st.booleans()) else (a, b) for a, b in chosen)
+    module = fa.FreqModule(n, gates)
+    k = draw(st.integers(0, len(module.gates) - 1))
+    if draw(st.booleans()):
+        base = draw(st.floats(3.3e9, 5.4e9))
+        omega_q = [base + draw(st.floats(0.0, 3e8)) for _ in range(n)]
+    else:
+        omega_q = draw(st.lists(st.floats(3.3e9, 5.7e9), min_size=n, max_size=n))
+    return module, k, omega_q, draw(st.floats(4.2e9, 4.7e9))
+
+
+_CYCLE = fa.FreqModule(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+
+
 class TestAllocationCost:
+    @given(point=_loss_points())
+    @example(point=(_CYCLE, 1, [4.0e9, 4.1e9, 4.45e9, 4.9e9], 4.45e9))
+    @example(point=(_CYCLE, 0, [3.3e9, 4.0e9, 4.7e9, 5.7e9], 4.6e9))
+    @example(point=(fa.FreqModule(5), 9, [4.2e9, 4.25e9, 4.3e9, 4.35e9, 4.4e9], 4.3e9))
+    def test_loss_matches_reference(self, params, point):
+        module, k, omega_q, omega_s = point
+        fit = (params.coh_x0, params.coh_x1, params.inc_x0, params.inc_x1)
+        *ref_eps, ref_cost = reference_allocation_loss(
+            omega_q, omega_s, module.gates, fit, k, fa.DEFAULT_DELTA_Q
+        )
+        ev = fa._CostEvaluator(module, params, 0, fa.DEFAULT_DELTA_Q)
+        for got, want in zip(ev.gate_infidelities(np.array(omega_q), omega_s), ref_eps):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        cost = fa.allocation_cost(fa.FrequencyAssignment(tuple(omega_q), omega_s), module, params, k)
+        assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
+
     def test_far_detuned_cost_vanishes(self, params):
         module = fa.FreqModule(2)
         assign = fa.FrequencyAssignment((3.3e9, 5.7e9), 4.7e9)

@@ -63,6 +63,21 @@ class TestParse:
         with pytest.raises(QasmError, match="out of range"):
             parse_qasm("qreg q[2]; h q[5];")
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("qreg q[2.5];", 8),
+            ("qreg q[x];", 8),
+            ("qreg q[1e1];", 8),
+            ("qreg q[2]; h q[1e0];", 16),
+            ("qreg q[2]; cx q[0],q[0.];", 22),
+        ],
+    )
+    def test_non_integer_size_or_index(self, text, col):
+        with pytest.raises(QasmError, match="must be an integer") as err:
+            parse_qasm(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
 
 class TestMacros:
     def test_macro_inlined(self):

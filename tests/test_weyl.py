@@ -4,7 +4,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from finesse import gates
+from finesse import gates, weyl
 from finesse.ir import Gate
 from finesse.weyl import (
     BasisGate,
@@ -169,6 +169,24 @@ class TestBasisCounts:
         assert basis_gate_count(basis.unitary, basis) == 1
         prod = basis.unitary @ basis.unitary
         assert basis_gate_count(prod, basis) == 2
+
+    @pytest.mark.parametrize("kind, n", [("cx", 1), ("iswap", 1), ("root_iswap", 2), ("root_iswap", 3)])
+    def test_basis_coordinates_computed_once(self, monkeypatch, kind, n):
+        # One Weyl decomposition per target, plus one for the basis itself.
+        calls = []
+
+        def counting(u):
+            calls.append(1)
+            return weyl_coordinates(u)
+
+        monkeypatch.setattr(weyl, "weyl_coordinates", counting)
+        basis = BasisGate(kind, n)
+        rng = np.random.default_rng(7)
+        targets = [np.eye(4), basis.unitary, gates.CX]
+        targets += [canonical_gate(rng.uniform(0, pi / 12, 3)) for _ in range(4)]
+        for u in targets:
+            basis_gate_count(u, basis)
+        assert len(calls) == len(targets) + 1
 
 
 @lru_cache(maxsize=None)
