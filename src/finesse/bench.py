@@ -7,7 +7,7 @@ verification failure aborts the sweep naming the offending run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .hardware import CouplingMap, build_distance_set, fabric_suite
@@ -131,14 +131,7 @@ def run_bench(
                 )
                 trials = run_trials(dag, cmap, config, seed=seed, dists=dists)
                 for mode in post_modes:
-                    mode_config = RouterConfig(
-                        algorithm=algo,
-                        num_seeds=num_seeds,
-                        basis=basis,
-                        beta=beta,
-                        post_selection=mode,
-                    )
-                    best = select_trial(trials, mode_config)
+                    best = select_trial(trials, replace(config, post_selection=mode))
                     if id(best) not in verified_ids:
                         try:
                             verify_result(dag, best, tol=tol, seed=seed)

@@ -5,6 +5,7 @@ front-layer maintenance O(degree) during routing.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -260,7 +261,7 @@ class Layout:
     __slots__ = ("_v2p", "_p2v")
 
     def __init__(self, virtual_to_physical: Sequence[int]):
-        v2p = list(virtual_to_physical)
+        v2p = [operator.index(p) for p in virtual_to_physical]
         n = len(v2p)
         if sorted(v2p) != list(range(n)):
             raise CircuitError("layout must be a bijection on 0..n-1")

@@ -2,7 +2,8 @@
 
 Supported: a single qreg, the named 1q/2q gates, ``gate`` macros that expand
 to them, barriers, and opaque declarations.  Measurements are stripped with a
-warning (routing acts on the unitary part); cregs are ignored.  Root-iswap
+warning (routing acts on the unitary part); cregs are only checked as
+measurement targets.  Root-iswap
 gates round-trip through ``//!root-iswap <name> <n>`` pragma comments.
 """
 from __future__ import annotations
@@ -94,10 +95,12 @@ def _tokenize(text: str) -> tuple[list[_Token], dict[str, int]]:
     return tokens, root_names
 
 
-def _integer(tok: _Token, what: str) -> int:
-    """Value of a plain decimal integer token, else a positioned QasmError."""
+def _integer(tok: _Token, what: str, least: int = 0) -> int:
+    """Value of a plain decimal integer token >= least, else a positioned QasmError."""
     if tok.kind != "num" or not tok.text.isdecimal():
         raise QasmError(f"{what} must be an integer, found {tok.text!r}", tok.line, tok.col)
+    if int(tok.text) < least:
+        raise QasmError(f"{what} must be at least {least}, found {tok.text!r}", tok.line, tok.col)
     return int(tok.text)
 
 
@@ -116,6 +119,7 @@ class _Parser:
         self.i = 0
         self.reg_name: str | None = None
         self.reg_size = 0
+        self.cregs: dict[str, int] = {}
         self.macros: dict[str, _MacroDef] = {}
         self.ops: list[Gate] = []
         self._next_id = 0
@@ -201,20 +205,26 @@ class _Parser:
         raise QasmError(f"bad expression token {tok.text!r}", tok.line, tok.col)
 
     # arguments ------------------------------------------------------
-    def _qubit_arg(self) -> int | None:
-        """Indexed qubit, or None for a whole-register reference."""
+    def _register_arg(self, sizes: dict, what: str) -> tuple[int, int | None]:
+        """(register size, index) of a reference into one of `sizes`; the
+        index is None for a whole-register reference."""
         tok = self._expect_id()
-        if tok.text != self.reg_name:
+        if tok.text not in sizes:
             raise QasmError(f"unknown register {tok.text!r}", tok.line, tok.col)
+        size = sizes[tok.text]
         if self._peek() and self._peek().text == "[":
             self._next()
             idx_tok = self._next()
-            idx = _integer(idx_tok, "qubit index")
+            idx = _integer(idx_tok, f"{what} index")
             self._expect("]")
-            if idx >= self.reg_size:
-                raise QasmError(f"qubit index {idx} out of range", idx_tok.line, idx_tok.col)
-            return idx
-        return None
+            if idx >= size:
+                raise QasmError(f"{what} index {idx} out of range", idx_tok.line, idx_tok.col)
+            return size, idx
+        return size, None
+
+    def _qubit_arg(self) -> int | None:
+        """Indexed qubit, or None for a whole-register reference."""
+        return self._register_arg({self.reg_name: self.reg_size}, "qubit")[1]
 
     # gate emission --------------------------------------------------
     def _emit(self, kind: str, wires: tuple[int, ...], params=(), n=1, tok: _Token | None = None):
@@ -344,13 +354,9 @@ class _Parser:
             self._next()  # string literal
             self._expect(";")
         elif name == "qreg":
-            self._parse_qreg(tok)
+            self._parse_qreg()
         elif name == "creg":
-            self._expect_id()
-            self._expect("[")
-            self._next()
-            self._expect("]")
-            self._expect(";")
+            self._parse_creg()
         elif name == "gate":
             self._parse_gate_def()
         elif name == "opaque":
@@ -358,22 +364,32 @@ class _Parser:
         elif name == "barrier":
             self._parse_barrier(tok)
         elif name == "measure":
-            self._parse_measure()
+            self._parse_measure(tok)
         elif name in ("reset", "if"):
             raise QasmError(f"{name} statements are unsupported", tok.line, tok.col)
         else:
             self._parse_application(tok)
 
-    def _parse_qreg(self, tok: _Token):
+    def _declaration(self) -> tuple[_Token, int]:
+        """`name[size];` after qreg or creg; a register holds at least one bit."""
         name_tok = self._expect_id()
         self._expect("[")
         size_tok = self._next()
         self._expect("]")
         self._expect(";")
+        return name_tok, _integer(size_tok, "register size", least=1)
+
+    def _parse_qreg(self):
+        name_tok, size = self._declaration()
         if self.reg_name is not None:
             raise QasmError("quantum register redeclared", name_tok.line, name_tok.col)
-        self.reg_name = name_tok.text
-        self.reg_size = _integer(size_tok, "register size")
+        self.reg_name, self.reg_size = name_tok.text, size
+
+    def _parse_creg(self):
+        name_tok, size = self._declaration()
+        if name_tok.text in self.cregs:
+            raise QasmError("classical register redeclared", name_tok.line, name_tok.col)
+        self.cregs[name_tok.text] = size
 
     def _parse_gate_def(self):
         name_tok = self._expect_id()
@@ -432,15 +448,17 @@ class _Parser:
         self._expect(";")
         self._emit_barrier(wires, tok)
 
-    def _parse_measure(self):
-        self._qubit_arg()
+    def _parse_measure(self, tok: _Token):
+        qubit = self._qubit_arg()
         self._expect("->")
-        self._expect_id()
-        if self._peek() and self._peek().text == "[":
-            self._next()
-            self._next()
-            self._expect("]")
+        size, bit = self._register_arg(self.cregs, "bit")
         self._expect(";")
+        if (qubit is None) != (bit is None) or (bit is None and size != self.reg_size):
+            raise QasmError(
+                "measure takes an indexed qubit and bit, or whole registers of one size",
+                tok.line,
+                tok.col,
+            )
         self._measured = True
 
     def _parse_application(self, tok: _Token):

@@ -7,6 +7,18 @@ routable gate with an implicit swap (a mirror) when the substitution does not
 hurt decomposition cost or, for FINESSE, the fidelity-weighted lookahead.
 Relative scoring and a release valve follow the LightSABRE variant; the front
 sum is unnormalized.
+
+Swaps and mirrors are scored by one lookahead heuristic through two steps.
+`_distances` is one gather: the scoring-matrix entry of every front and
+extended gate's physical pair, and the same entry after each candidate swap
+(p0, p1), shape (gates, candidates).  `_heuristic` is one reduction: the front
+sum plus W times the extended-set average, one column per candidate, with the
+rows added one at a time in gate order (numpy's pairwise summation would
+reorder them and move exact ties).  `_select_swap` reduces after - now over
+the edges that touch the front; a gate the swap does not touch contributes
+exactly 0.0, so no mask is needed.  `_mirror_decision` reduces now and after
+separately and compares the absolute sums: written as a delta, the FINESSE
+rule flips on real-valued near-ties that rounding decides.
 """
 from __future__ import annotations
 
@@ -64,25 +76,6 @@ def trial_rng(seed: int, trial: int, pass_index: int) -> np.random.Generator:
     )
 
 
-def heuristic_score(
-    front: list[Gate],
-    extended: list[Gate],
-    layout: Layout,
-    matrix: np.ndarray,
-    w: float,
-) -> float:
-    """Unnormalized front sum plus W-weighted extended-set average."""
-    total = 0.0
-    for g in front:
-        total += matrix[layout.physical(g.wires[0]), layout.physical(g.wires[1])]
-    if extended:
-        ext = 0.0
-        for g in extended:
-            ext += matrix[layout.physical(g.wires[0]), layout.physical(g.wires[1])]
-        total += w * ext / len(extended)
-    return float(total)
-
-
 @dataclass
 class PassResult:
     final_layout: Layout
@@ -115,10 +108,9 @@ class _Pass:
         self.config = config
         self.rng = rng
         self.layout = layout.copy()
-        self.emit = emit
         self.allow_mirror = allow_mirror and config.algorithm in MIRRORING and config.aggression > 0
         self.matrix = dists.d_blend if config.uses_blend else dists.d_hop.astype(float)
-        self.hop_float = dists.d_hop.astype(float)
+        self.edges = np.array(cmap.edge_list(), dtype=np.intp)
         self.preds = dag.predecessor_counts()
         self.front: list[Gate] = []
         self.gates: list[Gate] | None = [] if emit else None
@@ -143,7 +135,7 @@ class _Pass:
                 params=g.params,
                 n=g.n,
                 matrix=g.matrix,
-                mirrored=mirrored or g.mirrored,
+                mirrored=mirrored != g.mirrored,
             )
         )
         self.next_id += 1
@@ -156,19 +148,26 @@ class _Pass:
     def _physical(self, g: Gate) -> tuple[int, ...]:
         return tuple(self.layout.physical(w) for w in g.wires)
 
-    def _release(self, gate_id: int):
-        """Propagate completion; 1q gates and barriers are consumed eagerly."""
-        queue = [gate_id]
+    def _unblock(self, gate_id: int, preds: dict[int, int], emit: bool) -> list[Gate]:
+        """Propagate gate_id's completion through preds; return the 2q gates it
+        readies.  1q gates and barriers are consumed eagerly (and emitted if
+        `emit`), so their successors are walked in the same sweep."""
+        ready, queue = [], [gate_id]
         while queue:
             for succ in self.dag.successors(queue.pop()):
-                self.preds[succ] -= 1
-                if self.preds[succ] == 0:
+                preds[succ] -= 1
+                if preds[succ] == 0:
                     g = self.dag.gate(succ)
                     if g.is_two_qubit:
-                        self.front.append(g)
+                        ready.append(g)
                     else:
-                        self._emit_gate(g, self._physical(g))
+                        if emit:
+                            self._emit_gate(g, self._physical(g))
                         queue.append(succ)
+        return ready
+
+    def _release(self, gate_id: int):
+        self.front.extend(self._unblock(gate_id, self.preds, emit=True))
         self.extended_cache = None
 
     def _extended(self) -> list[Gate]:
@@ -189,23 +188,13 @@ class _Pass:
         # Score the layouts the gate's successors will actually see: treat g
         # as executed (consuming any 1q gates it unblocks) before comparing.
         preds = dict(self.preds)
-        rest = [f for f in self.front if f.id != g.id]
-        queue = [g.id]
-        while queue:
-            for s in self.dag.successors(queue.pop()):
-                preds[s] -= 1
-                if preds[s] == 0:
-                    nxt = self.dag.gate(s)
-                    if nxt.is_two_qubit:
-                        rest.append(nxt)
-                    else:
-                        queue.append(s)
+        rest = [f for f in self.front if f.id != g.id] + self._unblock(g.id, preds, emit=False)
         rest.sort(key=lambda f: f.id)
         extended = extended_set_core(self.dag, rest, self.config.extended_size, preds)
-        score_now = heuristic_score(rest, extended, self.layout, self.matrix, self.config.w)
-        self.layout.swap_physical(p0, p1)
-        score_mirr = heuristic_score(rest, extended, self.layout, self.matrix, self.config.w)
-        self.layout.swap_physical(p0, p1)
+        now, after = self._distances(self._pairs(rest + extended), np.array([[p0, p1]]))
+        n = len(rest)
+        score_now = float(self._heuristic(now[:n, None], now[n:, None])[0])
+        score_mirr = float(self._heuristic(after[:n], after[n:])[0])
         if self.config.algorithm == "finesse":
             l_edge = self.weights.of(p0, p1)
             return score_mirr + k_mirr * l_edge <= score_now + k_orig * l_edge
@@ -219,51 +208,50 @@ class _Pass:
             return score_mirr < score_now
         return score_mirr <= score_now
 
-    # swap machinery -------------------------------------------------
-    def _front_physicals(self) -> set[int]:
-        out = set()
-        for g in self.front:
-            out.add(self.layout.physical(g.wires[0]))
-            out.add(self.layout.physical(g.wires[1]))
-        return out
+    # scoring ----------------------------------------------------------
+    def _pairs(self, gates: list[Gate]) -> np.ndarray:
+        """Physical (a, b) of each 2q gate under the current layout."""
+        return np.array([self._physical(g) for g in gates], dtype=np.intp).reshape(-1, 2)
 
-    def _score_delta(self, p0: int, p1: int, extended: list[Gate]) -> float:
-        """Relative scoring: only terms touching the swapped qubits move."""
-        touched = (p0, p1)
-        delta = 0.0
-        for g in self.front:
-            a, b = self._physical(g)
-            if a in touched or b in touched:
-                before = self.matrix[a, b]
-                a2 = p1 if a == p0 else p0 if a == p1 else a
-                b2 = p1 if b == p0 else p0 if b == p1 else b
-                delta += self.matrix[a2, b2] - before
-        if extended:
-            ext = 0.0
-            for g in extended:
-                a, b = self._physical(g)
-                if a in touched or b in touched:
-                    before = self.matrix[a, b]
-                    a2 = p1 if a == p0 else p0 if a == p1 else a
-                    b2 = p1 if b == p0 else p0 if b == p1 else b
-                    ext += self.matrix[a2, b2] - before
-            delta += self.config.w * ext / len(extended)
-        if self.config.decay_enabled:
-            delta *= max(self.decay[p0], self.decay[p1])
-        return delta
+    def _distances(self, pairs: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """matrix[a, b] per gate, shape (gates,), and matrix[a2, b2] after each
+        candidate swap (p0, p1), shape (gates, cands)."""
+        a, b = pairs[:, :1], pairs[:, 1:]
+        p0, p1 = cands[:, 0], cands[:, 1]
+        a2 = np.where(a == p0, p1, np.where(a == p1, p0, a))
+        b2 = np.where(b == p0, p1, np.where(b == p1, p0, b))
+        return self.matrix[pairs[:, 0], pairs[:, 1]], self.matrix[a2, b2]
+
+    def _heuristic(self, front_vals: np.ndarray, ext_vals: np.ndarray) -> np.ndarray:
+        """Unnormalized front sum plus W-weighted extended-set average, one
+        column per candidate.  Rows are added one at a time in gate order so
+        the sums round exactly as a scalar loop would."""
+        total = np.zeros(front_vals.shape[1])
+        for row in front_vals:
+            total += row
+        if len(ext_vals):
+            ext = np.zeros(ext_vals.shape[1])
+            for row in ext_vals:
+                ext += row
+            total += self.config.w * ext / len(ext_vals)
+        return total
 
     def _select_swap(self) -> tuple[int, int]:
-        front_phys = self._front_physicals()
-        candidates = [
-            (i, j) for i, j in self.cmap.edge_list() if i in front_phys or j in front_phys
-        ]
-        extended = self._extended()
-        scores = [self._score_delta(i, j, extended) for i, j in candidates]
-        best = min(scores)
-        ties = [c for c, s in zip(candidates, scores) if s == best]
-        if len(ties) == 1:
-            return ties[0]
-        return ties[int(self.rng.integers(len(ties)))]
+        """Relative scoring over the edges touching the front layer."""
+        front_pairs = self._pairs(self.front)
+        on_front = np.zeros(self.cmap.num_physical, dtype=bool)
+        on_front[front_pairs] = True
+        cands = self.edges[on_front[self.edges].any(axis=1)]
+        n = len(self.front)
+        now, after = self._distances(np.concatenate([front_pairs, self._pairs(self._extended())]), cands)
+        delta = after - now[:, None]
+        scores = self._heuristic(delta[:n], delta[n:])
+        if self.config.decay_enabled:
+            scores *= np.maximum(self.decay[cands[:, 0]], self.decay[cands[:, 1]])
+        ties = np.flatnonzero(scores == scores.min())
+        pick = ties[0] if len(ties) == 1 else ties[int(self.rng.integers(len(ties)))]
+        p0, p1 = cands[pick]
+        return int(p0), int(p1)
 
     def _apply_swap(self, p0: int, p1: int):
         self._emit_swap(p0, p1)
@@ -476,11 +464,7 @@ def selection_key(algorithm: str, post_selection: str):
 
 def select_trial(trials: list[RoutingResult], config: RouterConfig) -> RoutingResult:
     key = selection_key(config.algorithm, config.post_selection)
-    best = trials[0]
-    for trial in trials[1:]:
-        if key(trial.metrics) < key(best.metrics):
-            best = trial
-    return best
+    return min(trials, key=lambda t: key(t.metrics))
 
 
 def transpile(

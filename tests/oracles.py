@@ -4,7 +4,8 @@ Each oracle deliberately avoids the code path it validates: path minima by
 exhaustive enumeration, two-qubit class labels by Makhlin invariants, basis
 counts by sampled reachability with Nelder-Mead polish, spectator infidelity
 by a closed form of the factorized matrix exponential, the allocation loss by
-explicit loops over every resonance, gate and qubit pair.
+explicit loops over every resonance, gate and qubit pair, the routing
+lookahead by a scalar loop over the front and extended gates.
 """
 from __future__ import annotations
 
@@ -61,6 +62,19 @@ def random_connected_map(rng, max_nodes: int = 8):
             pairs.add((min(int(a), int(b)), max(int(a), int(b))))
     fids = [float(rng.uniform(0.9, 0.999)) for _ in pairs]
     return CouplingMap.from_pairs(n, sorted(pairs), fids)
+
+
+def reference_lookahead(front, extended, layout, matrix, w: float) -> float:
+    """SABRE lookahead: unnormalized front sum plus W-weighted extended average."""
+    total = 0.0
+    for g in front:
+        total += matrix[layout.physical(g.wires[0]), layout.physical(g.wires[1])]
+    if extended:
+        ext = 0.0
+        for g in extended:
+            ext += matrix[layout.physical(g.wires[0]), layout.physical(g.wires[1])]
+        total += w * ext / len(extended)
+    return float(total)
 
 
 # --- two-qubit invariants ---------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import finesse
-from finesse import freqalloc as fa
+from finesse import bench, freqalloc as fa
 from finesse.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -50,6 +50,66 @@ class TestAllocate:
         with pytest.raises(SystemExit) as exc:
             main(["allocate", "--config", str(tmp_path / "absent.json")])
         assert exc.value.code == EXIT_USAGE
+
+
+SMALL_QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+h q[0];
+cx q[0],q[1];
+cx q[1],q[2];
+cx q[0],q[3];
+rz(pi/4) q[3];
+cx q[3],q[2];
+"""
+
+
+def _transpile(tmp_path):
+    circuit = tmp_path / "small.qasm"
+    circuit.write_text(SMALL_QASM)
+    routed, metrics = tmp_path / "routed.qasm", tmp_path / "metrics.json"
+    code = main(["transpile", str(circuit), "--seeds", "3",
+                 "--out", str(routed), "--metrics", str(metrics)])
+    return code, circuit, routed, json.loads(metrics.read_text())
+
+
+class TestTranspileAndVerify:
+    def test_transpile_writes_verified_metrics(self, tmp_path):
+        code, _, routed, payload = _transpile(tmp_path)
+        assert code == EXIT_OK
+        assert payload["verified"] is True and payload["algorithm"] == "finesse"
+        assert set(payload["metrics"]) == {"lf_cost", "depth", "swaps", "mirrors", "seed"}
+        assert sorted(payload["initial_layout"]) == list(range(16))
+        assert routed.read_text().startswith("OPENQASM 2.0;")
+
+    def test_transpile_missing_file_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["transpile", str(tmp_path / "absent.qasm")])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_verify_accepts_the_routed_pair(self, tmp_path, capsys):
+        _, circuit, routed, payload = _transpile(tmp_path)
+        capsys.readouterr()
+        code = main([
+            "verify", str(circuit), str(routed),
+            "--perm", ",".join(map(str, payload["output_permutation"])),
+            "--input-map", ",".join(map(str, payload["initial_layout"])),
+        ])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["equivalent"] is True
+
+
+def test_bench_writes_results(tmp_path):
+    workloads = tmp_path / "workloads"
+    workloads.mkdir()
+    (workloads / "small.qasm").write_text(SMALL_QASM)
+    out = tmp_path / "bench"
+    code = main(["bench", "--workloads", str(workloads), "--out", str(out),
+                 "--topologies", "4q4e", "--algorithms", "sabre,finesse", "--seeds", "2"])
+    assert code == EXIT_OK
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[:2] == [f"# format_version={bench.CSV_FORMAT_VERSION}", ",".join(bench.CSV_COLUMNS)]
+    assert len(lines) == 2 + 2 * 2  # two algorithms x two post-selection modes
 
 
 def test_python_dash_m_entry_point():

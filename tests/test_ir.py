@@ -153,3 +153,9 @@ class TestLayout:
         lay = Layout([0, 1, 2])
         lay.swap_physical(0, 2)
         assert lay.physical(0) == 2 and lay.physical(2) == 0
+
+    def test_numpy_permutation_gives_python_ints(self):
+        lay = Layout(np.random.default_rng(0).permutation(4))
+        assert all(type(p) is int for p in lay.to_list())
+        with pytest.raises(TypeError):
+            Layout([0.0, 1.0])

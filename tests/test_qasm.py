@@ -71,12 +71,37 @@ class TestParse:
             ("qreg q[1e1];", 8),
             ("qreg q[2]; h q[1e0];", 16),
             ("qreg q[2]; cx q[0],q[0.];", 22),
+            ("qreg q[1]; creg c[x];", 19),
+            ("qreg q[1]; creg c[1]; measure q[0] -> c[x];", 41),
         ],
     )
     def test_non_integer_size_or_index(self, text, col):
         with pytest.raises(QasmError, match="must be an integer") as err:
             parse_qasm(text)
         assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize(
+        "text, match, col",
+        [
+            ("qreg q[0]; h q;", "must be at least 1", 8),
+            ("qreg q[1]; creg c[0];", "must be at least 1", 19),
+            ("qreg q[1]; creg c[1]; creg c[2];", "redeclared", 28),
+            ("qreg q[1]; creg c[1]; measure q[0] -> q[5];", "unknown register 'q'", 39),
+            ("qreg q[1]; creg c[1]; measure q[0] -> d[0];", "unknown register 'd'", 39),
+            ("qreg q[1]; creg c[1]; measure q[0] -> c[3];", "bit index 3 out of range", 41),
+            ("qreg q[2]; creg c[1]; measure q -> c;", "whole registers of one size", 23),
+            ("qreg q[2]; creg c[2]; measure q[0] -> c;", "indexed qubit and bit", 23),
+        ],
+    )
+    def test_bad_register_or_measure_target(self, text, match, col):
+        with pytest.raises(QasmError, match=match) as err:
+            parse_qasm(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_whole_register_measure(self):
+        with pytest.warns(UserWarning, match="measurements stripped"):
+            dag = parse_qasm("qreg q[2]; creg c[2]; h q; measure q -> c;")
+        assert dag.num_qubits == 2 and len(dag.gates) == 2
 
 
 class TestMacros:

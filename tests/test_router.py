@@ -1,0 +1,223 @@
+"""Router: the lookahead scorer against a scalar oracle, routed circuits against
+the statevector verifier, trial selection, and a pinned golden route."""
+import hashlib
+from dataclasses import replace
+from math import pi
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finesse import router
+from finesse.hardware import CouplingMap, build_distance_set, fabric_suite, log_weights
+from finesse.ir import CircuitDag, Gate, Layout
+from finesse.router import (
+    ALGORITHMS,
+    RouterConfig,
+    RoutingResult,
+    TrialMetrics,
+    run_trials,
+    select_trial,
+)
+from finesse.verifier import statevector_equivalent
+from finesse.weyl import swap_count
+from finesse.workloads import SUITE
+
+from oracles import haar_su4, random_connected_map, reference_lookahead
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _random_pass(rng, algorithm):
+    """A routing pass on a random map and layout, ready to score gates."""
+    cmap = random_connected_map(rng)
+    config = RouterConfig(algorithm=algorithm, w=float(rng.uniform(0.1, 1.0)))
+    dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
+    n = cmap.num_physical
+    return router._Pass(
+        CircuitDag(n, []), cmap, dists, log_weights(cmap), config, rng,
+        Layout(rng.permutation(n)), emit=False, allow_mirror=True,
+    )
+
+
+def _random_gates(rng, n, count):
+    return [
+        Gate(id=i, kind="cx", wires=tuple(int(w) for w in rng.choice(n, 2, replace=False)))
+        for i in range(count)
+    ]
+
+
+def _swapped(layout, p0, p1):
+    out = layout.copy()
+    out.swap_physical(int(p0), int(p1))
+    return out
+
+
+class TestLookahead:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, algorithm=st.sampled_from(ALGORITHMS))
+    def test_relative_swap_scores_match_oracle(self, seed, algorithm):
+        rng = np.random.default_rng(seed)
+        p = _random_pass(rng, algorithm)
+        n = p.cmap.num_physical
+        front = _random_gates(rng, n, int(rng.integers(1, 6)))
+        extended = _random_gates(rng, n, int(rng.integers(0, 21)))
+        now, after = p._distances(p._pairs(front + extended), p.edges)
+        delta = after - now[:, None]
+        k = len(front)
+        scores = p._heuristic(delta[:k], delta[k:])
+        base = reference_lookahead(front, extended, p.layout, p.matrix, p.config.w)
+        for c, (p0, p1) in enumerate(p.edges):
+            moved = reference_lookahead(front, extended, _swapped(p.layout, p0, p1), p.matrix, p.config.w)
+            assert abs(scores[c] - (moved - base)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, algorithm=st.sampled_from(ALGORITHMS))
+    def test_mirror_absolute_scores_equal_oracle(self, seed, algorithm):
+        rng = np.random.default_rng(seed)
+        p = _random_pass(rng, algorithm)
+        n = p.cmap.num_physical
+        rest = _random_gates(rng, n, int(rng.integers(0, 6)))
+        extended = _random_gates(rng, n, int(rng.integers(0, 21)))
+        p0, p1 = p.edges[rng.integers(len(p.edges))]
+        now, after = p._distances(p._pairs(rest + extended), np.array([[p0, p1]]))
+        k = len(rest)
+        w = p.config.w
+        assert p._heuristic(now[:k, None], now[k:, None])[0] == reference_lookahead(
+            rest, extended, p.layout, p.matrix, w
+        )
+        assert p._heuristic(after[:k], after[k:])[0] == reference_lookahead(
+            rest, extended, _swapped(p.layout, p0, p1), p.matrix, w
+        )
+
+
+ONE_QUBIT = ("h", "x", "s", "t", "rz", "ry")
+TWO_QUBIT = ("cx", "cz", "iswap", "ecr", "swap", "root_iswap", "unitary", "barrier")
+
+
+def _random_circuit(rng, width, count):
+    """Mixed 1q/2q circuit with root_iswap, unitary, barrier and mirrored gates."""
+    gates = []
+    for i in range(count):
+        if rng.random() < 0.4:
+            kind = ONE_QUBIT[rng.integers(len(ONE_QUBIT))]
+            params = (float(rng.uniform(-pi, pi)),) if kind in ("rz", "ry") else ()
+            gates.append(Gate(id=i, kind=kind, wires=(int(rng.integers(width)),), params=params))
+            continue
+        kind = TWO_QUBIT[rng.integers(len(TWO_QUBIT))]
+        gates.append(
+            Gate(
+                id=i,
+                kind=kind,
+                wires=tuple(int(w) for w in rng.choice(width, 2, replace=False)),
+                n=2 if kind == "root_iswap" else 1,
+                matrix=haar_su4(rng) if kind == "unitary" else None,
+                mirrored=kind != "barrier" and bool(rng.random() < 0.2),
+            )
+        )
+    return CircuitDag(width, gates)
+
+
+def _equivalent(dag, result):
+    return statevector_equivalent(
+        dag, result.circuit, result.output_permutation, input_map=result.initial_layout
+    )
+
+
+class TestRoutedEquivalence:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS)
+    def test_every_variant_routes_equivalently(self, seed):
+        rng = np.random.default_rng(seed)
+        cmap = random_connected_map(rng, max_nodes=7)
+        width = int(rng.integers(2, min(6, cmap.num_physical) + 1))
+        dag = _random_circuit(rng, width, int(rng.integers(1, 25)))
+        base = RouterConfig(num_seeds=2)
+        dists = build_distance_set(cmap, swap_count(base.basis), base.beta)
+        for algorithm in ALGORITHMS:
+            for aggression in range(4):
+                for decay in (False, True):
+                    config = replace(
+                        base, algorithm=algorithm, aggression=aggression, decay_enabled=decay
+                    )
+                    for result in run_trials(dag, cmap, config, seed=seed, dists=dists):
+                        assert _equivalent(dag, result), (algorithm, aggression, decay)
+
+    @pytest.mark.parametrize("algorithm", ("mirage", "finesse"))
+    def test_mirroring_a_mirrored_gate_unmirrors_it(self, algorithm):
+        dag = CircuitDag(3, [
+            Gate(id=0, kind="h", wires=(0,)),
+            Gate(id=1, kind="cx", wires=(0, 1), mirrored=True),
+            Gate(id=2, kind="rz", wires=(1,), params=(0.3,)),
+            Gate(id=3, kind="cx", wires=(1, 2)),
+        ])
+        cmap = CouplingMap.from_pairs(3, [(0, 1), (1, 2)], [0.99, 0.98])
+        config = RouterConfig(algorithm=algorithm, aggression=3, num_seeds=3)
+        for result in run_trials(dag, cmap, config):
+            assert result.metrics.mirror_count == 2
+            assert _equivalent(dag, result)
+
+
+def _trial(index, lf_cost, depth, swaps):
+    metrics = TrialMetrics(lf_cost=lf_cost, depth=depth, swap_count=swaps, mirror_count=0, seed=index)
+    return RoutingResult(CircuitDag(1, []), (0,), (0,), metrics)
+
+
+class TestSelectTrial:
+    @given(keys=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=8))
+    def test_first_minimum_wins(self, keys):
+        trials = [_trial(i, float(lf), depth, swaps) for i, (lf, depth, swaps) in enumerate(keys)]
+        column = {"sabre": 2, "mirage": 1, "fasst": 0, "finesse": 0}
+        for algorithm in ALGORITHMS:
+            for mode in ("native", "fidelity"):
+                col = 0 if mode == "fidelity" else column[algorithm]
+                expected = trials[int(np.argmin([k[col] for k in keys]))]
+                config = RouterConfig(algorithm=algorithm, post_selection=mode)
+                assert select_trial(trials, config) is expected
+
+    def test_ties_take_the_first_index(self):
+        trials = [_trial(0, 2.0, 5, 3), _trial(1, 1.0, 4, 2), _trial(2, 1.0, 4, 2)]
+        for algorithm in ALGORITHMS:
+            assert select_trial(trials, RouterConfig(algorithm=algorithm)) is trials[1]
+
+
+# Routes of the suite on the 4q4e fabric at seed 0: per-trial mirror counts,
+# the sha256 of the repr of the swap traces, and the repr of each LF cost.
+GOLDEN = {
+    ("ae_10", "finesse", 6): (
+        [41, 38, 39, 38, 43, 36],
+        "8bf015894aee7637022111a920c58e683ad7ec73b6743cf69a57883972fa6c61",
+        ["1.3054503949507028", "1.447920421971854", "1.380718075587018",
+         "1.518188610865497", "1.1572241062944475", "1.293394129686611"],
+    ),
+    ("wstate_08", "sabre", 2): (
+        [0, 0],
+        "7f818161ee5a897f1c9480c1f4abd3e84b34c9b18309b435adf7f73454ba3a83",
+        ["0.3158868594586661", "0.2527137056139987"],
+    ),
+    ("qft_10", "fasst", 2): (
+        [0, 0],
+        "c21c368497bcca32d79b4f05150fdb327896180bf9faacdc6442a5265e9ab43f",
+        ["1.5761871265459286", "1.8381056729403449"],
+    ),
+    ("ae_10", "mirage", 2): (
+        [32, 41],
+        "7d1f5bee377e849c838b48db7c92ca5646629fc70d5e108a6d2486cbff754085",
+        ["1.4198491615025324", "1.5142339212284128"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fabric_4q4e():
+    return fabric_suite()["4q4e"]
+
+
+@pytest.mark.parametrize("workload, algorithm, trials", sorted(GOLDEN))
+def test_golden_route(fabric_4q4e, workload, algorithm, trials):
+    mirrors, digest, costs = GOLDEN[(workload, algorithm, trials)]
+    config = RouterConfig(algorithm=algorithm, num_seeds=trials)
+    results = run_trials(SUITE[workload](), fabric_4q4e, config, seed=0)
+    assert [r.metrics.mirror_count for r in results] == mirrors
+    assert hashlib.sha256(repr([r.swap_trace for r in results]).encode()).hexdigest() == digest
+    assert [repr(r.metrics.lf_cost) for r in results] == costs
