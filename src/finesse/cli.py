@@ -12,7 +12,14 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import freqalloc as fa
-from .hardware import TABLE3_MODULES, fabric_suite, load_calibration, load_topology
+from .hardware import (
+    TABLE3_MODULES,
+    TopologyError,
+    fabric_suite,
+    load_calibration,
+    load_json,
+    load_topology,
+)
 from .ir import circuit_depth
 from .qasm import parse_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, lf_cost, transpile
@@ -40,22 +47,13 @@ def parse_frequency(value) -> float:
     return float(text)
 
 
-def _load_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise UsageError(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {path}: {exc}") from exc
-
-
 def _resolve_topology(name_or_path: str):
     if name_or_path in TABLE3_MODULES:
         return load_topology(name_or_path)
     path = Path(name_or_path)
     if not path.exists():
         raise UsageError(f"unknown topology {name_or_path!r} (not a Table-3 name or file)")
-    data = _load_json(path)
+    data = load_json(path)
     if "edges" in data and "module" not in data:
         return load_calibration(data)
     return load_topology(data)
@@ -65,7 +63,7 @@ def _resolve_topology(name_or_path: str):
 
 
 def cmd_allocate(args) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = load_json(args.config) if args.config else {}
     sizes = config.get("module_sizes", [2, 3, 4, 5])
     k = int(config.get("k", 0))
     delta_q = parse_frequency(config.get("delta_q", fa.DEFAULT_DELTA_Q))
@@ -324,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TopologyError) as exc:
         parser.error(str(exc))  # exits with code 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

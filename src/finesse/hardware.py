@@ -271,7 +271,7 @@ def fabric_suite(num_qubits: int = 15) -> dict[str, CouplingMap]:
 
 def load_calibration(source) -> CouplingMap:
     """Backend calibration snapshot -> coupling map via C = 1 - error."""
-    data = _load_json(source)
+    data = load_json(source)
     _check_version(data)
     edges = []
     num = 0
@@ -294,7 +294,7 @@ def load_topology(source) -> CouplingMap:
     """Topology fixture: a named Table-3 module spec or explicit edges."""
     if isinstance(source, str) and source in TABLE3_MODULES:
         return fabric_suite()[source]
-    data = _load_json(source)
+    data = load_json(source)
     _check_version(data)
     mod = data["module"]
     if isinstance(mod, str):
@@ -309,16 +309,22 @@ def load_topology(source) -> CouplingMap:
     return build_snail_fabric(spec, int(data["num_modules"]))
 
 
-def _load_json(source) -> dict:
+def load_json(source) -> dict:
+    """A JSON file's contents (a dict passes through); a missing file or
+    malformed JSON raises TopologyError naming the path."""
     if isinstance(source, dict):
         return source
     path = Path(source)
     try:
         return json.loads(path.read_text())
+    except FileNotFoundError as exc:
+        raise TopologyError(f"missing file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise TopologyError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _check_version(data: dict):
-    if int(data.get("format_version", FORMAT_VERSION)) != FORMAT_VERSION:
-        raise TopologyError(f"unsupported format_version {data.get('format_version')}")
+    """The version must be the integer FORMAT_VERSION, or its decimal string."""
+    version = data.get("format_version", FORMAT_VERSION)
+    if str(version) != str(FORMAT_VERSION):
+        raise TopologyError(f"unsupported format_version {version!r}")

@@ -1,12 +1,14 @@
 """Circuit intermediate representation: gates, dependency DAG, layouts.
 
 The DAG links each gate to its nearest successor per wire, which keeps
-front-layer maintenance O(degree) during routing.
+front-layer maintenance O(degree) during routing.  For the router it also
+holds, built on first use, the wires of its 2q gates as one integer table.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,6 +137,20 @@ class CircuitDag:
     def predecessor_counts(self) -> dict[int, int]:
         return dict(self._pred_count)
 
+    @cached_property
+    def two_qubit_rows(self) -> dict[int, int]:
+        """2q gate id -> its row in `wire_table`; membership is the 2q test.
+
+        Built on first use, so DAGs that are never routed do not pay for it.
+        """
+        return {g.id: row for row, g in enumerate(g for g in self.gates if g.is_two_qubit)}
+
+    @cached_property
+    def wire_table(self) -> np.ndarray:
+        """(2q gates, 2) np.intp wires, one row per 2q gate in gate order."""
+        wires = [g.wires for g in self.gates if g.is_two_qubit]
+        return np.array(wires, dtype=np.intp).reshape(-1, 2)
+
     @property
     def edges(self) -> set[tuple[int, int]]:
         """Dependency arcs as (gate id, successor id) pairs, deduplicated."""
@@ -206,10 +222,16 @@ def extended_set_core(
     size: int,
     remaining_preds: dict[int, int],
 ) -> list[Gate]:
-    """Leveled lookahead BFS; gates join a level once all arcs into them are seen."""
+    """Leveled lookahead BFS; gates join a level once all arcs into them are seen.
+
+    ``remaining_preds`` is only read: the walk keeps the counts it lowers in an
+    overlay of the gates it reaches, so a call costs the gates it visits, not
+    a copy of every count.
+    """
     if size <= 0:
         return []
-    counts = dict(remaining_preds)
+    succ, two_qubit = dag._succ, dag.two_qubit_rows
+    counts: dict[int, int] = {}
     collected: list[tuple[int, int]] = []  # (bfs level, gate id)
     frontier = [g.id for g in front]
     level = 0
@@ -217,12 +239,11 @@ def extended_set_core(
         level += 1
         nxt = []
         for gid in frontier:
-            for s in dag.successors(gid):
-                counts[s] -= 1
-                if counts[s] == 0:
+            for s in succ[gid]:
+                counts[s] = left = counts.get(s, remaining_preds[s]) - 1
+                if left == 0:
                     nxt.append(s)
-                    g = dag.gate(s)
-                    if g.is_two_qubit:
+                    if s in two_qubit:
                         collected.append((level, s))
         frontier = nxt
     collected.sort()
@@ -256,9 +277,13 @@ def circuit_depth(dag: CircuitDag) -> int:
 
 
 class Layout:
-    """Bijection between virtual (logical plus ancilla) and physical wires."""
+    """Bijection between virtual (logical plus ancilla) and physical wires.
 
-    __slots__ = ("_v2p", "_p2v")
+    The virtual -> physical map is kept both as a list and as an np.intp
+    array, so the router can map many wires in one gather.
+    """
+
+    __slots__ = ("_v2p", "_p2v", "_v2p_array")
 
     def __init__(self, virtual_to_physical: Sequence[int]):
         v2p = [operator.index(p) for p in virtual_to_physical]
@@ -266,6 +291,7 @@ class Layout:
         if sorted(v2p) != list(range(n)):
             raise CircuitError("layout must be a bijection on 0..n-1")
         self._v2p = v2p
+        self._v2p_array = np.array(v2p, dtype=np.intp)
         self._p2v = [0] * n
         for v, p in enumerate(v2p):
             self._p2v[p] = v
@@ -283,10 +309,16 @@ class Layout:
     def virtual(self, physical: int) -> int:
         return self._p2v[physical]
 
+    @property
+    def physical_array(self) -> np.ndarray:
+        """Virtual -> physical as an np.intp array (read-only by contract)."""
+        return self._v2p_array
+
     def swap_physical(self, p0: int, p1: int) -> None:
         v0, v1 = self._p2v[p0], self._p2v[p1]
         self._p2v[p0], self._p2v[p1] = v1, v0
         self._v2p[v0], self._v2p[v1] = p1, p0
+        self._v2p_array[v0], self._v2p_array[v1] = p1, p0
 
     def copy(self) -> "Layout":
         return Layout(self._v2p)

@@ -8,21 +8,31 @@ hurt decomposition cost or, for FINESSE, the fidelity-weighted lookahead.
 Relative scoring and a release valve follow the LightSABRE variant; the front
 sum is unnormalized.
 
-Swaps and mirrors are scored by one lookahead heuristic through two steps.
-`_distances` is one gather: the scoring-matrix entry of every front and
-extended gate's physical pair, and the same entry after each candidate swap
-(p0, p1), shape (gates, candidates).  `_heuristic` is one reduction: the front
-sum plus W times the extended-set average, one column per candidate, with the
-rows added one at a time in gate order (numpy's pairwise summation would
-reorder them and move exact ties).  `_select_swap` reduces after - now over
-the edges that touch the front; a gate the swap does not touch contributes
-exactly 0.0, so no mask is needed.  `_mirror_decision` reduces now and after
-separately and compares the absolute sums: written as a delta, the FINESSE
-rule flips on real-valued near-ties that rounding decides.
+Pass state is held in arrays.  The layout keeps virtual -> physical as an
+integer array and the DAG a (2q gates, 2) wire table, so the physical pairs
+of any gate list are one gather (`_pairs`).  Each pass also builds, once, the
+edge index of every physical pair and, per edge, where each physical wire's
+qubit moves under a swap on it.  `_distances` then reads the scoring-matrix
+entry of every gate now and after each candidate swap, shape (gates,
+candidates), with gathers only.
+`_heuristic` is one reduction: the front sum plus W times the extended-set
+average, one column per candidate, with the rows added in gate order (a
+pairwise sum would reorder them and move exact ties).  `_select_swap` reduces
+after - now over the edges that touch the front; a gate the swap does not
+touch contributes exactly 0.0, so no mask is needed.
+
+Predecessor counts are one dict, lowered once per executed gate by
+`_retire`; the extended set reads them through a small overlay and never
+copies them.  A routable gate is retired before its mirror decision, so the
+decision scores the front and the extended set its successors will see, and
+that extended set stays cached for the swap selections that follow.  The
+mirror rule compares absolute sums: written as a delta, the FINESSE rule
+flips on real-valued near-ties that rounding decides.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,6 +43,8 @@ from .weyl import BasisGate, gate_count, swap_count
 ALGORITHMS = ("sabre", "fasst", "mirage", "finesse")
 FIDELITY_AWARE = ("fasst", "finesse")
 MIRRORING = ("mirage", "finesse")
+
+_gate_id = attrgetter("id")
 
 
 class RoutingError(ValueError):
@@ -110,8 +122,17 @@ class _Pass:
         self.layout = layout.copy()
         self.allow_mirror = allow_mirror and config.algorithm in MIRRORING and config.aggression > 0
         self.matrix = dists.d_blend if config.uses_blend else dists.d_hop.astype(float)
-        self.edges = np.array(cmap.edge_list(), dtype=np.intp)
+        self.edges = np.array(cmap.edge_list(), dtype=np.intp).reshape(-1, 2)
+        n, e = cmap.num_physical, np.arange(len(self.edges))
+        self.edge_of = np.full((n, n), -1, dtype=np.intp)  # (p, q) -> edge index
+        self.edge_of[self.edges[:, 0], self.edges[:, 1]] = e
+        self.edge_of[self.edges[:, 1], self.edges[:, 0]] = e
+        # moved[e, p]: the physical wire that p's qubit sits on after a swap on edge e
+        self.moved = np.tile(np.arange(n), (len(e), 1))
+        self.moved[e, self.edges[:, 0]] = self.edges[:, 1]
+        self.moved[e, self.edges[:, 1]] = self.edges[:, 0]
         self.preds = dag.predecessor_counts()
+        self.rows, self.wires = dag.two_qubit_rows, dag.wire_table
         self.front: list[Gate] = []
         self.gates: list[Gate] | None = [] if emit else None
         self.next_id = 0
@@ -140,35 +161,36 @@ class _Pass:
         )
         self.next_id += 1
 
+    def _emit_local(self, gates: list[Gate]):
+        """Emit 1q gates and barriers on their wires under the current layout."""
+        if self.gates is not None:
+            for g in gates:
+                self._emit_gate(g, tuple(self.layout.physical(w) for w in g.wires))
+
     def _emit_swap(self, p0: int, p1: int):
         if self.gates is not None:
             self.gates.append(Gate(id=self.next_id, kind="swap", wires=(p0, p1)))
             self.next_id += 1
 
-    def _physical(self, g: Gate) -> tuple[int, ...]:
-        return tuple(self.layout.physical(w) for w in g.wires)
-
-    def _unblock(self, gate_id: int, preds: dict[int, int], emit: bool) -> list[Gate]:
-        """Propagate gate_id's completion through preds; return the 2q gates it
-        readies.  1q gates and barriers are consumed eagerly (and emitted if
-        `emit`), so their successors are walked in the same sweep."""
-        ready, queue = [], [gate_id]
+    def _retire(self, gate_id: int) -> list[Gate]:
+        """Mark gate_id executed in the predecessor counts.  The 2q gates it
+        readies join the front, which stays sorted by id; the 1q gates and
+        barriers it readies are executed in the same walk and returned in walk
+        order, to be emitted under the layout that follows the gate."""
+        local, queue = [], [gate_id]
         while queue:
             for succ in self.dag.successors(queue.pop()):
-                preds[succ] -= 1
-                if preds[succ] == 0:
+                self.preds[succ] -= 1
+                if self.preds[succ] == 0:
                     g = self.dag.gate(succ)
-                    if g.is_two_qubit:
-                        ready.append(g)
+                    if succ in self.rows:
+                        self.front.append(g)
                     else:
-                        if emit:
-                            self._emit_gate(g, self._physical(g))
+                        local.append(g)
                         queue.append(succ)
-        return ready
-
-    def _release(self, gate_id: int):
-        self.front.extend(self._unblock(gate_id, self.preds, emit=True))
+        self.front.sort(key=_gate_id)
         self.extended_cache = None
+        return local
 
     def _extended(self) -> list[Gate]:
         if self.extended_cache is None:
@@ -177,22 +199,33 @@ class _Pass:
             )
         return self.extended_cache
 
+    def _execute(self, g: Gate, p0: int, p1: int):
+        """Run front gate g on the edge (p0, p1), mirrored if the policy says so."""
+        self.front.remove(g)
+        local = self._retire(g.id)
+        mirrored = self._mirror_decision(g, p0, p1)
+        self._emit_gate(g, (p0, p1), mirrored=mirrored)
+        if mirrored:
+            self.layout.swap_physical(p0, p1)
+            self.mirrors += 1
+        self._emit_local(local)
+        self.stall = 0
+        if self.config.decay_enabled:
+            self.decay[:] = 1.0
+
     # mirror policy --------------------------------------------------
     def _mirror_decision(self, g: Gate, p0: int, p1: int) -> bool:
+        """Whether to mirror g.  Called once g is retired, so the front and the
+        extended set scored are the ones g's successors will see; the extended
+        set stays cached for the swap selections that follow."""
         if not self.allow_mirror:
             return False
         if self.config.aggression == 3:
             return True
         k_orig = gate_count(g, self.config.basis)
-        k_mirr = gate_count(replace(g, mirrored=not g.mirrored), self.config.basis)
-        # Score the layouts the gate's successors will actually see: treat g
-        # as executed (consuming any 1q gates it unblocks) before comparing.
-        preds = dict(self.preds)
-        rest = [f for f in self.front if f.id != g.id] + self._unblock(g.id, preds, emit=False)
-        rest.sort(key=lambda f: f.id)
-        extended = extended_set_core(self.dag, rest, self.config.extended_size, preds)
-        now, after = self._distances(self._pairs(rest + extended), np.array([[p0, p1]]))
-        n = len(rest)
+        k_mirr = gate_count(g, self.config.basis, mirrored=not g.mirrored)
+        now, after = self._distances(self._pairs(self.front + self._extended()), np.array([[p0, p1]]))
+        n = len(self.front)
         score_now = float(self._heuristic(now[:n, None], now[n:, None])[0])
         score_mirr = float(self._heuristic(after[:n], after[n:])[0])
         if self.config.algorithm == "finesse":
@@ -211,34 +244,24 @@ class _Pass:
     # scoring ----------------------------------------------------------
     def _pairs(self, gates: list[Gate]) -> np.ndarray:
         """Physical (a, b) of each 2q gate under the current layout."""
-        return np.array([self._physical(g) for g in gates], dtype=np.intp).reshape(-1, 2)
+        return self.layout.physical_array[self.wires[[self.rows[g.id] for g in gates]]]
 
     def _distances(self, pairs: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """matrix[a, b] per gate, shape (gates,), and matrix[a2, b2] after each
-        candidate swap (p0, p1), shape (gates, cands)."""
-        a, b = pairs[:, :1], pairs[:, 1:]
-        p0, p1 = cands[:, 0], cands[:, 1]
-        a2 = np.where(a == p0, p1, np.where(a == p1, p0, a))
-        b2 = np.where(b == p0, p1, np.where(b == p1, p0, b))
-        return self.matrix[pairs[:, 0], pairs[:, 1]], self.matrix[a2, b2]
+        """matrix[a, b] per gate, shape (gates,), and the same entry after each
+        candidate swap (p0, p1) on an edge, shape (gates, cands)."""
+        moved = self.moved[self.edge_of[cands[:, 0], cands[:, 1]]].T  # (physical, cands)
+        return self.matrix[pairs[:, 0], pairs[:, 1]], self.matrix[moved[pairs[:, 0]], moved[pairs[:, 1]]]
 
     def _heuristic(self, front_vals: np.ndarray, ext_vals: np.ndarray) -> np.ndarray:
         """Unnormalized front sum plus W-weighted extended-set average, one
-        column per candidate.  Rows are added one at a time in gate order so
-        the sums round exactly as a scalar loop would."""
-        total = np.zeros(front_vals.shape[1])
-        for row in front_vals:
-            total += row
+        column per candidate."""
+        total = _ordered_sum(front_vals)
         if len(ext_vals):
-            ext = np.zeros(ext_vals.shape[1])
-            for row in ext_vals:
-                ext += row
-            total += self.config.w * ext / len(ext_vals)
+            total += self.config.w * _ordered_sum(ext_vals) / len(ext_vals)
         return total
 
-    def _select_swap(self) -> tuple[int, int]:
+    def _select_swap(self, front_pairs: np.ndarray) -> tuple[int, int]:
         """Relative scoring over the edges touching the front layer."""
-        front_pairs = self._pairs(self.front)
         on_front = np.zeros(self.cmap.num_physical, dtype=bool)
         on_front[front_pairs] = True
         cands = self.edges[on_front[self.edges].any(axis=1)]
@@ -248,7 +271,7 @@ class _Pass:
         scores = self._heuristic(delta[:n], delta[n:])
         if self.config.decay_enabled:
             scores *= np.maximum(self.decay[cands[:, 0]], self.decay[cands[:, 1]])
-        ties = np.flatnonzero(scores == scores.min())
+        ties = (scores == scores.min()).nonzero()[0]
         pick = ties[0] if len(ties) == 1 else ties[int(self.rng.integers(len(ties)))]
         p0, p1 = cands[pick]
         return int(p0), int(p1)
@@ -265,13 +288,11 @@ class _Pass:
                 self.decay[p0] += self.config.decay_rate
                 self.decay[p1] += self.config.decay_rate
 
-    def _release_valve(self):
-        """Force the full shortest-path chain for the closest front gate."""
-        target = min(
-            self.front,
-            key=lambda g: (self.dists.d_hop[self._physical(g)], g.id),
-        )
-        p0, p1 = self._physical(target)
+    def _release_valve(self, front_pairs: np.ndarray):
+        """Force the full shortest-path chain for the closest front gate, the
+        first in id order on ties."""
+        hops = self.dists.d_hop[front_pairs[:, 0], front_pairs[:, 1]]
+        p0, p1 = front_pairs[int(np.argmin(hops))].tolist()
         while self.dists.d_hop[p0, p1] > 1:
             step = min(
                 (nb for nb in self.cmap.neighbors[p0] if self.dists.d_hop[nb, p1] < self.dists.d_hop[p0, p1]),
@@ -285,40 +306,22 @@ class _Pass:
     def run(self) -> PassResult:
         roots = [g for g in self.dag.gates if self.preds[g.id] == 0]
         for g in roots:
-            if g.is_two_qubit:
+            if g.id in self.rows:
                 self.front.append(g)
             else:
-                self._emit_gate(g, self._physical(g))
-                self._release(g.id)
-        self.front.sort(key=lambda g: g.id)
+                self._emit_local([g, *self._retire(g.id)])
+        self.front.sort(key=_gate_id)
 
         while self.front:
-            executed_any = True
-            while executed_any:
-                executed_any = False
-                for g in sorted(self.front, key=lambda f: f.id):
-                    p0, p1 = self._physical(g)
-                    if self.cmap.has_edge(p0, p1):
-                        mirrored = self._mirror_decision(g, p0, p1)
-                        self._emit_gate(g, (p0, p1), mirrored=mirrored)
-                        if mirrored:
-                            self.layout.swap_physical(p0, p1)
-                            self.mirrors += 1
-                        self.front.remove(g)
-                        self._release(g.id)
-                        self.front.sort(key=lambda f: f.id)
-                        self.stall = 0
-                        if self.config.decay_enabled:
-                            self.decay[:] = 1.0
-                        executed_any = True
-                        break
-            if not self.front:
-                break
-            if self.stall >= self.config.release_valve_threshold:
-                self._release_valve()
+            pairs = self._pairs(self.front)
+            routable = (self.edge_of[pairs[:, 0], pairs[:, 1]] >= 0).nonzero()[0]
+            if len(routable):
+                first = routable[0]
+                self._execute(self.front[first], *pairs[first].tolist())
+            elif self.stall >= self.config.release_valve_threshold:
+                self._release_valve(pairs)
             else:
-                p0, p1 = self._select_swap()
-                self._apply_swap(p0, p1)
+                self._apply_swap(*self._select_swap(pairs))
                 self.stall += 1
 
         return PassResult(
@@ -329,6 +332,16 @@ class _Pass:
             mirrors=self.mirrors,
             valve_fires=self.valve_fires,
         )
+
+
+def _ordered_sum(vals: np.ndarray) -> np.ndarray:
+    """Column sums of (gates, columns) with the rows added one at a time in
+    gate order, as a scalar loop would round them.  ``ndarray.sum`` sums a
+    contiguous column pairwise, and Python's ``sum`` of floats is compensated
+    from 3.12 on; either would move exact ties."""
+    if not len(vals):
+        return np.zeros(vals.shape[1])
+    return np.add.accumulate(vals, axis=0)[-1]
 
 
 def route_pass(

@@ -220,13 +220,16 @@ def _named_gate_count(basis: BasisGate, kind: str, n: int, mirrored: bool) -> in
     return basis_gate_count(gate_unitary(g), basis)
 
 
-def gate_count(g: Gate, basis: BasisGate) -> int:
-    """Decomposition count k(g, basis); cached for parameter-free kinds."""
+def gate_count(g: Gate, basis: BasisGate, mirrored: bool | None = None) -> int:
+    """Decomposition count k(g, basis), or of g with its mirror flag set to
+    ``mirrored``; cached for parameter-free kinds."""
     if not g.is_two_qubit:
         return 0
+    if mirrored is None:
+        mirrored = g.mirrored
     if g.kind == "unitary":
-        return basis_gate_count(gate_unitary(g), basis)
-    return _named_gate_count(basis, g.kind, g.n, g.mirrored)
+        return basis_gate_count(gates.SWAP @ g.matrix if mirrored else g.matrix, basis)
+    return _named_gate_count(basis, g.kind, g.n, mirrored)
 
 
 def swap_count(basis: BasisGate) -> int:

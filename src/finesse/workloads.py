@@ -53,6 +53,11 @@ def w_state(n: int) -> CircuitDag:
 
 
 def qft(n: int) -> CircuitDag:
+    """|x> -> 2^(-n/2) sum_y exp(2 pi i x y / 2^n) |y>, up to a global phase.
+
+    x and y are read big-endian over the wires (wire 0 the most significant
+    bit); the closing swaps put the output in the same order as the input.
+    """
     ops = []
     for i in range(n):
         ops.append(("h", (i,)))
@@ -82,6 +87,7 @@ def qpe(n: int) -> CircuitDag:
 
 
 def bernstein_vazirani(n: int, secret: int | None = None) -> CircuitDag:
+    """Data wire i ends in bit i of `secret`; the target, wire n - 1, in |->."""
     if secret is None:
         secret = (1 << (n - 1)) // 3 * 2 + 1  # alternating-ish bit pattern
     target = n - 1

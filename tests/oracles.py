@@ -5,11 +5,14 @@ exhaustive enumeration, two-qubit class labels by Makhlin invariants, basis
 counts by sampled reachability with Nelder-Mead polish, spectator infidelity
 by a closed form of the factorized matrix exponential, the allocation loss by
 explicit loops over every resonance, gate and qubit pair, the routing
-lookahead by a scalar loop over the front and extended gates.
+lookahead by a scalar loop over the front and extended gates, the extended
+set by a walk over a full copy of the predecessor counts, and circuits by
+dense Kronecker-product matrices.
 """
 from __future__ import annotations
 
-from math import pi
+from itertools import product
+from math import cos, pi, sin
 
 import numpy as np
 import scipy.optimize
@@ -75,6 +78,31 @@ def reference_lookahead(front, extended, layout, matrix, w: float) -> float:
             ext += matrix[layout.physical(g.wires[0]), layout.physical(g.wires[1])]
         total += w * ext / len(extended)
     return float(total)
+
+
+def reference_extended_set(dag, front, size: int, remaining_preds: dict) -> list:
+    """Lookahead set by breadth-first levels from the front over a copy of
+    every remaining predecessor count: a gate joins a level once all its arcs
+    are seen; the first `size` 2q gates in (level, id) order."""
+    if size <= 0:
+        return []
+    counts = dict(remaining_preds)
+    collected = []
+    frontier = [g.id for g in front]
+    level = 0
+    while frontier and len(collected) < size:
+        level += 1
+        nxt = []
+        for gid in frontier:
+            for s in dag.successors(gid):
+                counts[s] -= 1
+                if counts[s] == 0:
+                    nxt.append(s)
+                    if dag.gate(s).is_two_qubit:
+                        collected.append((level, s))
+        frontier = nxt
+    collected.sort()
+    return [dag.gate(gid) for _, gid in collected[:size]]
 
 
 # --- two-qubit invariants ---------------------------------------------------
@@ -264,3 +292,61 @@ def reference_allocation_loss(omega_q, omega_s, gates, fit, k, delta_q, weight=1
             if gap < delta_q:
                 cost += weight * ((delta_q - gap) / delta_q) ** 2
     return eps_coh, eps_inc, eps_gate, cost
+
+
+# --- dense circuit simulation -----------------------------------------------
+
+_ONE_QUBIT = {
+    "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "x": np.array([[0, 1], [1, 0]]),
+}
+_TWO_QUBIT = {  # in the (wires[0], wires[1]) basis, wires[0] the high bit
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+}
+
+
+def _one_qubit(g) -> np.ndarray:
+    if g.kind == "rz":
+        return np.diag([np.exp(-0.5j * g.params[0]), np.exp(0.5j * g.params[0])])
+    if g.kind == "ry":
+        c, s = cos(g.params[0] / 2), sin(g.params[0] / 2)
+        return np.array([[c, -s], [s, c]])
+    return _ONE_QUBIT[g.kind]
+
+
+def _on_wires(n: int, ops: dict) -> np.ndarray:
+    """Kronecker product over wires 0..n-1, wire 0 first; identity off `ops`."""
+    out = np.ones((1, 1))
+    for w in range(n):
+        out = np.kron(out, ops.get(w, np.eye(2)))
+    return out
+
+
+def _unit(i: int, j: int) -> np.ndarray:
+    """|i><j| on one wire."""
+    out = np.zeros((2, 2))
+    out[i, j] = 1.0
+    return out
+
+
+def dense_unitary(dag) -> np.ndarray:
+    """2^n x 2^n matrix of a circuit of h, x, rz, ry, cx and swap gates.
+
+    Basis indices are big-endian over wires: wire 0 is the most significant
+    bit.  A 2q gate is expanded as sum m[ik, jl] |i><j|_a (x) |k><l|_b.
+    """
+    n = dag.num_qubits
+    u = np.eye(2**n, dtype=complex)
+    for g in dag.gates:
+        if len(g.wires) == 1:
+            full = _on_wires(n, {g.wires[0]: _one_qubit(g)})
+        else:
+            m, (a, b) = _TWO_QUBIT[g.kind], g.wires
+            full = sum(
+                m[2 * i + k, 2 * j + l] * _on_wires(n, {a: _unit(i, j), b: _unit(k, l)})
+                for i, j, k, l in product((0, 1), repeat=4)
+                if m[2 * i + k, 2 * j + l]
+            )
+        u = full @ u
+    return u

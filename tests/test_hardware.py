@@ -241,6 +241,28 @@ class TestCalibrationImport:
         with pytest.raises(TopologyError):
             load_topology({"format_version": 99, "module": "4q4e", "num_modules": 1})
 
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(TopologyError, match="missing.json"):
+            load_topology(str(path))
+
+    def test_malformed_json_names_the_path(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"format_version": 1, "module": ')
+        for loader in (load_topology, load_calibration):
+            with pytest.raises(TopologyError, match="malformed JSON in .*broken.json"):
+                loader(path)
+
+    @pytest.mark.parametrize("version", ["x", None, [1], 1.5, True])
+    def test_non_integer_format_version(self, version):
+        with pytest.raises(TopologyError, match="unsupported format_version"):
+            load_topology({"format_version": version, "module": "4q4e", "num_modules": 1})
+
+    @pytest.mark.parametrize("version", [1, "1"])
+    def test_integer_format_version(self, version):
+        cmap = load_topology({"format_version": version, "module": "4q4e", "num_modules": 1})
+        assert cmap.num_physical == 4
+
 
 def test_distance_set_builder():
     ds = build_distance_set(triangle(), k_swap=3, beta=1.0)

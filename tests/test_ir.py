@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finesse.ir import (
     CircuitDag,
@@ -9,8 +10,11 @@ from finesse.ir import (
     build_dag,
     circuit_depth,
     extended_set,
+    extended_set_core,
     front_layer,
 )
+
+from oracles import reference_extended_set
 
 
 def chain_dag():
@@ -117,6 +121,68 @@ class TestExtendedSet:
         front = front_layer(dag, set())
         assert [g.id for g in extended_set(dag, front, 20)] == [2]
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_core_matches_copying_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        dag = _random_dag(rng)
+        preds = dag.predecessor_counts()
+        # execute a random prefix of a random topological order
+        ready = [g.id for g in dag.gates if preds[g.id] == 0]
+        for _ in range(int(rng.integers(0, len(dag.gates) + 1))):
+            if not ready:
+                break
+            gid = ready.pop(int(rng.integers(len(ready))))
+            for s in dag.successors(gid):
+                preds[s] -= 1
+                if preds[s] == 0:
+                    ready.append(s)
+        front = sorted((dag.gate(gid) for gid in ready), key=lambda g: g.id)
+        if rng.random() < 0.5:  # the router's front holds only 2q gates
+            front = [g for g in front if g.is_two_qubit]
+        size = int(rng.integers(0, 25))
+        before = dict(preds)
+        expected = reference_extended_set(dag, front, size, preds)
+        assert extended_set_core(dag, front, size, preds) == expected
+        assert preds == before
+
+
+def _random_dag(rng):
+    """Mixed 1q/2q/barrier DAG on <= 6 wires with distinct, shuffled, sparse ids."""
+    width = int(rng.integers(2, 7))
+    count = int(rng.integers(0, 40))
+    ids = rng.choice(10 * count + 1, count, replace=False)
+    gates = []
+    for gid in ids:
+        r = rng.random()
+        if r < 0.4:
+            gates.append(Gate(id=int(gid), kind="h", wires=(int(rng.integers(width)),)))
+        else:
+            kind = "barrier" if r < 0.5 else "cx"
+            wires = tuple(int(w) for w in rng.choice(width, 2, replace=False))
+            gates.append(Gate(id=int(gid), kind=kind, wires=wires))
+    return CircuitDag(width, gates)
+
+
+class TestWireTable:
+    def test_rows_hold_each_two_qubit_gate_wires(self):
+        dag = _random_dag(np.random.default_rng(5))
+        two_qubit = [g for g in dag.gates if g.is_two_qubit]
+        assert set(dag.two_qubit_rows) == {g.id for g in two_qubit}
+        for g in two_qubit:
+            assert tuple(dag.wire_table[dag.two_qubit_rows[g.id]]) == g.wires
+        assert dag.wire_table.shape == (len(two_qubit), 2)
+
+    def test_built_only_on_first_use(self):
+        dag = chain_dag()
+        assert "wire_table" not in vars(dag) and "two_qubit_rows" not in vars(dag)
+        assert dag.wire_table.tolist() == [[0, 1]]
+        assert "wire_table" in vars(dag)
+
+    def test_empty_dag(self):
+        dag = CircuitDag(2, [])
+        assert dag.wire_table.shape == (0, 2) and dag.two_qubit_rows == {}
+
 
 class TestDepth:
     def test_empty(self):
@@ -153,6 +219,15 @@ class TestLayout:
         lay = Layout([0, 1, 2])
         lay.swap_physical(0, 2)
         assert lay.physical(0) == 2 and lay.physical(2) == 0
+
+    @given(n=st.integers(1, 9), data=st.data())
+    def test_physical_array_tracks_swaps(self, n, data):
+        lay = Layout(data.draw(st.permutations(range(n))))
+        for p0, p1 in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), max_size=12)):
+            lay.swap_physical(p0, p1)
+            assert lay.physical_array.tolist() == lay.to_list()
+        assert lay.physical_array.dtype == np.intp
+        assert lay.copy().physical_array is not lay.physical_array
 
     def test_numpy_permutation_gives_python_ints(self):
         lay = Layout(np.random.default_rng(0).permutation(4))

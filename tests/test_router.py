@@ -1,8 +1,10 @@
-"""Router: the lookahead scorer against a scalar oracle, routed circuits against
-the statevector verifier, trial selection, and a pinned golden route."""
+"""Router: the lookahead scorer against a scalar oracle, the cached extended set
+against a fresh walk, routed circuits against the statevector verifier, trial
+selection, and a pinned golden route."""
 import hashlib
 from dataclasses import replace
 from math import pi
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from finesse import router
 from finesse.hardware import CouplingMap, build_distance_set, fabric_suite, log_weights
-from finesse.ir import CircuitDag, Gate, Layout
+from finesse.ir import CircuitDag, Gate, Layout, extended_set_core
 from finesse.router import (
     ALGORITHMS,
+    MIRRORING,
     RouterConfig,
     RoutingResult,
     TrialMetrics,
@@ -28,21 +31,31 @@ from oracles import haar_su4, random_connected_map, reference_lookahead
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def _random_pass(rng, algorithm):
-    """A routing pass on a random map and layout, ready to score gates."""
+def _random_pass(rng, algorithm, *counts):
+    """A routing pass on a random map and layout, ready to score gates.
+
+    Its DAG holds one list of random cx gates per (low, high) count range,
+    ids unique across the lists; the pass gathers wires from its own DAG.
+    """
     cmap = random_connected_map(rng)
     config = RouterConfig(algorithm=algorithm, w=float(rng.uniform(0.1, 1.0)))
     dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
     n = cmap.num_physical
-    return router._Pass(
-        CircuitDag(n, []), cmap, dists, log_weights(cmap), config, rng,
-        Layout(rng.permutation(n)), emit=False, allow_mirror=True,
+    layout = Layout(rng.permutation(n))
+    lists, start = [], 0
+    for low, high in counts:
+        lists.append(_random_gates(rng, n, int(rng.integers(low, high)), start))
+        start += len(lists[-1])
+    dag = CircuitDag(n, [g for gates in lists for g in gates])
+    p = router._Pass(
+        dag, cmap, dists, log_weights(cmap), config, rng, layout, emit=False, allow_mirror=True,
     )
+    return p, lists
 
 
-def _random_gates(rng, n, count):
+def _random_gates(rng, n, count, start):
     return [
-        Gate(id=i, kind="cx", wires=tuple(int(w) for w in rng.choice(n, 2, replace=False)))
+        Gate(id=start + i, kind="cx", wires=tuple(int(w) for w in rng.choice(n, 2, replace=False)))
         for i in range(count)
     ]
 
@@ -58,10 +71,7 @@ class TestLookahead:
     @given(seed=SEEDS, algorithm=st.sampled_from(ALGORITHMS))
     def test_relative_swap_scores_match_oracle(self, seed, algorithm):
         rng = np.random.default_rng(seed)
-        p = _random_pass(rng, algorithm)
-        n = p.cmap.num_physical
-        front = _random_gates(rng, n, int(rng.integers(1, 6)))
-        extended = _random_gates(rng, n, int(rng.integers(0, 21)))
+        p, (front, extended) = _random_pass(rng, algorithm, (1, 6), (0, 21))
         now, after = p._distances(p._pairs(front + extended), p.edges)
         delta = after - now[:, None]
         k = len(front)
@@ -75,10 +85,7 @@ class TestLookahead:
     @given(seed=SEEDS, algorithm=st.sampled_from(ALGORITHMS))
     def test_mirror_absolute_scores_equal_oracle(self, seed, algorithm):
         rng = np.random.default_rng(seed)
-        p = _random_pass(rng, algorithm)
-        n = p.cmap.num_physical
-        rest = _random_gates(rng, n, int(rng.integers(0, 6)))
-        extended = _random_gates(rng, n, int(rng.integers(0, 21)))
+        p, (rest, extended) = _random_pass(rng, algorithm, (0, 6), (0, 21))
         p0, p1 = p.edges[rng.integers(len(p.edges))]
         now, after = p._distances(p._pairs(rest + extended), np.array([[p0, p1]]))
         k = len(rest)
@@ -156,6 +163,53 @@ class TestRoutedEquivalence:
         for result in run_trials(dag, cmap, config):
             assert result.metrics.mirror_count == 2
             assert _equivalent(dag, result)
+
+
+def _route_checking_extended_set(dag, cmap, config):
+    """Route, checking at every swap selection that the pass's extended set
+    equals a fresh `extended_set_core` walk.  Return how many first
+    selections after an executed gate found the set already cached: only a
+    mirror decision leaves it so."""
+    inherited = 0
+    select, execute = router._Pass._select_swap, router._Pass._execute
+
+    def checked_select(self, front_pairs):
+        nonlocal inherited
+        if getattr(self, "front_changed", False):
+            inherited += self.extended_cache is not None
+            self.front_changed = False
+        fresh = extended_set_core(self.dag, self.front, self.config.extended_size, self.preds)
+        assert self._extended() == fresh
+        return select(self, front_pairs)
+
+    def flagged_execute(self, *args):
+        execute(self, *args)
+        self.front_changed = True
+
+    with patch.multiple(router._Pass, _select_swap=checked_select, _execute=flagged_execute):
+        run_trials(dag, cmap, config)
+    return inherited
+
+
+class TestExtendedCache:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS)
+    def test_cached_set_equals_a_fresh_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        cmap = random_connected_map(rng, max_nodes=7)
+        width = int(rng.integers(2, min(6, cmap.num_physical) + 1))
+        dag = _random_circuit(rng, width, int(rng.integers(1, 40)))
+        for algorithm in MIRRORING:
+            for aggression in (1, 2):
+                config = RouterConfig(algorithm=algorithm, aggression=aggression, num_seeds=2)
+                _route_checking_extended_set(dag, cmap, config)
+
+    def test_mirror_decisions_leave_the_set_cached(self, fabric_4q4e):
+        dag = SUITE["qft_10"]()
+        for algorithm in ALGORITHMS:
+            config = RouterConfig(algorithm=algorithm, num_seeds=1)
+            inherited = _route_checking_extended_set(dag, fabric_4q4e, config)
+            assert (inherited > 0) == (algorithm in MIRRORING), algorithm
 
 
 def _trial(index, lf_cost, depth, swaps):
