@@ -55,8 +55,8 @@ def _resolve_topology(name_or_path: str):
         raise UsageError(f"unknown topology {name_or_path!r} (not a Table-3 name or file)")
     data = load_json(path)
     if "edges" in data and "module" not in data:
-        return load_calibration(data)
-    return load_topology(data)
+        return load_calibration(path)  # the path, so that errors name the file
+    return load_topology(path)
 
 
 # --- allocate -------------------------------------------------------------
@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
             ok = statevector_equivalent(
                 ref, routed, perm, tol=args.tol, seed=args.seed, input_map=input_map
             )
-    except Exception as exc:
+    except ValueError as exc:  # every verifier error is a ValueError
         verdict["error"] = str(exc)
         print(json.dumps(verdict, indent=2, sort_keys=True))
         return EXIT_FAILED

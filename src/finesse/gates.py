@@ -99,14 +99,18 @@ def one_qubit_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"{gate.kind} is not a 1q gate")
 
 
+def base_matrix(gate: Gate) -> np.ndarray:
+    """Matrix in the (wires[0], wires[1]) big-endian basis, mirror ignored."""
+    if gate.kind in _FIXED_2Q:
+        return _FIXED_2Q[gate.kind]
+    if gate.kind == "root_iswap":
+        return root_iswap(gate.n)
+    if gate.kind == "unitary":
+        return gate.matrix
+    raise ValueError(f"{gate.kind} is not a 2q gate")
+
+
 def two_qubit_matrix(gate: Gate) -> np.ndarray:
     """Matrix in the (wires[0], wires[1]) big-endian basis, mirror folded in."""
-    if gate.kind in _FIXED_2Q:
-        base = _FIXED_2Q[gate.kind]
-    elif gate.kind == "root_iswap":
-        base = root_iswap(gate.n)
-    elif gate.kind == "unitary":
-        base = gate.matrix
-    else:
-        raise ValueError(f"{gate.kind} is not a 2q gate")
+    base = base_matrix(gate)
     return SWAP @ base if gate.mirrored else base

@@ -100,9 +100,6 @@ class EdgeWeights:
     def of(self, i: int, j: int) -> float:
         return self._w[(i, j)]
 
-    def items(self):
-        return sorted((k, v) for k, v in self._w.items() if k[0] < k[1])
-
 
 def log_weights(cmap: CouplingMap) -> EdgeWeights:
     return EdgeWeights(
@@ -276,7 +273,7 @@ def load_calibration(source) -> CouplingMap:
     edges = []
     num = 0
     for rec in data.get("edges", []):
-        i, j = int(rec["i"]), int(rec["j"])
+        i, j = (int(_require(rec, key, "calibration edge", source)) for key in "ij")
         num = max(num, i + 1, j + 1)
         if "error" not in rec or rec["error"] is None:
             warnings.warn(f"edge ({i},{j}) has no calibration; dropped", stacklevel=2)
@@ -296,31 +293,50 @@ def load_topology(source) -> CouplingMap:
         return fabric_suite()[source]
     data = load_json(source)
     _check_version(data)
-    mod = data["module"]
+    mod = _require(data, "module", "topology", source)
     if isinstance(mod, str):
+        if mod not in TABLE3_MODULES:
+            raise TopologyError(f"unknown module {mod!r}{_in_file(source)}")
         spec = TABLE3_MODULES[mod]
     else:
+        qubits, edges, fidelities = (
+            _require(mod, key, "module", source) for key in ("qubits", "edges", "fidelities")
+        )
         spec = ModuleSpec(
-            int(mod["qubits"]),
-            tuple((int(i), int(j)) for i, j in mod["edges"]),
-            tuple(float(f) for f in mod["fidelities"]),
+            int(qubits),
+            tuple((int(i), int(j)) for i, j in edges),
+            tuple(float(f) for f in fidelities),
             mod.get("name", "module"),
         )
-    return build_snail_fabric(spec, int(data["num_modules"]))
+    return build_snail_fabric(spec, int(_require(data, "num_modules", "topology", source)))
 
 
 def load_json(source) -> dict:
-    """A JSON file's contents (a dict passes through); a missing file or
-    malformed JSON raises TopologyError naming the path."""
+    """A JSON file's object (a dict passes through); a missing file, malformed
+    JSON or another top-level value raises TopologyError naming the path."""
     if isinstance(source, dict):
         return source
     path = Path(source)
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise TopologyError(f"missing file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise TopologyError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise TopologyError(f"{path} does not hold a JSON object")
+    return data
+
+
+def _in_file(source) -> str:
+    return "" if isinstance(source, dict) else f" in {source}"
+
+
+def _require(record, key: str, what: str, source):
+    """record[key]; a missing key raises TopologyError naming it and the file."""
+    if not isinstance(record, dict) or key not in record:
+        raise TopologyError(f"{what} has no {key!r} key{_in_file(source)}")
+    return record[key]
 
 
 def _check_version(data: dict):

@@ -62,8 +62,6 @@ class CliffordTableau:
     def apply(self, kind: str, wires: tuple[int, ...]):
         if kind in _RULES_1Q:
             self._one_qubit(kind, wires[0])
-        elif kind == "t" or kind == "tdg":
-            raise NonCliffordError(f"{kind} is not a Clifford gate")
         elif kind == "cx":
             self._cx(*wires)
         elif kind == "cz":

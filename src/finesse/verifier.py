@@ -1,11 +1,20 @@
-"""Routed-circuit equivalence up to a recorded output permutation.
+"""Routed-circuit equivalence up to a recorded wire map.
 
-Three methods, by circuit width: direct unitary comparison (n <= 8),
-Haar-random statevector evolution (n <= 15), and exact Clifford tableau
-comparison (any width).  A routed circuit may be wider than its reference;
-the extra wires are ancillas that only explicit swaps may touch, and the
-statevector path simulates on the reference-sized subspace by tracking
-which physical wire carries which reference wire.
+One wire map: ``_wire_maps`` gives the routed wire on which each virtual
+wire enters and the one on which it leaves.  Virtual wires ``0..n_ref-1``
+are the reference's; the rest are ancillas.
+
+One evolution: ``_evolve`` runs both circuits on the same inputs over
+tracked slots (a wire joins as |0> when a gate first touches it; a plain
+swap only relabels) and lines the routed state up by claimed output wire.
+Two rules compare the result, and both require every ancilla output to be
+|0> whatever gates touched it: ``statevector_equivalent`` (reference width
+<= 15) checks overlaps of Haar-random inputs, ``unitary_equivalent`` (width
+<= 8) the computational basis entrywise up to one global phase.
+
+``clifford_equivalent`` compares tableaux exactly at any width, with a
+stricter ancilla contract: an ancilla must map its X and Z onto its own
+output wire, so one in |0> that controls a cx fails it.
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ import numpy as np
 
 from . import gates
 from .ir import CircuitDag, Gate
-from .stabilizer import NonCliffordError, tableau_of
+from .stabilizer import tableau_of
 
 UNITARY_WIDTH_LIMIT = 8
 STATEVECTOR_WIDTH_LIMIT = 15
@@ -29,40 +38,47 @@ class VerifierError(ValueError):
     pass
 
 
-def _normalize_perm(perm, n: int) -> list[int]:
+def _wire_maps(perm, input_map, n_ref: int, n_routed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, outputs): the routed wire on which each virtual wire enters
+    and the one on which it leaves.
+
+    ``perm`` maps output wire -> virtual wire and must be a bijection.  A
+    full-length ``input_map`` (virtual -> input wire) must be a bijection;
+    otherwise its first ``n_ref`` entries must be distinct wires (identity
+    when None) and the ancillas take the unused wires in ascending order.
+    """
+    if n_routed < n_ref:
+        raise VerifierError("routed circuit narrower than the reference")
+    wires = list(range(n_routed))
     p = list(perm)
-    if sorted(p) != list(range(n)):
+    if sorted(p) != wires:
         raise VerifierError("output permutation must be a bijection on the wires")
-    return p
-
-
-def _normalize_input_map(input_map, n_ref: int, n_routed: int) -> list[int]:
-    if input_map is None:
-        return list(range(n_ref))
-    m = list(input_map)[:n_ref]
-    if len(m) != n_ref or len(set(m)) != n_ref or not all(0 <= w < n_routed for w in m):
-        raise VerifierError("input map must embed the reference wires injectively")
-    return m
+    outputs = np.argsort(p)
+    in_map = list(range(n_ref)) if input_map is None else list(input_map)
+    if len(in_map) == n_routed:
+        inputs = in_map
+        if sorted(inputs) != wires:
+            raise VerifierError("full-length input map must be a bijection on the wires")
+    else:
+        data = in_map[:n_ref]
+        if len(data) != n_ref or len(set(data)) != n_ref or not all(0 <= w < n_routed for w in data):
+            raise VerifierError("input map must embed the reference wires injectively")
+        inputs = data + [w for w in wires if w not in data]
+    return np.array(inputs, dtype=int), outputs
 
 
 class _TrackedState:
-    """Batched statevector over tracked slots; swaps relabel, never copy."""
+    """Batched statevector over tracked slots; swaps relabel, never copy.
 
-    def __init__(self, num_batch: int, limit: int):
-        self.state = np.ones((num_batch,), dtype=complex)  # zero-slot tensor
-        self.slots = 0
-        self.wire_slot: dict[int, int] = {}
+    ``amplitudes`` is (2**k, batch) over big-endian wire order ``wires``.
+    """
+
+    def __init__(self, amplitudes: np.ndarray, wires, limit: int):
+        wires = list(wires)
+        self.state = np.asarray(amplitudes, dtype=complex).reshape((2,) * len(wires) + (-1,))
+        self.slots = len(wires)
+        self.wire_slot = {w: i for i, w in enumerate(wires)}
         self.limit = limit
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray, wires: list[int], limit: int):
-        """amplitudes: (2**k, batch) over big-endian wire order `wires`."""
-        k = len(wires)
-        ts = cls(amplitudes.shape[-1], limit)
-        ts.state = np.asarray(amplitudes, dtype=complex).reshape((2,) * k + (-1,))
-        ts.slots = k
-        ts.wire_slot = {w: i for i, w in enumerate(wires)}
-        return ts
 
     def _slot_for(self, wire: int) -> int:
         if wire in self.wire_slot:
@@ -107,19 +123,38 @@ class _TrackedState:
         if g.kind == "swap" and not g.mirrored:
             self.relabel_swap(g.wires[0], g.wires[1])
             return
-        base = gates.two_qubit_matrix(
-            Gate(id=g.id, kind=g.kind, wires=g.wires, params=g.params, n=g.n, matrix=g.matrix)
-        )
-        self.apply_2q(base, g.wires[0], g.wires[1])
+        self.apply_2q(gates.base_matrix(g), g.wires[0], g.wires[1])
         if g.mirrored:
             self.relabel_swap(g.wires[0], g.wires[1])
 
 
-def _run(dag: CircuitDag, amplitudes: np.ndarray, wires: list[int], limit: int) -> _TrackedState:
-    ts = _TrackedState.from_amplitudes(amplitudes, wires, limit)
-    for g in dag.gates:
-        ts.apply_gate(g)
-    return ts
+def _evolve(ref: CircuitDag, routed: CircuitDag, amplitudes: np.ndarray,
+            inputs: np.ndarray, outputs: np.ndarray, limit: int):
+    """Run both circuits on ``amplitudes`` ((2**n_ref, batch), entering the
+    routed circuit on ``inputs[:n_ref]``).
+
+    Returns the reference block (2**n_ref, batch) in wire order and the
+    routed tensor: the slots on wires ``outputs[:n_ref]``, every other slot,
+    then the batch axis.  None when a claimed data output is untracked.
+    """
+    n_ref = ref.num_qubits
+    runs = []
+    for dag, wires in ((ref, range(n_ref)), (routed, inputs[:n_ref].tolist())):
+        ts = _TrackedState(amplitudes, wires, limit)
+        for g in dag.gates:
+            ts.apply_gate(g)
+        runs.append(ts)
+    ref_out, routed_out = runs
+    # Align the reference tensor to wire order (its own swaps only relabel).
+    ref_state = np.moveaxis(
+        ref_out.state, [ref_out.wire_slot[w] for w in range(n_ref)], range(n_ref)
+    )
+    data = [routed_out.wire_slot.get(int(w)) for w in outputs[:n_ref]]
+    if None in data:
+        return None
+    rest = [s for s in range(routed_out.slots) if s not in data]
+    routed_state = np.moveaxis(routed_out.state, data + rest, range(routed_out.slots))
+    return ref_state.reshape(2**n_ref, -1), routed_state
 
 
 def _haar_states(n: int, num_states: int, seed) -> np.ndarray:
@@ -145,56 +180,17 @@ def statevector_equivalent(
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
     if n_ref > STATEVECTOR_WIDTH_LIMIT:
         raise WidthError(f"reference width {n_ref} exceeds {STATEVECTOR_WIDTH_LIMIT}")
-    if n_routed < n_ref:
-        raise VerifierError("routed circuit narrower than the reference")
-    p = _normalize_perm(perm, n_routed)
-    in_map = _normalize_input_map(input_map, n_ref, n_routed)
-
+    inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
     psi = _haar_states(n_ref, num_states, seed)
-    ref_out = _run(ref, psi, list(range(n_ref)), STATEVECTOR_WIDTH_LIMIT)
-    routed_out = _run(routed, psi, in_map, STATEVECTOR_WIDTH_LIMIT)
-
-    # Align the reference tensor to wire order (its own swaps only relabel).
-    ref_state = np.moveaxis(
-        ref_out.state, [ref_out.wire_slot[w] for w in range(n_ref)], range(n_ref)
-    )
-
-    # Where did each reference wire's state end up, and does the claimed
-    # permutation send it back home?
-    end_wire = {s: w for w, s in routed_out.wire_slot.items()}
-    axis_dest = [None] * routed_out.slots
-    for s in range(routed_out.slots):
-        claimed = p[end_wire[s]]
-        if s < n_ref:
-            if claimed >= n_ref:
-                return False  # data parked on a claimed-ancilla wire
-            axis_dest[s] = claimed
-        else:
-            if claimed < n_ref:
-                return False  # ancilla content claimed as data
-            axis_dest[s] = s
-    if sorted(axis_dest[:n_ref]) != list(range(n_ref)):
+    evolved = _evolve(ref, routed, psi, inputs, outputs, STATEVECTOR_WIDTH_LIMIT)
+    if evolved is None:
         return False
-
-    permuted = np.moveaxis(routed_out.state, list(range(routed_out.slots)),
-                           axis_dest)
-    # Grown ancilla slots must be back in |0>.
-    for s in range(routed_out.slots - 1, n_ref - 1, -1):
-        permuted = np.take(permuted, 0, axis=s)
-    a = ref_state.reshape(-1, num_states)
-    b = permuted.reshape(-1, num_states)
+    a, routed_state = evolved
+    # Ancilla outputs projected on |0>: a view, then only the data block copied.
+    ancillas_at_zero = (slice(None),) * n_ref + (0,) * (routed_state.ndim - 1 - n_ref)
+    b = routed_state[ancillas_at_zero].reshape(-1, num_states)
     overlaps = np.abs(np.sum(a.conj() * b, axis=0))
     return bool(np.all(np.abs(overlaps - 1.0) <= tol))
-
-
-def _full_unitary(dag: CircuitDag) -> np.ndarray:
-    n = dag.num_qubits
-    basis = np.eye(2**n, dtype=complex)
-    out = _run(dag, basis, list(range(n)), n)
-    # Undo any residual swap relabeling so rows are wire-ordered.
-    order = [out.wire_slot[w] for w in range(n)]
-    tensor = np.moveaxis(out.state, order, range(n))
-    return tensor.reshape(2**n, 2**n)
 
 
 def unitary_equivalent(
@@ -208,27 +204,15 @@ def unitary_equivalent(
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
     if max(n_ref, n_routed) > UNITARY_WIDTH_LIMIT:
         raise WidthError(f"width exceeds {UNITARY_WIDTH_LIMIT} for direct unitary comparison")
-    if n_routed < n_ref:
-        raise VerifierError("routed circuit narrower than the reference")
-    p = _normalize_perm(perm, n_routed)
-    in_map = _normalize_input_map(input_map, n_ref, n_routed)
-
-    u_ref = _full_unitary(ref)
-    u_routed = _full_unitary(routed)
-
-    t = u_routed.reshape((2,) * n_routed + (2,) * n_routed)
-    t = np.moveaxis(t, list(range(n_routed)), p)  # apply P to the outputs
-    # Embed reference inputs: data wires in reference order, ancillas at 0.
-    in_order = in_map + [w for w in range(n_routed) if w not in in_map]
-    t = np.moveaxis(t, [n_routed + w for w in in_order], [n_routed + i for i in range(n_routed)])
-    for _ in range(n_routed - n_ref):
-        t = np.take(t, 0, axis=t.ndim - 1)  # ancilla inputs at |0>
-    block = t
-    residual = 0.0
-    for _ in range(n_routed - n_ref):  # claimed-ancilla outputs must stay |0>
-        residual = max(residual, float(np.max(np.abs(np.take(block, 1, axis=n_ref)))))
-        block = np.take(block, 0, axis=n_ref)
-    a = block.reshape(2**n_ref, 2**n_ref)
+    inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
+    basis = np.eye(2**n_ref, dtype=complex)
+    evolved = _evolve(ref, routed, basis, inputs, outputs, UNITARY_WIDTH_LIMIT)
+    if evolved is None:
+        return False
+    u_ref, routed_state = evolved
+    t = routed_state.reshape(2**n_ref, -1, 2**n_ref)  # (data out, ancilla out, data in)
+    a = t[:, 0, :]
+    residual = float(np.max(np.abs(t[:, 1:, :]), initial=0.0))  # any ancilla at 1
 
     idx = np.unravel_index(int(np.argmax(np.abs(u_ref))), u_ref.shape)
     phase = a[idx] / u_ref[idx]
@@ -238,45 +222,30 @@ def unitary_equivalent(
 
 
 def clifford_equivalent(ref: CircuitDag, routed: CircuitDag, perm, input_map=None) -> bool:
-    """Exact tableau comparison, any width; raises on non-Clifford gates."""
-    n_ref, n_routed = ref.num_qubits, routed.num_qubits
-    if n_routed < n_ref:
-        raise VerifierError("routed circuit narrower than the reference")
-    p = _normalize_perm(perm, n_routed)
-    if input_map is not None and len(list(input_map)) == n_routed:
-        in_map = _normalize_perm(input_map, n_routed)
-    else:
-        data = _normalize_input_map(input_map, n_ref, n_routed)
-        spare = [w for w in range(n_routed) if w not in data]
-        in_map = data + spare  # ancilla virtuals start on the unused wires
+    """Exact tableau comparison, any width; raises on non-Clifford gates.
 
+    Each ancilla must map its X and Z onto its own output wire.
+    """
+    n_ref, n_routed = ref.num_qubits, routed.num_qubits
+    inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
     t_ref = tableau_of(ref)
     t_routed = tableau_of(routed)
-    out_wire = [0] * n_routed  # virtual -> output wire
-    for wire, virt in enumerate(p):
-        out_wire[virt] = wire
 
-    def expected_row(is_z: bool, virt: int):
-        x = np.zeros(n_routed, dtype=bool)
-        z = np.zeros(n_routed, dtype=bool)
-        if virt < n_ref:
-            row = (n_ref if is_z else 0) + virt
-            for j in range(n_ref):
-                x[out_wire[j]] = t_ref.x[row, j]
-                z[out_wire[j]] = t_ref.z[row, j]
-            return x, z, bool(t_ref.sign[row])
-        (z if is_z else x)[out_wire[virt]] = True
-        return x, z, False
-
-    for virt in range(n_routed):
-        inw = in_map[virt]
-        for is_z in (False, True):
-            row = (n_routed if is_z else 0) + inw
-            ex, ez, es = expected_row(is_z, virt)
-            if not (
-                np.array_equal(t_routed.x[row], ex)
-                and np.array_equal(t_routed.z[row], ez)
-                and bool(t_routed.sign[row]) == es
-            ):
-                return False
-    return True
+    # Routed row of each reference row (X images, then Z), and the output
+    # wire of each reference column.
+    rows = np.concatenate([inputs[:n_ref], n_routed + inputs[:n_ref]])
+    cols = outputs[:n_ref]
+    ex = np.zeros_like(t_routed.x)
+    ez = np.zeros_like(t_routed.z)
+    es = np.zeros_like(t_routed.sign)
+    ex[np.ix_(rows, cols)] = t_ref.x
+    ez[np.ix_(rows, cols)] = t_ref.z
+    es[rows] = t_ref.sign
+    # Ancillas: identity from their input wire to their output wire.
+    ex[inputs[n_ref:], outputs[n_ref:]] = True
+    ez[n_routed + inputs[n_ref:], outputs[n_ref:]] = True
+    return (
+        np.array_equal(t_routed.x, ex)
+        and np.array_equal(t_routed.z, ez)
+        and np.array_equal(t_routed.sign, es)
+    )

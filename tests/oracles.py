@@ -6,8 +6,9 @@ counts by sampled reachability with Nelder-Mead polish, spectator infidelity
 by a closed form of the factorized matrix exponential, the allocation loss by
 explicit loops over every resonance, gate and qubit pair, the routing
 lookahead by a scalar loop over the front and extended gates, the extended
-set by a walk over a full copy of the predecessor counts, and circuits by
-dense Kronecker-product matrices.
+set by a walk over a full copy of the predecessor counts, circuits by
+dense Kronecker-product matrices, and routed-circuit equivalence by loops
+over the computational basis of those matrices.
 """
 from __future__ import annotations
 
@@ -334,7 +335,8 @@ def dense_unitary(dag) -> np.ndarray:
     """2^n x 2^n matrix of a circuit of h, x, rz, ry, cx and swap gates.
 
     Basis indices are big-endian over wires: wire 0 is the most significant
-    bit.  A 2q gate is expanded as sum m[ik, jl] |i><j|_a (x) |k><l|_b.
+    bit.  A 2q gate is expanded as sum m[ik, jl] |i><j|_a (x) |k><l|_b; a
+    mirrored one is SWAP . m.
     """
     n = dag.num_qubits
     u = np.eye(2**n, dtype=complex)
@@ -343,6 +345,8 @@ def dense_unitary(dag) -> np.ndarray:
             full = _on_wires(n, {g.wires[0]: _one_qubit(g)})
         else:
             m, (a, b) = _TWO_QUBIT[g.kind], g.wires
+            if g.mirrored:
+                m = _TWO_QUBIT["swap"] @ m
             full = sum(
                 m[2 * i + k, 2 * j + l] * _on_wires(n, {a: _unit(i, j), b: _unit(k, l)})
                 for i, j, k, l in product((0, 1), repeat=4)
@@ -350,3 +354,36 @@ def dense_unitary(dag) -> np.ndarray:
             )
         u = full @ u
     return u
+
+
+def reference_equivalent(ref, routed, perm, input_map=None, tol: float = 1e-8) -> bool:
+    """Whether ``routed`` implements ``ref`` on its embedded wires, read off
+    the dense matrices entry by entry.
+
+    Reference wire v enters on ``input_map[v]`` (wire v when None) with every
+    other wire in |0>; output wire w carries virtual wire ``perm[w]``, and the
+    wires carrying virtuals >= ref.num_qubits must end in |0>.  The block so
+    read must equal the reference matrix up to one global phase, which holds
+    iff |tr(U_ref^dag B)| = 2^n, since no column of B is longer than 1.
+    """
+    n, m = ref.num_qubits, routed.num_qubits
+    in_wire = list(range(n)) if input_map is None else [int(w) for w in input_map][:n]
+    out_wire = {int(v): w for w, v in enumerate(perm)}
+    u_ref, u = dense_unitary(ref), dense_unitary(routed)
+
+    def bit(index: int, wire: int, width: int) -> int:
+        return (index >> (width - 1 - wire)) & 1
+
+    block = np.zeros((2**n, 2**n), dtype=complex)
+    leak = 0.0
+    for col in range(2**n):
+        src = sum(1 << (m - 1 - in_wire[v]) for v in range(n) if bit(col, v, n))
+        for row in range(2**m):
+            amp = u[row, src]
+            if any(bit(row, w, m) for w in range(m) if perm[w] >= n):
+                leak = max(leak, abs(amp))
+                continue
+            dst = sum(bit(row, out_wire[v], m) << (n - 1 - v) for v in range(n))
+            block[dst, col] = amp
+    overlap = abs(np.trace(u_ref.conj().T @ block)) / 2**n
+    return leak <= tol and abs(overlap - 1.0) <= tol

@@ -87,6 +87,23 @@ class TestTranspileAndVerify:
             main(["transpile", str(tmp_path / "absent.qasm")])
         assert exc.value.code == EXIT_USAGE
 
+    def test_topology_missing_key_is_usage_error(self, tmp_path, capsys):
+        circuit, topology = tmp_path / "small.qasm", tmp_path / "bad.json"
+        circuit.write_text(SMALL_QASM)
+        topology.write_text(json.dumps({"format_version": 1}))
+        with pytest.raises(SystemExit) as exc:
+            main(["transpile", str(circuit), "--topology", str(topology)])
+        assert exc.value.code == EXIT_USAGE
+        assert "no 'module' key in" in capsys.readouterr().err
+
+    def test_verify_error_is_a_failed_verdict(self, tmp_path, capsys):
+        circuit = tmp_path / "small.qasm"
+        circuit.write_text(SMALL_QASM)
+        code = main(["verify", str(circuit), str(circuit), "--perm", "0,0"])
+        assert code == EXIT_FAILED
+        verdict = json.loads(capsys.readouterr().out)
+        assert "output permutation" in verdict["error"] and "equivalent" not in verdict
+
     def test_verify_accepts_the_routed_pair(self, tmp_path, capsys):
         _, circuit, routed, payload = _transpile(tmp_path)
         capsys.readouterr()

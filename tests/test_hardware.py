@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -224,8 +225,6 @@ class TestCalibrationImport:
             )
 
     def test_topology_fixture_roundtrip(self, tmp_path):
-        import json
-
         payload = {
             "format_version": 1,
             "module": {"qubits": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
@@ -262,6 +261,40 @@ class TestCalibrationImport:
     def test_integer_format_version(self, version):
         cmap = load_topology({"format_version": version, "module": "4q4e", "num_modules": 1})
         assert cmap.num_physical == 4
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"format_version": 1}, "module"),
+        ({"module": "4q4e"}, "num_modules"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]]}, "num_modules": 1}, "fidelities"),
+        ({"module": {"edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
+    ])
+    def test_missing_topology_key_names_it_and_the_file(self, tmp_path, payload, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TopologyError, match=f"'{key}' key in .*bad.json"):
+            load_topology(path)
+        with pytest.raises(TopologyError, match=f"'{key}' key$"):
+            load_topology(payload)
+
+    def test_top_level_non_object_names_the_path(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for loader in (load_topology, load_calibration):
+            with pytest.raises(TopologyError, match="list.json does not hold a JSON object"):
+                loader(path)
+
+    def test_unknown_module_name(self):
+        with pytest.raises(TopologyError, match="unknown module '9q9e'"):
+            load_topology({"module": "9q9e", "num_modules": 1})
+
+    @pytest.mark.parametrize("key", ["i", "j"])
+    def test_calibration_edge_without_an_endpoint(self, tmp_path, key):
+        edge = {"i": 0, "j": 1, "error": 0.01}
+        del edge[key]
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps({"edges": [edge]}))
+        with pytest.raises(TopologyError, match=f"calibration edge has no '{key}' key in .*calibration.json"):
+            load_calibration(path)
 
 
 def test_distance_set_builder():
