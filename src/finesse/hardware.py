@@ -272,18 +272,18 @@ def load_calibration(source) -> CouplingMap:
     _check_version(data)
     edges = []
     num = 0
-    for rec in data.get("edges", []):
-        i, j = (int(_require(rec, key, "calibration edge", source)) for key in "ij")
+    for rec in _field(data, "edges", list, "calibration", source) if "edges" in data else []:
+        i, j = (_field(rec, key, int, "calibration edge", source) for key in "ij")
         num = max(num, i + 1, j + 1)
         if "error" not in rec or rec["error"] is None:
             warnings.warn(f"edge ({i},{j}) has no calibration; dropped", stacklevel=2)
             continue
-        e = float(rec["error"])
+        e = _field(rec, "error", float, "calibration edge", source)
         if not 0.0 <= e < 1.0:
             raise TopologyError(f"error rate {e} on ({i},{j}) outside [0, 1)")
         edges.append((min(i, j), max(i, j), 1.0 - e))
     if "num_physical" in data:
-        num = int(data["num_physical"])
+        num = _field(data, "num_physical", int, "calibration", source)
     return CouplingMap(num, tuple(edges))
 
 
@@ -299,16 +299,13 @@ def load_topology(source) -> CouplingMap:
             raise TopologyError(f"unknown module {mod!r}{_in_file(source)}")
         spec = TABLE3_MODULES[mod]
     else:
-        qubits, edges, fidelities = (
-            _require(mod, key, "module", source) for key in ("qubits", "edges", "fidelities")
-        )
         spec = ModuleSpec(
-            int(qubits),
-            tuple((int(i), int(j)) for i, j in edges),
-            tuple(float(f) for f in fidelities),
+            _field(mod, "qubits", int, "module", source),
+            _field(mod, "edges", lambda v: tuple((int(i), int(j)) for i, j in v), "module", source),
+            _field(mod, "fidelities", lambda v: tuple(float(f) for f in v), "module", source),
             mod.get("name", "module"),
         )
-    return build_snail_fabric(spec, int(_require(data, "num_modules", "topology", source)))
+    return build_snail_fabric(spec, _field(data, "num_modules", int, "topology", source))
 
 
 def load_json(source) -> dict:
@@ -337,6 +334,16 @@ def _require(record, key: str, what: str, source):
     if not isinstance(record, dict) or key not in record:
         raise TopologyError(f"{what} has no {key!r} key{_in_file(source)}")
     return record[key]
+
+
+def _field(record, key: str, convert, what: str, source):
+    """convert(record[key]); a missing key, or a value that convert rejects,
+    raises TopologyError naming the key and the file."""
+    value = _require(record, key, what, source)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(f"{what} has a bad {key!r} value {value!r}{_in_file(source)}") from exc
 
 
 def _check_version(data: dict):

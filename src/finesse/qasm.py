@@ -3,38 +3,39 @@
 Supported: a single qreg, the named 1q/2q gates, ``gate`` macros that expand
 to them, barriers, and opaque declarations.  Measurements are stripped with a
 warning (routing acts on the unitary part); cregs are only checked as
-measurement targets.  Root-iswap
-gates round-trip through ``//!root-iswap <name> <n>`` pragma comments.
+measurement targets.  Root-iswap gates round-trip through
+``//!root-iswap <name> <n>`` pragma comments.
+
+One call rule, ``name(expr, ...) operand, ...;``, reads top-level gates and
+barriers on register operands and gate-body statements on the gate's formal
+arguments, so a barrier in a body is kept.  An angle is compiled once: at
+the top level to its value, in a body to a closure over the gate's
+parameters that each application calls.  Each arithmetic step is checked.
+
+Every malformed input raises ``QasmError`` with a line and column: syntax
+errors (a list takes one comma between items, none trailing); an unknown
+symbol or argument in a gate body, when the gate is defined; division by
+zero, overflow, a math domain error or a result that is not a finite real
+number, at the literal, operator or function that produces it.
 """
 from __future__ import annotations
 
+import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
 from math import pi
 
-from .ir import (
-    CircuitDag,
-    Gate,
-    ONE_QUBIT_KINDS,
-    PARAM_COUNTS,
-)
+from .ir import ONE_QUBIT_KINDS, PARAM_COUNTS, TWO_QUBIT_KINDS, CircuitDag, CircuitError, Gate
 
 MAX_MACRO_DEPTH = 16
 
-_BUILTIN_1Q = {k: k for k in ONE_QUBIT_KINDS}
-_BUILTIN_2Q = {"cx": "cx", "cz": "cz", "swap": "swap", "iswap": "iswap", "ecr": "ecr"}
+_NAMED_2Q = TWO_QUBIT_KINDS - {"root_iswap", "unitary"}
 # Aliases lowered onto the u gate.
 _U_ALIASES = {"u3": 3, "u2": 2, "u1": 1, "p": 1}
-
-_FUNCS = {
-    "sin": __import__("math").sin,
-    "cos": __import__("math").cos,
-    "tan": __import__("math").tan,
-    "exp": __import__("math").exp,
-    "ln": __import__("math").log,
-    "sqrt": __import__("math").sqrt,
-}
+_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class QasmError(ValueError):
@@ -104,13 +105,34 @@ def _integer(tok: _Token, what: str, least: int = 0) -> int:
     return int(tok.text)
 
 
+def _checked(tok: _Token, fn, *args) -> float:
+    """fn(*args) as a finite real angle, else a QasmError at tok."""
+    try:
+        val = fn(*args)
+    except ZeroDivisionError:
+        raise QasmError("division by zero in angle", tok.line, tok.col) from None
+    except OverflowError:
+        raise QasmError(f"overflow in angle at {tok.text!r}", tok.line, tok.col) from None
+    except ValueError as exc:
+        raise QasmError(f"{exc} in angle at {tok.text!r}", tok.line, tok.col) from None
+    if type(val) is not float or not math.isfinite(val):
+        raise QasmError(f"angle at {tok.text!r} is not a finite real number", tok.line, tok.col)
+    return val
+
+
+def _step(tok: _Token, fn, *args):
+    """One checked step: a number now from numbers, or a closure over the
+    parameter values of a gate from closures."""
+    if callable(args[0]):
+        return lambda env: _checked(tok, fn, *[a(env) for a in args])
+    return _checked(tok, fn, *args)
+
+
 @dataclass
 class _MacroDef:
-    name: str
-    params: list[str]
-    args: list[str]
-    body: list  # list of (name, param_exprs, arg_names, token) application stubs
-    line: int
+    num_params: int
+    num_args: int
+    body: list  # (name, compiled params, argument indices, token) per statement
 
 
 class _Parser:
@@ -122,20 +144,22 @@ class _Parser:
         self.cregs: dict[str, int] = {}
         self.macros: dict[str, _MacroDef] = {}
         self.ops: list[Gate] = []
-        self._next_id = 0
         self._measured = False
 
     # token plumbing -------------------------------------------------
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
+        if self.i >= len(self.tokens):
             last = self.tokens[-1] if self.tokens else _Token("sym", "", 1, 1)
             raise QasmError("unexpected end of input", last.line, last.col)
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
+
+    def _accept(self, *texts: str) -> _Token | None:
+        """The next token if its text is one of texts, consumed; else None."""
+        if self.i < len(self.tokens) and self.tokens[self.i].text in texts:
+            self.i += 1
+            return self.tokens[self.i - 1]
+        return None
 
     def _expect(self, text: str) -> _Token:
         tok = self._next()
@@ -149,62 +173,66 @@ class _Parser:
             raise QasmError(f"expected identifier, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    # expressions ----------------------------------------------------
-    def _expr(self, env: dict[str, float]) -> float:
-        val = self._term(env)
-        while (tok := self._peek()) and tok.text in "+-":
-            self._next()
-            rhs = self._term(env)
-            val = val + rhs if tok.text == "+" else val - rhs
+    def _list(self, item) -> list:
+        """`item, item, ...`: one or more, comma separated."""
+        out = [item()]
+        while self._accept(","):
+            out.append(item())
+        return out
+
+    def _params(self, item) -> list:
+        """An optional parenthesised list; `()` is empty."""
+        if not self._accept("(") or self._accept(")"):
+            return []
+        out = self._list(item)
+        self._expect(")")
+        return out
+
+    # expressions: numbers at the top level (scope None), closures over
+    # the parameter values in a gate body ---------------------------
+    def _expr(self, scope: dict[str, int] | None):
+        val = self._term(scope)
+        while tok := self._accept("+", "-"):
+            val = _step(tok, _BINARY[tok.text], val, self._term(scope))
         return val
 
-    def _term(self, env) -> float:
-        val = self._factor(env)
-        while (tok := self._peek()) and tok.text in "*/":
-            self._next()
-            rhs = self._factor(env)
-            if tok.text == "*":
-                val = val * rhs
-            else:
-                if rhs == 0:
-                    raise QasmError("division by zero in angle", tok.line, tok.col)
-                val = val / rhs
+    def _term(self, scope):
+        val = self._factor(scope)
+        while tok := self._accept("*", "/"):
+            val = _step(tok, _BINARY[tok.text], val, self._factor(scope))
         return val
 
-    def _factor(self, env) -> float:
-        tok = self._peek()
-        if tok and tok.text in "+-":
-            self._next()
-            val = self._factor(env)
-            return val if tok.text == "+" else -val
-        val = self._atom(env)
-        if (tok := self._peek()) and tok.text == "^":
-            self._next()
-            val = val ** self._factor(env)
+    def _factor(self, scope):
+        if tok := self._accept("+", "-"):
+            val = self._factor(scope)
+            return val if tok.text == "+" else _step(tok, operator.neg, val)
+        val = self._atom(scope)
+        if tok := self._accept("^"):
+            val = _step(tok, operator.pow, val, self._factor(scope))
         return val
 
-    def _atom(self, env) -> float:
+    def _atom(self, scope):
         tok = self._next()
-        if tok.kind == "num":
-            return float(tok.text)
-        if tok.kind == "id":
-            if tok.text == "pi":
-                return pi
-            if tok.text in _FUNCS:
-                self._expect("(")
-                val = self._expr(env)
-                self._expect(")")
-                return _FUNCS[tok.text](val)
-            if tok.text in env:
-                return env[tok.text]
-            raise QasmError(f"unknown symbol {tok.text!r} in expression", tok.line, tok.col)
+        if tok.kind == "num" or tok.text == "pi":
+            val = pi if tok.text == "pi" else _checked(tok, float, tok.text)
+            return val if scope is None else lambda env: val
+        if tok.text in _FUNCS:
+            self._expect("(")
+            val = self._expr(scope)
+            self._expect(")")
+            return _step(tok, _FUNCS[tok.text], val)
         if tok.text == "(":
-            val = self._expr(env)
+            val = self._expr(scope)
             self._expect(")")
             return val
-        raise QasmError(f"bad expression token {tok.text!r}", tok.line, tok.col)
+        if tok.kind != "id":
+            raise QasmError(f"bad expression token {tok.text!r}", tok.line, tok.col)
+        if scope is None or tok.text not in scope:
+            raise QasmError(f"unknown symbol {tok.text!r} in expression", tok.line, tok.col)
+        index = scope[tok.text]
+        return lambda env: env[index]
 
-    # arguments ------------------------------------------------------
+    # operands -------------------------------------------------------
     def _register_arg(self, sizes: dict, what: str) -> tuple[int, int | None]:
         """(register size, index) of a reference into one of `sizes`; the
         index is None for a whole-register reference."""
@@ -212,8 +240,7 @@ class _Parser:
         if tok.text not in sizes:
             raise QasmError(f"unknown register {tok.text!r}", tok.line, tok.col)
         size = sizes[tok.text]
-        if self._peek() and self._peek().text == "[":
-            self._next()
+        if self._accept("["):
             idx_tok = self._next()
             idx = _integer(idx_tok, f"{what} index")
             self._expect("]")
@@ -226,44 +253,42 @@ class _Parser:
         """Indexed qubit, or None for a whole-register reference."""
         return self._register_arg({self.reg_name: self.reg_size}, "qubit")[1]
 
-    # gate emission --------------------------------------------------
-    def _emit(self, kind: str, wires: tuple[int, ...], params=(), n=1, tok: _Token | None = None):
-        try:
-            self.ops.append(Gate(id=self._next_id, kind=kind, wires=wires, params=tuple(params), n=n))
-        except Exception as exc:
-            line, col = (tok.line, tok.col) if tok else (0, 0)
-            raise QasmError(str(exc), line, col) from exc
-        self._next_id += 1
+    def _call(self, scope: dict[str, int] | None, operand) -> tuple[list, list]:
+        """`(expr, ...) operand, ...;` after a gate name: the one rule for
+        applications, barriers and gate-body statements."""
+        params = self._params(lambda: self._expr(scope))
+        operands = self._list(operand)
+        self._expect(";")
+        return params, operands
 
-    def _emit_barrier(self, wires: list[int], tok: _Token):
-        if len(set(wires)) != len(wires):
-            raise QasmError("barrier wires must be distinct", tok.line, tok.col)
-        k = len(wires)
-        if k == 0:
-            return
-        if k <= 2:
-            self._emit("barrier", tuple(wires), tok=tok)
-            return
-        # Lower to a down-then-up chain of 2-wire barriers; the chain is
-        # totally ordered, so every pre-gate precedes every post-gate.
-        for a, b in zip(wires, wires[1:]):
-            self._emit("barrier", (a, b), tok=tok)
-        for a, b in reversed(list(zip(wires, wires[1:]))[:-1]):
-            self._emit("barrier", (a, b), tok=tok)
+    # gate emission --------------------------------------------------
+    def _emit(self, kind: str, wires: tuple[int, ...], tok: _Token, params=(), n=1):
+        try:
+            self.ops.append(Gate(id=len(self.ops), kind=kind, wires=wires, params=tuple(params), n=n))
+        except CircuitError as exc:
+            raise QasmError(str(exc), tok.line, tok.col) from exc
 
     def _apply_named(self, name: str, params: list[float], wires: list[int], tok: _Token, depth: int):
         if depth > MAX_MACRO_DEPTH:
             raise QasmError(f"macro recursion deeper than {MAX_MACRO_DEPTH}", tok.line, tok.col)
+        if name == "barrier":
+            if params:
+                raise QasmError("barrier takes no parameters", tok.line, tok.col)
+            if len(set(wires)) != len(wires):
+                raise QasmError("barrier wires must be distinct", tok.line, tok.col)
+            # Lower to a down-then-up chain of barriers on at most 2 wires; the
+            # chain is totally ordered, so every pre-gate precedes every post-gate.
+            chain = list(zip(wires, wires[1:])) or [tuple(wires)]
+            for pair in chain + chain[-2::-1]:
+                self._emit("barrier", pair, tok)
+            return
         if name in self.macros:
             macro = self.macros[name]
-            if len(params) != len(macro.params) or len(wires) != len(macro.args):
+            if len(params) != macro.num_params or len(wires) != macro.num_args:
                 raise QasmError(f"bad arity for macro {name!r}", tok.line, tok.col)
-            wire_env = dict(zip(macro.args, wires))
-            param_env = dict(zip(macro.params, params))
-            for sub_name, sub_param_toks, sub_args, sub_tok in macro.body:
-                sub_params = [self._eval_saved(toks, param_env) for toks in sub_param_toks]
-                sub_wires = [wire_env[a] for a in sub_args]
-                self._apply_named(sub_name, sub_params, sub_wires, sub_tok, depth + 1)
+            for sub_name, sub_params, sub_args, sub_tok in macro.body:
+                values = [p(params) for p in sub_params]
+                self._apply_named(sub_name, values, [wires[a] for a in sub_args], sub_tok, depth + 1)
             return
         if len(set(wires)) != len(wires):
             raise QasmError(f"{name} wires must be distinct", tok.line, tok.col)
@@ -275,69 +300,36 @@ class _Parser:
             elif name == "u2":
                 params = [pi / 2, params[0], params[1]]
             name = "u"
-        if name in _BUILTIN_1Q:
+        if name in ONE_QUBIT_KINDS:
             want = PARAM_COUNTS.get(name, 0)
             if len(params) != want:
                 raise QasmError(f"{name} expects {want} parameter(s)", tok.line, tok.col)
             if len(wires) != 1:
                 raise QasmError(f"{name} expects 1 qubit", tok.line, tok.col)
-            self._emit(name, (wires[0],), params, tok=tok)
+            self._emit(name, (wires[0],), tok, params)
             return
-        if name in _BUILTIN_2Q or name in self.root_names:
+        if name in _NAMED_2Q or name in self.root_names:
             if params:
                 raise QasmError(f"{name} takes no parameters", tok.line, tok.col)
             if len(wires) != 2:
                 raise QasmError(f"{name} expects 2 qubits", tok.line, tok.col)
+            n = self.root_names.get(name, 1)
             if name in self.root_names:
-                n = self.root_names[name]
-                if n == 1:
-                    self._emit("iswap", tuple(wires), tok=tok)
-                else:
-                    self._emit("root_iswap", tuple(wires), n=n, tok=tok)
-            else:
-                self._emit(name, tuple(wires), tok=tok)
+                name = "iswap" if n == 1 else "root_iswap"
+            self._emit(name, tuple(wires), tok, n=n)
             return
         if len(wires) >= 3:
             raise QasmError(f"{name}: gates on 3+ qubits are unsupported", tok.line, tok.col)
         raise QasmError(f"unsupported gate {name!r}", tok.line, tok.col)
 
-    def _eval_saved(self, toks: list[_Token], env: dict[str, float]) -> float:
-        saved_tokens, saved_i = self.tokens, self.i
-        self.tokens, self.i = toks, 0
-        try:
-            val = self._expr(env)
-            if self.i != len(toks):
-                t = toks[self.i]
-                raise QasmError(f"trailing tokens in expression near {t.text!r}", t.line, t.col)
-            return val
-        finally:
-            self.tokens, self.i = saved_tokens, saved_i
-
-    def _capture_expr_tokens(self) -> list[_Token]:
-        """Grab the token span of one expression (up to , or ) at depth 0)."""
-        out, depth = [], 0
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise QasmError("unterminated expression", 0, 0)
-            if depth == 0 and tok.text in (",", ")"):
-                return out
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-            out.append(self._next())
-
     # statements -----------------------------------------------------
     def parse(self) -> CircuitDag:
-        tok = self._peek()
-        if tok and tok.kind == "id" and tok.text == "OPENQASM":
-            self._next()
+        if self._accept("OPENQASM"):
             ver = self._next()
             if not ver.text.startswith("2"):
                 raise QasmError(f"unsupported OpenQASM version {ver.text}", ver.line, ver.col)
             self._expect(";")
-        while self._peek() is not None:
+        while self.i < len(self.tokens):
             self._statement()
         if self.reg_name is None:
             raise QasmError("no qreg declared", 1, 1)
@@ -353,135 +345,83 @@ class _Parser:
         if name == "include":
             self._next()  # string literal
             self._expect(";")
-        elif name == "qreg":
-            self._parse_qreg()
-        elif name == "creg":
-            self._parse_creg()
-        elif name == "gate":
-            self._parse_gate_def()
-        elif name == "opaque":
-            self._parse_opaque()
-        elif name == "barrier":
-            self._parse_barrier(tok)
+        elif name in ("qreg", "creg"):
+            self._declaration(name)
+        elif name in ("gate", "opaque"):
+            self._definition(name)
         elif name == "measure":
-            self._parse_measure(tok)
+            self._measure(tok)
         elif name in ("reset", "if"):
             raise QasmError(f"{name} statements are unsupported", tok.line, tok.col)
         else:
-            self._parse_application(tok)
+            self._application(tok)
 
-    def _declaration(self) -> tuple[_Token, int]:
+    def _declaration(self, keyword: str):
         """`name[size];` after qreg or creg; a register holds at least one bit."""
         name_tok = self._expect_id()
         self._expect("[")
         size_tok = self._next()
         self._expect("]")
         self._expect(";")
-        return name_tok, _integer(size_tok, "register size", least=1)
-
-    def _parse_qreg(self):
-        name_tok, size = self._declaration()
-        if self.reg_name is not None:
+        size = _integer(size_tok, "register size", least=1)
+        if keyword == "creg":
+            if name_tok.text in self.cregs:
+                raise QasmError("classical register redeclared", name_tok.line, name_tok.col)
+            self.cregs[name_tok.text] = size
+        elif self.reg_name is not None:
             raise QasmError("quantum register redeclared", name_tok.line, name_tok.col)
-        self.reg_name, self.reg_size = name_tok.text, size
+        else:
+            self.reg_name, self.reg_size = name_tok.text, size
 
-    def _parse_creg(self):
-        name_tok, size = self._declaration()
-        if name_tok.text in self.cregs:
-            raise QasmError("classical register redeclared", name_tok.line, name_tok.col)
-        self.cregs[name_tok.text] = size
-
-    def _parse_gate_def(self):
+    def _definition(self, keyword: str):
+        """`gate name(params) args { body }` or `opaque name(params) args;`.
+        Body symbols and arguments are resolved here, once."""
         name_tok = self._expect_id()
-        params: list[str] = []
-        if self._peek() and self._peek().text == "(":
-            self._next()
-            while self._peek() and self._peek().text != ")":
-                params.append(self._expect_id().text)
-                if self._peek().text == ",":
-                    self._next()
-            self._expect(")")
-        args = [self._expect_id().text]
-        while self._peek() and self._peek().text == ",":
-            self._next()
-            args.append(self._expect_id().text)
+        params = self._params(self._expect_id)
+        args = self._list(self._expect_id)
+        if keyword == "opaque":
+            self._expect(";")
+            return
+        scope = {p.text: i for i, p in enumerate(params)}
+        index = {a.text: i for i, a in enumerate(args)}
+
+        def formal() -> int:
+            tok = self._expect_id()
+            if tok.text not in index:
+                raise QasmError(f"unknown gate argument {tok.text!r}", tok.line, tok.col)
+            return index[tok.text]
+
         self._expect("{")
         body = []
-        while self._peek() and self._peek().text != "}":
-            stmt_tok = self._expect_id()
-            if stmt_tok.text == "barrier":  # barriers inside macros: skip wires
-                while self._next().text != ";":
-                    pass
-                continue
-            sub_params: list[list[_Token]] = []
-            if self._peek() and self._peek().text == "(":
-                self._next()
-                while self._peek() and self._peek().text != ")":
-                    sub_params.append(self._capture_expr_tokens())
-                    if self._peek().text == ",":
-                        self._next()
-                self._expect(")")
-            sub_args = [self._expect_id().text]
-            while self._peek() and self._peek().text == ",":
-                self._next()
-                sub_args.append(self._expect_id().text)
-            self._expect(";")
-            body.append((stmt_tok.text, sub_params, sub_args, stmt_tok))
-        self._expect("}")
-        self.macros[name_tok.text] = _MacroDef(name_tok.text, params, args, body, name_tok.line)
+        while not self._accept("}"):
+            tok = self._expect_id()
+            body.append((tok.text, *self._call(scope, formal), tok))
+        self.macros[name_tok.text] = _MacroDef(len(params), len(args), body)
 
-    def _parse_opaque(self):
-        self._expect_id()
-        while self._peek() and self._peek().text != ";":
-            self._next()
-        self._expect(";")
-
-    def _parse_barrier(self, tok: _Token):
-        wires: list[int] = []
-        while True:
-            q = self._qubit_arg()
-            wires.extend(range(self.reg_size) if q is None else [q])
-            if self._peek() and self._peek().text == ",":
-                self._next()
-            else:
-                break
-        self._expect(";")
-        self._emit_barrier(wires, tok)
-
-    def _parse_measure(self, tok: _Token):
+    def _measure(self, tok: _Token):
         qubit = self._qubit_arg()
         self._expect("->")
         size, bit = self._register_arg(self.cregs, "bit")
         self._expect(";")
         if (qubit is None) != (bit is None) or (bit is None and size != self.reg_size):
-            raise QasmError(
-                "measure takes an indexed qubit and bit, or whole registers of one size",
-                tok.line,
-                tok.col,
-            )
+            msg = "measure takes an indexed qubit and bit, or whole registers of one size"
+            raise QasmError(msg, tok.line, tok.col)
         self._measured = True
 
-    def _parse_application(self, tok: _Token):
-        params: list[float] = []
-        if self._peek() and self._peek().text == "(":
-            self._next()
-            while self._peek() and self._peek().text != ")":
-                params.append(self._expr({}))
-                if self._peek().text == ",":
-                    self._next()
-            self._expect(")")
-        wires: list[int | None] = [self._qubit_arg()]
-        while self._peek() and self._peek().text == ",":
-            self._next()
-            wires.append(self._qubit_arg())
-        self._expect(";")
+    def _application(self, tok: _Token):
+        """A gate or barrier on register operands; a whole register widens a
+        barrier and broadcasts a 1q gate."""
+        params, wires = self._call(None, self._qubit_arg)
         if None in wires:
-            if len(wires) != 1:
+            if tok.text == "barrier":
+                wires = [w for q in wires for w in (range(self.reg_size) if q is None else [q])]
+            elif len(wires) != 1:
                 raise QasmError("whole-register broadcast only applies to 1q gates", tok.line, tok.col)
-            for w in range(self.reg_size):
-                self._apply_named(tok.text, params, [w], tok, 0)
-        else:
-            self._apply_named(tok.text, params, wires, tok, 0)
+            else:
+                for w in range(self.reg_size):
+                    self._apply_named(tok.text, params, [w], tok, 0)
+                return
+        self._apply_named(tok.text, params, wires, tok, 0)
 
 
 def parse_qasm(text: str) -> CircuitDag:

@@ -214,24 +214,23 @@ def basis_gate_count(u: np.ndarray, basis: BasisGate) -> int:
     )
 
 
-@lru_cache(maxsize=64)
-def _named_gate_count(basis: BasisGate, kind: str, n: int, mirrored: bool) -> int:
-    g = Gate(id=0, kind=kind, wires=(0, 1), n=n, mirrored=mirrored)
+@lru_cache(maxsize=4096)
+def _count(basis: BasisGate, kind: str, n: int, matrix: bytes | None, mirrored: bool) -> int:
+    if matrix is not None:
+        matrix = np.frombuffer(matrix, dtype=complex).reshape(4, 4)
+    g = Gate(id=0, kind=kind, wires=(0, 1), n=n, matrix=matrix, mirrored=mirrored)
     return basis_gate_count(gate_unitary(g), basis)
 
 
 def gate_count(g: Gate, basis: BasisGate, mirrored: bool | None = None) -> int:
     """Decomposition count k(g, basis), or of g with its mirror flag set to
-    ``mirrored``; cached for parameter-free kinds."""
+    ``mirrored``; cached on kind, order, matrix bytes and mirror flag."""
     if not g.is_two_qubit:
         return 0
-    if mirrored is None:
-        mirrored = g.mirrored
-    if g.kind == "unitary":
-        return basis_gate_count(gates.SWAP @ g.matrix if mirrored else g.matrix, basis)
-    return _named_gate_count(basis, g.kind, g.n, mirrored)
+    matrix = None if g.matrix is None else np.asarray(g.matrix, dtype=complex).tobytes()
+    return _count(basis, g.kind, g.n, matrix, g.mirrored if mirrored is None else mirrored)
 
 
 def swap_count(basis: BasisGate) -> int:
     """k(SWAP, basis): native cost of one routing hop."""
-    return _named_gate_count(basis, "swap", 1, False)
+    return _count(basis, "swap", 1, None, False)

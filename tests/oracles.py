@@ -7,11 +7,15 @@ by a closed form of the factorized matrix exponential, the allocation loss by
 explicit loops over every resonance, gate and qubit pair, the routing
 lookahead by a scalar loop over the front and extended gates, the extended
 set by a walk over a full copy of the predecessor counts, circuits by
-dense Kronecker-product matrices, and routed-circuit equivalence by loops
-over the computational basis of those matrices.
+dense Kronecker-product matrices, routed-circuit equivalence by loops
+over the computational basis of those matrices, and QASM angles by Python's
+own expression grammar.
 """
 from __future__ import annotations
 
+import ast
+import math
+import operator
 from itertools import product
 from math import cos, pi, sin
 
@@ -387,3 +391,49 @@ def reference_equivalent(ref, routed, perm, input_map=None, tol: float = 1e-8) -
             block[dst, col] = amp
     overlap = abs(np.trace(u_ref.conj().T @ block)) / 2**n
     return leak <= tol and abs(overlap - 1.0) <= tol
+
+
+# --- QASM angles -------------------------------------------------------------
+
+_ANGLE_STEPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+}
+
+
+def reference_angle(text: str) -> float | None:
+    """An OpenQASM 2 angle read by Python's parser, with ``^`` as ``**``
+    (the same precedence and right associativity), and evaluated over the
+    ``math`` functions; None when a literal or any step raises or is not a
+    finite real number."""
+
+    def value(node) -> float:
+        if isinstance(node, ast.Constant):
+            val = float(node.value)
+        elif isinstance(node, ast.Name):
+            val = {"pi": math.pi}[node.id]
+        elif isinstance(node, ast.Call):
+            val = _ANGLE_STEPS[node.func.id](value(node.args[0]))
+        elif isinstance(node, ast.UnaryOp):
+            val = _ANGLE_STEPS[type(node.op)](value(node.operand))
+        else:
+            val = _ANGLE_STEPS[type(node.op)](value(node.left), value(node.right))
+        if not isinstance(val, float) or not math.isfinite(val):
+            raise ArithmeticError(f"{val!r} is not a finite real number")
+        return val
+
+    try:
+        return value(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (ArithmeticError, ValueError):
+        return None

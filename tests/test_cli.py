@@ -96,6 +96,15 @@ class TestTranspileAndVerify:
         assert exc.value.code == EXIT_USAGE
         assert "no 'module' key in" in capsys.readouterr().err
 
+    def test_topology_mistyped_edges_is_usage_error(self, tmp_path, capsys):
+        circuit, topology = tmp_path / "small.qasm", tmp_path / "bad.json"
+        circuit.write_text(SMALL_QASM)
+        topology.write_text(json.dumps({"edges": 5}))
+        with pytest.raises(SystemExit) as exc:
+            main(["transpile", str(circuit), "--topology", str(topology)])
+        assert exc.value.code == EXIT_USAGE
+        assert "bad 'edges' value 5 in" in capsys.readouterr().err
+
     def test_verify_error_is_a_failed_verdict(self, tmp_path, capsys):
         circuit = tmp_path / "small.qasm"
         circuit.write_text(SMALL_QASM)

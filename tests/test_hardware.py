@@ -297,6 +297,26 @@ class TestCalibrationImport:
             load_calibration(path)
 
 
+    @pytest.mark.parametrize("loader, payload, key", [
+        (load_calibration, {"edges": [{"i": "x", "j": 1, "error": 0.01}]}, "i"),
+        (load_calibration, {"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": "x"}, "num_physical"),
+        (load_calibration, {"edges": [{"i": 0, "j": 1, "error": "bad"}]}, "error"),
+        (load_calibration, {"edges": 5}, "edges"),
+        (load_topology, {"module": {"qubits": "x", "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
+        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": "x"}, "num_modules"),
+        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": ["bad"]}, "num_modules": 1}, "fidelities"),
+        (load_topology, {"module": {"qubits": 2, "edges": [[0]], "fidelities": [0.99]}, "num_modules": 1}, "edges"),
+        (load_topology, {"module": {"qubits": 2, "edges": 5, "fidelities": [0.99]}, "num_modules": 1}, "edges"),
+    ])
+    def test_mistyped_field_names_it_and_the_file(self, tmp_path, loader, payload, key):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TopologyError, match=f"bad '{key}' value .* in .*typed.json"):
+            loader(path)
+        with pytest.raises(TopologyError, match=f"bad '{key}' value"):
+            loader(payload)
+
+
 def test_distance_set_builder():
     ds = build_distance_set(triangle(), k_swap=3, beta=1.0)
     assert ds.d_blend[0][2] == pytest.approx(ds.d_hop[0][2] + ds.d_fid[0][2])

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from finesse import gates, weyl
-from finesse.ir import Gate
+from finesse.hardware import CouplingMap
+from finesse.ir import CircuitDag, Gate
+from finesse.router import RouterConfig, run_trials
 from finesse.weyl import (
     BasisGate,
     NonUnitaryError,
@@ -187,6 +189,35 @@ class TestBasisCounts:
         for u in targets:
             basis_gate_count(u, basis)
         assert len(calls) == len(targets) + 1
+
+
+    def test_routing_decomposes_each_unitary_once(self, monkeypatch):
+        # The scorer, the mirror decision and lf_cost all ask for counts; each
+        # distinct (matrix, mirrored) costs one Weyl decomposition, as do the
+        # plain and mirrored swap, plus one for the basis.
+        calls = []
+
+        def counting(u):
+            calls.append(1)
+            return weyl_coordinates(u)
+
+        monkeypatch.setattr(weyl, "weyl_coordinates", counting)
+        weyl._count.cache_clear()
+        rng = np.random.default_rng(21)
+        mats = [haar_su4(rng) for _ in range(5)]
+        wires = [tuple(int(w) for w in rng.choice(4, 2, replace=False)) for _ in range(30)]
+        dag = CircuitDag(4, [
+            Gate(id=i, kind="unitary", wires=ws, matrix=mats[i % len(mats)]) for i, ws in enumerate(wires)
+        ])
+        cmap = CouplingMap.from_pairs(4, [(0, 1), (1, 2), (2, 3)], [0.99, 0.98, 0.97])
+        config = RouterConfig(algorithm="finesse", aggression=3, num_seeds=3, basis=BasisGate.root_iswap(2))
+        results = run_trials(dag, cmap, config)
+        assert any(g.mirrored for r in results for g in r.circuit.gates if g.kind == "unitary")
+        assert len(calls) <= 2 * len(mats) + 2 + 1
+        for m in mats:
+            for mirrored in (False, True):
+                g = Gate(id=0, kind="unitary", wires=(0, 1), matrix=m, mirrored=mirrored)
+                assert gate_count(g, SQISWAP) == basis_gate_count(mirror(m) if mirrored else m, SQISWAP)
 
 
 @lru_cache(maxsize=None)
