@@ -273,7 +273,7 @@ def load_calibration(source) -> CouplingMap:
     edges = []
     num = 0
     for rec in _field(data, "edges", list, "calibration", source) if "edges" in data else []:
-        i, j = (_field(rec, key, int, "calibration edge", source) for key in "ij")
+        i, j = (_field(rec, key, _integer, "calibration edge", source) for key in "ij")
         num = max(num, i + 1, j + 1)
         if "error" not in rec or rec["error"] is None:
             warnings.warn(f"edge ({i},{j}) has no calibration; dropped", stacklevel=2)
@@ -283,7 +283,7 @@ def load_calibration(source) -> CouplingMap:
             raise TopologyError(f"error rate {e} on ({i},{j}) outside [0, 1)")
         edges.append((min(i, j), max(i, j), 1.0 - e))
     if "num_physical" in data:
-        num = _field(data, "num_physical", int, "calibration", source)
+        num = _field(data, "num_physical", _integer, "calibration", source)
     return CouplingMap(num, tuple(edges))
 
 
@@ -300,12 +300,12 @@ def load_topology(source) -> CouplingMap:
         spec = TABLE3_MODULES[mod]
     else:
         spec = ModuleSpec(
-            _field(mod, "qubits", int, "module", source),
-            _field(mod, "edges", lambda v: tuple((int(i), int(j)) for i, j in v), "module", source),
+            _field(mod, "qubits", _integer, "module", source),
+            _field(mod, "edges", lambda v: tuple((_integer(i), _integer(j)) for i, j in v), "module", source),
             _field(mod, "fidelities", lambda v: tuple(float(f) for f in v), "module", source),
             mod.get("name", "module"),
         )
-    return build_snail_fabric(spec, _field(data, "num_modules", int, "topology", source))
+    return build_snail_fabric(spec, _field(data, "num_modules", _integer, "topology", source))
 
 
 def load_json(source) -> dict:
@@ -344,6 +344,14 @@ def _field(record, key: str, convert, what: str, source):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise TopologyError(f"{what} has a bad {key!r} value {value!r}{_in_file(source)}") from exc
+
+
+def _integer(value) -> int:
+    """int(value) for an integral number or a decimal string; a bool or a
+    float with a fractional part (or not finite) raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _check_version(data: dict):

@@ -105,6 +105,16 @@ def _integer(tok: _Token, what: str, least: int = 0) -> int:
     return int(tok.text)
 
 
+def _formals(tokens: list[_Token], what: str) -> dict[str, int]:
+    """Formal name -> position in a gate definition; a repeated name is a
+    QasmError at its second use."""
+    index: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        if index.setdefault(tok.text, i) != i:
+            raise QasmError(f"repeated gate {what} {tok.text!r}", tok.line, tok.col)
+    return index
+
+
 def _checked(tok: _Token, fn, *args) -> float:
     """fn(*args) as a finite real angle, else a QasmError at tok."""
     try:
@@ -377,13 +387,11 @@ class _Parser:
         """`gate name(params) args { body }` or `opaque name(params) args;`.
         Body symbols and arguments are resolved here, once."""
         name_tok = self._expect_id()
-        params = self._params(self._expect_id)
-        args = self._list(self._expect_id)
+        scope = _formals(self._params(self._expect_id), "parameter")
+        index = _formals(self._list(self._expect_id), "argument")
         if keyword == "opaque":
             self._expect(";")
             return
-        scope = {p.text: i for i, p in enumerate(params)}
-        index = {a.text: i for i, a in enumerate(args)}
 
         def formal() -> int:
             tok = self._expect_id()
@@ -396,7 +404,7 @@ class _Parser:
         while not self._accept("}"):
             tok = self._expect_id()
             body.append((tok.text, *self._call(scope, formal), tok))
-        self.macros[name_tok.text] = _MacroDef(len(params), len(args), body)
+        self.macros[name_tok.text] = _MacroDef(len(scope), len(index), body)
 
     def _measure(self, tok: _Token):
         qubit = self._qubit_arg()

@@ -9,8 +9,9 @@ Relative scoring and a release valve follow the LightSABRE variant; the front
 sum is unnormalized.
 
 Pass state is held in arrays.  The layout keeps virtual -> physical as an
-integer array and the DAG a (2q gates, 2) wire table, so the physical pairs
-of any gate list are one gather (`_pairs`).  Each pass also builds, once, the
+integer array and the DAG a (2q gates, 2) wire table; the front and its
+lookahead are held as rows of that table, so their physical pairs are one
+gather (`_pairs`).  Each pass also builds, once, the
 edge index of every physical pair and, per edge, where each physical wire's
 qubit moves under a swap on it.  `_distances` then reads the scoring-matrix
 entry of every gate now and after each candidate swap, shape (gates,
@@ -22,12 +23,17 @@ after - now over the edges that touch the front; a gate the swap does not
 touch contributes exactly 0.0, so no mask is needed.
 
 Predecessor counts are one dict, lowered once per executed gate by
-`_retire`; the extended set reads them through a small overlay and never
-copies them.  A routable gate is retired before its mirror decision, so the
-decision scores the front and the extended set its successors will see, and
-that extended set stays cached for the swap selections that follow.  The
-mirror rule compares absolute sums: written as a delta, the FINESSE rule
-flips on real-valued near-ties that rounding decides.
+`_retire`, which also executes every 1q gate and barrier the moment it is
+ready.  Wherever the pass scores, every unexecuted gate therefore descends
+from a front gate, and the front (ready 2q gates, sorted by id) fixes the
+executed set and every remaining count.  The extended set is then a function
+of (DAG, size, front), so it is memoised on the DAG (`CircuitDag.lookahead`):
+each front's set is walked once per DAG, whichever trial, pass or retirement
+order reaches it, and the reversed DAG is one cached instance, so the memo
+serves every call of `run_trials`.  A routable gate is retired before its
+mirror decision, so the decision scores the front and the extended set its
+successors will see.  The mirror rule compares absolute sums: written as a
+delta, the FINESSE rule flips on real-valued near-ties that rounding decides.
 """
 from __future__ import annotations
 
@@ -133,14 +139,15 @@ class _Pass:
         self.moved[e, self.edges[:, 1]] = self.edges[:, 0]
         self.preds = dag.predecessor_counts()
         self.rows, self.wires = dag.two_qubit_rows, dag.wire_table
-        self.front: list[Gate] = []
+        self.front: list[Gate] = []  # ready 2q gates, sorted by id
+        self.front_rows = np.empty(0, dtype=np.intp)
+        self.scored_rows: np.ndarray | None = None  # front rows, then the extended set's
         self.gates: list[Gate] | None = [] if emit else None
         self.next_id = 0
         self.swap_trace: list[tuple[int, int]] = []
         self.mirrors = 0
         self.stall = 0
         self.valve_fires = 0
-        self.extended_cache: list[Gate] | None = None
         self.decay = np.ones(cmap.num_physical)
         self.steps_since_decay_reset = 0
 
@@ -188,16 +195,26 @@ class _Pass:
                     else:
                         local.append(g)
                         queue.append(succ)
-        self.front.sort(key=_gate_id)
-        self.extended_cache = None
+        self._front_changed()
         return local
 
-    def _extended(self) -> list[Gate]:
-        if self.extended_cache is None:
-            self.extended_cache = extended_set_core(
-                self.dag, self.front, self.config.extended_size, self.preds
-            )
-        return self.extended_cache
+    def _front_changed(self):
+        self.front.sort(key=_gate_id)
+        self.front_rows = np.array([self.rows[g.id] for g in self.front], dtype=np.intp)
+        self.scored_rows = None
+
+    def _lookahead(self) -> np.ndarray:
+        """Wire-table rows of the front, then of its extended set, which is
+        walked only when the DAG's memo does not hold this front yet."""
+        if self.scored_rows is None:
+            key = (self.config.extended_size, tuple(g.id for g in self.front))
+            extended = self.dag.lookahead.get(key)
+            if extended is None:
+                gates = extended_set_core(self.dag, self.front, key[0], self.preds)
+                extended = np.array([self.rows[g.id] for g in gates], dtype=np.intp)
+                self.dag.lookahead[key] = extended
+            self.scored_rows = np.concatenate([self.front_rows, extended])
+        return self.scored_rows
 
     def _execute(self, g: Gate, p0: int, p1: int):
         """Run front gate g on the edge (p0, p1), mirrored if the policy says so."""
@@ -216,15 +233,14 @@ class _Pass:
     # mirror policy --------------------------------------------------
     def _mirror_decision(self, g: Gate, p0: int, p1: int) -> bool:
         """Whether to mirror g.  Called once g is retired, so the front and the
-        extended set scored are the ones g's successors will see; the extended
-        set stays cached for the swap selections that follow."""
+        extended set scored are the ones g's successors will see."""
         if not self.allow_mirror:
             return False
         if self.config.aggression == 3:
             return True
         k_orig = gate_count(g, self.config.basis)
         k_mirr = gate_count(g, self.config.basis, mirrored=not g.mirrored)
-        now, after = self._distances(self._pairs(self.front + self._extended()), np.array([[p0, p1]]))
+        now, after = self._distances(self._pairs(self._lookahead()), np.array([[p0, p1]]))
         n = len(self.front)
         score_now = float(self._heuristic(now[:n, None], now[n:, None])[0])
         score_mirr = float(self._heuristic(after[:n], after[n:])[0])
@@ -242,9 +258,9 @@ class _Pass:
         return score_mirr <= score_now
 
     # scoring ----------------------------------------------------------
-    def _pairs(self, gates: list[Gate]) -> np.ndarray:
-        """Physical (a, b) of each 2q gate under the current layout."""
-        return self.layout.physical_array[self.wires[[self.rows[g.id] for g in gates]]]
+    def _pairs(self, rows: np.ndarray) -> np.ndarray:
+        """Physical (a, b) of each wire-table row under the current layout."""
+        return self.layout.physical_array[self.wires[rows]]
 
     def _distances(self, pairs: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """matrix[a, b] per gate, shape (gates,), and the same entry after each
@@ -266,7 +282,7 @@ class _Pass:
         on_front[front_pairs] = True
         cands = self.edges[on_front[self.edges].any(axis=1)]
         n = len(self.front)
-        now, after = self._distances(np.concatenate([front_pairs, self._pairs(self._extended())]), cands)
+        now, after = self._distances(self._pairs(self._lookahead()), cands)
         delta = after - now[:, None]
         scores = self._heuristic(delta[:n], delta[n:])
         if self.config.decay_enabled:
@@ -310,10 +326,10 @@ class _Pass:
                 self.front.append(g)
             else:
                 self._emit_local([g, *self._retire(g.id)])
-        self.front.sort(key=_gate_id)
+        self._front_changed()
 
         while self.front:
-            pairs = self._pairs(self.front)
+            pairs = self._pairs(self.front_rows)
             routable = (self.edge_of[pairs[:, 0], pairs[:, 1]] >= 0).nonzero()[0]
             if len(routable):
                 first = routable[0]
@@ -394,15 +410,6 @@ class RoutingResult:
             inverse[p] = v
         return tuple(inverse)
 
-    @property
-    def verification_permutation(self) -> tuple[int, ...]:
-        """Physical output wire -> wire of the layout-embedded reference.
-
-        Wire p holds virtual v = final^-1(p), whose input entered at
-        physical initial[v]; against the reference embedded at the initial
-        layout this is the permutation P with P @ U_routed = U_ref.
-        """
-        return tuple(self.initial_layout[v] for v in self.output_permutation)
 
 
 def lf_cost(circuit: CircuitDag, cmap: CouplingMap, basis: BasisGate) -> float:

@@ -210,7 +210,7 @@ def basis_gate_count(u: np.ndarray, basis: BasisGate) -> int:
     ):
         return 3
     raise UnreachableError(
-        f"target {tuple(round(x, 6) for x in c)} unreachable in <=3 uses of {basis.name}"
+        f"target {tuple(round(float(x), 6) for x in c)} unreachable in <=3 uses of {basis.name}"
     )
 
 

@@ -1,8 +1,8 @@
 """Benchmark circuit suite: 8-15 qubit workloads over the routing gate set.
 
-Structured kernels (GHZ, W-state, QFT, QPE, BV) plus variational and random
-layers; controlled-phase and ZZ interactions are pre-decomposed into cx/rz
-so every file stays inside the supported dialect.  All generators are
+Structured kernels (GHZ, W-state, QFT, QPE, BV) plus variational layers;
+controlled-phase and ZZ interactions are pre-decomposed into cx/rz so every
+file stays inside the supported dialect.  All generators are
 deterministic: parametrized circuits draw angles from fixed seeds.
 """
 from __future__ import annotations
@@ -125,37 +125,6 @@ def vqe_two_local(n: int, layers: int = 3, seed: int = 13) -> CircuitDag:
             ops.append(("cx", (i, i + 1)))
     for i in range(n):
         ops.append(("ry", (i,), (float(rng.uniform(0, 2 * pi)),)))
-    return build_dag(n, ops)
-
-
-def ising_trotter(n: int, steps: int = 3, seed: int = 17) -> CircuitDag:
-    rng = np.random.default_rng(seed)
-    dt = 0.15
-    j = float(rng.uniform(0.8, 1.2))
-    h_field = float(rng.uniform(0.8, 1.2))
-    ops = []
-    for _ in range(steps):
-        for i in range(0, n - 1, 2):
-            _rzz(ops, 2 * j * dt, i, i + 1)
-        for i in range(1, n - 1, 2):
-            _rzz(ops, 2 * j * dt, i, i + 1)
-        for i in range(n):
-            ops.append(("rx", (i,), (2 * h_field * dt,)))
-    return build_dag(n, ops)
-
-
-def random_layers(n: int, layers: int = 18, seed: int = 23) -> CircuitDag:
-    rng = np.random.default_rng(seed)
-    ops = []
-    one_q = ("h", "t", "s", "x")
-    for _ in range(layers):
-        for i in range(n):
-            if rng.random() < 0.5:
-                ops.append((str(rng.choice(one_q)), (i,)))
-        qubits = list(rng.permutation(n))
-        for a, b in zip(qubits[0::2], qubits[1::2]):
-            if rng.random() < 0.7:
-                ops.append(("cx", (int(a), int(b))))
     return build_dag(n, ops)
 
 

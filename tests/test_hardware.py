@@ -307,6 +307,15 @@ class TestCalibrationImport:
         (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": ["bad"]}, "num_modules": 1}, "fidelities"),
         (load_topology, {"module": {"qubits": 2, "edges": [[0]], "fidelities": [0.99]}, "num_modules": 1}, "edges"),
         (load_topology, {"module": {"qubits": 2, "edges": 5, "fidelities": [0.99]}, "num_modules": 1}, "edges"),
+        # Integer fields take integral values only: no truncation, no booleans.
+        (load_topology, {"module": {"qubits": 2.7, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
+        (load_topology, {"module": {"qubits": True, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
+        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1.9]], "fidelities": [0.99]}, "num_modules": 1}, "edges"),
+        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1.5}, "num_modules"),
+        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": True}, "num_modules"),
+        (load_calibration, {"edges": [{"i": 0, "j": 1.5, "error": 0.01}]}, "j"),
+        (load_calibration, {"edges": [{"i": False, "j": 1, "error": 0.01}]}, "i"),
+        (load_calibration, {"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 2.5}, "num_physical"),
     ])
     def test_mistyped_field_names_it_and_the_file(self, tmp_path, loader, payload, key):
         path = tmp_path / "typed.json"
@@ -315,6 +324,13 @@ class TestCalibrationImport:
             loader(path)
         with pytest.raises(TopologyError, match=f"bad '{key}' value"):
             loader(payload)
+
+    def test_integral_floats_load_as_integers(self):
+        payload = {"module": {"qubits": 2.0, "edges": [[0.0, 1]], "fidelities": [0.99]}, "num_modules": 2.0}
+        exact = {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 2}
+        assert load_topology(payload) == load_topology(exact)
+        calibration = load_calibration({"edges": [{"i": 0.0, "j": 1, "error": 0.01}], "num_physical": 2.0})
+        assert calibration.num_physical == 2 and type(calibration.edges[0][0]) is int
 
 
 def test_distance_set_builder():

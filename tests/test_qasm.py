@@ -172,6 +172,9 @@ class TestMalformed:
             ("rz(0^-1) q[0];", "division by zero", 2, 5),
             ("gate g(t) a { rz(t", "unexpected end of input", 2, 18),
             ("gate g(t) a { rz(t t) a; }", "expected '\\)', found 't'", 2, 20),
+            ("gate g(t,t) a { rz(t) a; }", "repeated gate parameter 't'", 2, 10),
+            ("gate g a,b,a { cx a,b; }", "repeated gate argument 'a'", 2, 12),
+            ("opaque g(t) a,\n a;", "repeated gate argument 'a'", 3, 2),
         ],
     )
     def test_positioned_error(self, text, match, line, col):

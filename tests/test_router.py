@@ -1,7 +1,8 @@
-"""Router: the lookahead scorer against a scalar oracle, the cached extended set
-against a fresh walk, routed circuits against the statevector verifier, trial
-selection, and a pinned golden route."""
+"""Router: the lookahead scorer against a scalar oracle, the memoised extended
+set against a copying walk and against the front alone, routed circuits
+against the statevector verifier, trial selection, and a pinned golden route."""
 import hashlib
+from collections import Counter
 from dataclasses import replace
 from math import pi
 from unittest.mock import patch
@@ -12,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from finesse import router
 from finesse.hardware import CouplingMap, build_distance_set, fabric_suite, log_weights
-from finesse.ir import CircuitDag, Gate, Layout, extended_set_core
+from finesse.ir import CircuitDag, Gate, Layout, extended_set
 from finesse.router import (
     ALGORITHMS,
-    MIRRORING,
     RouterConfig,
     RoutingResult,
     TrialMetrics,
@@ -26,7 +26,7 @@ from finesse.verifier import statevector_equivalent
 from finesse.weyl import swap_count
 from finesse.workloads import SUITE
 
-from oracles import haar_su4, random_connected_map, reference_lookahead
+from oracles import haar_su4, random_connected_map, reference_extended_set, reference_lookahead
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -60,6 +60,11 @@ def _random_gates(rng, n, count, start):
     ]
 
 
+def _rows(p, gates):
+    """The pass's wire-table rows of a gate list."""
+    return np.array([p.rows[g.id] for g in gates], dtype=np.intp)
+
+
 def _swapped(layout, p0, p1):
     out = layout.copy()
     out.swap_physical(int(p0), int(p1))
@@ -72,7 +77,7 @@ class TestLookahead:
     def test_relative_swap_scores_match_oracle(self, seed, algorithm):
         rng = np.random.default_rng(seed)
         p, (front, extended) = _random_pass(rng, algorithm, (1, 6), (0, 21))
-        now, after = p._distances(p._pairs(front + extended), p.edges)
+        now, after = p._distances(p._pairs(_rows(p, front + extended)), p.edges)
         delta = after - now[:, None]
         k = len(front)
         scores = p._heuristic(delta[:k], delta[k:])
@@ -87,7 +92,7 @@ class TestLookahead:
         rng = np.random.default_rng(seed)
         p, (rest, extended) = _random_pass(rng, algorithm, (0, 6), (0, 21))
         p0, p1 = p.edges[rng.integers(len(p.edges))]
-        now, after = p._distances(p._pairs(rest + extended), np.array([[p0, p1]]))
+        now, after = p._distances(p._pairs(_rows(p, rest + extended)), np.array([[p0, p1]]))
         k = len(rest)
         w = p.config.w
         assert p._heuristic(now[:k, None], now[k:, None])[0] == reference_lookahead(
@@ -125,6 +130,12 @@ def _random_circuit(rng, width, count):
     return CircuitDag(width, gates)
 
 
+def _random_routing_case(rng, max_gates):
+    cmap = random_connected_map(rng, max_nodes=7)
+    width = int(rng.integers(2, min(6, cmap.num_physical) + 1))
+    return cmap, _random_circuit(rng, width, int(rng.integers(1, max_gates)))
+
+
 def _equivalent(dag, result):
     return statevector_equivalent(
         dag, result.circuit, result.output_permutation, input_map=result.initial_layout
@@ -136,9 +147,7 @@ class TestRoutedEquivalence:
     @given(seed=SEEDS)
     def test_every_variant_routes_equivalently(self, seed):
         rng = np.random.default_rng(seed)
-        cmap = random_connected_map(rng, max_nodes=7)
-        width = int(rng.integers(2, min(6, cmap.num_physical) + 1))
-        dag = _random_circuit(rng, width, int(rng.integers(1, 25)))
+        cmap, dag = _random_routing_case(rng, 25)
         base = RouterConfig(num_seeds=2)
         dists = build_distance_set(cmap, swap_count(base.basis), base.beta)
         for algorithm in ALGORITHMS:
@@ -165,51 +174,87 @@ class TestRoutedEquivalence:
             assert _equivalent(dag, result)
 
 
-def _route_checking_extended_set(dag, cmap, config):
-    """Route, checking at every swap selection that the pass's extended set
-    equals a fresh `extended_set_core` walk.  Return how many first
-    selections after an executed gate found the set already cached: only a
-    mirror decision leaves it so."""
-    inherited = 0
-    select, execute = router._Pass._select_swap, router._Pass._execute
+def _route_checking_lookahead(dag, cmap, config):
+    """Route, checking every lookahead the pass scores, from the memo or from
+    a walk, against the copying oracle over the pass's predecessor counts."""
+    lookahead = router._Pass._lookahead
 
-    def checked_select(self, front_pairs):
-        nonlocal inherited
-        if getattr(self, "front_changed", False):
-            inherited += self.extended_cache is not None
-            self.front_changed = False
-        fresh = extended_set_core(self.dag, self.front, self.config.extended_size, self.preds)
-        assert self._extended() == fresh
-        return select(self, front_pairs)
+    def checked(self):
+        rows = lookahead(self)
+        expected = reference_extended_set(self.dag, self.front, self.config.extended_size, self.preds)
+        assert rows.tolist() == _rows(self, self.front + expected).tolist()
+        return rows
 
-    def flagged_execute(self, *args):
-        execute(self, *args)
-        self.front_changed = True
-
-    with patch.multiple(router._Pass, _select_swap=checked_select, _execute=flagged_execute):
+    with patch.object(router._Pass, "_lookahead", checked):
         run_trials(dag, cmap, config)
-    return inherited
 
 
-class TestExtendedCache:
+def _retire_randomly(p, rng):
+    """Start the pass as `run` does, then retire its front gates in a random
+    order, layout aside; yield at the start and after each retirement."""
+    for g in [g for g in p.dag.gates if p.preds[g.id] == 0]:
+        if g.id in p.rows:
+            p.front.append(g)
+        else:
+            p._retire(g.id)
+    p._front_changed()
+    yield
+    while p.front:
+        g = p.front.pop(int(rng.integers(len(p.front))))
+        p._retire(g.id)
+        yield
+
+
+class TestLookaheadMemo:
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS)
-    def test_cached_set_equals_a_fresh_walk(self, seed):
+    def test_every_scored_lookahead_equals_the_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        cmap = random_connected_map(rng, max_nodes=7)
-        width = int(rng.integers(2, min(6, cmap.num_physical) + 1))
-        dag = _random_circuit(rng, width, int(rng.integers(1, 40)))
-        for algorithm in MIRRORING:
-            for aggression in (1, 2):
-                config = RouterConfig(algorithm=algorithm, aggression=aggression, num_seeds=2)
-                _route_checking_extended_set(dag, cmap, config)
+        cmap, dag = _random_routing_case(rng, 40)
+        # Two sizes share the DAG's memo, and the second round finds every
+        # front there: both the key's size and a memo hit are checked.
+        for _ in range(2):
+            for size in (3, 20):
+                for algorithm in ALGORITHMS:
+                    for aggression in (1, 2):
+                        config = RouterConfig(algorithm=algorithm, aggression=aggression,
+                                              extended_size=size, num_seeds=2)
+                        _route_checking_lookahead(dag, cmap, config)
 
-    def test_mirror_decisions_leave_the_set_cached(self, fabric_4q4e):
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, size=st.sampled_from((1, 3, 20)))
+    def test_the_front_fixes_the_extended_set(self, seed, size):
+        """Random retirement orders that reach one front see one extended set,
+        the one `extended_set` finds from the front alone."""
+        rng = np.random.default_rng(seed)
+        cmap, dag = _random_routing_case(rng, 40)
+        config = RouterConfig(algorithm="sabre", extended_size=size)
+        dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
+        seen = {}
+        for _ in range(3):
+            p = router._Pass(dag, cmap, dists, log_weights(cmap), config, rng,
+                             Layout.identity(cmap.num_physical), emit=False, allow_mirror=False)
+            for _ in _retire_randomly(p, rng):
+                ids = [g.id for g in reference_extended_set(dag, p.front, size, p.preds)]
+                assert seen.setdefault(tuple(g.id for g in p.front), ids) == ids
+                assert ids == [g.id for g in extended_set(dag, p.front, size)]
+
+    def test_each_front_is_walked_once_per_dag(self, fabric_4q4e):
         dag = SUITE["qft_10"]()
-        for algorithm in ALGORITHMS:
-            config = RouterConfig(algorithm=algorithm, num_seeds=1)
-            inherited = _route_checking_extended_set(dag, fabric_4q4e, config)
-            assert (inherited > 0) == (algorithm in MIRRORING), algorithm
+        walks, walk = Counter(), router.extended_set_core
+
+        def counted(dag, front, size, preds):
+            walks[id(dag), size, tuple(g.id for g in front)] += 1
+            return walk(dag, front, size, preds)
+
+        with patch.object(router, "extended_set_core", counted):
+            for algorithm in ALGORITHMS:
+                run_trials(dag, fabric_4q4e, RouterConfig(algorithm=algorithm, num_seeds=4))
+            cold = sum(walks.values())
+            assert cold and max(walks.values()) == 1
+            # Another call finds the reversed DAG and every front memoised.
+            run_trials(dag, fabric_4q4e, RouterConfig(algorithm="finesse", num_seeds=4))
+            assert sum(walks.values()) == cold
 
 
 def _trial(index, lf_cost, depth, swaps):

@@ -265,8 +265,12 @@ class TestDeepRootCoverage:
             assert _library_count(n, u) == _oracle_count(n, u) == expected
 
     def test_swap_needs_more_than_three_third_roots(self):
-        with pytest.raises(UnreachableError):
+        with pytest.raises(UnreachableError) as err:
             swap_count(BasisGate.root_iswap(3))
+        # Plain floats, not numpy scalar reprs.
+        assert str(err.value) == (
+            "target (0.785398, 0.785398, 0.785398) unreachable in <=3 uses of root_iswap_3"
+        )
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_three_use_facets_both_sides(self, n):
