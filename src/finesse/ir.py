@@ -2,8 +2,7 @@
 
 The DAG links each gate to its nearest successor per wire, which keeps
 front-layer maintenance O(degree) during routing.  For the router it also
-holds, built on first use, the wires of its 2q gates as one integer table
-and a memo of the extended set of every front it has been scored from.
+holds, built on first use, the wires of its 2q gates as one integer table.
 """
 from __future__ import annotations
 
@@ -152,31 +151,13 @@ class CircuitDag:
         wires = [g.wires for g in self.gates if g.is_two_qubit]
         return np.array(wires, dtype=np.intp).reshape(-1, 2)
 
-    @cached_property
-    def lookahead(self) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
-        """(extended size, front ids) -> np.intp `wire_table` rows of that
-        front's extended set; the router fills it, one walk per key.
-
-        A front here is the ready 2q gates sorted by id, with every ready 1q
-        gate and barrier already executed.  Then every unexecuted gate
-        descends from a front gate, so the front fixes the executed set and
-        each remaining predecessor count: the extended set is a function of
-        (DAG, size, front) alone, however the front was reached.
-        """
-        return {}
-
     @property
     def edges(self) -> set[tuple[int, int]]:
         """Dependency arcs as (gate id, successor id) pairs, deduplicated."""
         return {(src, dst) for src, dsts in self._succ.items() for dst in dsts}
 
     def reversed(self) -> "CircuitDag":
-        """Gate order reversed; used for the layout-refining reverse pass.
-        Built once per DAG, so its lookahead memo lasts as long as this DAG."""
-        return self._reversed
-
-    @cached_property
-    def _reversed(self) -> "CircuitDag":
+        """Gate order reversed; used for the layout-refining reverse pass."""
         return CircuitDag(self.num_qubits, list(reversed(self.gates)))
 
     def relabeled(self, wire_map: Sequence[int], num_qubits: int | None = None) -> "CircuitDag":
@@ -246,9 +227,8 @@ def extended_set_core(
     ``remaining_preds`` is only read: the walk keeps the counts it lowers in an
     overlay of the gates it reaches, so a call costs the gates it visits, not
     a copy of every count.  When every unexecuted gate descends from the
-    front, as it does wherever the router scores, the front fixes those
-    counts and the result depends on (dag, front, size) alone; the router
-    memoises it on `CircuitDag.lookahead`.
+    front, the front fixes those counts, and the result depends on (dag,
+    front, size) alone, however the front was reached.
     """
     if size <= 0:
         return []

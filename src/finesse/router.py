@@ -11,11 +11,11 @@ sum is unnormalized.
 Pass state is held in arrays.  The layout keeps virtual -> physical as an
 integer array and the DAG a (2q gates, 2) wire table; the front and its
 lookahead are held as rows of that table, so their physical pairs are one
-gather (`_pairs`).  Each pass also builds, once, the
-edge index of every physical pair and, per edge, where each physical wire's
-qubit moves under a swap on it.  `_distances` then reads the scoring-matrix
-entry of every gate now and after each candidate swap, shape (gates,
-candidates), with gathers only.
+gather (`_pairs`).  Each pass also builds, once, the edge index of every
+physical pair and, per edge, where each physical wire's qubit moves under a
+swap on it.  `_distances` then reads the scoring-matrix entry of every gate
+now and after each candidate swap, shape (gates, candidates), with gathers
+only.
 `_heuristic` is one reduction: the front sum plus W times the extended-set
 average, one column per candidate, with the rows added in gate order (a
 pairwise sum would reorder them and move exact ties).  `_select_swap` reduces
@@ -27,13 +27,14 @@ Predecessor counts are one dict, lowered once per executed gate by
 ready.  Wherever the pass scores, every unexecuted gate therefore descends
 from a front gate, and the front (ready 2q gates, sorted by id) fixes the
 executed set and every remaining count.  The extended set is then a function
-of (DAG, size, front), so it is memoised on the DAG (`CircuitDag.lookahead`):
-each front's set is walked once per DAG, whichever trial, pass or retirement
-order reaches it, and the reversed DAG is one cached instance, so the memo
-serves every call of `run_trials`.  A routable gate is retired before its
-mirror decision, so the decision scores the front and the extended set its
-successors will see.  The mirror rule compares absolute sums: written as a
-delta, the FINESSE rule flips on real-valued near-ties that rounding decides.
+of (DAG, size, front), so `run_trials` keeps one memo per DAG, front ids ->
+wire-table rows of that front's extended set, which every trial and pass over
+that DAG shares and which is dropped when the call returns: each front's set
+is walked once per call, whichever trial or retirement order reaches it.  A
+routable gate is retired before its mirror decision, so the decision scores
+the front and the extended set its successors will see.  The mirror rule
+compares absolute sums: written as a delta, the FINESSE rule flips on
+real-valued near-ties that rounding decides.
 """
 from __future__ import annotations
 
@@ -118,8 +119,10 @@ class _Pass:
         layout: Layout,
         emit: bool,
         allow_mirror: bool,
+        memo: dict[tuple[int, ...], np.ndarray] | None = None,
     ):
         self.dag = dag
+        self.memo = {} if memo is None else memo
         self.cmap = cmap
         self.dists = dists
         self.weights = weights
@@ -205,14 +208,14 @@ class _Pass:
 
     def _lookahead(self) -> np.ndarray:
         """Wire-table rows of the front, then of its extended set, which is
-        walked only when the DAG's memo does not hold this front yet."""
+        walked only when the memo does not hold this front yet."""
         if self.scored_rows is None:
-            key = (self.config.extended_size, tuple(g.id for g in self.front))
-            extended = self.dag.lookahead.get(key)
+            key = tuple(g.id for g in self.front)
+            extended = self.memo.get(key)
             if extended is None:
-                gates = extended_set_core(self.dag, self.front, key[0], self.preds)
+                gates = extended_set_core(self.dag, self.front, self.config.extended_size, self.preds)
                 extended = np.array([self.rows[g.id] for g in gates], dtype=np.intp)
-                self.dag.lookahead[key] = extended
+                self.memo[key] = extended
             self.scored_rows = np.concatenate([self.front_rows, extended])
         return self.scored_rows
 
@@ -370,10 +373,14 @@ def route_pass(
     emit: bool = True,
     allow_mirror: bool = True,
     weights: EdgeWeights | None = None,
+    memo: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> PassResult:
+    """One pass.  ``memo`` maps front ids to the wire-table rows of that
+    front's extended set; passes over one DAG at one extended size may share
+    it, and without one the pass keeps its own."""
     if weights is None:
         weights = log_weights(cmap)
-    return _Pass(dag, cmap, dists, weights, config, rng, initial_layout, emit, allow_mirror).run()
+    return _Pass(dag, cmap, dists, weights, config, rng, initial_layout, emit, allow_mirror, memo).run()
 
 
 @dataclass(frozen=True)
@@ -411,7 +418,6 @@ class RoutingResult:
         return tuple(inverse)
 
 
-
 def lf_cost(circuit: CircuitDag, cmap: CouplingMap, basis: BasisGate) -> float:
     """Sum over 2q gates of edge log-weight times decomposition count."""
     weights = log_weights(cmap)
@@ -441,16 +447,18 @@ def run_trials(
         dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
     weights = log_weights(cmap)
     reversed_dag = dag.reversed()
+    memo, reversed_memo = {}, {}  # one per DAG, shared by every trial's passes
     trials = []
     for t in range(config.num_seeds):
         perm = trial_rng(seed, t, 0).permutation(n_phys)
         layout = Layout(perm)
         fwd = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 1), layout,
-                         emit=False, weights=weights)
+                         emit=False, weights=weights, memo=memo)
         rev = route_pass(reversed_dag, cmap, dists, config, trial_rng(seed, t, 2),
-                         fwd.final_layout, emit=False, allow_mirror=False, weights=weights)
+                         fwd.final_layout, emit=False, allow_mirror=False, weights=weights,
+                         memo=reversed_memo)
         final = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 3),
-                           rev.final_layout, emit=True, weights=weights)
+                           rev.final_layout, emit=True, weights=weights, memo=memo)
         circuit = CircuitDag(n_phys, final.gates)
         metrics = TrialMetrics(
             lf_cost=lf_cost(circuit, cmap, config.basis),

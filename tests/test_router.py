@@ -174,12 +174,14 @@ class TestRoutedEquivalence:
             assert _equivalent(dag, result)
 
 
-def _route_checking_lookahead(dag, cmap, config):
+def _route_checking_lookahead(dag, cmap, config) -> int:
     """Route, checking every lookahead the pass scores, from the memo or from
-    a walk, against the copying oracle over the pass's predecessor counts."""
-    lookahead = router._Pass._lookahead
+    a walk, against the copying oracle over the pass's predecessor counts.
+    Returns how many of them the memo held."""
+    lookahead, hits = router._Pass._lookahead, []
 
     def checked(self):
+        hits.append(self.scored_rows is None and tuple(g.id for g in self.front) in self.memo)
         rows = lookahead(self)
         expected = reference_extended_set(self.dag, self.front, self.config.extended_size, self.preds)
         assert rows.tolist() == _rows(self, self.front + expected).tolist()
@@ -187,6 +189,7 @@ def _route_checking_lookahead(dag, cmap, config):
 
     with patch.object(router._Pass, "_lookahead", checked):
         run_trials(dag, cmap, config)
+    return sum(hits)
 
 
 def _retire_randomly(p, rng):
@@ -211,15 +214,16 @@ class TestLookaheadMemo:
     def test_every_scored_lookahead_equals_the_oracle(self, seed):
         rng = np.random.default_rng(seed)
         cmap, dag = _random_routing_case(rng, 40)
-        # Two sizes share the DAG's memo, and the second round finds every
-        # front there: both the key's size and a memo hit are checked.
-        for _ in range(2):
-            for size in (3, 20):
-                for algorithm in ALGORITHMS:
-                    for aggression in (1, 2):
-                        config = RouterConfig(algorithm=algorithm, aggression=aggression,
-                                              extended_size=size, num_seeds=2)
-                        _route_checking_lookahead(dag, cmap, config)
+        # The passes of one call share a memo, so the final pass of each
+        # trial scores fronts the forward passes walked: hits are checked too.
+        hits = 0
+        for size in (3, 20):
+            for algorithm in ALGORITHMS:
+                for aggression in (1, 2):
+                    config = RouterConfig(algorithm=algorithm, aggression=aggression,
+                                          extended_size=size, num_seeds=2)
+                    hits += _route_checking_lookahead(dag, cmap, config)
+        assert hits
 
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, size=st.sampled_from((1, 3, 20)))
@@ -239,7 +243,7 @@ class TestLookaheadMemo:
                 assert seen.setdefault(tuple(g.id for g in p.front), ids) == ids
                 assert ids == [g.id for g in extended_set(dag, p.front, size)]
 
-    def test_each_front_is_walked_once_per_dag(self, fabric_4q4e):
+    def test_each_front_is_walked_once_per_call(self, fabric_4q4e):
         dag = SUITE["qft_10"]()
         walks, walk = Counter(), router.extended_set_core
 
@@ -249,12 +253,15 @@ class TestLookaheadMemo:
 
         with patch.object(router, "extended_set_core", counted):
             for algorithm in ALGORITHMS:
-                run_trials(dag, fabric_4q4e, RouterConfig(algorithm=algorithm, num_seeds=4))
-            cold = sum(walks.values())
-            assert cold and max(walks.values()) == 1
-            # Another call finds the reversed DAG and every front memoised.
-            run_trials(dag, fabric_4q4e, RouterConfig(algorithm="finesse", num_seeds=4))
-            assert sum(walks.values()) == cold
+                config = RouterConfig(algorithm=algorithm, num_seeds=4)
+                calls = []
+                for _ in range(2):
+                    walks.clear()
+                    run_trials(dag, fabric_4q4e, config)
+                    assert walks and max(walks.values()) == 1
+                    calls.append(sum(walks.values()))
+                # The memo is dropped with the call: the next one walks again.
+                assert calls[0] == calls[1]
 
 
 def _trial(index, lf_cost, depth, swaps):
