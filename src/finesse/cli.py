@@ -15,6 +15,8 @@ from . import freqalloc as fa
 from .hardware import (
     TABLE3_MODULES,
     TopologyError,
+    _field,
+    _integer,
     fabric_suite,
     load_calibration,
     load_json,
@@ -62,22 +64,34 @@ def _resolve_topology(name_or_path: str):
 # --- allocate -------------------------------------------------------------
 
 
-def cmd_allocate(args) -> int:
-    config = load_json(args.config) if args.config else {}
-    sizes = config.get("module_sizes", [2, 3, 4, 5])
-    k = int(config.get("k", 0))
-    delta_q = parse_frequency(config.get("delta_q", fa.DEFAULT_DELTA_Q))
-    restarts = int(config.get("restarts", fa.NM_RESTARTS))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    bounds_cfg = config.get("bounds", {})
-    bounds = fa.FrequencyBounds(
-        qubit=tuple(parse_frequency(v) for v in bounds_cfg.get("qubit", fa.DEFAULT_QUBIT_BAND)),
-        snail=tuple(parse_frequency(v) for v in bounds_cfg.get("snail", fa.DEFAULT_SNAIL_BAND)),
+def _bounds(value) -> fa.FrequencyBounds:
+    """{"qubit": [lo, hi], "snail": [lo, hi]}; a band left out keeps its default."""
+    bands = dict(value)
+    return fa.FrequencyBounds(
+        **{band: (parse_frequency(lo), parse_frequency(hi)) for band, (lo, hi) in bands.items()}
     )
-    const_cfg = config.get("constants", {})
-    constants = fa.PhysicalConstants(**const_cfg) if const_cfg else fa.PhysicalConstants()
+
+
+def cmd_allocate(args) -> int:
+    source = args.config
+    config = load_json(source) if source else {}
+
+    def read(key, convert, default):
+        """convert(config[key]), or default; a bad value raises TopologyError."""
+        if key not in config:
+            return default
+        return _field(config, key, convert, "allocate config", source)
+
+    modules = read("module_sizes", lambda v: [fa.FreqModule(_integer(n)) for n in v],
+                   [fa.FreqModule(n) for n in (2, 3, 4, 5)])
+    k = read("k", _integer, 0)
+    delta_q = read("delta_q", parse_frequency, fa.DEFAULT_DELTA_Q)
+    restarts = read("restarts", _integer, fa.NM_RESTARTS)
+    seed = args.seed if args.seed is not None else read("seed", _integer, 0)
+    bounds = read("bounds", _bounds, fa.FrequencyBounds())
+    constants = read("constants", lambda v: fa.PhysicalConstants(**v), fa.PhysicalConstants())
     if config.get("fit_params"):
-        params = fa.CostModelParams(**config["fit_params"])
+        params = read("fit_params", lambda v: fa.CostModelParams(**v), None)
     else:
         params = fa.calibrate_cost_model(constants)
 
@@ -88,14 +102,14 @@ def cmd_allocate(args) -> int:
         "min_qubit_separation_hz,feasible"
     ]
     any_infeasible = False
-    for n in sizes:
-        module = fa.FreqModule(int(n))
+    for module in modules:
+        n = module.num_qubits
         assign, report = fa.optimize_frequencies(
             module, bounds, params, k=k, delta_q=delta_q, seed=seed, restarts=restarts
         )
         payload = {
             "format_version": 1,
-            "module_size": int(n),
+            "module_size": n,
             "omega_q_hz": list(assign.omega_q),
             "omega_s_hz": assign.omega_s,
             "report": report.to_dict(),

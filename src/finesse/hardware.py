@@ -1,7 +1,6 @@
 """Fidelity-weighted coupling graphs and routing distance matrices."""
 from __future__ import annotations
 
-import heapq
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -10,6 +9,8 @@ from math import log
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 FIDELITY_FLOOR = 1e-10
 FORMAT_VERSION = 1
@@ -39,28 +40,16 @@ class CouplingMap:
             if key in seen:
                 raise TopologyError(f"duplicate edge {key}")
             seen.add(key)
-        if not self._connected(seen):
+        graph = _graph(self, [1.0] * len(self.edges))
+        if self.num_physical > 1 and connected_components(graph, return_labels=False) != 1:
             raise TopologyError("coupling graph is disconnected")
-
-    def _connected(self, keys) -> bool:
-        if self.num_physical <= 1:
-            return True
-        adj = {i: [] for i in range(self.num_physical)}
-        for i, j in keys:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen, stack = {0}, [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.num_physical
 
     @classmethod
     def from_pairs(cls, num_physical: int, pairs, fidelities=None) -> "CouplingMap":
-        if fidelities is None:
-            fidelities = [1.0] * len(list(pairs))
+        pairs = list(pairs)
+        fidelities = [1.0] * len(pairs) if fidelities is None else list(fidelities)
+        if len(fidelities) != len(pairs):
+            raise TopologyError(f"{len(pairs)} pairs but {len(fidelities)} fidelities")
         edges = tuple(
             (min(i, j), max(i, j), float(c)) for (i, j), c in zip(pairs, fidelities)
         )
@@ -107,55 +96,33 @@ def log_weights(cmap: CouplingMap) -> EdgeWeights:
     )
 
 
+def _graph(cmap: CouplingMap, values) -> csr_matrix:
+    """Symmetric sparse adjacency with values[e] on both arcs of cmap.edges[e].
+
+    A zero weight (an edge of fidelity 1) is stored as an explicit zero, which
+    csgraph still reads as an edge.
+    """
+    i, j = np.array([e[:2] for e in cmap.edges], dtype=np.intp).reshape(-1, 2).T
+    data = np.array(values, dtype=float)
+    arcs = (np.concatenate([i, j]), np.concatenate([j, i]))
+    return csr_matrix((np.concatenate([data, data]), arcs), shape=(cmap.num_physical,) * 2)
+
+
 def hop_distances(cmap: CouplingMap) -> np.ndarray:
-    """All-pairs unweighted shortest paths via BFS from each node."""
-    n = cmap.num_physical
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for node in frontier:
-                for nb in cmap.neighbors[node]:
-                    if dist[src, nb] < 0:
-                        dist[src, nb] = d
-                        nxt.append(nb)
-            frontier = nxt
-    if np.any(dist < 0):
-        raise TopologyError("coupling graph is disconnected")
-    return dist
+    """All-pairs unweighted shortest paths (hop counts) as int64."""
+    return shortest_path(_graph(cmap, [1.0] * len(cmap.edges)), unweighted=True).astype(np.int64)
 
 
 def fidelity_distances(cmap: CouplingMap, weights: EdgeWeights, k_swap: int) -> np.ndarray:
     """All-pairs Dijkstra with edge weight k_swap * L_ij.
 
-    Ties break toward fewer hops, then the lexicographically smaller node
-    sequence, so the matrix is reproducible across platforms.
+    Row s is the fixpoint d[s] = 0, d[v] = min over neighbours u of v of the
+    rounded d[u] + k_swap * L_uv: the weights are nonnegative and rounding is
+    monotone, so no order of settling equal-cost paths can change a value.
     """
     if k_swap < 1:
         raise TopologyError("k_swap must be a positive integer")
-    n = cmap.num_physical
-    dist = np.zeros((n, n), dtype=float)
-    for src in range(n):
-        best: dict[int, tuple[float, int, tuple[int, ...]]] = {}
-        heap = [(0.0, 0, (src,), src)]
-        while heap:
-            cost, hops, path, node = heapq.heappop(heap)
-            if node in best:
-                continue
-            best[node] = (cost, hops, path)
-            for nb in cmap.neighbors[node]:
-                if nb not in best:
-                    w = k_swap * weights.of(node, nb)
-                    heapq.heappush(heap, (cost + w, hops + 1, path + (nb,), nb))
-        if len(best) != n:
-            raise TopologyError("coupling graph is disconnected")
-        for j, (cost, _, _) in best.items():
-            dist[src, j] = cost
-    return dist
+    return dijkstra(_graph(cmap, [k_swap * weights.of(i, j) for i, j, _ in cmap.edges]))
 
 
 def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -192,28 +192,38 @@ def build_dag(num_qubits: int, ops: Iterable[tuple]) -> CircuitDag:
     return CircuitDag(num_qubits, gates)
 
 
+def retire(
+    dag: CircuitDag, counts: dict[int, int], gate_ids: Iterable[int], hold: Callable[[int], bool]
+) -> tuple[list[Gate], list[Gate]]:
+    """Execute gate_ids, lowering ``counts`` (remaining predecessors) in place.
+
+    A successor that becomes ready is held if ``hold(id)``; otherwise it is
+    executed in turn, last ready first.  Returns the held gates and the
+    executed successors, each in the order the walk reached them.
+    """
+    held, executed, stack = [], [], list(gate_ids)
+    while stack:
+        for s in dag._succ[stack.pop()]:
+            counts[s] -= 1
+            if counts[s] == 0:
+                g = dag._by_id[s]
+                if hold(s):
+                    held.append(g)
+                else:
+                    executed.append(g)
+                    stack.append(s)
+    return held, executed
+
+
 def front_layer(dag: CircuitDag, executed: set[int]) -> list[Gate]:
     """Unexecuted gates whose predecessors are all executed, in gate order.
 
     ``executed`` must be downward-closed in the DAG order.
     """
     counts = dag.predecessor_counts()
-    for gid in executed:
-        for s in dag.successors(gid):
-            if s not in executed:
-                counts[s] -= 1
+    roots = [gid for gid, c in counts.items() if c == 0 and gid in executed]
+    retire(dag, counts, roots, lambda gid: gid not in executed)
     return [g for g in dag.gates if g.id not in executed and counts[g.id] == 0]
-
-
-def _descendant_closure(dag: CircuitDag, roots: Iterable[int]) -> set[int]:
-    seen = set(roots)
-    stack = list(seen)
-    while stack:
-        for s in dag.successors(stack.pop()):
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return seen
 
 
 def extended_set_core(
@@ -253,14 +263,17 @@ def extended_set_core(
 
 
 def extended_set(dag: CircuitDag, front: Sequence[Gate], size: int) -> list[Gate]:
-    """Breadth-first 2q successors of the front layer, ordered (level, id)."""
+    """Breadth-first 2q successors of the front layer, ordered (level, id).
+
+    Every gate that does not descend from the front is retired first, so the
+    counts left are the arcs from the front and its descendants.
+    """
     if size < 0:
         raise CircuitError("extended set size must be nonnegative")
-    live = _descendant_closure(dag, [g.id for g in front])
-    counts = {g.id: 0 for g in dag.gates}
-    for gid in live:
-        for s in dag.successors(gid):
-            counts[s] += 1
+    front_ids = {g.id for g in front}
+    counts = dag.predecessor_counts()
+    roots = [gid for gid, c in counts.items() if c == 0 and gid not in front_ids]
+    retire(dag, counts, roots, front_ids.__contains__)
     return extended_set_core(dag, front, size, counts)
 
 

@@ -23,8 +23,8 @@ after - now over the edges that touch the front; a gate the swap does not
 touch contributes exactly 0.0, so no mask is needed.
 
 Predecessor counts are one dict, lowered once per executed gate by
-`_retire`, which also executes every 1q gate and barrier the moment it is
-ready.  Wherever the pass scores, every unexecuted gate therefore descends
+`ir.retire`; `_retire` has it execute every 1q gate and barrier the moment it
+is ready.  Wherever the pass scores, every unexecuted gate therefore descends
 from a front gate, and the front (ready 2q gates, sorted by id) fixes the
 executed set and every remaining count.  The extended set is then a function
 of (DAG, size, front), so `run_trials` keeps one memo per DAG, front ids ->
@@ -44,7 +44,7 @@ from operator import attrgetter
 import numpy as np
 
 from .hardware import CouplingMap, DistanceSet, EdgeWeights, build_distance_set, log_weights
-from .ir import CircuitDag, Gate, Layout, circuit_depth, extended_set_core
+from .ir import CircuitDag, Gate, Layout, circuit_depth, extended_set_core, retire
 from .weyl import BasisGate, gate_count, swap_count
 
 ALGORITHMS = ("sabre", "fasst", "mirage", "finesse")
@@ -187,17 +187,8 @@ class _Pass:
         readies join the front, which stays sorted by id; the 1q gates and
         barriers it readies are executed in the same walk and returned in walk
         order, to be emitted under the layout that follows the gate."""
-        local, queue = [], [gate_id]
-        while queue:
-            for succ in self.dag.successors(queue.pop()):
-                self.preds[succ] -= 1
-                if self.preds[succ] == 0:
-                    g = self.dag.gate(succ)
-                    if succ in self.rows:
-                        self.front.append(g)
-                    else:
-                        local.append(g)
-                        queue.append(succ)
+        held, local = retire(self.dag, self.preds, [gate_id], self.rows.__contains__)
+        self.front += held
         self._front_changed()
         return local
 

@@ -1,15 +1,15 @@
 """Independent oracles the tests check library results against.
 
 Each oracle deliberately avoids the code path it validates: path minima by
-exhaustive enumeration, two-qubit class labels by Makhlin invariants, basis
-counts by sampled reachability with Nelder-Mead polish, spectator infidelity
-by a closed form of the factorized matrix exponential, the allocation loss by
-explicit loops over every resonance, gate and qubit pair, the routing
-lookahead by a scalar loop over the front and extended gates, the extended
-set by a walk over a full copy of the predecessor counts, circuits by
-dense Kronecker-product matrices, routed-circuit equivalence by loops
-over the computational basis of those matrices, and QASM angles by Python's
-own expression grammar.
+exhaustive enumeration and by Bellman-Ford relaxation, two-qubit class
+labels by Makhlin invariants, basis counts by sampled reachability with
+Nelder-Mead polish, spectator infidelity by a closed form of the factorized
+matrix exponential, the allocation loss by explicit loops over every
+resonance, gate and qubit pair, the routing lookahead by a scalar loop over
+the front and extended gates, the extended set by a walk over a full copy of
+the predecessor counts, circuits by dense Kronecker-product matrices,
+routed-circuit equivalence by loops over the computational basis of those
+matrices, and QASM angles by Python's own expression grammar.
 """
 from __future__ import annotations
 
@@ -52,6 +52,26 @@ def brute_force_fidelity_distance(cmap, weights, k_swap: int, src: int, dst: int
         cost = sum(k_swap * weights.of(a, b) for a, b in zip(path, path[1:]))
         best = min(best, cost)
     return best
+
+
+def relaxed_distances(cmap, weight) -> np.ndarray:
+    """All-pairs distances by Bellman-Ford relaxation to a fixpoint: each entry
+    is the least left-to-right sum of weight(u, v) along a path, as rounded in
+    float64, whatever order the arcs are relaxed in."""
+    n = cmap.num_physical
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    arcs = [(i, j) for i, j, _ in cmap.edges] + [(j, i) for i, j, _ in cmap.edges]
+    changed = True
+    while changed:
+        changed = False
+        for src in range(n):
+            for u, v in arcs:
+                cost = d[src, u] + weight(u, v)
+                if cost < d[src, v]:
+                    d[src, v] = cost
+                    changed = True
+    return d
 
 
 def random_connected_map(rng, max_nodes: int = 8):

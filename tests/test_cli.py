@@ -46,6 +46,22 @@ class TestAllocate:
         assert code == EXIT_FAILED
         assert (out / "separations.csv").read_text().splitlines()[1].endswith(",0")
 
+    @pytest.mark.parametrize("config, key", [
+        ({"constants": {"bogus": 1}}, "constants"),
+        ({"fit_params": {"coh_x0": 1}}, "fit_params"),
+        ({"bounds": {"qubit": 5}}, "bounds"),
+        ({"module_sizes": [2.7]}, "module_sizes"),
+        ({"k": True}, "k"),
+        ({"delta_q": "abc"}, "delta_q"),
+    ])
+    def test_bad_config_field_names_it_and_the_file(self, tmp_path, capsys, config, key):
+        with pytest.raises(SystemExit) as exc:
+            _allocate(tmp_path, config)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"bad '{key}' value" in err and "config.json" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["allocate", "--config", str(tmp_path / "absent.json")])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,13 +13,15 @@ from finesse.hardware import (
     blended_distances,
     build_distance_set,
     build_snail_fabric,
+    fabric_suite,
     fidelity_distances,
     hop_distances,
     load_calibration,
     load_topology,
     log_weights,
 )
-from oracles import brute_force_fidelity_distance, random_connected_map
+from finesse.weyl import BasisGate, swap_count
+from oracles import brute_force_fidelity_distance, random_connected_map, relaxed_distances
 
 
 def triangle(l01=0.01, l12=0.01, l02=0.05):
@@ -38,6 +41,15 @@ class TestCouplingMap:
     def test_rejects_disconnected(self):
         with pytest.raises(TopologyError):
             CouplingMap.from_pairs(4, [(0, 1), (2, 3)], [0.9, 0.9])
+
+    def test_pairs_may_be_a_generator(self):
+        cmap = CouplingMap.from_pairs(3, ((i, i + 1) for i in range(2)))
+        assert cmap.edges == ((0, 1, 1.0), (1, 2, 1.0))
+
+    @pytest.mark.parametrize("fidelities", [[0.9, 0.9], [0.9, 0.9, 0.9, 0.9]])
+    def test_one_fidelity_per_pair(self, fidelities):
+        with pytest.raises(TopologyError, match="3 pairs but"):
+            CouplingMap.from_pairs(3, [(0, 1), (1, 2), (0, 2)], fidelities)
 
     def test_rejects_bad_fidelity(self):
         with pytest.raises(TopologyError):
@@ -126,6 +138,22 @@ class TestFidelityDistances:
             i, j = rng.integers(0, n, size=2)
             expected = brute_force_fidelity_distance(cmap, w, 3, int(i), int(j))
             assert d[i][j] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_bits_equal_the_relaxed_fixpoint(self):
+        """Exact equality: every path sum is rounded in the same order, so the
+        order in which equal-cost paths are found cannot show."""
+        rng = np.random.default_rng(21)
+        maps = list(fabric_suite().values())
+        maps += [random_connected_map(rng, max_nodes=10) for _ in range(60)]
+        maps.append(CouplingMap.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))  # all weights zero
+        for cmap in maps:
+            hops = hop_distances(cmap)
+            assert hops.dtype == np.int64
+            assert np.array_equal(hops, relaxed_distances(cmap, lambda u, v: 1.0))
+            w = log_weights(cmap)
+            for k in (1, 3):
+                expected = relaxed_distances(cmap, lambda u, v: k * w.of(u, v))
+                assert fidelity_distances(cmap, w, k).tobytes() == expected.tobytes()
 
     def test_path_bound_property(self):
         rng = np.random.default_rng(12)
@@ -337,3 +365,29 @@ def test_distance_set_builder():
     ds = build_distance_set(triangle(), k_swap=3, beta=1.0)
     assert ds.d_blend[0][2] == pytest.approx(ds.d_hop[0][2] + ds.d_fid[0][2])
     assert np.array_equal(ds.d_blend.T, ds.d_blend)
+
+
+# sha256 of d_hop, d_fid and d_blend bytes for the Table-3 fabrics at the
+# siswap swap count and beta = 1: routes read these exact bits.
+DISTANCE_DIGESTS = {
+    "4q4e": ("422428608e04ff1d448cc0a4a7d98d466234ba86f8b2581bcd5b291bbc50e95b",
+             "c9c0cba37b7747443506494a3006a8d3856c852bf28af4ba8c51c1997c06ebce",
+             "5bbe04e675b24236b21de5f6e294266b4d83bff0622d507be7fc31f41b27f3cc"),
+    "4q5e": ("4faacfa2ae42a0f83d209ee39edc88b4df6dc298f8de388d382ebeb60f75e524",
+             "e94ccae868d75b9cdf3ec02ce465cabdd998018911f23f7047c4397d4ff80d47",
+             "835b3ed241356439cb77f4db6dabb08c43e9e6b856751b522873ba7fa9918d27"),
+    "4q6e": ("ff6e90b6d6691e9e15b1abe71c291ca03ee43329c1b60cd901efc43a52e75714",
+             "589a052150a521e1440fa44f0e11e46687f3ceb2d12f5739d7a540fe5eb8a116",
+             "a143561fd6277e50c2d955eb29e321898cc0c4a9584744111aabaa8ff7222091"),
+    "5q7e": ("eed43c44769b46be6fc9b7712d4988dc96d0590198f4ef75fce0b66fb2048a84",
+             "71ad6b16e54495e8ece53909efe5a9adc9d3ef54d8ff6ff1a81c9d9241ec6bda",
+             "3684e637a99a2fe79a50c904fb29716ec04ce6b69e7aa956bba2ff64e99955c4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_DIGESTS))
+def test_table3_distance_bytes_are_pinned(name):
+    ds = build_distance_set(fabric_suite()[name], swap_count(BasisGate.from_name("siswap")), 1.0)
+    assert ds.d_hop.dtype == np.int64
+    arrays = (ds.d_hop, ds.d_fid, ds.d_blend)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == DISTANCE_DIGESTS[name]

@@ -129,22 +129,28 @@ class TestExtendedSet:
         preds = dag.predecessor_counts()
         # execute a random prefix of a random topological order
         ready = [g.id for g in dag.gates if preds[g.id] == 0]
+        executed = set()
         for _ in range(int(rng.integers(0, len(dag.gates) + 1))):
             if not ready:
                 break
             gid = ready.pop(int(rng.integers(len(ready))))
+            executed.add(gid)
             for s in dag.successors(gid):
                 preds[s] -= 1
                 if preds[s] == 0:
                     ready.append(s)
         front = sorted((dag.gate(gid) for gid in ready), key=lambda g: g.id)
-        if rng.random() < 0.5:  # the router's front holds only 2q gates
+        full = rng.random() < 0.5
+        if not full:  # the router's front holds only 2q gates
             front = [g for g in front if g.is_two_qubit]
         size = int(rng.integers(0, 25))
         before = dict(preds)
         expected = reference_extended_set(dag, front, size, preds)
         assert extended_set_core(dag, front, size, preds) == expected
         assert preds == before
+        if full:  # the front alone then fixes the counts
+            assert extended_set(dag, front, size) == expected
+            assert front_layer(dag, executed) == [g for g in dag.gates if g.id in ready]
 
 
 def _random_dag(rng):

@@ -223,7 +223,8 @@ class TestLookaheadMemo:
                     config = RouterConfig(algorithm=algorithm, aggression=aggression,
                                           extended_size=size, num_seeds=2)
                     hits += _route_checking_lookahead(dag, cmap, config)
-        assert hits
+        # A circuit without 2q gates scores no lookahead, so it has none to reuse.
+        assert hits or not dag.two_qubit_rows
 
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, size=st.sampled_from((1, 3, 20)))
