@@ -7,6 +7,9 @@ are the reference's; the rest are ancillas.
 One evolution: ``_evolve`` runs both circuits on the same inputs over
 tracked slots (a wire joins as |0> when a gate first touches it; a plain
 swap only relabels) and lines the routed state up by claimed output wire.
+A 1q gate waits on its slot until the next 2q gate there folds it in, so a
+circuit costs one full-state pass per 2q gate other than a plain swap, plus
+one at the end for each slot whose last gates are 1q.
 Two rules compare the result, and both require every ancilla output to be
 |0> whatever gates touched it: ``statevector_equivalent`` (reference width
 <= 15) checks overlaps of Haar-random inputs, ``unitary_equivalent`` (width
@@ -18,6 +21,9 @@ output wire, so one in |0> that controls a cx fails it.
 """
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from . import gates
@@ -28,6 +34,8 @@ UNITARY_WIDTH_LIMIT = 8
 STATEVECTOR_WIDTH_LIMIT = 15
 DEFAULT_NUM_STATES = 8
 DEFAULT_TOL = 1e-8
+
+_I2 = np.eye(2, dtype=complex)
 
 
 class WidthError(ValueError):
@@ -44,8 +52,8 @@ def _wire_maps(perm, input_map, n_ref: int, n_routed: int) -> tuple[np.ndarray, 
 
     ``perm`` maps output wire -> virtual wire and must be a bijection.  A
     full-length ``input_map`` (virtual -> input wire) must be a bijection;
-    otherwise its first ``n_ref`` entries must be distinct wires (identity
-    when None) and the ancillas take the unused wires in ascending order.
+    otherwise it must give ``n_ref`` distinct wires (identity when None) and
+    the ancillas take the unused wires in ascending order.
     """
     if n_routed < n_ref:
         raise VerifierError("routed circuit narrower than the reference")
@@ -55,22 +63,32 @@ def _wire_maps(perm, input_map, n_ref: int, n_routed: int) -> tuple[np.ndarray, 
         raise VerifierError("output permutation must be a bijection on the wires")
     outputs = np.argsort(p)
     in_map = list(range(n_ref)) if input_map is None else list(input_map)
+    if len(in_map) not in (n_ref, n_routed):
+        expected = " or ".join(map(str, sorted({n_ref, n_routed})))
+        raise VerifierError(f"input map has {len(in_map)} entries; expected {expected}")
     if len(in_map) == n_routed:
         inputs = in_map
         if sorted(inputs) != wires:
             raise VerifierError("full-length input map must be a bijection on the wires")
     else:
-        data = in_map[:n_ref]
-        if len(data) != n_ref or len(set(data)) != n_ref or not all(0 <= w < n_routed for w in data):
+        if len(set(in_map)) != n_ref or not all(0 <= w < n_routed for w in in_map):
             raise VerifierError("input map must embed the reference wires injectively")
-        inputs = data + [w for w in wires if w not in data]
+        inputs = in_map + [w for w in wires if w not in in_map]
     return np.array(inputs, dtype=int), outputs
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2x2 matrices (a on the high bit), without its
+    general-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 class _TrackedState:
     """Batched statevector over tracked slots; swaps relabel, never copy.
 
     ``amplitudes`` is (2**k, batch) over big-endian wire order ``wires``.
+    ``pending`` holds, per slot, the product of the 1q gates not yet applied
+    there; keyed by slot, it moves with the data when wires are relabelled.
     """
 
     def __init__(self, amplitudes: np.ndarray, wires, limit: int):
@@ -79,6 +97,7 @@ class _TrackedState:
         self.slots = len(wires)
         self.wire_slot = {w: i for i, w in enumerate(wires)}
         self.limit = limit
+        self.pending: dict[int, np.ndarray] = {}
 
     def _slot_for(self, wire: int) -> int:
         if wire in self.wire_slot:
@@ -90,13 +109,11 @@ class _TrackedState:
         self.slots += 1
         return self.wire_slot[wire]
 
-    def apply_1q(self, mat: np.ndarray, wire: int):
-        s = self._slot_for(wire)
+    def apply_1q(self, mat: np.ndarray, s: int):
         out = np.tensordot(mat, self.state, axes=(1, s))
         self.state = np.moveaxis(out, 0, s)
 
-    def apply_2q(self, mat4: np.ndarray, w0: int, w1: int):
-        s0, s1 = self._slot_for(w0), self._slot_for(w1)
+    def apply_2q(self, mat4: np.ndarray, s0: int, s1: int):
         m = mat4.reshape(2, 2, 2, 2)
         out = np.tensordot(m, self.state, axes=([2, 3], [s0, s1]))
         self.state = np.moveaxis(out, [0, 1], [s0, s1])
@@ -118,14 +135,27 @@ class _TrackedState:
         if g.kind == "barrier":
             return
         if g.num_wires == 1:
-            self.apply_1q(gates.one_qubit_matrix(g), g.wires[0])
+            s = self._slot_for(g.wires[0])
+            m = gates.one_qubit_matrix(g)
+            self.pending[s] = m @ self.pending[s] if s in self.pending else m
             return
         if g.kind == "swap" and not g.mirrored:
             self.relabel_swap(g.wires[0], g.wires[1])
             return
-        self.apply_2q(gates.base_matrix(g), g.wires[0], g.wires[1])
+        s0, s1 = self._slot_for(g.wires[0]), self._slot_for(g.wires[1])
+        m = gates.base_matrix(g)
+        p0, p1 = self.pending.pop(s0, None), self.pending.pop(s1, None)
+        if p0 is not None or p1 is not None:
+            m = m @ _kron(_I2 if p0 is None else p0, _I2 if p1 is None else p1)
+        self.apply_2q(m, s0, s1)
         if g.mirrored:
             self.relabel_swap(g.wires[0], g.wires[1])
+
+    def flush(self):
+        """Apply every pending 1q product."""
+        for s, m in self.pending.items():
+            self.apply_1q(m, s)
+        self.pending.clear()
 
 
 def _evolve(ref: CircuitDag, routed: CircuitDag, amplitudes: np.ndarray,
@@ -143,6 +173,7 @@ def _evolve(ref: CircuitDag, routed: CircuitDag, amplitudes: np.ndarray,
         ts = _TrackedState(amplitudes, wires, limit)
         for g in dag.gates:
             ts.apply_gate(g)
+        ts.flush()
         runs.append(ts)
     ref_out, routed_out = runs
     # Align the reference tensor to wire order (its own swaps only relabel).
@@ -155,6 +186,16 @@ def _evolve(ref: CircuitDag, routed: CircuitDag, amplitudes: np.ndarray,
     rest = [s for s in range(routed_out.slots) if s not in data]
     routed_state = np.moveaxis(routed_out.state, data + rest, range(routed_out.slots))
     return ref_state.reshape(2**n_ref, -1), routed_state
+
+
+def _check_options(tol, num_states: int = 1, seed: int = 0) -> None:
+    """Refuse a tolerance, state count or seed that cannot give a verdict."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise VerifierError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not isinstance(num_states, numbers.Integral) or num_states < 1:
+        raise VerifierError(f"num_states must be an integer >= 1, got {num_states!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise VerifierError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _haar_states(n: int, num_states: int, seed) -> np.ndarray:
@@ -177,6 +218,7 @@ def statevector_equivalent(
     Equivalence holds when |<psi_ref| P |psi_routed>| = 1 within tol for
     every sampled state, which is insensitive to global phase.
     """
+    _check_options(tol, num_states, seed)
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
     if n_ref > STATEVECTOR_WIDTH_LIMIT:
         raise WidthError(f"reference width {n_ref} exceeds {STATEVECTOR_WIDTH_LIMIT}")
@@ -201,6 +243,7 @@ def unitary_equivalent(
     input_map=None,
 ) -> bool:
     """Entrywise P . U_routed = e^{i phi} U_ref on the embedded block."""
+    _check_options(tol)
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
     if max(n_ref, n_routed) > UNITARY_WIDTH_LIMIT:
         raise WidthError(f"width exceeds {UNITARY_WIDTH_LIMIT} for direct unitary comparison")

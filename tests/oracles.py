@@ -324,6 +324,10 @@ def reference_allocation_loss(omega_q, omega_s, gates, fit, k, delta_q, weight=1
 _ONE_QUBIT = {
     "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
     "x": np.array([[0, 1], [1, 0]]),
+    "s": np.diag([1, 1j]),
+    "sdg": np.diag([1, -1j]),
+    "t": np.diag([1, np.exp(0.25j * pi)]),
+    "tdg": np.diag([1, np.exp(-0.25j * pi)]),
 }
 _TWO_QUBIT = {  # in the (wires[0], wires[1]) basis, wires[0] the high bit
     "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
@@ -331,12 +335,23 @@ _TWO_QUBIT = {  # in the (wires[0], wires[1]) basis, wires[0] the high bit
 }
 
 
+def _rz(theta: float) -> np.ndarray:
+    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+
+
+def _ry(theta: float) -> np.ndarray:
+    c, s = cos(theta / 2), sin(theta / 2)
+    return np.array([[c, -s], [s, c]])
+
+
 def _one_qubit(g) -> np.ndarray:
     if g.kind == "rz":
-        return np.diag([np.exp(-0.5j * g.params[0]), np.exp(0.5j * g.params[0])])
+        return _rz(g.params[0])
     if g.kind == "ry":
-        c, s = cos(g.params[0] / 2), sin(g.params[0] / 2)
-        return np.array([[c, -s], [s, c]])
+        return _ry(g.params[0])
+    if g.kind == "u":  # Euler form, equal to u up to a global phase
+        theta, phi, lam = g.params
+        return _rz(phi) @ _ry(theta) @ _rz(lam)
     return _ONE_QUBIT[g.kind]
 
 
@@ -356,7 +371,8 @@ def _unit(i: int, j: int) -> np.ndarray:
 
 
 def dense_unitary(dag) -> np.ndarray:
-    """2^n x 2^n matrix of a circuit of h, x, rz, ry, cx and swap gates.
+    """2^n x 2^n matrix of a circuit of h, x, s, sdg, t, tdg, rz, ry, u, cx
+    and swap gates and barriers, up to one global phase.
 
     Basis indices are big-endian over wires: wire 0 is the most significant
     bit.  A 2q gate is expanded as sum m[ik, jl] |i><j|_a (x) |k><l|_b; a
@@ -365,6 +381,8 @@ def dense_unitary(dag) -> np.ndarray:
     n = dag.num_qubits
     u = np.eye(2**n, dtype=complex)
     for g in dag.gates:
+        if g.kind == "barrier":
+            continue
         if len(g.wires) == 1:
             full = _on_wires(n, {g.wires[0]: _one_qubit(g)})
         else:

@@ -129,6 +129,24 @@ class TestTranspileAndVerify:
         verdict = json.loads(capsys.readouterr().out)
         assert "output permutation" in verdict["error"] and "equivalent" not in verdict
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_verify_refuses_a_bad_tolerance(self, tmp_path, capsys, tol):
+        circuit = tmp_path / "small.qasm"
+        circuit.write_text(SMALL_QASM)
+        code = main(["verify", str(circuit), str(circuit), f"--tol={tol}"])
+        assert code == EXIT_FAILED
+        verdict = json.loads(capsys.readouterr().out)
+        assert "tol" in verdict["error"] and "equivalent" not in verdict
+
+    def test_verify_refuses_an_input_map_of_the_wrong_length(self, tmp_path, capsys):
+        circuit = tmp_path / "pair.qasm"
+        circuit.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[1];\n')
+        code = main(["verify", str(circuit), str(circuit), "--input-map", "0,1,5",
+                     "--method", "statevector"])
+        assert code == EXIT_FAILED
+        verdict = json.loads(capsys.readouterr().out)
+        assert "input map has 3 entries" in verdict["error"] and "equivalent" not in verdict
+
     def test_verify_accepts_the_routed_pair(self, tmp_path, capsys):
         _, circuit, routed, payload = _transpile(tmp_path)
         capsys.readouterr()

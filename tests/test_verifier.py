@@ -1,7 +1,9 @@
 """Verifier: every method against the dense-matrix oracle in `oracles.py`, on
 circuits routed by hand with plain swaps, swaps computed as three cx and
-mirrored gates; five mutations each method must reject; Clifford's stricter
-ancilla contract; and the routers' release valve."""
+mirrored gates, and with 1q gates placed where folding them into 2q gates
+could go wrong; one state pass per 2q gate; five mutations each method must
+reject; Clifford's stricter ancilla contract; refused options and wire maps;
+and the routers' release valve."""
 from dataclasses import dataclass
 from math import pi
 from unittest.mock import patch
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finesse import router
+from finesse import router, workloads
 from finesse.hardware import CouplingMap
 from finesse.ir import CircuitDag, Gate, build_dag
 from finesse.qasm import parse_qasm
@@ -18,6 +20,7 @@ from finesse.router import ALGORITHMS, RouterConfig, run_trials
 from finesse.stabilizer import CliffordTableau, NonCliffordError
 from finesse.verifier import (
     VerifierError,
+    _TrackedState,
     clifford_equivalent,
     statevector_equivalent,
     unitary_equivalent,
@@ -103,7 +106,7 @@ def _route_by_hand(rng, ref: CircuitDag, width: int) -> Routed:
                     emit("cx", wires)
             exchange(a, b)
         wires = [on_wire.index(v) for v in g.wires]
-        mirrored = len(wires) == 2 and rng.random() < 0.3
+        mirrored = g.is_two_qubit and rng.random() < 0.3
         ref_gates.append(len(gates))
         emit(g.kind, wires, g.params, mirrored)
         if mirrored:
@@ -147,6 +150,96 @@ def test_methods_agree_with_the_oracle(seed):
         # Ancillas here are moved only by swaps, so the tableau holds exactly
         # when, besides, every ancilla is claimed on the wire it went to.
         assert verdicts["clifford"] == (expected and perm == case.perm)
+
+
+# --- 1q gates folded into 2q gates ----------------------------------------
+
+FOLDED_1Q = ("h", "x", "s", "t", "u", "rz", "ry")
+INVERSE = {"s": "sdg", "t": "tdg", "u": "u"}
+
+
+def _one_qubit_op(rng, kinds, wire: int) -> tuple:
+    kind = str(rng.choice(kinds))
+    count = {"u": 3, "rz": 1, "ry": 1}.get(kind, 0)
+    return kind, (wire,), tuple(float(x) for x in rng.uniform(0, 2 * pi, count))
+
+
+def _bracketed_reference(rng, n: int, depth: int) -> CircuitDag:
+    """cx/swap gates with 1q gates right before and after them on their
+    wires, 1q gates alone, and barriers on one or two wires."""
+    ops = []
+    for _ in range(depth):
+        r = rng.random()
+        if n > 1 and r < 0.5:
+            a, b = rng.choice(n, 2, replace=False).tolist()
+            ops += [_one_qubit_op(rng, FOLDED_1Q, w) for w in (a, b) if rng.random() < 0.6]
+            ops.append(("cx" if rng.random() < 0.8 else "swap", (a, b)))
+            ops += [_one_qubit_op(rng, FOLDED_1Q, w) for w in (a, b) if rng.random() < 0.6]
+        elif r < 0.85:
+            ops.append(_one_qubit_op(rng, FOLDED_1Q, int(rng.integers(n))))
+        else:
+            wires = rng.choice(n, min(n, int(rng.integers(1, 3))), replace=False).tolist()
+            ops.append(("barrier", tuple(wires)))
+    return build_dag(n, ops)
+
+
+def _flank_swaps(rng, case: Routed) -> list:
+    """Around some plain swaps, a 1q gate on one wire before and its inverse
+    on the wire its data went to after (on the wrong wire one time in five);
+    then trailing s/t/rz/u gates on some ancilla wires."""
+    out = []
+    for i, g in enumerate(case.gates):
+        flank = i in case.swaps and rng.random() < 0.7
+        if flank:
+            kind, _, params = _one_qubit_op(rng, tuple(INVERSE), g.wires[0])
+            out.append(Gate(id=0, kind=kind, wires=g.wires[:1], params=params))
+        out.append(g)
+        if flank:
+            after = g.wires[1] if rng.random() < 0.8 else g.wires[0]
+            inverse = (-params[0], -params[2], -params[1]) if kind == "u" else ()
+            out.append(Gate(id=0, kind=INVERSE[kind], wires=(after,), params=inverse))
+    for w, v in enumerate(case.perm):
+        if v >= case.ref.num_qubits and rng.random() < 0.5:
+            for _ in range(int(rng.integers(1, 3))):
+                kind, _, params = _one_qubit_op(rng, ("s", "t", "rz", "u"), w)
+                out.append(Gate(id=0, kind=kind, wires=(w,), params=params))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=SEEDS)
+def test_folded_one_qubit_gates_agree_with_the_oracle(seed):
+    """1q gates next to plain swaps, mirrored gates and barriers, and last on
+    ancilla wires, whichever verdict the oracle gives."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    ref = _bracketed_reference(rng, n, int(rng.integers(1, 12)))
+    case = _route_by_hand(rng, ref, int(rng.integers(n, 7)))
+    routed = _circuit(case.width, _flank_swaps(rng, case))
+    perm = case.perm if rng.random() < 0.8 else rng.permutation(case.width).tolist()
+    input_map = case.input_map if rng.random() < 0.5 else case.input_map[:n]
+    expected = reference_equivalent(ref, routed, perm, input_map)
+    assert statevector_equivalent(ref, routed, perm, input_map=input_map) == expected
+    assert unitary_equivalent(ref, routed, perm, input_map=input_map) == expected
+
+
+@pytest.mark.parametrize("name, passes", [("adder_15", 112), ("bv_13", 7 + 12)])
+def test_one_state_pass_per_two_qubit_gate(name, passes):
+    """adder_15 ends every wire on a cx; bv_13 has 7 cx and 12 wires ending
+    on h, so 12 pending products are applied at the end."""
+    dag = workloads.SUITE[name]()
+    calls = []
+
+    def counted(kernel):
+        def run(self, *args):
+            calls.append(kernel.__name__)
+            return kernel(self, *args)
+        return run
+
+    with patch.object(_TrackedState, "apply_1q", counted(_TrackedState.apply_1q)), \
+            patch.object(_TrackedState, "apply_2q", counted(_TrackedState.apply_2q)):
+        assert statevector_equivalent(dag, dag, range(dag.num_qubits))
+    assert len(calls) == 2 * passes  # once for each side
 
 
 # --- mutations ----------------------------------------------------------------
@@ -300,6 +393,27 @@ def test_wire_map_errors(method):
         method(ref, routed, [0, 1, 2], input_map=[2, 2])
     with pytest.raises(VerifierError, match="narrower"):
         method(routed, ref, [0, 1])
+
+
+@pytest.mark.parametrize("method", [statevector_equivalent, unitary_equivalent,
+                                    clifford_equivalent])
+def test_input_map_of_the_wrong_length(method):
+    ref, routed = _qasm(2, "cx q[0],q[1];"), _qasm(3, "cx q[0],q[1];")
+    for input_map in ([0], [0, 1, 2, 1], [0, 1, 2, 5]):
+        with pytest.raises(VerifierError, match=f"input map has {len(input_map)} entries"):
+            method(ref, routed, [0, 1, 2], input_map=input_map)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("tol", float("nan")), ("tol", -1.0), ("num_states", 0), ("num_states", -1), ("seed", -1),
+])
+def test_bad_options_are_refused(option, value):
+    ref = _qasm(2, "cx q[0],q[1];")
+    with pytest.raises(VerifierError, match=f"{option} must be .*got {value}"):
+        statevector_equivalent(ref, ref, [0, 1], **{option: value})
+    if option == "tol":
+        with pytest.raises(VerifierError, match="tol must be"):
+            unitary_equivalent(ref, ref, [0, 1], tol=value)
 
 
 def test_non_clifford_gate_is_refused():
