@@ -26,7 +26,7 @@ from .ir import circuit_depth
 from .qasm import parse_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, lf_cost, transpile
 from .verifier import clifford_equivalent, statevector_equivalent, unitary_equivalent
-from .weyl import BasisGate
+from .weyl import BasisGate, swap_count
 from .workloads import write_suite
 
 EXIT_OK = 0
@@ -194,20 +194,24 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # Resolve every option before writing anything, so that a bad one leaves
+    # no files behind; swap_count refuses a basis that cannot route a SWAP.
+    basis = BasisGate.from_name(args.basis)
+    swap_count(basis)
+    algorithms = tuple(args.algorithms.split(","))
+    for algo in algorithms:
+        if algo not in ALGORITHMS:
+            raise UsageError(f"unknown algorithm {algo!r}")
+    if args.topologies == "all":
+        topologies = fabric_suite()
+    else:
+        topologies = {name: _resolve_topology(name) for name in args.topologies.split(",")}
     workdir = Path(args.workloads)
     if not workdir.exists() or not any(workdir.glob("*.qasm")):
         workdir.mkdir(parents=True, exist_ok=True)
         write_suite(workdir)
         print(f"generated builtin workload suite in {workdir}")
     workloads = bench_mod.load_workloads(workdir)
-    if args.topologies == "all":
-        topologies = fabric_suite()
-    else:
-        topologies = {name: _resolve_topology(name) for name in args.topologies.split(",")}
-    algorithms = tuple(args.algorithms.split(","))
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise UsageError(f"unknown algorithm {algo!r}")
     post_modes = ("native", "fidelity") if args.post_selection == "both" else (args.post_selection,)
     try:
         rows, records = bench_mod.run_bench(
@@ -217,7 +221,7 @@ def cmd_bench(args) -> int:
             post_modes=post_modes,
             num_seeds=args.seeds,
             seed=args.seed,
-            basis=BasisGate.from_name(args.basis),
+            basis=basis,
             beta=args.beta,
         )
     except bench_mod.BenchError as exc:

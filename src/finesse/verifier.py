@@ -15,6 +15,16 @@ Two rules compare the result, and both require every ancilla output to be
 <= 15) checks overlaps of Haar-random inputs, ``unitary_equivalent`` (width
 <= 8) the computational basis entrywise up to one global phase.
 
+One reference evolution per DAG: the evolved reference depends only on the
+reference, the seed and the number of states, never on the route, so
+``statevector_equivalent`` keeps it in a memo keyed weakly by the reference
+``CircuitDag``.  Each DAG holds one ``((seed, num_states), block)`` entry; a
+call with another seed or state count replaces it, and the entry is freed
+with the DAG.  A first call still evolves both circuits, so a caller that
+checks one route per reference (``finesse transpile``, ``finesse verify``)
+gains nothing; ``finesse bench`` checks every selected trial against one
+evolution.  ``unitary_equivalent`` evolves its identity block every time.
+
 ``clifford_equivalent`` compares tableaux exactly at any width, with a
 stricter ancilla contract: an ancilla must map its X and Z onto its own
 output wire, so one in |0> that controls a cx fails it.
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 
 import numpy as np
 
@@ -36,6 +47,9 @@ DEFAULT_NUM_STATES = 8
 DEFAULT_TOL = 1e-8
 
 _I2 = np.eye(2, dtype=complex)
+
+# Reference DAG -> ((seed, num_states), its read-only evolved block).
+_REFERENCE_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class WidthError(ValueError):
@@ -158,34 +172,35 @@ class _TrackedState:
         self.pending.clear()
 
 
-def _evolve(ref: CircuitDag, routed: CircuitDag, amplitudes: np.ndarray,
-            inputs: np.ndarray, outputs: np.ndarray, limit: int):
-    """Run both circuits on ``amplitudes`` ((2**n_ref, batch), entering the
-    routed circuit on ``inputs[:n_ref]``).
+def _evolve(dag: CircuitDag, amplitudes: np.ndarray, wires, limit: int) -> _TrackedState:
+    """Run ``dag`` on ``amplitudes`` ((2**len(wires), batch), entering on ``wires``)."""
+    ts = _TrackedState(amplitudes, wires, limit)
+    for g in dag.gates:
+        ts.apply_gate(g)
+    ts.flush()
+    return ts
 
-    Returns the reference block (2**n_ref, batch) in wire order and the
-    routed tensor: the slots on wires ``outputs[:n_ref]``, every other slot,
-    then the batch axis.  None when a claimed data output is untracked.
-    """
+
+def _reference_block(ref: CircuitDag, amplitudes: np.ndarray, limit: int) -> np.ndarray:
+    """The reference run on ``amplitudes``, as a (2**n_ref, batch) block in
+    wire order (its own swaps only relabel)."""
     n_ref = ref.num_qubits
-    runs = []
-    for dag, wires in ((ref, range(n_ref)), (routed, inputs[:n_ref].tolist())):
-        ts = _TrackedState(amplitudes, wires, limit)
-        for g in dag.gates:
-            ts.apply_gate(g)
-        ts.flush()
-        runs.append(ts)
-    ref_out, routed_out = runs
-    # Align the reference tensor to wire order (its own swaps only relabel).
-    ref_state = np.moveaxis(
-        ref_out.state, [ref_out.wire_slot[w] for w in range(n_ref)], range(n_ref)
-    )
-    data = [routed_out.wire_slot.get(int(w)) for w in outputs[:n_ref]]
+    ts = _evolve(ref, amplitudes, range(n_ref), limit)
+    state = np.moveaxis(ts.state, [ts.wire_slot[w] for w in range(n_ref)], range(n_ref))
+    return state.reshape(2**n_ref, -1)
+
+
+def _routed_tensor(routed: CircuitDag, amplitudes: np.ndarray, inputs: np.ndarray,
+                   outputs: np.ndarray, n_ref: int, limit: int):
+    """The routed circuit run on ``amplitudes`` entering on ``inputs[:n_ref]``:
+    the slots on wires ``outputs[:n_ref]``, every other slot, then the batch
+    axis.  None when a claimed data output is untracked."""
+    ts = _evolve(routed, amplitudes, inputs[:n_ref].tolist(), limit)
+    data = [ts.wire_slot.get(int(w)) for w in outputs[:n_ref]]
     if None in data:
         return None
-    rest = [s for s in range(routed_out.slots) if s not in data]
-    routed_state = np.moveaxis(routed_out.state, data + rest, range(routed_out.slots))
-    return ref_state.reshape(2**n_ref, -1), routed_state
+    rest = [s for s in range(ts.slots) if s not in data]
+    return np.moveaxis(ts.state, data + rest, range(ts.slots))
 
 
 def _check_options(tol, num_states: int = 1, seed: int = 0) -> None:
@@ -204,6 +219,18 @@ def _haar_states(n: int, num_states: int, seed) -> np.ndarray:
     return z / np.linalg.norm(z, axis=0, keepdims=True)
 
 
+def _memoised_reference(ref: CircuitDag, psi: np.ndarray, key: tuple) -> np.ndarray:
+    """``ref``'s block on ``psi``, evolved once per ``key`` = (seed,
+    num_states), the only inputs that ``psi`` depends on."""
+    entry = _REFERENCE_BLOCKS.get(ref)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    block = _reference_block(ref, psi, STATEVECTOR_WIDTH_LIMIT)
+    block.flags.writeable = False
+    _REFERENCE_BLOCKS[ref] = (key, block)
+    return block
+
+
 def statevector_equivalent(
     ref: CircuitDag,
     routed: CircuitDag,
@@ -217,6 +244,12 @@ def statevector_equivalent(
 
     Equivalence holds when |<psi_ref| P |psi_routed>| = 1 within tol for
     every sampled state, which is insensitive to global phase.
+
+    The evolved reference is memoised on ``ref`` under (seed, num_states):
+    one entry per DAG, replaced when either changes and freed with the DAG.
+    A first call pays for both evolutions, a repeat only for the routed one.
+    The memo relies on ``CircuitDag`` being immutable: writing into a gate's
+    ``matrix`` after a check leaves a stale reference.
     """
     _check_options(tol, num_states, seed)
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
@@ -224,10 +257,10 @@ def statevector_equivalent(
         raise WidthError(f"reference width {n_ref} exceeds {STATEVECTOR_WIDTH_LIMIT}")
     inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
     psi = _haar_states(n_ref, num_states, seed)
-    evolved = _evolve(ref, routed, psi, inputs, outputs, STATEVECTOR_WIDTH_LIMIT)
-    if evolved is None:
+    a = _memoised_reference(ref, psi, (seed, num_states))
+    routed_state = _routed_tensor(routed, psi, inputs, outputs, n_ref, STATEVECTOR_WIDTH_LIMIT)
+    if routed_state is None:
         return False
-    a, routed_state = evolved
     # Ancilla outputs projected on |0>: a view, then only the data block copied.
     ancillas_at_zero = (slice(None),) * n_ref + (0,) * (routed_state.ndim - 1 - n_ref)
     b = routed_state[ancillas_at_zero].reshape(-1, num_states)
@@ -249,10 +282,10 @@ def unitary_equivalent(
         raise WidthError(f"width exceeds {UNITARY_WIDTH_LIMIT} for direct unitary comparison")
     inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
     basis = np.eye(2**n_ref, dtype=complex)
-    evolved = _evolve(ref, routed, basis, inputs, outputs, UNITARY_WIDTH_LIMIT)
-    if evolved is None:
+    u_ref = _reference_block(ref, basis, UNITARY_WIDTH_LIMIT)
+    routed_state = _routed_tensor(routed, basis, inputs, outputs, n_ref, UNITARY_WIDTH_LIMIT)
+    if routed_state is None:
         return False
-    u_ref, routed_state = evolved
     t = routed_state.reshape(2**n_ref, -1, 2**n_ref)  # (data out, ancilla out, data in)
     a = t[:, 0, :]
     residual = float(np.max(np.abs(t[:, 1:, :]), initial=0.0))  # any ancilla at 1

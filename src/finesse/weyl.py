@@ -8,6 +8,7 @@ the supercontrolled bases (cx, ecr, iswap) and for every iswap root.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import pi
@@ -40,6 +41,10 @@ class NonUnitaryError(ValueError):
 
 class UnreachableError(ValueError):
     """Target needs more than three applications of the basis gate."""
+
+
+class BasisError(ValueError):
+    """A basis gate name, kind or order that names no supported basis."""
 
 
 def _require_unitary(u: np.ndarray, tol: float = _UNITARY_TOL):
@@ -118,9 +123,9 @@ class BasisGate:
 
     def __post_init__(self):
         if self.kind not in ("cx", "ecr", "iswap", "root_iswap"):
-            raise ValueError(f"unsupported basis kind {self.kind!r}")
-        if self.kind == "root_iswap" and self.n < 1:
-            raise ValueError("root_iswap order must be >= 1")
+            raise BasisError(f"unsupported basis kind {self.kind!r}")
+        if self.kind == "root_iswap" and (not isinstance(self.n, numbers.Integral) or self.n < 1):
+            raise BasisError(f"root_iswap order must be an integer >= 1, got {self.n!r}")
 
     @classmethod
     def root_iswap(cls, n: int) -> "BasisGate":
@@ -133,9 +138,10 @@ class BasisGate:
             return cls(name)
         if name in ("siswap", "sqiswap", "sqrt_iswap"):
             return cls("root_iswap", 2)
-        if name.startswith("root_iswap"):
-            return cls.root_iswap(int(name.rsplit("_", 1)[-1]))
-        raise ValueError(f"unknown basis gate {name!r}")
+        prefix, _, order = name.rpartition("_")
+        if prefix == "root_iswap" and order.isascii() and order.isdigit():
+            return cls.root_iswap(int(order))
+        raise BasisError(f"unknown basis gate {name!r}")
 
     @property
     def name(self) -> str:

@@ -172,6 +172,23 @@ def test_bench_writes_results(tmp_path):
     assert len(lines) == 2 + 2 * 2  # two algorithms x two post-selection modes
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--basis", "bogus", "unknown basis gate 'bogus'"),
+    ("--basis", "root_iswap_3", "unreachable in <=3 uses of root_iswap_3"),
+    ("--algorithms", "sabre,bogus", "unknown algorithm 'bogus'"),
+    ("--topologies", "4q4e,nope", "unknown topology 'nope'"),
+])
+def test_bench_refuses_a_bad_option_before_writing(tmp_path, capsys, option, value, message):
+    workloads, out = tmp_path / "workloads", tmp_path / "bench"
+    try:
+        code = main(["bench", "--workloads", str(workloads), "--out", str(out), option, value])
+    except SystemExit as exc:  # parser.error
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not workloads.exists() and not out.exists()
+
+
 def test_python_dash_m_entry_point():
     src = Path(finesse.__file__).resolve().parents[1]
     proc = subprocess.run(

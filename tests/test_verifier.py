@@ -1,9 +1,13 @@
 """Verifier: every method against the dense-matrix oracle in `oracles.py`, on
 circuits routed by hand with plain swaps, swaps computed as three cx and
 mirrored gates, and with 1q gates placed where folding them into 2q gates
-could go wrong; one state pass per 2q gate; five mutations each method must
-reject; Clifford's stricter ancilla contract; refused options and wire maps;
-and the routers' release valve."""
+could go wrong; one state pass per 2q gate; one reference evolution per
+DAG, seed and state count; five mutations each method must reject, on a warm
+reference memo; Clifford's stricter ancilla contract; refused options and
+wire maps; and the routers' release valve."""
+import gc
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import pi
 from unittest.mock import patch
@@ -12,13 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finesse import router, workloads
+from finesse import router, verifier, workloads
 from finesse.hardware import CouplingMap
 from finesse.ir import CircuitDag, Gate, build_dag
 from finesse.qasm import parse_qasm
 from finesse.router import ALGORITHMS, RouterConfig, run_trials
 from finesse.stabilizer import CliffordTableau, NonCliffordError
 from finesse.verifier import (
+    DEFAULT_NUM_STATES,
+    UNITARY_WIDTH_LIMIT,
     VerifierError,
     _TrackedState,
     clifford_equivalent,
@@ -146,6 +152,8 @@ def test_methods_agree_with_the_oracle(seed):
     verdicts = _verdicts(case.ref, routed, perm, input_map, clifford)
     assert verdicts["statevector"] == expected
     assert verdicts["unitary"] == expected
+    # Again, on the reference evolved by the first call.
+    assert statevector_equivalent(case.ref, routed, perm, input_map=input_map) == expected
     if clifford:
         # Ancillas here are moved only by swaps, so the tableau holds exactly
         # when, besides, every ancilla is claimed on the wire it went to.
@@ -223,11 +231,9 @@ def test_folded_one_qubit_gates_agree_with_the_oracle(seed):
     assert unitary_equivalent(ref, routed, perm, input_map=input_map) == expected
 
 
-@pytest.mark.parametrize("name, passes", [("adder_15", 112), ("bv_13", 7 + 12)])
-def test_one_state_pass_per_two_qubit_gate(name, passes):
-    """adder_15 ends every wire on a cx; bv_13 has 7 cx and 12 wires ending
-    on h, so 12 pending products are applied at the end."""
-    dag = workloads.SUITE[name]()
+@contextmanager
+def _state_passes():
+    """The names of the state-pass kernels run inside the block, in order."""
     calls = []
 
     def counted(kernel):
@@ -238,8 +244,92 @@ def test_one_state_pass_per_two_qubit_gate(name, passes):
 
     with patch.object(_TrackedState, "apply_1q", counted(_TrackedState.apply_1q)), \
             patch.object(_TrackedState, "apply_2q", counted(_TrackedState.apply_2q)):
-        assert statevector_equivalent(dag, dag, range(dag.num_qubits))
-    assert len(calls) == 2 * passes  # once for each side
+        yield calls
+
+
+@contextmanager
+def _reference_evolutions():
+    """The width limit of every reference evolution inside the block: 15 for
+    statevector checks, UNITARY_WIDTH_LIMIT for unitary ones."""
+    with patch.object(verifier, "_reference_block", wraps=verifier._reference_block) as spy:
+        limits = []
+        yield limits
+        limits.extend(call.args[2] for call in spy.call_args_list)
+
+
+@pytest.mark.parametrize("name, passes", [("adder_15", 112), ("bv_13", 7 + 12)])
+def test_one_state_pass_per_two_qubit_gate(name, passes):
+    """adder_15 ends every wire on a cx; bv_13 has 7 cx and 12 wires ending
+    on h, so 12 pending products are applied at the end.  A first check
+    evolves both sides; a repeat with the same seed and state count reads
+    the memoised reference, read-only, and evolves only the routed side."""
+    dag = workloads.SUITE[name]()
+    for expected in (2 * passes, passes):
+        with _state_passes() as calls:
+            assert statevector_equivalent(dag, dag, range(dag.num_qubits))
+        assert len(calls) == expected
+    with pytest.raises(ValueError, match="read-only"):
+        verifier._REFERENCE_BLOCKS[dag][1][0, 0] = 0
+
+
+# --- one reference evolution per DAG ------------------------------------------
+
+
+def _checked(ref, routed, perm, input_map, **options) -> tuple[bool, int]:
+    """(verdict, state passes) of one statevector check."""
+    with _state_passes() as calls:
+        verdict = statevector_equivalent(ref, routed, perm, input_map=input_map, **options)
+    return verdict, len(calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS)
+def test_a_new_seed_or_state_count_replaces_the_entry(seed):
+    """Each check on one reference DAG gives the verdict of a check on a fresh
+    copy of it; a new (seed, num_states) costs the fresh copy's passes and
+    replaces the DAG's one entry, a repeat skips the reference's passes."""
+    rng = np.random.default_rng(seed)
+    case = _random_case(rng, clifford=False)
+    ref, routed = case.ref, case.circuit
+    perm = case.perm if rng.random() < 0.6 else rng.permutation(case.width).tolist()
+    identity = range(ref.num_qubits)
+    copy = _circuit(ref.num_qubits, ref.gates)
+    ref_passes = _checked(copy, copy, identity, None)[1] // 2
+    previous = None
+    for options in ({"seed": 0}, {"seed": 1}, {"seed": 1, "num_states": 3},
+                    {"seed": 1, "num_states": 3}, {"seed": 0}, {"seed": 0}):
+        key = (options["seed"], options.get("num_states", DEFAULT_NUM_STATES))
+        fresh = _checked(_circuit(ref.num_qubits, ref.gates), routed, perm, case.input_map,
+                         **options)
+        verdict, passes = _checked(ref, routed, perm, case.input_map, **options)
+        assert verdict == fresh[0]
+        assert passes == fresh[1] - (ref_passes if key == previous else 0)
+        entry = verifier._REFERENCE_BLOCKS[ref]
+        assert entry[0] == key
+        if key == previous:
+            assert entry is kept
+        kept, previous = entry, key
+
+
+def test_unitary_neither_reads_nor_writes_the_memo():
+    ref = _qasm(2, "h q[0]; cx q[0],q[1];")  # one pass per side: h folds into cx
+    assert unitary_equivalent(ref, ref, [0, 1])
+    assert ref not in verifier._REFERENCE_BLOCKS
+    assert statevector_equivalent(ref, ref, [0, 1])
+    entry = verifier._REFERENCE_BLOCKS[ref]
+    with _state_passes() as calls:
+        assert unitary_equivalent(ref, ref, [0, 1])
+    assert len(calls) == 2
+    assert verifier._REFERENCE_BLOCKS[ref] is entry
+
+
+def test_the_memo_dies_with_its_dag():
+    ref = _qasm(2, "h q[0]; cx q[0],q[1];")
+    assert statevector_equivalent(ref, ref, [0, 1])
+    dag, block = weakref.ref(ref), weakref.ref(verifier._REFERENCE_BLOCKS[ref][1])
+    del ref
+    gc.collect()
+    assert dag() is None and block() is None
 
 
 # --- mutations ----------------------------------------------------------------
@@ -332,7 +422,11 @@ def test_every_method_rejects_the_mutation(name, seed):
     gates, perm = mutate(case, int(rng.choice(sites(case))))
     routed = _circuit(case.width, gates)
     assert not reference_equivalent(case.ref, routed, perm, case.input_map)
-    assert not any(_verdicts(case.ref, routed, perm, case.input_map, clifford).values())
+    with _reference_evolutions() as limits:
+        assert not any(_verdicts(case.ref, routed, perm, case.input_map, clifford).values())
+    # Only the unitary check evolved the reference again: the statevector
+    # check read the one evolved for the unmutated route.
+    assert limits == [UNITARY_WIDTH_LIMIT]
 
 
 # --- pinned cases -------------------------------------------------------------

@@ -9,6 +9,7 @@ from finesse.hardware import CouplingMap
 from finesse.ir import CircuitDag, Gate
 from finesse.router import RouterConfig, run_trials
 from finesse.weyl import (
+    BasisError,
     BasisGate,
     NonUnitaryError,
     UnreachableError,
@@ -117,6 +118,38 @@ class TestGateUnitary:
         assert weyl_coordinates(gates.ECR) == pytest.approx(
             weyl_coordinates(gates.CX), abs=1e-10
         )
+
+
+class TestBasisNames:
+    @pytest.mark.parametrize("name, expected", [
+        ("cx", BasisGate("cx")), (" ECR ", BasisGate("ecr")), ("sqrt_iswap", SQISWAP),
+        ("root_iswap_1", ISWAP_B), ("root_iswap_3", BasisGate("root_iswap", 3)),
+    ])
+    def test_names(self, name, expected):
+        assert BasisGate.from_name(name) == expected
+
+    @pytest.mark.parametrize("name, message", [
+        ("bogus", "unknown basis gate 'bogus'"),
+        ("root_iswap", "unknown basis gate 'root_iswap'"),
+        ("root_iswap_x", "unknown basis gate 'root_iswap_x'"),
+        ("root_iswap_-2", "unknown basis gate 'root_iswap_-2'"),
+        ("root_iswap_0", "root_iswap order must be an integer >= 1, got 0"),
+    ])
+    def test_bad_name_is_a_basis_error(self, name, message):
+        with pytest.raises(BasisError) as err:
+            BasisGate.from_name(name)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind, n, message", [
+        ("bogus", 1, "unsupported basis kind 'bogus'"),
+        ("root_iswap", 0, "root_iswap order must be an integer >= 1, got 0"),
+        ("root_iswap", 2.5, "root_iswap order must be an integer >= 1, got 2.5"),
+    ])
+    def test_bad_kind_or_order_is_a_basis_error(self, kind, n, message):
+        with pytest.raises(BasisError) as err:
+            BasisGate(kind, n)
+        assert str(err.value) == message
+        assert isinstance(err.value, ValueError)
 
 
 class TestBasisCounts:
