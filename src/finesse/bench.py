@@ -10,10 +10,10 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .hardware import CouplingMap, build_distance_set, fabric_suite
+from .hardware import CouplingMap, build_distance_set
 from .ir import CircuitDag, CLIFFORD_KINDS
 from .qasm import parse_qasm
-from .router import ALGORITHMS, RouterConfig, RoutingResult, run_trials, select_trial
+from .router import RouterConfig, RoutingResult, run_trials, select_trial
 from .verifier import clifford_equivalent, statevector_equivalent
 from .weyl import BasisGate, swap_count
 
@@ -77,12 +77,11 @@ def _is_clifford(dag: CircuitDag) -> bool:
     return all(g.kind in CLIFFORD_KINDS or g.kind == "barrier" for g in dag.gates)
 
 
-def verify_result(dag: CircuitDag, result: RoutingResult, tol: float = 1e-8, seed: int = 0) -> None:
+def verify_result(dag: CircuitDag, result: RoutingResult, seed: int = 0) -> None:
     ok = statevector_equivalent(
         dag,
         result.circuit,
         result.output_permutation,
-        tol=tol,
         seed=seed,
         input_map=result.initial_layout,
     )
@@ -98,20 +97,15 @@ def verify_result(dag: CircuitDag, result: RoutingResult, tol: float = 1e-8, see
 
 def run_bench(
     workloads: dict[str, CircuitDag],
-    topologies: dict[str, CouplingMap] | None = None,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-    post_modes: tuple[str, ...] = ("native", "fidelity"),
-    num_seeds: int = 24,
-    seed: int = 0,
-    basis: BasisGate | None = None,
-    beta: float = 1.0,
-    tol: float = 1e-8,
+    topologies: dict[str, CouplingMap],
+    algorithms: tuple[str, ...],
+    post_modes: tuple[str, ...],
+    num_seeds: int,
+    seed: int,
+    basis: BasisGate,
+    beta: float,
 ) -> tuple[list[BenchRow], list[dict]]:
     """Route and verify the full cross product; returns (rows, run records)."""
-    if topologies is None:
-        topologies = fabric_suite()
-    if basis is None:
-        basis = BasisGate.root_iswap(2)
     if "sabre" not in algorithms:
         raise BenchError("the sweep needs sabre as the percentage baseline")
     rows: list[BenchRow] = []
@@ -134,7 +128,7 @@ def run_bench(
                     best = select_trial(trials, replace(config, post_selection=mode))
                     if id(best) not in verified_ids:
                         try:
-                            verify_result(dag, best, tol=tol, seed=seed)
+                            verify_result(dag, best, seed=seed)
                         except BenchError as exc:
                             raise BenchError(
                                 f"{circ_name} on {topo_name} with {algo}: {exc}"

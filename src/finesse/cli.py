@@ -84,7 +84,7 @@ def cmd_allocate(args) -> int:
 
     modules = read("module_sizes", lambda v: [fa.FreqModule(_integer(n)) for n in v],
                    [fa.FreqModule(n) for n in (2, 3, 4, 5)])
-    k = read("k", _integer, 0)
+    k = read("k", lambda v: fa.worst_gate_exclusion(_integer(v), modules), 0)
     delta_q = read("delta_q", parse_frequency, fa.DEFAULT_DELTA_Q)
     restarts = read("restarts", _integer, fa.NM_RESTARTS)
     seed = args.seed if args.seed is not None else read("seed", _integer, 0)

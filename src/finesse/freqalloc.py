@@ -39,7 +39,11 @@ class CalibrationError(RuntimeError):
     pass
 
 
-class PumpPoleError(ValueError):
+class AllocationError(ValueError):
+    """A bad module, constant, bound, fit parameter or exclusion count."""
+
+
+class PumpPoleError(AllocationError):
     pass
 
 
@@ -58,9 +62,9 @@ class PhysicalConstants:
     def __post_init__(self):
         for name in ("g3", "lam", "alpha", "eps_drive", "t1", "anchor_gate_time", "anchor_detuning"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise AllocationError(f"{name} must be positive")
         if self.lam >= 0.5:
-            raise ValueError("hybridization lam must stay well below 1 (lam < 0.5)")
+            raise AllocationError("hybridization lam must stay well below 1 (lam < 0.5)")
 
     @property
     def drive_rate(self) -> float:
@@ -99,7 +103,7 @@ class SpectatorTerm:
         """(i, j, divisor, key) rows in key order: each resonance is
         |x_i - x_j| / divisor over x = (omega_q[0..n-1], omega_s, 0)."""
         if self.rule not in RESONANCE_RULES:
-            raise ValueError(f"inter-module rule {self.rule!r} needs neighbor frequencies")
+            raise AllocationError(f"inter-module rule {self.rule!r} needs neighbor frequencies")
         i, j, divisor, tag = RESONANCE_RULES[self.rule]
         if j == "b":
             return [(a, b, divisor, (tag, a, b)) for a in range(n) for b in range(a + 1, n)]
@@ -175,7 +179,7 @@ class FreqModule:
 
     def __post_init__(self):
         if self.num_qubits < 2:
-            raise ValueError("a module needs at least two qubits")
+            raise AllocationError("a module needs at least two qubits")
         if not self.gates:
             object.__setattr__(
                 self,
@@ -188,7 +192,7 @@ class FreqModule:
             )
         for a, b in self.gates:
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits) or a == b:
-                raise ValueError(f"bad gate pair ({a},{b})")
+                raise AllocationError(f"bad gate pair ({a},{b})")
 
 
 def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
@@ -197,9 +201,9 @@ def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
     Pairwise differences are all distinct when p is prime.
     """
     if p < 2:
-        raise ValueError("need p >= 2")
+        raise AllocationError("need p >= 2")
     if c <= 0:
-        raise ValueError("scale c must be positive")
+        raise AllocationError("scale c must be positive")
     if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         warnings.warn(f"p={p} is composite; pairwise-difference distinctness not guaranteed", stacklevel=2)
     return [f_min + c * (2 * p * k + (k * k) % p) for k in range(p)]
@@ -247,7 +251,7 @@ def pump_strength(omega_p: float, omega_s: float, eps_drive: float) -> float:
 def iswap_gate_time(n: int, eta: float, g3: float, lam: float) -> float:
     """Pulse duration t_f = pi / (12 n |eta| g3 lam^2) for the n-th root."""
     if n < 1 or eta <= 0 or g3 <= 0 or lam <= 0:
-        raise ValueError("n, eta, g3, lam must all be positive")
+        raise AllocationError("n, eta, g3, lam must all be positive")
     return pi / (12.0 * n * abs(eta) * g3 * lam**2)
 
 
@@ -258,7 +262,7 @@ def max_pump_eta(delta: float, constants: PhysicalConstants) -> float:
     data behind it is summarized by that single calibrated point.
     """
     if delta <= 0:
-        raise ValueError("detuning must be positive")
+        raise AllocationError("detuning must be positive")
     return constants.anchor_eta * (delta / constants.anchor_detuning)
 
 
@@ -344,18 +348,14 @@ def calibrate_coherent_model(
     return float(x0), float(x1)
 
 
-def calibrate_incoherent_model(
-    constants: PhysicalConstants = PhysicalConstants(),
-    delta_grid: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Fit the lifetime law to the max-pump gate-duration curve.
+def calibrate_incoherent_model(constants: PhysicalConstants = PhysicalConstants()) -> tuple[float, float]:
+    """Fit the lifetime law to the max-pump gate-duration curve over
+    detunings of 50 MHz to 5 GHz.
 
     t_f(delta) scales inversely with the usable pump strength; decoherence
     loss is 1 - exp(-t_f/T1).  1/eps is close to linear in delta.
     """
-    if delta_grid is None:
-        delta_grid = np.geomspace(5e7, 5e9, 25)
-    grid = np.asarray(sorted(delta_grid), dtype=float)
+    grid = np.geomspace(5e7, 5e9, 25)
     t_f = np.array(
         [
             iswap_gate_time(1, max_pump_eta(d, constants), constants.g3, constants.lam)
@@ -389,7 +389,7 @@ class CostModelParams:
 
     def __post_init__(self):
         if min(self.coh_x0, self.coh_x1, self.inc_x0, self.inc_x1) < 0:
-            raise ValueError("fit parameters must be nonnegative")
+            raise AllocationError("fit parameters must be nonnegative")
 
     def coherent_for(self, prefactor: float) -> tuple[float, float]:
         return self.coh_x0 * prefactor**2, self.coh_x1 * prefactor
@@ -409,14 +409,20 @@ def calibrate_cost_model(constants: PhysicalConstants = PhysicalConstants()) -> 
 # --- allocation cost and optimizer ---------------------------------------
 
 
+def worst_gate_exclusion(k: int, modules) -> int:
+    """k, if dropping the k worst gates leaves each of `modules` (anything with
+    `.gates`) at least one."""
+    if k < 0 or any(k >= len(m.gates) for m in modules):
+        raise AllocationError(f"worst-gate exclusion k={k} must be >= 0 and leave every module a gate")
+    return k
+
+
 class _CostEvaluator:
     """Vectorized Algorithm-1 loss for one module and parameter set."""
 
     def __init__(self, module: FreqModule, params: CostModelParams, k: int, delta_q: float):
-        if k >= len(module.gates):
-            raise ValueError("worst-gate exclusion k must leave at least one gate")
         self.params = params
-        self.k = k
+        self.k = worst_gate_exclusion(k, [module])
         self.delta_q = delta_q
         n = module.num_qubits
         # Catalog order, then key order: the coherent sum adds columns in it.
@@ -543,7 +549,7 @@ class FrequencyBounds:
 
     def __post_init__(self):
         if self.qubit[0] >= self.qubit[1] or self.snail[0] >= self.snail[1]:
-            raise ValueError("bounds must be increasing intervals")
+            raise AllocationError("bounds must be increasing intervals")
 
 
 NM_MAX_ITER = 10_000
@@ -650,12 +656,9 @@ def fidelity_table(
     from .hardware import ModuleSpec
 
     if not report.gates:
-        raise ValueError("empty module: no gates to tabulate")
+        raise AllocationError("empty module: no gates to tabulate")
     records = sorted(zip(report.eps_gate, report.gates))
-    if drop_worst:
-        if drop_worst >= len(records):
-            raise ValueError("cannot drop every gate")
-        records = records[:-drop_worst]
+    records = records[: len(records) - worst_gate_exclusion(drop_worst, [report])]
     num_qubits = max(max(a, b) for a, b in report.gates) + 1
     return ModuleSpec(
         qubits_per_module=num_qubits,

@@ -224,13 +224,17 @@ def build_snail_fabric(spec: ModuleSpec, num_modules: int) -> CouplingMap:
     return CouplingMap(num_modules * n, tuple(edges))
 
 
-def fabric_suite(num_qubits: int = 15) -> dict[str, CouplingMap]:
-    """The four evaluated fabrics, sized to hold `num_qubits` qubits."""
-    out = {}
-    for name, spec in TABLE3_MODULES.items():
-        modules = -(-num_qubits // spec.qubits_per_module)
-        out[name] = build_snail_fabric(spec, modules)
-    return out
+FABRIC_QUBITS = 15  # every evaluated fabric holds the widest benchmark circuit
+
+
+def _table3_fabric(name: str) -> CouplingMap:
+    spec = TABLE3_MODULES[name]
+    return build_snail_fabric(spec, -(-FABRIC_QUBITS // spec.qubits_per_module))
+
+
+def fabric_suite() -> dict[str, CouplingMap]:
+    """The four evaluated fabrics, each sized to hold FABRIC_QUBITS qubits."""
+    return {name: _table3_fabric(name) for name in TABLE3_MODULES}
 
 
 def load_calibration(source) -> CouplingMap:
@@ -257,7 +261,7 @@ def load_calibration(source) -> CouplingMap:
 def load_topology(source) -> CouplingMap:
     """Topology fixture: a named Table-3 module spec or explicit edges."""
     if isinstance(source, str) and source in TABLE3_MODULES:
-        return fabric_suite()[source]
+        return _table3_fabric(source)
     data = load_json(source)
     _check_version(data)
     mod = _require(data, "module", "topology", source)

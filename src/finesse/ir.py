@@ -77,9 +77,9 @@ class Gate:
     def is_two_qubit(self) -> bool:
         return self.kind in TWO_QUBIT_KINDS
 
-    def on_wires(self, wires: tuple[int, ...], new_id: int | None = None) -> "Gate":
+    def on_wires(self, wires: tuple[int, ...]) -> "Gate":
         return Gate(
-            id=self.id if new_id is None else new_id,
+            id=self.id,
             kind=self.kind,
             wires=wires,
             params=self.params,

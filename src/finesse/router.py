@@ -65,9 +65,6 @@ class RouterConfig:
     extended_size: int = 20
     beta: float = 1.0                   # fidelity-distance blend
     aggression: int = 2                 # mirror policy level, 0..3
-    decay_enabled: bool = False
-    decay_rate: float = 0.001
-    decay_reset_interval: int = 5
     release_valve_threshold: int = 10
     num_seeds: int = 24
     post_selection: str = "native"      # native | fidelity
@@ -151,8 +148,6 @@ class _Pass:
         self.mirrors = 0
         self.stall = 0
         self.valve_fires = 0
-        self.decay = np.ones(cmap.num_physical)
-        self.steps_since_decay_reset = 0
 
     # bookkeeping ----------------------------------------------------
     def _emit_gate(self, g: Gate, wires: tuple[int, ...], mirrored: bool = False):
@@ -221,8 +216,6 @@ class _Pass:
             self.mirrors += 1
         self._emit_local(local)
         self.stall = 0
-        if self.config.decay_enabled:
-            self.decay[:] = 1.0
 
     # mirror policy --------------------------------------------------
     def _mirror_decision(self, g: Gate, p0: int, p1: int) -> bool:
@@ -279,8 +272,6 @@ class _Pass:
         now, after = self._distances(self._pairs(self._lookahead()), cands)
         delta = after - now[:, None]
         scores = self._heuristic(delta[:n], delta[n:])
-        if self.config.decay_enabled:
-            scores *= np.maximum(self.decay[cands[:, 0]], self.decay[cands[:, 1]])
         ties = (scores == scores.min()).nonzero()[0]
         pick = ties[0] if len(ties) == 1 else ties[int(self.rng.integers(len(ties)))]
         p0, p1 = cands[pick]
@@ -290,13 +281,6 @@ class _Pass:
         self._emit_swap(p0, p1)
         self.layout.swap_physical(p0, p1)
         self.swap_trace.append((p0, p1))
-        if self.config.decay_enabled:
-            self.steps_since_decay_reset += 1
-            if self.steps_since_decay_reset % self.config.decay_reset_interval == 0:
-                self.decay[:] = 1.0
-            else:
-                self.decay[p0] += self.config.decay_rate
-                self.decay[p1] += self.config.decay_rate
 
     def _release_valve(self, front_pairs: np.ndarray):
         """Force the full shortest-path chain for the closest front gate, the
@@ -436,6 +420,14 @@ def run_trials(
         raise RoutingError(f"{n_log} circuit qubits exceed {n_phys} physical qubits")
     if dists is None:
         dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
+    # A set built for another fabric or config can leave a pass swapping forever.
+    for name, have, want in (
+        ("shape", dists.d_hop.shape, (n_phys, n_phys)),
+        ("k_swap", dists.k_swap, swap_count(config.basis)),
+        ("beta", dists.beta, config.beta),
+    ):
+        if have != want:
+            raise RoutingError(f"distance set {name} is {have!r}, the fabric and config need {want!r}")
     weights = log_weights(cmap)
     reversed_dag = dag.reversed()
     memo, reversed_memo = {}, {}  # one per DAG, shared by every trial's passes

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,8 @@ class TestAllocate:
         ({"bounds": {"qubit": 5}}, "bounds"),
         ({"module_sizes": [2.7]}, "module_sizes"),
         ({"k": True}, "k"),
+        ({"k": 5, "module_sizes": [2]}, "k"),
+        ({"k": -1}, "k"),
         ({"delta_q": "abc"}, "delta_q"),
     ])
     def test_bad_config_field_names_it_and_the_file(self, tmp_path, capsys, config, key):
@@ -159,6 +162,13 @@ class TestTranspileAndVerify:
         assert json.loads(capsys.readouterr().out)["equivalent"] is True
 
 
+BENCH_DIGESTS = {
+    "results.csv": "818f34769adb52f000e48b72f270660007ef4ab6f51712d27da82157b6390e42",
+    "summary.csv": "fdcbab15f41e8b6b4214264f9768d5df6dbfc39ca3df9cef51205bbdabe787ff",
+    "results.json": "93bdd1530ce33665921c90ffb689ee0f1d01a4d18552bb1709a396ed01890fdc",
+}
+
+
 def test_bench_writes_results(tmp_path):
     workloads = tmp_path / "workloads"
     workloads.mkdir()
@@ -170,6 +180,9 @@ def test_bench_writes_results(tmp_path):
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[:2] == [f"# format_version={bench.CSV_FORMAT_VERSION}", ",".join(bench.CSV_COLUMNS)]
     assert len(lines) == 2 + 2 * 2  # two algorithms x two post-selection modes
+    # A fixed-seed bench writes the same bytes; any routing or format change shows here.
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCH_DIGESTS}
+    assert digests == BENCH_DIGESTS
 
 
 @pytest.mark.parametrize("option, value, message", [

@@ -301,10 +301,11 @@ class TestAllocationCost:
         got = fa.allocation_cost(assign, module, params, k=1, delta_q=0.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_k_must_leave_a_gate(self, params):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_k_must_leave_a_gate(self, params, k):
+        with pytest.raises(fa.AllocationError, match=f"k={k}"):
             fa.allocation_cost(
-                fa.FrequencyAssignment((4e9, 5e9), 4.4e9), fa.FreqModule(2), params, k=1
+                fa.FrequencyAssignment((4e9, 5e9), 4.4e9), fa.FreqModule(2), params, k=k
             )
 
     def test_relabeling_invariance(self, params):
@@ -379,7 +380,30 @@ class TestFidelityTable:
         assert len(spec.edge_fidelities) == 2
         assert min(spec.edge_fidelities) == pytest.approx(sorted(1 - e for e in report.eps_gate)[1])
 
+    @pytest.mark.parametrize("drop_worst", [3, -1])
+    def test_drop_worst_must_leave_a_gate(self, params, drop_worst):
+        with pytest.raises(fa.AllocationError, match=f"k={drop_worst}"):
+            fa.fidelity_table(self._report(params), drop_worst=drop_worst)
+
     def test_empty_module_rejected(self):
         empty = fa.GateInfidelityReport((), (), (), (), 1.0, float("inf"), float("inf"), True)
         with pytest.raises(ValueError):
             fa.fidelity_table(empty)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fa.PhysicalConstants(t1=0.0),
+    lambda: fa.PhysicalConstants(lam=0.5),
+    lambda: fa.FreqModule(1),
+    lambda: fa.FreqModule(2, gates=((0, 2),)),
+    lambda: fa.golomb_frequencies(1, 1.0, 0.0),
+    lambda: fa.golomb_frequencies(3, 0.0, 0.0),
+    lambda: fa.iswap_gate_time(0, 1.0, 1.0, 0.1),
+    lambda: fa.max_pump_eta(0.0, fa.PhysicalConstants()),
+    lambda: fa.CostModelParams(-1.0, 0.0, 0.0, 0.0),
+    lambda: fa.FrequencyBounds(qubit=(5e9, 4e9)),
+    lambda: fa.pump_strength(4.5e9, 4.5e9, 1.0),
+])
+def test_bad_inputs_raise_the_typed_error(call):
+    with pytest.raises(fa.AllocationError):
+        call()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -221,6 +222,15 @@ class TestSnailFabric:
     def test_table3_sizes(self):
         for name, spec in TABLE3_MODULES.items():
             assert len(spec.edge_fidelities) == len(spec.edges_per_module)
+
+    @pytest.mark.parametrize("name", sorted(TABLE3_MODULES))
+    def test_load_topology_builds_only_the_named_fabric(self, name):
+        with patch("finesse.hardware.build_snail_fabric", wraps=build_snail_fabric) as build:
+            cmap = load_topology(name)
+        assert build.call_count == 1
+        assert cmap == fabric_suite()[name]
+        # the fewest whole modules that hold the 15-qubit workloads
+        assert cmap.num_physical == {"4q4e": 16, "4q5e": 16, "4q6e": 16, "5q7e": 15}[name]
 
 
 class TestCalibrationImport:

@@ -152,12 +152,9 @@ class TestRoutedEquivalence:
         dists = build_distance_set(cmap, swap_count(base.basis), base.beta)
         for algorithm in ALGORITHMS:
             for aggression in range(4):
-                for decay in (False, True):
-                    config = replace(
-                        base, algorithm=algorithm, aggression=aggression, decay_enabled=decay
-                    )
-                    for result in run_trials(dag, cmap, config, seed=seed, dists=dists):
-                        assert _equivalent(dag, result), (algorithm, aggression, decay)
+                config = replace(base, algorithm=algorithm, aggression=aggression)
+                for result in run_trials(dag, cmap, config, seed=seed, dists=dists):
+                    assert _equivalent(dag, result), (algorithm, aggression)
 
     @pytest.mark.parametrize("algorithm", ("mirage", "finesse"))
     def test_mirroring_a_mirrored_gate_unmirrors_it(self, algorithm):
@@ -328,3 +325,16 @@ def test_golden_route(fabric_4q4e, workload, algorithm, trials):
     assert [r.metrics.mirror_count for r in results] == mirrors
     assert hashlib.sha256(repr([r.swap_trace for r in results]).encode()).hexdigest() == digest
     assert [repr(r.metrics.lf_cost) for r in results] == costs
+
+
+@pytest.mark.parametrize("fabric, extra_k, beta, field", [
+    ("4q4e", 0, 1.0, "shape"),  # 16 qubits against the 15 of 5q7e
+    ("5q7e", 1, 1.0, "k_swap"),
+    ("5q7e", 0, 0.5, "beta"),
+])
+def test_a_distance_set_for_another_fabric_or_config_is_refused(fabric, extra_k, beta, field):
+    config = RouterConfig(num_seeds=1)
+    suite = fabric_suite()
+    dists = build_distance_set(suite[fabric], swap_count(config.basis) + extra_k, beta)
+    with pytest.raises(router.RoutingError, match=f"distance set {field} is"):
+        run_trials(SUITE["wstate_08"](), suite["5q7e"], config, dists=dists)
