@@ -242,6 +242,18 @@ def cmd_bench(args) -> int:
 # --- verify ---------------------------------------------------------------
 
 
+def _wire_list(option: str, text: str) -> list[int]:
+    """The wires of a comma list; an entry that is not an integer is a
+    UsageError naming the option and the entry."""
+    wires = []
+    for entry in text.split(","):
+        try:
+            wires.append(int(entry))
+        except ValueError:
+            raise UsageError(f"{option}: {entry!r} is not a wire number") from None
+    return wires
+
+
 def cmd_verify(args) -> int:
     ref_path, routed_path = Path(args.reference), Path(args.routed)
     for p in (ref_path, routed_path):
@@ -249,12 +261,8 @@ def cmd_verify(args) -> int:
             raise UsageError(f"missing file: {p}")
     ref = parse_qasm(ref_path.read_text())
     routed = parse_qasm(routed_path.read_text())
-    perm = (
-        [int(x) for x in args.perm.split(",")]
-        if args.perm
-        else list(range(routed.num_qubits))
-    )
-    input_map = [int(x) for x in args.input_map.split(",")] if args.input_map else None
+    perm = _wire_list("--perm", args.perm) if args.perm else list(range(routed.num_qubits))
+    input_map = _wire_list("--input-map", args.input_map) if args.input_map else None
     n = max(ref.num_qubits, routed.num_qubits)
     verdict = {"reference": str(ref_path), "routed": str(routed_path)}
     try:

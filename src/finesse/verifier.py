@@ -7,9 +7,10 @@ are the reference's; the rest are ancillas.
 One evolution: ``_evolve`` runs both circuits on the same inputs over
 tracked slots (a wire joins as |0> when a gate first touches it; a plain
 swap only relabels) and lines the routed state up by claimed output wire.
-A 1q gate waits on its slot until the next 2q gate there folds it in, so a
-circuit costs one full-state pass per 2q gate other than a plain swap, plus
-one at the end for each slot whose last gates are 1q.
+A 1q gate waits on its slot until the next 2q gate there folds it in.  The
+other 2q gates gather into blocks of at most ``FUSE`` slots, and each block
+costs one full-state pass (the rule is in ``_TrackedState``); the 1q
+products left at the end cost one pass per ``FUSE`` slots.
 Two rules compare the result, and both require every ancilla output to be
 |0> whatever gates touched it: ``statevector_equivalent`` (reference width
 <= 15) checks overlaps of Haar-random inputs, ``unitary_equivalent`` (width
@@ -31,6 +32,7 @@ output wire, so one in |0> that controls a cx fails it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
@@ -45,6 +47,11 @@ UNITARY_WIDTH_LIMIT = 8
 STATEVECTOR_WIDTH_LIMIT = 15
 DEFAULT_NUM_STATES = 8
 DEFAULT_TOL = 1e-8
+# Most slots one fused block spans.  A wider block makes fewer passes, each
+# dearer to compose and apply; of 3, 4 and 5, 5 checked the 15-qubit routes
+# fastest, where a pass costs most, and 8-12 qubit ones slightly slower
+# (BENCH_fusion.json).
+FUSE = 5
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -97,12 +104,35 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
+@functools.cache
+def _embedding(k: int, i: int, j: int) -> np.ndarray:
+    """Index of each entry of a 2q gate on positions (i, j) of ``k`` big-endian
+    bits, as a 2**k x 2**k matrix: into the gate's 16 entries, flattened, or
+    16 for a zero (the gate leaves the other bits alone)."""
+    index = np.arange(2**k)
+    bits = (index[:, None] >> (k - 1 - np.arange(k))) & 1  # (2**k, k)
+    others = [p for p in range(k) if p not in (i, j)]
+    rest = (bits[:, None, others] == bits[None, :, others]).all(axis=2)
+    pair = 2 * bits[:, i] + bits[:, j]
+    out = np.where(rest, 4 * pair[:, None] + pair[None, :], 16)
+    out.flags.writeable = False
+    return out
+
+
 class _TrackedState:
     """Batched statevector over tracked slots; swaps relabel, never copy.
 
-    ``amplitudes`` is (2**k, batch) over big-endian wire order ``wires``.
-    ``pending`` holds, per slot, the product of the 1q gates not yet applied
-    there; keyed by slot, it moves with the data when wires are relabelled.
+    ``state`` is (2,) * slots + (batch,); ``wire_slot`` maps a wire to its
+    slot.  Slots never move, so a relabelling leaves everything keyed by slot
+    alone.  ``pending`` holds, per slot, the product of the 1q gates not yet
+    applied there; it folds into the next 2q gate on that slot.
+
+    Block rule: 2q gates gather in one open block over at most ``FUSE``
+    slots.  A gate joins when the block's slots plus its own new ones number
+    at most ``FUSE``; otherwise the block is composed into one 2**k x 2**k
+    matrix and applied in one pass (``apply``), and a new block starts with
+    the gate.  ``flush`` applies the open block, then the leftover 1q
+    products, ``FUSE`` slots per pass.
     """
 
     def __init__(self, amplitudes: np.ndarray, wires, limit: int):
@@ -112,6 +142,8 @@ class _TrackedState:
         self.wire_slot = {w: i for i, w in enumerate(wires)}
         self.limit = limit
         self.pending: dict[int, np.ndarray] = {}
+        self.block_slots: list[int] = []
+        self.block: list[tuple[np.ndarray, int, int]] = []  # (4x4, positions in block_slots)
 
     def _slot_for(self, wire: int) -> int:
         if wire in self.wire_slot:
@@ -123,14 +155,33 @@ class _TrackedState:
         self.slots += 1
         return self.wire_slot[wire]
 
-    def apply_1q(self, mat: np.ndarray, s: int):
-        out = np.tensordot(mat, self.state, axes=(1, s))
-        self.state = np.moveaxis(out, 0, s)
+    def apply(self, mat: np.ndarray, slots: list[int]):
+        """The one full-state pass: ``mat`` (2**k x 2**k, big-endian over
+        ``slots``) applied to the state."""
+        k = len(slots)
+        out = np.tensordot(mat.reshape((2,) * 2 * k), self.state, axes=(range(k, 2 * k), slots))
+        self.state = np.moveaxis(out, range(k), slots)
 
-    def apply_2q(self, mat4: np.ndarray, s0: int, s1: int):
-        m = mat4.reshape(2, 2, 2, 2)
-        out = np.tensordot(m, self.state, axes=([2, 3], [s0, s1]))
-        self.state = np.moveaxis(out, [0, 1], [s0, s1])
+    def _close_block(self):
+        if not self.block:
+            return
+        k = len(self.block_slots)
+        entries = np.zeros(17, dtype=complex)  # a gate's 16 entries, then 0
+        mat = None
+        for m, i, j in self.block:
+            entries[:16] = m.ravel()
+            gate = entries[_embedding(k, i, j)]
+            mat = gate if mat is None else gate @ mat
+        self.apply(mat, self.block_slots)
+        self.block_slots, self.block = [], []
+
+    def _compose(self, mat4: np.ndarray, s0: int, s1: int):
+        new = [s for s in (s0, s1) if s not in self.block_slots]
+        if len(self.block_slots) + len(new) > FUSE:
+            self._close_block()
+            new = [s0, s1]
+        self.block_slots += new
+        self.block.append((mat4, self.block_slots.index(s0), self.block_slots.index(s1)))
 
     def relabel_swap(self, w0: int, w1: int):
         s0, s1 = self.wire_slot.get(w0), self.wire_slot.get(w1)
@@ -161,14 +212,17 @@ class _TrackedState:
         p0, p1 = self.pending.pop(s0, None), self.pending.pop(s1, None)
         if p0 is not None or p1 is not None:
             m = m @ _kron(_I2 if p0 is None else p0, _I2 if p1 is None else p1)
-        self.apply_2q(m, s0, s1)
+        self._compose(m, s0, s1)
         if g.mirrored:
             self.relabel_swap(g.wires[0], g.wires[1])
 
     def flush(self):
-        """Apply every pending 1q product."""
-        for s, m in self.pending.items():
-            self.apply_1q(m, s)
+        """Apply the open block, then every pending 1q product."""
+        self._close_block()
+        slots = list(self.pending)
+        for at in range(0, len(slots), FUSE):
+            group = slots[at:at + FUSE]
+            self.apply(functools.reduce(np.kron, [self.pending[s] for s in group]), group)
         self.pending.clear()
 
 
@@ -204,12 +258,15 @@ def _routed_tensor(routed: CircuitDag, amplitudes: np.ndarray, inputs: np.ndarra
 
 
 def _check_options(tol, num_states: int = 1, seed: int = 0) -> None:
-    """Refuse a tolerance, state count or seed that cannot give a verdict."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    """Refuse a tolerance, state count or seed that cannot give a verdict,
+    and a bool for any of them."""
+    if isinstance(tol, bool) or not (
+            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise VerifierError(f"tol must be a finite number >= 0, got {tol!r}")
-    if not isinstance(num_states, numbers.Integral) or num_states < 1:
+    if isinstance(num_states, bool) or not (
+            isinstance(num_states, numbers.Integral) and num_states >= 1):
         raise VerifierError(f"num_states must be an integer >= 1, got {num_states!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise VerifierError(f"seed must be an integer >= 0, got {seed!r}")
 
 

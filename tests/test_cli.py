@@ -150,6 +150,18 @@ class TestTranspileAndVerify:
         verdict = json.loads(capsys.readouterr().out)
         assert "input map has 3 entries" in verdict["error"] and "equivalent" not in verdict
 
+    @pytest.mark.parametrize("option, value, entry", [
+        ("--perm", "1,a", "'a'"), ("--input-map", "x", "'x'"), ("--perm", "0,,1", "''"),
+    ])
+    def test_verify_refuses_a_wire_that_is_not_a_number(self, tmp_path, capsys, option, value,
+                                                        entry):
+        circuit = tmp_path / "small.qasm"
+        circuit.write_text(SMALL_QASM)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(circuit), str(circuit), option, value])
+        assert exc.value.code == EXIT_USAGE
+        assert f"{option}: {entry} is not a wire number" in capsys.readouterr().err
+
     def test_verify_accepts_the_routed_pair(self, tmp_path, capsys):
         _, circuit, routed, payload = _transpile(tmp_path)
         capsys.readouterr()

@@ -1,7 +1,8 @@
 """Verifier: every method against the dense-matrix oracle in `oracles.py`, on
 circuits routed by hand with plain swaps, swaps computed as three cx and
 mirrored gates, and with 1q gates placed where folding them into 2q gates
-could go wrong; one state pass per 2q gate; one reference evolution per
+could go wrong; gates fused into blocks at every block width, one state pass
+per block; one reference evolution per
 DAG, seed and state count; five mutations each method must reject, on a warm
 reference memo; Clifford's stricter ancilla contract; refused options and
 wire maps; and the routers' release valve."""
@@ -233,17 +234,16 @@ def test_folded_one_qubit_gates_agree_with_the_oracle(seed):
 
 @contextmanager
 def _state_passes():
-    """The names of the state-pass kernels run inside the block, in order."""
+    """The slots of each full-state pass (``_TrackedState.apply``) run inside
+    the block, in order."""
     calls = []
+    kernel = _TrackedState.apply
 
-    def counted(kernel):
-        def run(self, *args):
-            calls.append(kernel.__name__)
-            return kernel(self, *args)
-        return run
+    def run(self, mat, slots):
+        calls.append(list(slots))
+        return kernel(self, mat, slots)
 
-    with patch.object(_TrackedState, "apply_1q", counted(_TrackedState.apply_1q)), \
-            patch.object(_TrackedState, "apply_2q", counted(_TrackedState.apply_2q)):
+    with patch.object(_TrackedState, "apply", run):
         yield calls
 
 
@@ -257,12 +257,19 @@ def _reference_evolutions():
         limits.extend(call.args[2] for call in spy.call_args_list)
 
 
-@pytest.mark.parametrize("name, passes", [("adder_15", 112), ("bv_13", 7 + 12)])
-def test_one_state_pass_per_two_qubit_gate(name, passes):
-    """adder_15 ends every wire on a cx; bv_13 has 7 cx and 12 wires ending
-    on h, so 12 pending products are applied at the end.  A first check
-    evolves both sides; a repeat with the same seed and state count reads
-    the memoised reference, read-only, and evolves only the routed side."""
+@pytest.mark.parametrize("name, passes", [("adder_15", 3 + 1 + 3), ("bv_13", 2 + 3)])
+def test_one_state_pass_per_fused_block(name, passes):
+    """Passes per side at FUSE = 5.  adder_15 is 7 MAJ then 7 UMA steps, each
+    8 cx on 3 wires, one of them shared with the next step, and it ends every
+    wire on a cx.  A 3-wire step plus the next step's first gate fills 5
+    slots, and the next step then stays in them, so MAJ 0-5 take 3 blocks,
+    MAJ 6 with UMA 6 (same wires) and UMA 5 one more, and UMA 4-0 three
+    (4+3, 2+1, 0).  bv_13's 7 cx share one target, so 4 cx fill a block: 2
+    blocks; its 12 data wires end on h, and those pending products take
+    ceil(12 / 5) = 3 passes.  A first check evolves both sides; a repeat with
+    the same seed and state count reads the memoised reference, read-only,
+    and evolves only the routed side."""
+    assert verifier.FUSE == 5
     dag = workloads.SUITE[name]()
     for expected in (2 * passes, passes):
         with _state_passes() as calls:
@@ -270,6 +277,93 @@ def test_one_state_pass_per_two_qubit_gate(name, passes):
         assert len(calls) == expected
     with pytest.raises(ValueError, match="read-only"):
         verifier._REFERENCE_BLOCKS[dag][1][0, 0] = 0
+
+
+# --- fused blocks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fuse", [2, 3, 4, 5])
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS)
+def test_fused_blocks_agree_with_the_oracle(fuse, seed):
+    """At each block width, routes by hand of cx/swap references bracketed by
+    1q gates: at width 2 every 2q gate on a new pair closes its block, wider
+    blocks take gates with two new slots, 1q gates wait on slots outside a
+    full block, plain swaps and mirrored gates relabel while a block is open,
+    a swap computed as three cx brings an untracked ancilla in mid-block, and
+    1q products are left at the end on data and ancilla wires."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    ref = _bracketed_reference(rng, n, int(rng.integers(1, 14)))
+    case = _route_by_hand(rng, ref, int(rng.integers(n, 8)))
+    routed = _circuit(case.width, _flank_swaps(rng, case))
+    perm = case.perm if rng.random() < 0.8 else rng.permutation(case.width).tolist()
+    input_map = case.input_map[:n] if rng.random() < 0.7 else case.input_map
+    expected = reference_equivalent(ref, routed, perm, input_map)
+    with patch.object(verifier, "FUSE", fuse):
+        assert statevector_equivalent(ref, routed, perm, input_map=input_map) == expected
+        assert unitary_equivalent(ref, routed, perm, input_map=input_map) == expected
+
+
+def _gate_list(ops) -> list:
+    """Gates from (kind, wires) or (kind, wires, mirrored) tuples."""
+    return [Gate(id=i, kind=op[0], wires=op[1], mirrored=op[2] if len(op) > 2 else False)
+            for i, op in enumerate(ops)]
+
+
+BLOCK_CASES = {
+    # name: (FUSE, reference ops, routed ops, output wire -> virtual wire,
+    #        input map, the slots of each routed pass)
+    "every gate closes a block": (
+        3, [("h", (0,)), ("h", (2,)), ("cx", (0, 1)), ("cx", (2, 3)), ("cx", (1, 0)),
+            ("cx", (3, 2))],
+        None, [0, 1, 2, 3], None, [[0, 1], [2, 3], [1, 0], [3, 2]]),
+    "two new slots join": (
+        5, [("h", (0,)), ("cx", (0, 1)), ("cx", (2, 3)), ("cx", (1, 2))],
+        None, [0, 1, 2, 3], None, [[0, 1, 2, 3]]),
+    "1q gates outside a full block": (
+        3, [("h", (0,)), ("cx", (0, 1)), ("cx", (1, 2)), ("h", (3,)), ("t", (3,)),
+            ("cx", (0, 2)), ("cx", (2, 3))],
+        None, [0, 1, 2, 3], None, [[0, 1, 2], [2, 3]]),
+    "swaps and mirrors in an open block": (
+        5, [("h", (0,)), ("cx", (0, 1)), ("cx", (1, 2)), ("cx", (2, 0))],
+        [("h", (0,)), ("cx", (0, 1)), ("swap", (1, 2)), ("cx", (2, 1), True), ("cx", (2, 0))],
+        [0, 1, 2], None, [[0, 1, 2]]),
+    "an ancilla joins an open block": (
+        5, [("h", (0,)), ("cx", (0, 1)), ("t", (1,)), ("cx", (1, 0))],
+        [("h", (0,)), ("cx", (0, 1)), ("cx", (1, 2)), ("cx", (2, 1)), ("cx", (1, 2)),
+         ("t", (2,)), ("cx", (2, 0))],
+        [0, 2, 1], [0, 1], [[0, 1, 2]]),
+    "1q products left at the end": (
+        5, [("cx", (0, 1)), ("h", (0,)), ("h", (1,)), ("h", (2,)), ("h", (3,)), ("t", (4,)),
+            ("s", (5,))],
+        [("cx", (0, 1)), ("s", (5,)), ("t", (4,)), ("h", (3,)), ("h", (2,)), ("h", (1,)),
+         ("h", (0,))],
+        [0, 1, 2, 3, 4, 5], None, [[0, 1], [5, 4, 3, 2, 1], [0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_boundaries(name):
+    """Each block boundary, pinned by the slots of the routed side's passes on
+    a warm memo; the route, and the route read with two data outputs
+    exchanged, get the oracle's verdict."""
+    fuse, ref_ops, routed_ops, perm, input_map, passes = BLOCK_CASES[name]
+    ref = _circuit(max(max(op[1]) for op in ref_ops) + 1, _gate_list(ref_ops))
+    routed = ref if routed_ops is None else _circuit(len(perm), _gate_list(routed_ops))
+    exchanged = list(perm)
+    w0, w1 = (w for w, v in enumerate(perm) if v < 2)
+    exchanged[w0], exchanged[w1] = perm[w1], perm[w0]
+    assert reference_equivalent(ref, routed, perm, input_map)
+    assert not reference_equivalent(ref, routed, exchanged, input_map)
+    with patch.object(verifier, "FUSE", fuse):
+        assert statevector_equivalent(ref, routed, perm, input_map=input_map)
+        with _state_passes() as calls:
+            assert statevector_equivalent(ref, routed, perm, input_map=input_map)
+        assert calls == passes
+        assert unitary_equivalent(ref, routed, perm, input_map=input_map)
+        assert not statevector_equivalent(ref, routed, exchanged, input_map=input_map)
+        assert not unitary_equivalent(ref, routed, exchanged, input_map=input_map)
 
 
 # --- one reference evolution per DAG ------------------------------------------
@@ -312,7 +406,7 @@ def test_a_new_seed_or_state_count_replaces_the_entry(seed):
 
 
 def test_unitary_neither_reads_nor_writes_the_memo():
-    ref = _qasm(2, "h q[0]; cx q[0],q[1];")  # one pass per side: h folds into cx
+    ref = _qasm(2, "h q[0]; cx q[0],q[1];")  # one pass per side: h folds into cx, one block
     assert unitary_equivalent(ref, ref, [0, 1])
     assert ref not in verifier._REFERENCE_BLOCKS
     assert statevector_equivalent(ref, ref, [0, 1])
@@ -500,6 +594,7 @@ def test_input_map_of_the_wrong_length(method):
 
 @pytest.mark.parametrize("option, value", [
     ("tol", float("nan")), ("tol", -1.0), ("num_states", 0), ("num_states", -1), ("seed", -1),
+    ("tol", True), ("num_states", True), ("seed", True),
 ])
 def test_bad_options_are_refused(option, value):
     ref = _qasm(2, "cx q[0],q[1];")
