@@ -86,7 +86,7 @@ def cmd_allocate(args) -> int:
                    [fa.FreqModule(n) for n in (2, 3, 4, 5)])
     k = read("k", lambda v: fa.worst_gate_exclusion(_integer(v), modules), 0)
     delta_q = read("delta_q", parse_frequency, fa.DEFAULT_DELTA_Q)
-    restarts = read("restarts", _integer, fa.NM_RESTARTS)
+    restarts = read("restarts", lambda v: fa.restart_count(_integer(v)), fa.NM_RESTARTS)
     seed = args.seed if args.seed is not None else read("seed", _integer, 0)
     bounds = read("bounds", _bounds, fa.FrequencyBounds())
     constants = read("constants", lambda v: fa.PhysicalConstants(**v), fa.PhysicalConstants())

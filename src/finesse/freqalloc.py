@@ -12,14 +12,15 @@ under box bounds and a minimum qubit-spacing penalty.
 
 Each resonance rule is one row of RESONANCE_RULES over x = (omega_q..., omega_s,
 0): two endpoints and a divisor, the resonance being |x_i - x_j| / divisor.
-The loss evaluator expands the catalog into index arrays once per (module,
-params), so one cost call is a gather plus the three cost laws.
+The loss evaluator expands the catalog into a two-level gather plan once per
+(module, params), so one cost call is two gathers plus the three cost laws.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from math import pi
+from dataclasses import dataclass
+from itertools import combinations
+from math import inf, pi
 from typing import Sequence
 
 import numpy as np
@@ -181,18 +182,13 @@ class FreqModule:
         if self.num_qubits < 2:
             raise AllocationError("a module needs at least two qubits")
         if not self.gates:
-            object.__setattr__(
-                self,
-                "gates",
-                tuple(
-                    (a, b)
-                    for a in range(self.num_qubits)
-                    for b in range(a + 1, self.num_qubits)
-                ),
-            )
-        for a, b in self.gates:
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits) or a == b:
-                raise AllocationError(f"bad gate pair ({a},{b})")
+            object.__setattr__(self, "gates", tuple(combinations(range(self.num_qubits), 2)))
+        seen = set()
+        for pos, (a, b) in enumerate(self.gates):
+            ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (a, b))
+            if not (ints and 0 <= min(a, b) < max(a, b) < self.num_qubits) or (min(a, b), max(a, b)) in seen:
+                raise AllocationError(f"bad or repeated gate pair ({a},{b}) at position {pos}")
+            seen.add((min(a, b), max(a, b)))
 
 
 def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
@@ -226,14 +222,15 @@ def spectator_frequencies(
     return out
 
 
+# Clamps with np.clip's bits, NaN kept: np.maximum(0.0, v) is v on a tie, -0.0 too.
 def coherent_infidelity(delta, x0, x1):
     """Empirical spectator law 2*x0/(x1+delta)^2, clamped to [0, 1]; elementwise."""
-    return np.clip(2.0 * x0 / (x1 + delta) ** 2, 0.0, 1.0)
+    return np.minimum(np.maximum(0.0, 2.0 * x0 / (x1 + delta) ** 2), 1.0)
 
 
 def incoherent_infidelity(delta, x0, x1):
     """Lifetime law x0/(x1+delta), clamped to [0, 1]; elementwise."""
-    return np.clip(x0 / (x1 + delta), 0.0, 1.0)
+    return np.minimum(np.maximum(0.0, x0 / (x1 + delta)), 1.0)
 
 
 def compose_infidelity(eps_coh, eps_inc):
@@ -267,9 +264,6 @@ def max_pump_eta(delta: float, constants: PhysicalConstants) -> float:
 
 
 # --- calibration oracles -------------------------------------------------
-
-_DIM = 16  # two mode pairs, two levels per mode
-
 
 def _hopping(mode_a: int, mode_b: int) -> np.ndarray:
     """q_a^dag q_b + h.c. on the 4-mode, 2-level-per-mode space."""
@@ -388,8 +382,8 @@ class CostModelParams:
     inc_x1: float
 
     def __post_init__(self):
-        if min(self.coh_x0, self.coh_x1, self.inc_x0, self.inc_x1) < 0:
-            raise AllocationError("fit parameters must be nonnegative")
+        if not all(0 <= v < inf for v in (self.coh_x0, self.coh_x1, self.inc_x0, self.inc_x1)):
+            raise AllocationError("fit parameters must be finite and nonnegative")
 
     def coherent_for(self, prefactor: float) -> tuple[float, float]:
         return self.coh_x0 * prefactor**2, self.coh_x1 * prefactor
@@ -417,14 +411,34 @@ def worst_gate_exclusion(k: int, modules) -> int:
     return k
 
 
+def restart_count(restarts: int) -> int:
+    """restarts, if Nelder-Mead gets at least one."""
+    if restarts < 1:
+        raise AllocationError(f"restarts={restarts} must be at least 1")
+    return restarts
+
+
 class _CostEvaluator:
-    """Vectorized Algorithm-1 loss for one module and parameter set."""
+    """Vectorized Algorithm-1 loss for one module and parameter set.
+
+    __init__ builds a two-level gather plan.  Level 1 gathers over
+    x = (omega_q..., omega_s, 0): f = |x[i] - x[j]| / div holds every
+    loss-catalog resonance (catalog order, then key order, so the qubit-pair
+    gaps lead in triu order), then every gate's pump |w_a - w_b| / 1, every
+    qubit |w_a - 0| / 1 and the coupler subharmonic |omega_s - 0| / 2.
+    Level 2 gathers over f: |f[p] - f[q]| holds the (gates, resonances)
+    detunings of each pump from each resonance, row-major, then each gate's
+    incoherent detuning |w_a - omega_s/2|.  Dividing by 1 is exact, so for
+    frequencies >= 0 every value has the bits of its direct expression.
+    """
 
     def __init__(self, module: FreqModule, params: CostModelParams, k: int, delta_q: float):
+        if not 0 <= delta_q < inf:
+            raise AllocationError(f"spacing delta_q={delta_q!r} must be finite and nonnegative")
         self.params = params
         self.k = worst_gate_exclusion(k, [module])
         self.delta_q = delta_q
-        n = module.num_qubits
+        n, g = module.num_qubits, len(module.gates)
         # Catalog order, then key order: the coherent sum adds columns in it.
         i, j, div, keys, x0, x1 = zip(
             *(
@@ -433,34 +447,44 @@ class _CostEvaluator:
                 for row in term.resonances(n)
             )
         )
-        self.res_i, self.res_j = np.array(i), np.array(j)
-        self.res_div = np.array(div, dtype=float)
+        r = len(keys)
         self.x0, self.x1 = np.array(x0), np.array(x1)
-        self.gate_a, self.gate_b = np.array(module.gates).T
-        self.own = np.array([[key == ("pair", *sorted(g)) for key in keys] for g in module.gates])
-        self.pair_a, self.pair_b = np.triu_indices(n, 1)
+        self.own = np.array([[key == ("pair", *sorted(gate)) for key in keys] for gate in module.gates])
+        gate_a, gate_b = np.array(module.gates).T
+        self.i = np.concatenate((i, gate_a, np.arange(n + 1)))
+        self.j = np.concatenate((j, gate_b, np.full(n + 1, n + 1)))
+        self.div = np.concatenate((div, np.ones(g + n), [2.0]))
+        self.p = np.concatenate((np.repeat(np.arange(r, r + g), r), r + g + gate_a))
+        self.q = np.concatenate((np.tile(np.arange(r), g), np.full(g, r + g + n)))
+        self.pairs, self.split = n * (n - 1) // 2, g * r
+        self.kept = slice(g - 1 - self.k, None, -1)  # sorted ascending: all but the k worst
 
-    def gate_infidelities(self, omega_q: np.ndarray, omega_s: float):
-        """Per-gate (eps_coh, eps_inc, eps_gate) arrays in module.gates order.
+    def frequencies(self, omega_q: np.ndarray, omega_s: float) -> np.ndarray:
+        """Level 1 of the gather plan: resonances, pumps, qubits, subharmonic."""
+        x = np.concatenate((omega_q, (omega_s, 0.0)))
+        return np.abs(x[self.i] - x[self.j]) / self.div
+
+    def gate_infidelities(self, omega_q: np.ndarray, omega_s: float, f=None):
+        """Per-gate (eps_coh, eps_inc, eps_gate) arrays in module.gates order;
+        f, if given, is self.frequencies(omega_q, omega_s).
 
         Gate (a, b) is pumped at |w_a - w_b|.  Its coherent part sums the
         coherent law over every loss-catalog resonance except its own pair
         conversion, detuning measured from the pump, clamped to [0, 1].  Its
         incoherent part is the lifetime law at |w_a - omega_s/2|.
         """
-        x = np.concatenate((omega_q, (omega_s, 0.0)))
-        freqs = np.abs(x[self.res_i] - x[self.res_j]) / self.res_div
-        pumps = np.abs(omega_q[self.gate_a] - omega_q[self.gate_b])
-        eps = coherent_infidelity(np.abs(pumps[:, None] - freqs[None, :]), self.x0, self.x1)
-        eps_coh = np.clip(np.where(self.own, 0.0, eps).sum(axis=1), 0.0, 1.0)
-        det_inc = np.abs(omega_q[self.gate_a] - omega_s / 2.0)
-        eps_inc = incoherent_infidelity(det_inc, self.params.inc_x0, self.params.inc_x1)
+        if f is None:
+            f = self.frequencies(omega_q, omega_s)
+        det = np.abs(f[self.p] - f[self.q])
+        eps = coherent_infidelity(det[: self.split].reshape(self.own.shape), self.x0, self.x1)
+        # Clamped terms plus the +0.0 own column: the sum is never below +0.0.
+        eps_coh = np.minimum(np.add.reduce(np.where(self.own, 0.0, eps), axis=1), 1.0)
+        eps_inc = incoherent_infidelity(det[self.split :], self.params.inc_x0, self.params.inc_x1)
         return eps_coh, eps_inc, compose_infidelity(eps_coh, eps_inc)
 
-    def penalty(self, omega_q: np.ndarray) -> float:
-        """Sum of PENALTY_WEIGHT*((delta_q - gap)/delta_q)^2 over qubit pairs
-        closer than delta_q."""
-        gaps = np.abs(omega_q[self.pair_a] - omega_q[self.pair_b])
+    def penalty(self, gaps: np.ndarray) -> float:
+        """Sum of PENALTY_WEIGHT*((delta_q - gap)/delta_q)^2 over the qubit-pair
+        gaps closer than delta_q."""
         total = 0.0
         # A sequential sum: numpy's pairwise summation would reorder it.
         for gap in gaps[gaps < self.delta_q]:
@@ -468,9 +492,19 @@ class _CostEvaluator:
         return total
 
     def cost(self, omega_q: np.ndarray, omega_s: float) -> float:
-        _, _, eps_gate = self.gate_infidelities(omega_q, omega_s)
-        kept = np.sort(eps_gate)[::-1][self.k :]
-        return float(kept.sum() + self.penalty(omega_q))
+        f = self.frequencies(omega_q, omega_s)
+        _, _, eps_gate = self.gate_infidelities(omega_q, omega_s, f)
+        eps_gate.sort()
+        return float(np.add.reduce(eps_gate[self.kept]) + self.penalty(f[: self.pairs]))
+
+
+def _omega_q(assign: FrequencyAssignment, module: FreqModule) -> np.ndarray:
+    """assign.omega_q as an array, once it fits the module and all is finite and >= 0."""
+    if len(assign.omega_q) != module.num_qubits:
+        raise AllocationError(f"{len(assign.omega_q)} qubit frequencies for a {module.num_qubits}-qubit module")
+    if not all(0 <= w < inf for w in (*assign.omega_q, assign.omega_s)):
+        raise AllocationError("frequencies must be finite and nonnegative")
+    return np.asarray(assign.omega_q, dtype=float)
 
 
 def allocation_cost(
@@ -483,7 +517,7 @@ def allocation_cost(
     """Algorithm-1 loss: eps_gate summed over all but the k worst gates, plus
     the spacing penalty (see _CostEvaluator.gate_infidelities and .penalty)."""
     ev = _CostEvaluator(module, params, k, delta_q)
-    return ev.cost(np.asarray(assign.omega_q, dtype=float), assign.omega_s)
+    return ev.cost(_omega_q(assign, module), assign.omega_s)
 
 
 @dataclass(frozen=True)
@@ -517,17 +551,11 @@ def build_report(
     delta_q: float = DEFAULT_DELTA_Q,
 ) -> GateInfidelityReport:
     ev = _CostEvaluator(module, params, 0, delta_q)
-    omega_q = np.asarray(assign.omega_q, dtype=float)
-    eps_coh, eps_inc, eps_gate = ev.gate_infidelities(omega_q, assign.omega_s)
+    eps_coh, eps_inc, eps_gate = ev.gate_infidelities(_omega_q(assign, module), assign.omega_s)
     fid = np.clip(1.0 - eps_gate, 1e-12, 1.0)
     geo = float(np.exp(np.mean(np.log(fid))))
     pumps = [assign.conversion(a, b) for a, b in module.gates]
-    if len(pumps) > 1:
-        min_sep = min(
-            abs(pumps[i] - pumps[j]) for i in range(len(pumps)) for j in range(i + 1, len(pumps))
-        )
-    else:
-        min_sep = float("inf")
+    min_sep = min((abs(p - q) for p, q in combinations(pumps, 2)), default=inf)
     return GateInfidelityReport(
         gates=tuple(module.gates),
         eps_coh=tuple(float(e) for e in eps_coh),
@@ -548,8 +576,8 @@ class FrequencyBounds:
     snail: tuple[float, float] = DEFAULT_SNAIL_BAND
 
     def __post_init__(self):
-        if self.qubit[0] >= self.qubit[1] or self.snail[0] >= self.snail[1]:
-            raise AllocationError("bounds must be increasing intervals")
+        if not all(0 <= lo < hi < inf for lo, hi in (self.qubit, self.snail)):
+            raise AllocationError("bounds must be finite, nonnegative, increasing intervals")
 
 
 NM_MAX_ITER = 10_000
@@ -572,6 +600,7 @@ def optimize_frequencies(
     if no restart satisfies the qubit-spacing constraint the best-effort
     assignment is returned with the report flagged infeasible.
     """
+    restart_count(restarts)
     if params is None:
         params = calibrate_cost_model()
     ev = _CostEvaluator(module, params, k, delta_q)
@@ -581,7 +610,8 @@ def optimize_frequencies(
     hi = np.array([bounds.qubit[1]] * n + [bounds.snail[1]]) / scale
 
     def objective(x: np.ndarray) -> float:
-        return ev.cost(x[:n] * scale, x[n] * scale)
+        x = x * scale
+        return ev.cost(x[:n], x[n])
 
     def run_nm(x0: np.ndarray):
         return scipy.optimize.minimize(
@@ -619,7 +649,7 @@ def optimize_frequencies(
 
     root = np.random.SeedSequence(entropy=seed, spawn_key=(0xA110C,))
     best_x, best_cost = None, np.inf
-    for child in root.spawn(max(restarts, 1)):
+    for child in root.spawn(restarts):
         res = run_nm(golomb_start(np.random.default_rng(child)))
         if res.fun < best_cost:
             best_cost, best_x = float(res.fun), np.array(res.x)

@@ -56,6 +56,8 @@ class TestAllocate:
         ({"k": 5, "module_sizes": [2]}, "k"),
         ({"k": -1}, "k"),
         ({"delta_q": "abc"}, "delta_q"),
+        ({"restarts": 0}, "restarts"),
+        ({"restarts": -3}, "restarts"),
     ])
     def test_bad_config_field_names_it_and_the_file(self, tmp_path, capsys, config, key):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -328,6 +329,193 @@ class TestAllocationCost:
             assert cost_a == pytest.approx(cost_b, rel=1e-9)
 
 
+# --- bit identity of the allocation loss ---------------------------------
+# The expected values below were recorded from the evaluator that gathered
+# each pump and detuning separately, before its two-level gather plan: every
+# cost and per-gate infidelity keeps its exact binary64 value, as float.hex().
+
+# The calibrated fit as exact values, so that no digest depends on the
+# calibration's LAPACK build; the same fit with zero offsets, whose laws
+# divide by zero at an exact coincidence (inf clamps to 1); and the zero
+# fit, where such a coincidence gives 0/0 = NaN.
+_CALIBRATED = fa.CostModelParams(
+    float.fromhex("0x1.2a2fc1f91961dp+40"),
+    float.fromhex("0x1.0e911ab06b1a5p+15"),
+    float.fromhex("0x1.7d784b769ae88p+20"),
+    float.fromhex("0x1.7e2cf91e6f3aep+19"),
+)
+_FITS = (
+    _CALIBRATED,
+    fa.CostModelParams(_CALIBRATED.coh_x0, 0.0, _CALIBRATED.inc_x0, 0.0),
+    fa.CostModelParams(0.0, 0.0, 0.0, 0.0),
+)
+
+
+def _bit_point(rng):
+    """(n, gates, k, delta_q, fit, omega_q, omega_s) drawn from rng.
+
+    n = 2..5 with the default gate list or a custom one (pairs reversed at
+    random), every k, spacing 0 or 200 MHz, every fit.  Qubits are spread
+    over the band, crowded into 300 MHz, or on a 1, 25 or 100 MHz grid, where
+    pumps, resonances and qubits coincide exactly; one point in five puts the
+    coupler at exactly twice a qubit (zero incoherent detuning).
+    """
+    n = int(rng.integers(2, 6))
+    gates = ()
+    if rng.random() < 0.5:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        chosen = rng.permutation(len(pairs))[: rng.integers(1, len(pairs) + 1)]
+        gates = tuple(pairs[c][:: 1 - 2 * int(rng.integers(2))] for c in chosen)
+    k = int(rng.integers(len(gates) or n * (n - 1) // 2))
+    delta_q = (0.0, fa.DEFAULT_DELTA_Q)[rng.integers(2)]
+    fit = int(rng.integers(len(_FITS)))
+    layout = rng.integers(3)
+    if layout == 0:
+        omega_q = 3.3e9 + 2.4e9 * rng.random(n)
+        omega_s = 4.2e9 + 0.5e9 * rng.random()
+    elif layout == 1:
+        omega_q = 3.3e9 + 2.1e9 * rng.random() + 3e8 * rng.random(n)
+        omega_s = 4.2e9 + 0.5e9 * rng.random()
+    else:
+        step = (1e6, 25e6, 100e6)[rng.integers(3)]
+        omega_q = 3.3e9 + step * rng.integers(0, round(2.4e9 / step) + 1, n)
+        omega_s = 4.2e9 + step * rng.integers(0, round(0.5e9 / step) + 1)
+    if rng.random() < 0.2:
+        omega_s = 2.0 * omega_q[rng.integers(n)]
+    return n, gates, k, delta_q, fit, tuple(float(w) for w in omega_q), float(omega_s)
+
+
+def _loss_bits(n, gates, k, delta_q, fit, omega_q, omega_s, params=None):
+    """float.hex() of the cost, then of eps_coh, eps_inc and eps_gate."""
+    ev = fa._CostEvaluator(fa.FreqModule(n, gates), params or _FITS[fit], k, delta_q)
+    q = np.array(omega_q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (ev.cost(q, omega_s), *np.concatenate(ev.gate_infidelities(q, omega_s)))
+    return [float(v).hex() for v in values]
+
+
+# Points drawn by _bit_point from default_rng(0), with the cost and eps_gate
+# that each gave.
+_BIT_POINTS = [
+    ((5, ((4, 3), (3, 0), (2, 3)), 1, 200000000.0, 1,
+      (5051173071.431866, 3721573489.4461417, 5371629413.639728, 4599506928.59782, 4019308537.2897234), 10102346142.863731),
+     "0x1.bdd780a6ee280p-8", ("0x1.3ba1e2ea99300p-9", "0x1.20068f31a1900p-8",
+      "0x1.87ebbeae11880p-8")),
+    ((2, (), 0, 200000000.0, 1,
+      (4220826130.2285204, 5693303845.894106), 4690417669.388115),
+     "0x1.8b02f2ac74700p-9", ("0x1.8b02f2ac74700p-9",)),
+    ((4, (), 5, 200000000.0, 2,
+      (3800149162.605288, 3741308957.289781, 3676775223.2147503, 3729453268.1966), 4644743917.1745),
+     "0x1.70a8460487d26p+11", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+      "0x0.0p+0")),
+    ((4, (), 2, 0.0, 0,
+      (4500000000.0, 4100000000.0, 5125000000.0, 4225000000.0), 4350000000.0),
+     "0x1.0807c4f5be188p-4", ("0x1.672ddcb789900p-6", "0x1.0e715ce088280p-6",
+      "0x1.b69b33edec772p-2", "0x1.c46404fc66500p-8", "0x1.0000000000000p+0",
+      "0x1.3966d8ffcd160p-6")),
+    ((5, (), 0, 0.0, 1,
+      (5200000000.0, 4050000000.0, 3875000000.0, 5200000000.0, 5425000000.0), 4225000000.0),
+     "0x1.c267e536ee8e0p+2", ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+      "0x1.8cc9ca19dda40p-7", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+      "0x1.0000000000000p+0", "0x1.1564af2eac760p-6", "0x1.0000000000000p+0",
+      "0x1.18374565e55c0p-7", "0x1.0000000000000p+0")),
+    ((2, ((1, 0),), 0, 0.0, 2,
+      (3800000000.0, 5200000000.0), 4200000000.0),
+     "0x0.0p+0", ("0x0.0p+0",)),
+    ((5, ((2, 3), (4, 0), (1, 0), (3, 1), (4, 1), (2, 4), (1, 2)), 3, 200000000.0, 0,
+      (4379044147.787672, 4491509063.753656, 4477663214.664389, 4330993653.975787, 4420298765.775546), 4448711347.74381),
+     "0x1.e30d988cf45dap+11", ("0x1.aef591c8df344p-2", "0x1.0000000000000p+0",
+      "0x1.0000000000000p+0", "0x1.de7269ac4e208p-3", "0x1.0000000000000p+0",
+      "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    ((2, ((1, 0),), 0, 0.0, 2,
+      (5600000000.0, 5600000000.0), 4300000000.0),
+     "0x0.0p+0", ("0x0.0p+0",)),
+    ((2, (), 0, 200000000.0, 2,
+      (3586000000.0, 5373000000.0), 4241000000.0),
+     "0x0.0p+0", ("0x0.0p+0",)),
+    ((5, ((3, 2), (3, 4), (4, 2), (4, 1), (0, 2), (1, 3), (4, 0), (2, 1), (0, 3)), 1, 200000000.0, 2,
+      (5056814869.575746, 4774495792.677592, 3368076876.2724504, 5026127454.784177, 3338380150.8565726), 4578975501.178214),
+     "0x1.686fee52c4f1ep+10", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ((5, ((1, 2), (1, 0), (3, 1), (2, 4), (3, 4), (0, 4), (1, 4), (2, 0), (2, 3), (0, 3)), 1, 0.0, 2,
+      (4706695355.550559, 4629817205.215843, 5243305862.190666, 4645142284.814846, 3992210914.6349053), 4406448171.340446),
+     "0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ((5, (), 6, 200000000.0, 1,
+      (4725418083.871604, 5335898899.860144, 3649136491.647676, 4275624808.195504, 5483901507.989512), 4221533444.284102),
+     "0x1.0f14a8e7feb0ep+6", ("0x1.b3df8852f7cbcp-3", "0x1.95040f2a811b4p-3",
+      "0x1.bbe7fced0e7c0p-4", "0x1.0d8057513aae0p-6", "0x1.394915517b1a0p-6",
+      "0x1.b8b278fc0bce8p-4", "0x1.14d71c08baca0p-5", "0x1.e87fe1ab740b8p-4",
+      "0x1.0000000000000p+0", "0x1.ecf1452e21348p-4")),
+    ((4, ((2, 3), (1, 3), (0, 2)), 1, 200000000.0, 0,
+      (4800000000.0, 5600000000.0, 5200000000.0, 3600000000.0), 7200000000.0),
+     "0x1.0000000000000p+1", ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+      "0x1.0000000000000p+0")),
+    ((3, ((1, 2), (2, 0)), 1, 200000000.0, 0,
+      (3947608285.2019205, 5371488490.054363, 5415137214.570456), 4455353252.771823),
+     "0x1.31929fd4b0e69p+9", ("0x1.439e58e055f00p-9", "0x1.5a07e49b86900p-8")),
+    ((4, ((2, 0), (1, 2)), 1, 200000000.0, 2,
+      (5129532279.797987, 4945465879.030315, 4913695824.003993, 5072340411.728165), 10144680823.45633),
+     "0x1.5e0b2310b0c49p+10", ("0x0.0p+0", "0x0.0p+0")),
+    ((4, (), 2, 200000000.0, 1,
+      (5100000000.0, 3750000000.0, 5175000000.0, 4575000000.0), 10350000000.0),
+     "0x1.86ac567330dacp+8", ("0x1.76fd446b5dac0p-6", "0x1.59c53f6a98a00p-6",
+      "0x1.639700f0e9140p-6", "0x1.db2c0cad4ab00p-9", "0x1.cdb0a45865600p-10",
+      "0x1.0000000000000p+0")),
+    ((4, (), 5, 0.0, 0,
+      (5531319007.560592, 5450262489.949106, 5410610313.782641, 5556115989.2393675), 4297553699.228402),
+     "0x1.1277719a9d200p-7", ("0x1.4c39db5b29cc0p-7", "0x1.3f9e1e4d7bc00p-6",
+      "0x1.dd169d6ef8200p-7", "0x1.00236345c5ce0p-6", "0x1.445eaddc33f20p-6",
+      "0x1.1277719a9d200p-7")),
+    ((5, (), 8, 200000000.0, 0,
+      (4499934776.780684, 5085833950.278356, 3725344177.139181, 4231360156.282846, 3450949196.291931), 10171667900.556711),
+     "0x1.9e3ce87db2e00p-8", ("0x1.04809f096ac80p-8", "0x1.421ea1bbba918p-4",
+      "0x1.3e6aa1bfda178p-4", "0x1.1ee2f7f3f9f00p-8", "0x1.0000000000000p+0",
+      "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.337892e890300p-9",
+      "0x1.38b463a97e920p-4", "0x1.3f3d5ba2e0938p-4")),
+    ((3, (), 0, 0.0, 1,
+      (5138000000.0, 5521000000.0, 5497000000.0), 10276000000.0),
+     "0x1.008babc59c486p+1", ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+      "0x1.17578b3890c80p-8")),
+    ((2, (), 0, 0.0, 2,
+      (4391863581.836535, 4544920588.2957735), 4359008693.922899),
+     "0x0.0p+0", ("0x0.0p+0",)),
+]
+
+_BIT_DIGEST_POINTS = 6000
+_BIT_DIGEST = "ea68f4b2b6984adbd4f5d8100a2584d7e219ace2e57cb35194caf02b6058c57c"
+
+_OPTIMIZE_REPR_SHA256 = {
+    2: "3e849ba46bd138e965a0bc236df05c1ba0588eb2843ecb6d15fe95bf1c195e45",
+    3: "c6c0c18dffa25d9210740de967c8cff59c1626b1f0ce662d23df9c2c8c16f521",
+}
+
+
+class TestLossBits:
+    @pytest.mark.parametrize("point, cost, eps_gate", _BIT_POINTS)
+    def test_inline_points(self, point, cost, eps_gate):
+        bits = _loss_bits(*point)
+        assert (bits[0], tuple(bits[-len(eps_gate):])) == (cost, eps_gate)
+
+    def test_seeded_points_digest(self):
+        rng = np.random.default_rng(18)
+        digest = hashlib.sha256()
+        for _ in range(_BIT_DIGEST_POINTS):
+            digest.update(" ".join(_loss_bits(*_bit_point(rng))).encode() + b"\n")
+        assert digest.hexdigest() == _BIT_DIGEST
+
+    def test_negative_zero_lifetime_prefactor(self):
+        # -0.0 passes the nonnegativity check, and its sign reaches eps_inc.
+        params = fa.CostModelParams(_CALIBRATED.coh_x0, _CALIBRATED.coh_x1, -0.0, _CALIBRATED.inc_x1)
+        bits = _loss_bits(3, (), 0, 0.0, None, (4.0e9, 4.3e9, 5.1e9), 4.45e9, params)
+        assert bits == ['0x1.5aac2c76cb920p-5', '0x1.99954912f7c49p-6', '0x1.762cb3a8cd057p-9', '0x1.d9faf2cb0b7edp-7', '-0x0.0p+0', '-0x0.0p+0', '-0x0.0p+0', '0x1.99954912f7c40p-6', '0x1.762cb3a8cd000p-9', '0x1.d9faf2cb0b800p-7']
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_optimize_repr(self, n):
+        result = fa.optimize_frequencies(fa.FreqModule(n), params=_CALIBRATED, seed=0, restarts=2)
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == _OPTIMIZE_REPR_SHA256[n]
+
+
 class TestOptimizer:
     def test_deterministic(self, params):
         a1, r1 = fa.optimize_frequencies(fa.FreqModule(3), params=params, seed=5)
@@ -396,14 +584,42 @@ class TestFidelityTable:
     lambda: fa.PhysicalConstants(lam=0.5),
     lambda: fa.FreqModule(1),
     lambda: fa.FreqModule(2, gates=((0, 2),)),
+    lambda: fa.FreqModule(2, gates=((0, 1), (1, 0))),
+    lambda: fa.FreqModule(3, gates=((True, 2),)),
     lambda: fa.golomb_frequencies(1, 1.0, 0.0),
     lambda: fa.golomb_frequencies(3, 0.0, 0.0),
     lambda: fa.iswap_gate_time(0, 1.0, 1.0, 0.1),
     lambda: fa.max_pump_eta(0.0, fa.PhysicalConstants()),
     lambda: fa.CostModelParams(-1.0, 0.0, 0.0, 0.0),
+    lambda: fa.CostModelParams(math.nan, 0.0, 0.0, 0.0),
+    lambda: fa.CostModelParams(0.0, 0.0, math.inf, 0.0),
+    lambda: fa._CostEvaluator(fa.FreqModule(2), _CALIBRATED, 0, math.nan),
+    lambda: fa._CostEvaluator(fa.FreqModule(2), _CALIBRATED, 0, -1.0),
+    lambda: fa.allocation_cost(fa.FrequencyAssignment((4e9, math.nan), 4.4e9), fa.FreqModule(2), _CALIBRATED),
+    lambda: fa.allocation_cost(fa.FrequencyAssignment((4e9, 5e9), -4.4e9), fa.FreqModule(2), _CALIBRATED),
+    lambda: fa.FrequencyBounds(qubit=(-1e9, 4e9)),
+    lambda: fa.optimize_frequencies(fa.FreqModule(2), params=_CALIBRATED, restarts=0),
+    lambda: fa.optimize_frequencies(fa.FreqModule(2), params=_CALIBRATED, restarts=-3),
     lambda: fa.FrequencyBounds(qubit=(5e9, 4e9)),
     lambda: fa.pump_strength(4.5e9, 4.5e9, 1.0),
 ])
 def test_bad_inputs_raise_the_typed_error(call):
     with pytest.raises(fa.AllocationError):
         call()
+
+
+@pytest.mark.parametrize("gates, message", [
+    (((0, 1), (1, 0)), r"\(1,0\) at position 1"),
+    (((0, 1), (True, 2)), r"\(True,2\) at position 1"),
+])
+def test_bad_gate_pair_names_its_position(gates, message):
+    with pytest.raises(fa.AllocationError, match=message):
+        fa.FreqModule(3, gates)
+
+
+@pytest.mark.parametrize("omega_q", [(4.0e9, 4.5e9), (4.0e9, 4.5e9, 5.0e9, 5.5e9)])
+def test_frequency_count_must_match_the_module(omega_q):
+    assign = fa.FrequencyAssignment(omega_q, 4.4e9)
+    for call in (fa.allocation_cost, fa.build_report):
+        with pytest.raises(fa.AllocationError, match=f"{len(omega_q)} qubit frequencies for a 3-qubit"):
+            call(assign, fa.FreqModule(3), _CALIBRATED)
