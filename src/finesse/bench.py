@@ -15,7 +15,7 @@ from .ir import CircuitDag, CLIFFORD_KINDS
 from .qasm import parse_qasm
 from .router import RouterConfig, RoutingResult, run_trials, select_trial
 from .verifier import clifford_equivalent, statevector_equivalent
-from .weyl import BasisGate, swap_count
+from .weyl import swap_count
 
 CSV_COLUMNS = (
     "algorithm",
@@ -98,20 +98,19 @@ def verify_result(dag: CircuitDag, result: RoutingResult, seed: int = 0) -> None
 def run_bench(
     workloads: dict[str, CircuitDag],
     topologies: dict[str, CouplingMap],
-    algorithms: tuple[str, ...],
+    configs: tuple[RouterConfig, ...],
     post_modes: tuple[str, ...],
-    num_seeds: int,
     seed: int,
-    basis: BasisGate,
-    beta: float,
 ) -> tuple[list[BenchRow], list[dict]]:
-    """Route and verify the full cross product; returns (rows, run records)."""
+    """Route and verify the full cross product, one config per algorithm, all
+    with one basis and beta; returns (rows, run records)."""
+    algorithms = tuple(c.algorithm for c in configs)
     if "sabre" not in algorithms:
         raise BenchError("the sweep needs sabre as the percentage baseline")
     rows: list[BenchRow] = []
     records: list[dict] = []
     for topo_name, cmap in sorted(topologies.items()):
-        dists = build_distance_set(cmap, swap_count(basis), beta)
+        dists = build_distance_set(cmap, swap_count(configs[0].basis), configs[0].beta)
         for circ_name, dag in sorted(workloads.items()):
             if dag.num_qubits > cmap.num_physical:
                 raise BenchError(
@@ -119,10 +118,8 @@ def run_bench(
                 )
             selected: dict[tuple[str, str], RoutingResult] = {}
             verified_ids: set[int] = set()
-            for algo in algorithms:
-                config = RouterConfig(
-                    algorithm=algo, num_seeds=num_seeds, basis=basis, beta=beta
-                )
+            for config in configs:
+                algo = config.algorithm
                 trials = run_trials(dag, cmap, config, seed=seed, dists=dists)
                 for mode in post_modes:
                     best = select_trial(trials, replace(config, post_selection=mode))

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -25,13 +26,20 @@ from .hardware import (
 from .ir import circuit_depth
 from .qasm import parse_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, lf_cost, transpile
-from .verifier import clifford_equivalent, statevector_equivalent, unitary_equivalent
+from .verifier import (
+    DEFAULT_TOL,
+    UNITARY_WIDTH_LIMIT,
+    clifford_equivalent,
+    statevector_equivalent,
+    unitary_equivalent,
+)
 from .weyl import BasisGate, swap_count
 from .workloads import write_suite
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+ROUTER_DEFAULTS = RouterConfig()
 
 
 class UsageError(Exception):
@@ -64,6 +72,14 @@ def _resolve_topology(name_or_path: str):
 # --- allocate -------------------------------------------------------------
 
 
+def _spacing(value) -> float:
+    """A frequency that is finite and nonnegative (ValueError otherwise)."""
+    hz = parse_frequency(value)
+    if not 0 <= hz < inf:
+        raise ValueError(f"{hz!r} Hz is not a finite, nonnegative spacing")
+    return hz
+
+
 def _bounds(value) -> fa.FrequencyBounds:
     """{"qubit": [lo, hi], "snail": [lo, hi]}; a band left out keeps its default."""
     bands = dict(value)
@@ -85,7 +101,7 @@ def cmd_allocate(args) -> int:
     modules = read("module_sizes", lambda v: [fa.FreqModule(_integer(n)) for n in v],
                    [fa.FreqModule(n) for n in (2, 3, 4, 5)])
     k = read("k", lambda v: fa.worst_gate_exclusion(_integer(v), modules), 0)
-    delta_q = read("delta_q", parse_frequency, fa.DEFAULT_DELTA_Q)
+    delta_q = read("delta_q", _spacing, fa.DEFAULT_DELTA_Q)
     restarts = read("restarts", lambda v: fa.restart_count(_integer(v)), fa.NM_RESTARTS)
     seed = args.seed if args.seed is not None else read("seed", _integer, 0)
     bounds = read("bounds", _bounds, fa.FrequencyBounds())
@@ -151,7 +167,16 @@ def cmd_allocate(args) -> int:
 # --- transpile ------------------------------------------------------------
 
 
+def _check_routing_options(args):
+    """--seeds and --beta are checked here, so that each error names its option."""
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, not {args.seeds}")
+    if not 0 <= args.beta < inf:
+        raise UsageError(f"--beta must be finite and nonnegative, not {args.beta!r}")
+
+
 def _router_config(args) -> RouterConfig:
+    _check_routing_options(args)
     return RouterConfig(
         algorithm=args.algorithm,
         num_seeds=args.seeds,
@@ -198,10 +223,11 @@ def cmd_bench(args) -> int:
     # no files behind; swap_count refuses a basis that cannot route a SWAP.
     basis = BasisGate.from_name(args.basis)
     swap_count(basis)
-    algorithms = tuple(args.algorithms.split(","))
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise UsageError(f"unknown algorithm {algo!r}")
+    _check_routing_options(args)
+    configs = tuple(
+        RouterConfig(algorithm=algo, num_seeds=args.seeds, basis=basis, beta=args.beta)
+        for algo in args.algorithms.split(",")
+    )
     if args.topologies == "all":
         topologies = fabric_suite()
     else:
@@ -217,12 +243,9 @@ def cmd_bench(args) -> int:
         rows, records = bench_mod.run_bench(
             workloads,
             topologies,
-            algorithms=algorithms,
+            configs=configs,
             post_modes=post_modes,
-            num_seeds=args.seeds,
             seed=args.seed,
-            basis=basis,
-            beta=args.beta,
         )
     except bench_mod.BenchError as exc:
         print(f"bench aborted: {exc}", file=sys.stderr)
@@ -266,7 +289,7 @@ def cmd_verify(args) -> int:
     n = max(ref.num_qubits, routed.num_qubits)
     verdict = {"reference": str(ref_path), "routed": str(routed_path)}
     try:
-        if args.method == "unitary" or (args.method == "auto" and n <= 8):
+        if args.method == "unitary" or (args.method == "auto" and n <= UNITARY_WIDTH_LIMIT):
             verdict["method"] = "unitary"
             ok = unitary_equivalent(ref, routed, perm, tol=args.tol, input_map=input_map)
         elif args.method == "clifford":
@@ -306,12 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans.add_argument("circuit", help="OpenQASM 2 file")
     p_trans.add_argument("--topology", default="4q4e", help="Table-3 name or fixture JSON")
     p_trans.add_argument("--algorithm", default="finesse", choices=ALGORITHMS)
-    p_trans.add_argument("--seeds", type=int, default=24, help="routing trials")
+    p_trans.add_argument("--seeds", type=int, default=ROUTER_DEFAULTS.num_seeds, help="routing trials")
     p_trans.add_argument("--seed", type=int, default=0)
-    p_trans.add_argument("--beta", type=float, default=1.0)
-    p_trans.add_argument("--extended-size", type=int, default=20)
-    p_trans.add_argument("--aggression", type=int, default=2)
-    p_trans.add_argument("--post-selection", default="native", choices=("native", "fidelity"))
+    p_trans.add_argument("--beta", type=float, default=ROUTER_DEFAULTS.beta)
+    p_trans.add_argument("--extended-size", type=int, default=ROUTER_DEFAULTS.extended_size)
+    p_trans.add_argument("--aggression", type=int, default=ROUTER_DEFAULTS.aggression)
+    p_trans.add_argument("--post-selection", default=ROUTER_DEFAULTS.post_selection,
+                         choices=("native", "fidelity"))
     p_trans.add_argument("--basis", default="siswap")
     p_trans.add_argument("--out", help="routed QASM path (default stdout)")
     p_trans.add_argument("--metrics", help="metrics JSON path")
@@ -324,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--topologies", default="all", help="comma list of names/files, or 'all'")
     p_bench.add_argument("--algorithms", default=",".join(ALGORITHMS))
     p_bench.add_argument("--post-selection", default="both", choices=("both", "native", "fidelity"))
-    p_bench.add_argument("--seeds", type=int, default=24)
+    p_bench.add_argument("--seeds", type=int, default=ROUTER_DEFAULTS.num_seeds)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--beta", type=float, default=1.0)
+    p_bench.add_argument("--beta", type=float, default=ROUTER_DEFAULTS.beta)
     p_bench.add_argument("--basis", default="siswap")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -337,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--input-map", help="reference wire -> input wire, comma list")
     p_verify.add_argument("--method", default="auto",
                           choices=("auto", "unitary", "statevector", "clifford"))
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -62,8 +62,9 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("g3", "lam", "alpha", "eps_drive", "t1", "anchor_gate_time", "anchor_detuning"):
-            if getattr(self, name) <= 0:
-                raise AllocationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < inf:
+                raise AllocationError(f"{name}={value!r} must be positive and finite")
         if self.lam >= 0.5:
             raise AllocationError("hybridization lam must stay well below 1 (lam < 0.5)")
 

@@ -22,7 +22,8 @@ class TopologyError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """Undirected physical-qubit graph with per-edge gate fidelity C_ij."""
+    """Undirected physical-qubit graph with per-edge gate fidelity C_ij.  It owns
+    the edge tables routing reads, each built on first use and cached read-only."""
 
     num_physical: int
     edges: tuple[tuple[int, int, float], ...]
@@ -65,35 +66,46 @@ class CouplingMap:
 
     @cached_property
     def fidelity(self) -> dict[tuple[int, int], float]:
-        out = {}
-        for i, j, c in self.edges:
-            out[(i, j)] = c
-            out[(j, i)] = c
-        return out
+        return {pair: c for i, j, c in self.edges for pair in ((i, j), (j, i))}
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.fidelity
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        return sorted((min(i, j), max(i, j)) for i, j, _ in self.edges)
+    @cached_property
+    def log_weight(self) -> dict[tuple[int, int], float]:
+        """L = -ln(max(C, 1e-10)) per edge, under both orientations."""
+        return {pair: -log(max(c, FIDELITY_FLOOR)) for pair, c in self.fidelity.items()}
+
+    @cached_property
+    def edge_pairs(self) -> np.ndarray:
+        """(E, 2) edges as sorted (min, max) pairs."""
+        pairs = sorted((min(i, j), max(i, j)) for i, j, _ in self.edges)
+        return _read_only(np.array(pairs, dtype=np.intp).reshape(-1, 2))
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """(n, n): the edge_pairs row joining p and q, or -1 off an edge."""
+        a, b = self.edge_pairs.T
+        index = np.full((self.num_physical,) * 2, -1, dtype=np.intp)
+        index[a, b] = index[b, a] = np.arange(len(a))
+        return _read_only(index)
+
+    @cached_property
+    def swap_moves(self) -> np.ndarray:
+        """(E, n): the wire p's qubit sits on after a swap on edge e, at [e, p]."""
+        moves = np.tile(np.arange(self.num_physical, dtype=np.intp), (len(self.edge_pairs), 1))
+        np.put_along_axis(moves, self.edge_pairs, self.edge_pairs[:, ::-1], axis=1)
+        return _read_only(moves)
 
 
-class EdgeWeights:
-    """Natural-log infidelity weight per edge: L = -ln(max(C, 1e-10))."""
-
-    def __init__(self, weights: dict[tuple[int, int], float]):
-        self._w = dict(weights)
-        for (i, j), v in list(weights.items()):
-            self._w[(j, i)] = v
-
-    def of(self, i: int, j: int) -> float:
-        return self._w[(i, j)]
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def log_weights(cmap: CouplingMap) -> EdgeWeights:
-    return EdgeWeights(
-        {(min(i, j), max(i, j)): -log(max(c, FIDELITY_FLOOR)) for i, j, c in cmap.edges}
-    )
+def log_weights(cmap: CouplingMap) -> dict[tuple[int, int], float]:
+    """The map's per-edge log-infidelity table, ``cmap.log_weight``."""
+    return cmap.log_weight
 
 
 def _graph(cmap: CouplingMap, values) -> csr_matrix:
@@ -113,8 +125,8 @@ def hop_distances(cmap: CouplingMap) -> np.ndarray:
     return shortest_path(_graph(cmap, [1.0] * len(cmap.edges)), unweighted=True).astype(np.int64)
 
 
-def fidelity_distances(cmap: CouplingMap, weights: EdgeWeights, k_swap: int) -> np.ndarray:
-    """All-pairs Dijkstra with edge weight k_swap * L_ij.
+def fidelity_distances(cmap: CouplingMap, k_swap: int) -> np.ndarray:
+    """All-pairs Dijkstra with edge weight k_swap * L_ij, L from cmap.log_weight.
 
     Row s is the fixpoint d[s] = 0, d[v] = min over neighbours u of v of the
     rounded d[u] + k_swap * L_uv: the weights are nonnegative and rounding is
@@ -122,7 +134,7 @@ def fidelity_distances(cmap: CouplingMap, weights: EdgeWeights, k_swap: int) -> 
     """
     if k_swap < 1:
         raise TopologyError("k_swap must be a positive integer")
-    return dijkstra(_graph(cmap, [k_swap * weights.of(i, j) for i, j, _ in cmap.edges]))
+    return dijkstra(_graph(cmap, [k_swap * cmap.log_weight[i, j] for i, j, _ in cmap.edges]))
 
 
 def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.ndarray:
@@ -146,9 +158,8 @@ class DistanceSet:
 
 
 def build_distance_set(cmap: CouplingMap, k_swap: int, beta: float = 1.0) -> DistanceSet:
-    w = log_weights(cmap)
     d_hop = hop_distances(cmap)
-    d_fid = fidelity_distances(cmap, w, k_swap)
+    d_fid = fidelity_distances(cmap, k_swap)
     return DistanceSet(d_hop, d_fid, blended_distances(d_hop, d_fid, beta), beta, k_swap)
 
 

@@ -11,11 +11,10 @@ sum is unnormalized.
 Pass state is held in arrays.  The layout keeps virtual -> physical as an
 integer array and the DAG a (2q gates, 2) wire table; the front and its
 lookahead are held as rows of that table, so their physical pairs are one
-gather (`_pairs`).  Each pass also builds, once, the edge index of every
-physical pair and, per edge, where each physical wire's qubit moves under a
-swap on it.  `_distances` then reads the scoring-matrix entry of every gate
-now and after each candidate swap, shape (gates, candidates), with gathers
-only.
+gather (`_pairs`).  Every pass reads the edge tables the fabric caches
+(`CouplingMap.edge_pairs`, `edge_index`, `swap_moves`, `log_weight`).
+`_distances` reads the scoring-matrix entry of every gate now and after each
+candidate swap, shape (gates, candidates), with gathers only.
 `_heuristic` is one reduction: the front sum plus W times the extended-set
 average, one column per candidate, with the rows added in gate order (a
 pairwise sum would reorder them and move exact ties).  `_select_swap` reduces
@@ -43,7 +42,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .hardware import CouplingMap, DistanceSet, EdgeWeights, build_distance_set, log_weights
+from .hardware import CouplingMap, DistanceSet, build_distance_set
 from .ir import CircuitDag, Gate, Layout, circuit_depth, extended_set_core, retire
 from .weyl import BasisGate, gate_count, swap_count
 
@@ -110,7 +109,6 @@ class _Pass:
         dag: CircuitDag,
         cmap: CouplingMap,
         dists: DistanceSet,
-        weights: EdgeWeights,
         config: RouterConfig,
         rng: np.random.Generator,
         layout: Layout,
@@ -122,21 +120,11 @@ class _Pass:
         self.memo = {} if memo is None else memo
         self.cmap = cmap
         self.dists = dists
-        self.weights = weights
         self.config = config
         self.rng = rng
         self.layout = layout.copy()
         self.allow_mirror = allow_mirror and config.algorithm in MIRRORING and config.aggression > 0
         self.matrix = dists.d_blend if config.uses_blend else dists.d_hop.astype(float)
-        self.edges = np.array(cmap.edge_list(), dtype=np.intp).reshape(-1, 2)
-        n, e = cmap.num_physical, np.arange(len(self.edges))
-        self.edge_of = np.full((n, n), -1, dtype=np.intp)  # (p, q) -> edge index
-        self.edge_of[self.edges[:, 0], self.edges[:, 1]] = e
-        self.edge_of[self.edges[:, 1], self.edges[:, 0]] = e
-        # moved[e, p]: the physical wire that p's qubit sits on after a swap on edge e
-        self.moved = np.tile(np.arange(n), (len(e), 1))
-        self.moved[e, self.edges[:, 0]] = self.edges[:, 1]
-        self.moved[e, self.edges[:, 1]] = self.edges[:, 0]
         self.preds = dag.predecessor_counts()
         self.rows, self.wires = dag.two_qubit_rows, dag.wire_table
         self.front: list[Gate] = []  # ready 2q gates, sorted by id
@@ -232,17 +220,13 @@ class _Pass:
         score_now = float(self._heuristic(now[:n, None], now[n:, None])[0])
         score_mirr = float(self._heuristic(after[:n], after[n:])[0])
         if self.config.algorithm == "finesse":
-            l_edge = self.weights.of(p0, p1)
+            l_edge = self.cmap.log_weight[p0, p1]
             return score_mirr + k_mirr * l_edge <= score_now + k_orig * l_edge
         # mirage: never worsen the decomposition count; break count ties on
         # the scheduled-depth proxy (the hop heuristic downstream)
-        if k_mirr > k_orig:
-            return False
-        if k_mirr < k_orig:
-            return True
-        if self.config.aggression == 1:
-            return score_mirr < score_now
-        return score_mirr <= score_now
+        if k_mirr != k_orig:
+            return k_mirr < k_orig
+        return score_mirr < score_now if self.config.aggression == 1 else score_mirr <= score_now
 
     # scoring ----------------------------------------------------------
     def _pairs(self, rows: np.ndarray) -> np.ndarray:
@@ -252,7 +236,8 @@ class _Pass:
     def _distances(self, pairs: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """matrix[a, b] per gate, shape (gates,), and the same entry after each
         candidate swap (p0, p1) on an edge, shape (gates, cands)."""
-        moved = self.moved[self.edge_of[cands[:, 0], cands[:, 1]]].T  # (physical, cands)
+        edge = self.cmap.edge_index[cands[:, 0], cands[:, 1]]
+        moved = self.cmap.swap_moves[edge].T  # (physical, cands)
         return self.matrix[pairs[:, 0], pairs[:, 1]], self.matrix[moved[pairs[:, 0]], moved[pairs[:, 1]]]
 
     def _heuristic(self, front_vals: np.ndarray, ext_vals: np.ndarray) -> np.ndarray:
@@ -267,7 +252,7 @@ class _Pass:
         """Relative scoring over the edges touching the front layer."""
         on_front = np.zeros(self.cmap.num_physical, dtype=bool)
         on_front[front_pairs] = True
-        cands = self.edges[on_front[self.edges].any(axis=1)]
+        cands = self.cmap.edge_pairs[on_front[self.cmap.edge_pairs].any(axis=1)]
         n = len(self.front)
         now, after = self._distances(self._pairs(self._lookahead()), cands)
         delta = after - now[:, None]
@@ -288,9 +273,8 @@ class _Pass:
         hops = self.dists.d_hop[front_pairs[:, 0], front_pairs[:, 1]]
         p0, p1 = front_pairs[int(np.argmin(hops))].tolist()
         while self.dists.d_hop[p0, p1] > 1:
-            step = min(
-                (nb for nb in self.cmap.neighbors[p0] if self.dists.d_hop[nb, p1] < self.dists.d_hop[p0, p1]),
-            )
+            closer = self.dists.d_hop[:, p1] < self.dists.d_hop[p0, p1]
+            step = min(nb for nb in self.cmap.neighbors[p0] if closer[nb])
             self._apply_swap(p0, step)
             p0 = step
         self.stall = 0
@@ -308,7 +292,7 @@ class _Pass:
 
         while self.front:
             pairs = self._pairs(self.front_rows)
-            routable = (self.edge_of[pairs[:, 0], pairs[:, 1]] >= 0).nonzero()[0]
+            routable = (self.cmap.edge_index[pairs[:, 0], pairs[:, 1]] >= 0).nonzero()[0]
             if len(routable):
                 first = routable[0]
                 self._execute(self.front[first], *pairs[first].tolist())
@@ -347,15 +331,12 @@ def route_pass(
     initial_layout: Layout,
     emit: bool = True,
     allow_mirror: bool = True,
-    weights: EdgeWeights | None = None,
     memo: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> PassResult:
     """One pass.  ``memo`` maps front ids to the wire-table rows of that
     front's extended set; passes over one DAG at one extended size may share
     it, and without one the pass keeps its own."""
-    if weights is None:
-        weights = log_weights(cmap)
-    return _Pass(dag, cmap, dists, weights, config, rng, initial_layout, emit, allow_mirror, memo).run()
+    return _Pass(dag, cmap, dists, config, rng, initial_layout, emit, allow_mirror, memo).run()
 
 
 @dataclass(frozen=True)
@@ -395,14 +376,13 @@ class RoutingResult:
 
 def lf_cost(circuit: CircuitDag, cmap: CouplingMap, basis: BasisGate) -> float:
     """Sum over 2q gates of edge log-weight times decomposition count."""
-    weights = log_weights(cmap)
     total = 0.0
     for g in circuit.gates:
         if not g.is_two_qubit:
             continue
         if not cmap.has_edge(g.wires[0], g.wires[1]):
             raise RoutingError(f"gate {g} does not sit on a coupling-map edge")
-        total += weights.of(g.wires[0], g.wires[1]) * gate_count(g, basis)
+        total += cmap.log_weight[g.wires[0], g.wires[1]] * gate_count(g, basis)
     return total
 
 
@@ -428,7 +408,6 @@ def run_trials(
     ):
         if have != want:
             raise RoutingError(f"distance set {name} is {have!r}, the fabric and config need {want!r}")
-    weights = log_weights(cmap)
     reversed_dag = dag.reversed()
     memo, reversed_memo = {}, {}  # one per DAG, shared by every trial's passes
     trials = []
@@ -436,12 +415,11 @@ def run_trials(
         perm = trial_rng(seed, t, 0).permutation(n_phys)
         layout = Layout(perm)
         fwd = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 1), layout,
-                         emit=False, weights=weights, memo=memo)
+                         emit=False, memo=memo)
         rev = route_pass(reversed_dag, cmap, dists, config, trial_rng(seed, t, 2),
-                         fwd.final_layout, emit=False, allow_mirror=False, weights=weights,
-                         memo=reversed_memo)
+                         fwd.final_layout, emit=False, allow_mirror=False, memo=reversed_memo)
         final = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 3),
-                           rev.final_layout, emit=True, weights=weights, memo=memo)
+                           rev.final_layout, emit=True, memo=memo)
         circuit = CircuitDag(n_phys, final.gates)
         metrics = TrialMetrics(
             lf_cost=lf_cost(circuit, cmap, config.basis),

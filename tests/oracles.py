@@ -42,14 +42,27 @@ def all_simple_paths(edges: dict, src: int, dst: int):
                 stack.append((nb, path + [nb]))
 
 
-def brute_force_fidelity_distance(cmap, weights, k_swap: int, src: int, dst: int) -> float:
+def edge_log_weights(cmap) -> dict:
+    """-ln(max(C, 1e-10)) of every edge, keyed by both orientations, read
+    from the raw edge list."""
+    out = {}
+    for i, j, c in cmap.edges:
+        out[i, j] = out[j, i] = -math.log(max(c, 1e-10))
+    return out
+
+
+def brute_force_fidelity_distance(cmap, k_swap: int, src: int, dst: int) -> float:
     """Minimum accumulated k_swap * L over all simple paths."""
     if src == dst:
         return 0.0
-    adj = {i: list(cmap.neighbors[i]) for i in range(cmap.num_physical)}
+    weight = edge_log_weights(cmap)
+    adj = {i: [] for i in range(cmap.num_physical)}
+    for i, j, _ in cmap.edges:
+        adj[i].append(j)
+        adj[j].append(i)
     best = float("inf")
     for path in all_simple_paths(adj, src, dst):
-        cost = sum(k_swap * weights.of(a, b) for a, b in zip(path, path[1:]))
+        cost = sum(k_swap * weight[a, b] for a, b in zip(path, path[1:]))
         best = min(best, cost)
     return best
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import finesse
-from finesse import bench, freqalloc as fa
-from finesse.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
+from finesse import bench, freqalloc as fa, verifier
+from finesse.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from finesse.router import RouterConfig
 
 
 def _allocate(tmp_path, config):
@@ -56,6 +57,8 @@ class TestAllocate:
         ({"k": 5, "module_sizes": [2]}, "k"),
         ({"k": -1}, "k"),
         ({"delta_q": "abc"}, "delta_q"),
+        ({"delta_q": -1}, "delta_q"),
+        ({"delta_q": "inf GHz"}, "delta_q"),
         ({"restarts": 0}, "restarts"),
         ({"restarts": -3}, "restarts"),
     ])
@@ -204,6 +207,9 @@ def test_bench_writes_results(tmp_path):
     ("--basis", "root_iswap_3", "unreachable in <=3 uses of root_iswap_3"),
     ("--algorithms", "sabre,bogus", "unknown algorithm 'bogus'"),
     ("--topologies", "4q4e,nope", "unknown topology 'nope'"),
+    ("--seeds", "0", "--seeds must be at least 1"),
+    ("--beta", "-1", "--beta must be finite and nonnegative"),
+    ("--beta", "nan", "--beta must be finite and nonnegative"),
 ])
 def test_bench_refuses_a_bad_option_before_writing(tmp_path, capsys, option, value, message):
     workloads, out = tmp_path / "workloads", tmp_path / "bench"
@@ -214,6 +220,26 @@ def test_bench_refuses_a_bad_option_before_writing(tmp_path, capsys, option, val
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not workloads.exists() and not out.exists()
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser, config = build_parser(), RouterConfig()
+    for argv in (["transpile", "c.qasm"], ["bench"]):
+        args = parser.parse_args(argv)
+        assert (args.seeds, args.beta) == (config.num_seeds, config.beta)
+    args = parser.parse_args(["transpile", "c.qasm"])
+    assert (args.extended_size, args.aggression, args.post_selection) == (
+        config.extended_size, config.aggression, config.post_selection)
+    assert parser.parse_args(["verify", "a.qasm", "b.qasm"]).tol == verifier.DEFAULT_TOL
+
+
+def test_verify_auto_picks_the_unitary_up_to_its_width_limit(tmp_path, capsys):
+    n = verifier.UNITARY_WIDTH_LIMIT
+    for width, method in ((n, "unitary"), (n + 1, "statevector")):
+        path = tmp_path / f"id{width}.qasm"
+        path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n')
+        assert main(["verify", str(path), str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["method"] == method
 
 
 def test_python_dash_m_entry_point():

@@ -581,6 +581,8 @@ class TestFidelityTable:
 
 @pytest.mark.parametrize("call", [
     lambda: fa.PhysicalConstants(t1=0.0),
+    lambda: fa.PhysicalConstants(t1=math.nan),
+    lambda: fa.PhysicalConstants(g3=math.inf),
     lambda: fa.PhysicalConstants(lam=0.5),
     lambda: fa.FreqModule(1),
     lambda: fa.FreqModule(2, gates=((0, 2),)),

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finesse.hardware import (
     CouplingMap,
@@ -22,7 +22,12 @@ from finesse.hardware import (
     log_weights,
 )
 from finesse.weyl import BasisGate, swap_count
-from oracles import brute_force_fidelity_distance, random_connected_map, relaxed_distances
+from oracles import (
+    brute_force_fidelity_distance,
+    edge_log_weights,
+    random_connected_map,
+    relaxed_distances,
+)
 
 
 def triangle(l01=0.01, l12=0.01, l02=0.05):
@@ -62,29 +67,57 @@ class TestCouplingMap:
 class TestLogWeights:
     def test_perfect_gate_zero_weight(self):
         w = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [1.0]))
-        assert w.of(0, 1) == 0.0
+        assert w[0, 1] == w[1, 0] == 0.0
 
     def test_against_high_precision_reference(self):
         import mpmath
 
         w = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [0.996]))
         expected = float(-mpmath.log(mpmath.mpf("0.996")))
-        assert w.of(0, 1) == pytest.approx(expected, abs=1e-15)
-        assert w.of(0, 1) == pytest.approx(0.004008021397538, abs=1e-12)
+        assert w[0, 1] == pytest.approx(expected, abs=1e-15)
+        assert w[0, 1] == pytest.approx(0.004008021397538, abs=1e-12)
 
     def test_floor_clamp(self):
         # fidelity 0 is rejected by the map, but the weight law still clamps
         from finesse.hardware import FIDELITY_FLOOR
 
         w = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [1e-12]))
-        assert w.of(0, 1) == pytest.approx(-math.log(FIDELITY_FLOOR))
+        assert w[0, 1] == pytest.approx(-math.log(FIDELITY_FLOOR))
 
     @given(st.floats(min_value=0.5, max_value=1.0), st.floats(min_value=0.5, max_value=1.0))
     def test_antitone(self, ca, cb):
-        wa = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [ca])).of(0, 1)
-        wb = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [cb])).of(0, 1)
+        wa = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [ca]))[0, 1]
+        wb = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [cb]))[0, 1]
         if ca >= cb:
             assert wa <= wb
+
+
+class TestEdgeTables:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_tables_equal_a_construction_from_the_edge_list(self, seed):
+        cmap = random_connected_map(np.random.default_rng(seed))
+        n = cmap.num_physical
+        pairs = sorted((min(i, j), max(i, j)) for i, j, _ in cmap.edges)
+        index = [[-1] * n for _ in range(n)]
+        moves = []
+        for e, (a, b) in enumerate(pairs):
+            index[a][b] = index[b][a] = e
+            row = list(range(n))
+            row[a], row[b] = b, a
+            moves.append(row)
+        assert cmap.edge_pairs.tolist() == [list(p) for p in pairs]
+        assert cmap.edge_index.tolist() == index
+        assert cmap.swap_moves.tolist() == moves
+        assert cmap.log_weight == edge_log_weights(cmap)
+        assert all(type(v) is float for v in cmap.log_weight.values())
+        for table in (cmap.edge_pairs, cmap.edge_index, cmap.swap_moves):
+            assert table.dtype == np.intp
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+        for name in ("edge_pairs", "edge_index", "swap_moves", "log_weight"):
+            assert getattr(cmap, name) is getattr(cmap, name)  # built once per map
+        assert log_weights(cmap) is cmap.log_weight
 
 
 class TestHopDistances:
@@ -116,28 +149,27 @@ class TestHopDistances:
 class TestFidelityDistances:
     def test_triangle_detour_beats_direct(self):
         cmap = triangle()
-        d = fidelity_distances(cmap, log_weights(cmap), k_swap=3)
+        d = fidelity_distances(cmap, k_swap=3)
         assert d[0][2] == pytest.approx(3 * (0.01 + 0.01), rel=1e-9)
 
     def test_all_zero_weights(self):
         cmap = CouplingMap.from_pairs(3, [(0, 1), (1, 2)], [1.0, 1.0])
-        d = fidelity_distances(cmap, log_weights(cmap), k_swap=3)
+        d = fidelity_distances(cmap, k_swap=3)
         assert np.all(d == 0.0)
 
     def test_single_edge(self):
         cmap = CouplingMap.from_pairs(2, [(0, 1)], [math.exp(-0.004)])
-        d = fidelity_distances(cmap, log_weights(cmap), k_swap=3)
+        d = fidelity_distances(cmap, k_swap=3)
         assert d[0][1] == pytest.approx(0.012, rel=1e-9)
 
     def test_matches_exhaustive_path_minima(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             cmap = random_connected_map(rng, max_nodes=8)
-            w = log_weights(cmap)
-            d = fidelity_distances(cmap, w, k_swap=3)
+            d = fidelity_distances(cmap, k_swap=3)
             n = cmap.num_physical
             i, j = rng.integers(0, n, size=2)
-            expected = brute_force_fidelity_distance(cmap, w, 3, int(i), int(j))
+            expected = brute_force_fidelity_distance(cmap, 3, int(i), int(j))
             assert d[i][j] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_bits_equal_the_relaxed_fixpoint(self):
@@ -151,22 +183,22 @@ class TestFidelityDistances:
             hops = hop_distances(cmap)
             assert hops.dtype == np.int64
             assert np.array_equal(hops, relaxed_distances(cmap, lambda u, v: 1.0))
-            w = log_weights(cmap)
+            w = edge_log_weights(cmap)
             for k in (1, 3):
-                expected = relaxed_distances(cmap, lambda u, v: k * w.of(u, v))
-                assert fidelity_distances(cmap, w, k).tobytes() == expected.tobytes()
+                expected = relaxed_distances(cmap, lambda u, v: k * w[u, v])
+                assert fidelity_distances(cmap, k).tobytes() == expected.tobytes()
 
     def test_path_bound_property(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             cmap = random_connected_map(rng, max_nodes=6)
-            w = log_weights(cmap)
-            d = fidelity_distances(cmap, w, 3)
+            w = edge_log_weights(cmap)
+            d = fidelity_distances(cmap, 3)
             from oracles import all_simple_paths
 
             adj = {i: list(cmap.neighbors[i]) for i in range(cmap.num_physical)}
             for path in all_simple_paths(adj, 0, cmap.num_physical - 1):
-                cost = sum(3 * w.of(a, b) for a, b in zip(path, path[1:]))
+                cost = sum(3 * w[a, b] for a, b in zip(path, path[1:]))
                 assert d[0][cmap.num_physical - 1] <= cost + 1e-12
 
 
@@ -174,7 +206,7 @@ class TestBlended:
     def test_beta_zero_bitwise_equals_hop(self):
         cmap = triangle()
         d_hop = hop_distances(cmap)
-        d_fid = fidelity_distances(cmap, log_weights(cmap), 3)
+        d_fid = fidelity_distances(cmap, 3)
         blend = blended_distances(d_hop, d_fid, 0.0)
         assert np.array_equal(blend, d_hop.astype(float))
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finesse import router
-from finesse.hardware import CouplingMap, build_distance_set, fabric_suite, log_weights
+from finesse.hardware import CouplingMap, build_distance_set, fabric_suite
 from finesse.ir import CircuitDag, Gate, Layout, extended_set
 from finesse.router import (
     ALGORITHMS,
@@ -47,9 +47,7 @@ def _random_pass(rng, algorithm, *counts):
         lists.append(_random_gates(rng, n, int(rng.integers(low, high)), start))
         start += len(lists[-1])
     dag = CircuitDag(n, [g for gates in lists for g in gates])
-    p = router._Pass(
-        dag, cmap, dists, log_weights(cmap), config, rng, layout, emit=False, allow_mirror=True,
-    )
+    p = router._Pass(dag, cmap, dists, config, rng, layout, emit=False, allow_mirror=True)
     return p, lists
 
 
@@ -77,12 +75,12 @@ class TestLookahead:
     def test_relative_swap_scores_match_oracle(self, seed, algorithm):
         rng = np.random.default_rng(seed)
         p, (front, extended) = _random_pass(rng, algorithm, (1, 6), (0, 21))
-        now, after = p._distances(p._pairs(_rows(p, front + extended)), p.edges)
+        now, after = p._distances(p._pairs(_rows(p, front + extended)), p.cmap.edge_pairs)
         delta = after - now[:, None]
         k = len(front)
         scores = p._heuristic(delta[:k], delta[k:])
         base = reference_lookahead(front, extended, p.layout, p.matrix, p.config.w)
-        for c, (p0, p1) in enumerate(p.edges):
+        for c, (p0, p1) in enumerate(p.cmap.edge_pairs):
             moved = reference_lookahead(front, extended, _swapped(p.layout, p0, p1), p.matrix, p.config.w)
             assert abs(scores[c] - (moved - base)) <= 1e-12
 
@@ -91,7 +89,7 @@ class TestLookahead:
     def test_mirror_absolute_scores_equal_oracle(self, seed, algorithm):
         rng = np.random.default_rng(seed)
         p, (rest, extended) = _random_pass(rng, algorithm, (0, 6), (0, 21))
-        p0, p1 = p.edges[rng.integers(len(p.edges))]
+        p0, p1 = p.cmap.edge_pairs[rng.integers(len(p.cmap.edge_pairs))]
         now, after = p._distances(p._pairs(_rows(p, rest + extended)), np.array([[p0, p1]]))
         k = len(rest)
         w = p.config.w
@@ -234,7 +232,7 @@ class TestLookaheadMemo:
         dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
         seen = {}
         for _ in range(3):
-            p = router._Pass(dag, cmap, dists, log_weights(cmap), config, rng,
+            p = router._Pass(dag, cmap, dists, config, rng,
                              Layout.identity(cmap.num_physical), emit=False, allow_mirror=False)
             for _ in _retire_randomly(p, rng):
                 ids = [g.id for g in reference_extended_set(dag, p.front, size, p.preds)]
