@@ -1,13 +1,20 @@
 """Benchmark sweeps: cross product of circuits, fabrics, algorithms, seeds.
 
-Every emitted row corresponds to a routed circuit that passed statevector
+Each selected trial becomes one record, a dict: its algorithm, circuit,
+topology and post-selection names, its metrics (``TrialMetrics.to_dict``),
+``verified`` and its two percent changes against sabre.  Three files project
+the records: ``results.csv`` holds their ``CSV_COLUMNS``, ``results.json``
+holds each record without the two percentages, and ``summary.csv`` holds the
+``SUMMARY_COLUMNS`` of their means per (algorithm, post-selection).
+
+A record exists only for a routed circuit that passed statevector
 verification (plus exact tableau comparison for Clifford circuits); a
 verification failure aborts the sweep naming the offending run.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .hardware import CouplingMap, build_distance_set
@@ -29,41 +36,19 @@ CSV_COLUMNS = (
     "pct_delta_lf_vs_sabre",
     "pct_delta_depth_vs_sabre",
 )
+SUMMARY_COLUMNS = (
+    "algorithm",
+    "post_selection",
+    "mean_pct_delta_lf_vs_sabre",
+    "mean_pct_delta_depth_vs_sabre",
+    "runs",
+)
 CSV_FORMAT_VERSION = 1
+_PCT_KEYS = ("pct_delta_lf_vs_sabre", "pct_delta_depth_vs_sabre")
 
 
 class BenchError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    algorithm: str
-    circuit: str
-    topology: str
-    post_selection: str
-    lf_cost: float
-    depth: int
-    swaps: int
-    mirrors: int
-    pct_delta_lf_vs_sabre: float
-    pct_delta_depth_vs_sabre: float
-
-    def to_csv(self) -> str:
-        return ",".join(
-            [
-                self.algorithm,
-                self.circuit,
-                self.topology,
-                self.post_selection,
-                repr(self.lf_cost),
-                str(self.depth),
-                str(self.swaps),
-                str(self.mirrors),
-                repr(self.pct_delta_lf_vs_sabre),
-                repr(self.pct_delta_depth_vs_sabre),
-            ]
-        )
 
 
 def load_workloads(directory) -> dict[str, CircuitDag]:
@@ -101,13 +86,12 @@ def run_bench(
     configs: tuple[RouterConfig, ...],
     post_modes: tuple[str, ...],
     seed: int,
-) -> tuple[list[BenchRow], list[dict]]:
+) -> list[dict]:
     """Route and verify the full cross product, one config per algorithm, all
-    with one basis and beta; returns (rows, run records)."""
+    with one basis and beta; returns one record per selected trial."""
     algorithms = tuple(c.algorithm for c in configs)
     if "sabre" not in algorithms:
         raise BenchError("the sweep needs sabre as the percentage baseline")
-    rows: list[BenchRow] = []
     records: list[dict] = []
     for topo_name, cmap in sorted(topologies.items()):
         dists = build_distance_set(cmap, swap_count(configs[0].basis), configs[0].beta)
@@ -136,20 +120,6 @@ def run_bench(
                 base = selected[("sabre", mode)].metrics
                 for algo in algorithms:
                     m = selected[(algo, mode)].metrics
-                    rows.append(
-                        BenchRow(
-                            algorithm=algo,
-                            circuit=circ_name,
-                            topology=topo_name,
-                            post_selection=mode,
-                            lf_cost=m.lf_cost,
-                            depth=m.depth,
-                            swaps=m.swap_count,
-                            mirrors=m.mirror_count,
-                            pct_delta_lf_vs_sabre=100.0 * (m.lf_cost - base.lf_cost) / base.lf_cost,
-                            pct_delta_depth_vs_sabre=100.0 * (m.depth - base.depth) / base.depth,
-                        )
-                    )
                     records.append(
                         {
                             "algorithm": algo,
@@ -158,49 +128,40 @@ def run_bench(
                             "post_selection": mode,
                             **m.to_dict(),
                             "verified": True,
+                            "pct_delta_lf_vs_sabre": 100.0 * (m.lf_cost - base.lf_cost) / base.lf_cost,
+                            "pct_delta_depth_vs_sabre": 100.0 * (m.depth - base.depth) / base.depth,
                         }
                     )
-    return rows, records
+    return records
 
 
-def summarize(rows: list[BenchRow]) -> list[dict]:
+def summarize(records: list[dict]) -> list[dict]:
     """Mean percent change vs sabre per (algorithm, post-selection)."""
-    keys = sorted({(r.algorithm, r.post_selection) for r in rows})
+    keys = sorted({(r["algorithm"], r["post_selection"]) for r in records})
     out = []
     for algo, mode in keys:
-        sel = [r for r in rows if r.algorithm == algo and r.post_selection == mode]
+        sel = [r for r in records if r["algorithm"] == algo and r["post_selection"] == mode]
         out.append(
             {
                 "algorithm": algo,
                 "post_selection": mode,
-                "mean_pct_delta_lf_vs_sabre": sum(r.pct_delta_lf_vs_sabre for r in sel) / len(sel),
-                "mean_pct_delta_depth_vs_sabre": sum(r.pct_delta_depth_vs_sabre for r in sel) / len(sel),
+                "mean_pct_delta_lf_vs_sabre": sum(r["pct_delta_lf_vs_sabre"] for r in sel) / len(sel),
+                "mean_pct_delta_depth_vs_sabre": sum(r["pct_delta_depth_vs_sabre"] for r in sel) / len(sel),
                 "runs": len(sel),
             }
         )
     return out
 
 
-def rows_to_csv(rows: list[BenchRow]) -> str:
-    lines = [f"# format_version={CSV_FORMAT_VERSION}", ",".join(CSV_COLUMNS)]
-    lines.extend(r.to_csv() for r in rows)
+def to_csv(records: list[dict], columns: tuple[str, ...]) -> str:
+    """The versioned CSV of `columns`, one line per record; a cell is str(value),
+    which for a float is its repr."""
+    lines = [f"# format_version={CSV_FORMAT_VERSION}", ",".join(columns)]
+    lines.extend(",".join(str(r[c]) for c in columns) for r in records)
     return "\n".join(lines) + "\n"
 
 
-def summary_to_csv(summary: list[dict]) -> str:
-    lines = [
-        f"# format_version={CSV_FORMAT_VERSION}",
-        "algorithm,post_selection,mean_pct_delta_lf_vs_sabre,mean_pct_delta_depth_vs_sabre,runs",
-    ]
-    for s in summary:
-        lines.append(
-            f"{s['algorithm']},{s['post_selection']},{s['mean_pct_delta_lf_vs_sabre']!r},"
-            f"{s['mean_pct_delta_depth_vs_sabre']!r},{s['runs']}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_outputs(rows, records, summary, out_dir) -> dict[str, Path]:
+def write_outputs(records: list[dict], summary: list[dict], out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -208,7 +169,8 @@ def write_outputs(rows, records, summary, out_dir) -> dict[str, Path]:
         "results_json": out / "results.json",
         "summary_csv": out / "summary.csv",
     }
-    paths["results_csv"].write_text(rows_to_csv(rows))
-    paths["results_json"].write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    paths["summary_csv"].write_text(summary_to_csv(summary))
+    run_records = [{k: v for k, v in r.items() if k not in _PCT_KEYS} for r in records]
+    paths["results_csv"].write_text(to_csv(records, CSV_COLUMNS))
+    paths["results_json"].write_text(json.dumps(run_records, indent=2, sort_keys=True) + "\n")
+    paths["summary_csv"].write_text(to_csv(summary, SUMMARY_COLUMNS))
     return paths

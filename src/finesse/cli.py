@@ -23,9 +23,8 @@ from .hardware import (
     load_json,
     load_topology,
 )
-from .ir import circuit_depth
 from .qasm import parse_qasm, serialize_qasm
-from .router import ALGORITHMS, RouterConfig, lf_cost, transpile
+from .router import ALGORITHMS, RouterConfig, transpile
 from .verifier import (
     DEFAULT_TOL,
     UNITARY_WIDTH_LIMIT,
@@ -135,18 +134,8 @@ def cmd_allocate(args) -> int:
         }
         (out / f"report_n{n}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         spec = fa.fidelity_table(report, name=f"allocated_n{n}", drop_worst=k)
-        spec_payload = {
-            "format_version": 1,
-            "module": {
-                "name": spec.name,
-                "qubits": spec.qubits_per_module,
-                "edges": [list(e) for e in spec.edges_per_module],
-                "fidelities": list(spec.edge_fidelities),
-            },
-            "num_modules": 1,
-        }
         (out / f"modulespec_n{n}.json").write_text(
-            json.dumps(spec_payload, indent=2, sort_keys=True) + "\n"
+            json.dumps(spec.to_fixture(), indent=2, sort_keys=True) + "\n"
         )
         sep = report.min_interaction_separation
         sep_lines.append(
@@ -228,6 +217,8 @@ def cmd_bench(args) -> int:
         RouterConfig(algorithm=algo, num_seeds=args.seeds, basis=basis, beta=args.beta)
         for algo in args.algorithms.split(",")
     )
+    if "sabre" not in (c.algorithm for c in configs):
+        raise UsageError("--algorithms must include sabre, the percentage baseline")
     if args.topologies == "all":
         topologies = fabric_suite()
     else:
@@ -240,7 +231,7 @@ def cmd_bench(args) -> int:
     workloads = bench_mod.load_workloads(workdir)
     post_modes = ("native", "fidelity") if args.post_selection == "both" else (args.post_selection,)
     try:
-        rows, records = bench_mod.run_bench(
+        records = bench_mod.run_bench(
             workloads,
             topologies,
             configs=configs,
@@ -250,8 +241,8 @@ def cmd_bench(args) -> int:
     except bench_mod.BenchError as exc:
         print(f"bench aborted: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    summary = bench_mod.summarize(rows)
-    paths = bench_mod.write_outputs(rows, records, summary, args.out)
+    summary = bench_mod.summarize(records)
+    paths = bench_mod.write_outputs(records, summary, args.out)
     for s in summary:
         print(
             f"{s['algorithm']:8s} {s['post_selection']:8s} "

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import log
+from math import inf, log
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +141,8 @@ def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.n
     """D' = D_hop + beta * D_fid, elementwise."""
     if d_hop.shape != d_fid.shape:
         raise TopologyError(f"shape mismatch {d_hop.shape} vs {d_fid.shape}")
-    if beta < 0:
-        raise TopologyError("beta must be nonnegative")
+    if not 0 <= beta < inf:
+        raise TopologyError(f"beta must be finite and nonnegative, not {beta!r}")
     return d_hop.astype(float) + beta * d_fid
 
 
@@ -191,6 +191,19 @@ class ModuleSpec:
     @property
     def worst_fidelity(self) -> float:
         return min(self.edge_fidelities)
+
+    def to_fixture(self) -> dict:
+        """The one-module topology fixture that load_topology reads back."""
+        return {
+            "format_version": FORMAT_VERSION,
+            "module": {
+                "name": self.name,
+                "qubits": self.qubits_per_module,
+                "edges": [list(e) for e in self.edges_per_module],
+                "fidelities": list(self.edge_fidelities),
+            },
+            "num_modules": 1,
+        }
 
 
 def _ring_plus_chords(n: int, extra: int) -> tuple[tuple[int, int], ...]:

@@ -38,6 +38,7 @@ real-valued near-ties that rounding decides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from operator import attrgetter
 
 import numpy as np
@@ -74,6 +75,8 @@ class RouterConfig:
             raise RoutingError(f"unknown algorithm {self.algorithm!r}")
         if self.post_selection not in ("native", "fidelity"):
             raise RoutingError(f"unknown post-selection {self.post_selection!r}")
+        if not 0 <= self.beta < inf:
+            raise RoutingError(f"beta must be finite and nonnegative, not {self.beta!r}")
         if not 0 <= self.aggression <= 3:
             raise RoutingError("aggression must be in 0..3")
         if self.num_seeds < 1 or self.extended_size < 0 or self.release_valve_threshold < 1:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 import finesse
 from finesse import bench, freqalloc as fa, verifier
 from finesse.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from finesse.qasm import serialize_qasm
 from finesse.router import RouterConfig
+from finesse.workloads import qft
 
 
 def _allocate(tmp_path, config):
@@ -202,6 +205,40 @@ def test_bench_writes_results(tmp_path):
     assert digests == BENCH_DIGESTS
 
 
+def _csv_rows(path):
+    """The dict rows of a versioned bench CSV."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# format_version={bench.CSV_FORMAT_VERSION}"
+    return list(csv.DictReader(lines[1:]))
+
+
+def test_bench_files_are_projections_of_one_record(tmp_path):
+    workloads = tmp_path / "workloads"
+    workloads.mkdir()
+    (workloads / "small.qasm").write_text(SMALL_QASM)
+    (workloads / "qft_6.qasm").write_text(serialize_qasm(qft(6)))
+    out = tmp_path / "bench"
+    code = main(["bench", "--workloads", str(workloads), "--out", str(out),
+                 "--topologies", "4q4e,4q5e", "--algorithms", "sabre,finesse", "--seeds", "2"])
+    assert code == EXIT_OK
+    results, summary = _csv_rows(out / "results.csv"), _csv_rows(out / "summary.csv")
+    groups = {}
+    for row in results:
+        groups.setdefault((row["algorithm"], row["post_selection"]), []).append(row)
+    assert [(s["algorithm"], s["post_selection"]) for s in summary] == sorted(groups)
+    for s in summary:
+        rows = groups[(s["algorithm"], s["post_selection"])]
+        assert int(s["runs"]) == len(rows) == 4  # two circuits x two topologies
+        for key in ("pct_delta_lf_vs_sabre", "pct_delta_depth_vs_sabre"):
+            assert float(s[f"mean_{key}"]) == sum(float(r[key]) for r in rows) / len(rows)
+    records = json.loads((out / "results.json").read_text())
+    assert len(records) == len(results)
+    for record, row in zip(records, results):
+        shared = row.keys() & record.keys()
+        assert set(row) - shared == {"pct_delta_lf_vs_sabre", "pct_delta_depth_vs_sabre"}
+        assert {k: str(record[k]) for k in shared} == {k: row[k] for k in shared}
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--basis", "bogus", "unknown basis gate 'bogus'"),
     ("--basis", "root_iswap_3", "unreachable in <=3 uses of root_iswap_3"),
@@ -210,6 +247,7 @@ def test_bench_writes_results(tmp_path):
     ("--seeds", "0", "--seeds must be at least 1"),
     ("--beta", "-1", "--beta must be finite and nonnegative"),
     ("--beta", "nan", "--beta must be finite and nonnegative"),
+    ("--algorithms", "finesse", "--algorithms must include sabre"),
 ])
 def test_bench_refuses_a_bad_option_before_writing(tmp_path, capsys, option, value, message):
     workloads, out = tmp_path / "workloads", tmp_path / "bench"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finesse import freqalloc as fa
 from finesse.hardware import (
     CouplingMap,
     TABLE3_MODULES,
@@ -224,6 +225,11 @@ class TestBlended:
         with pytest.raises(TopologyError):
             blended_distances(np.zeros((2, 2)), np.zeros((3, 3)), 1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_beta_must_be_finite_and_nonnegative(self, beta):
+        with pytest.raises(TopologyError, match="beta must be finite and nonnegative"):
+            blended_distances(np.zeros((2, 2)), np.zeros((2, 2)), beta)
+
 
 class TestSnailFabric:
     def test_4q4e_single_module(self):
@@ -305,6 +311,16 @@ class TestCalibrationImport:
         path.write_text(json.dumps(payload))
         cmap = load_topology(path)
         assert cmap.num_physical == 8
+
+    @pytest.mark.parametrize("spec", [*TABLE3_MODULES.values(), "allocated"],
+                             ids=[*TABLE3_MODULES, "allocated"])
+    def test_module_fixture_reads_back_as_its_fabric(self, spec):
+        if spec == "allocated":
+            assign = fa.FrequencyAssignment((3.5e9, 4.3e9, 5.4e9, 4.9e9), 4.5e9)
+            report = fa.build_report(assign, fa.FreqModule(4), fa.calibrate_cost_model())
+            spec = fa.fidelity_table(report, name="allocated_n4", drop_worst=1)
+        payload = json.loads(json.dumps(spec.to_fixture()))
+        assert load_topology(payload).edges == build_snail_fabric(spec, 1).edges
 
     def test_bad_format_version(self):
         with pytest.raises(TopologyError):

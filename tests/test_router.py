@@ -336,3 +336,9 @@ def test_a_distance_set_for_another_fabric_or_config_is_refused(fabric, extra_k,
     dists = build_distance_set(suite[fabric], swap_count(config.basis) + extra_k, beta)
     with pytest.raises(router.RoutingError, match=f"distance set {field} is"):
         run_trials(SUITE["wstate_08"](), suite["5q7e"], config, dists=dists)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
+def test_beta_must_be_finite_and_nonnegative(beta):
+    with pytest.raises(router.RoutingError, match="beta must be finite and nonnegative"):
+        RouterConfig(algorithm="finesse", beta=beta)
