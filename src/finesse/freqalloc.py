@@ -17,6 +17,7 @@ The loss evaluator expands the catalog into a two-level gather plan once per
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -46,6 +47,12 @@ class AllocationError(ValueError):
 
 class PumpPoleError(AllocationError):
     pass
+
+
+def _require_integer(value, what: str) -> None:
+    """Refuse a bool or a non-integer ``value``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise AllocationError(f"{what} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,7 @@ class FreqModule:
     gates: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        _require_integer(self.num_qubits, "a module's qubit count")
         if self.num_qubits < 2:
             raise AllocationError("a module needs at least two qubits")
         if not self.gates:
@@ -197,6 +205,7 @@ def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
 
     Pairwise differences are all distinct when p is prime.
     """
+    _require_integer(p, "p")
     if p < 2:
         raise AllocationError("need p >= 2")
     if c <= 0:
@@ -209,13 +218,12 @@ def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
 def spectator_frequencies(
     assign: FrequencyAssignment,
     driven_pair: tuple[int, int],
-    catalog: Sequence[SpectatorTerm] = INTRA_CATALOG,
 ) -> list[tuple[float, float]]:
-    """(frequency, prefactor) per applicable catalog term, driven term excluded."""
+    """(frequency, prefactor) per applicable INTRA_CATALOG term, driven term excluded."""
     a, b = driven_pair
     own = ("pair", min(a, b), max(a, b))
     out = []
-    for term in catalog:
+    for term in INTRA_CATALOG:
         for freq, key in term.frequencies(assign.omega_q, assign.omega_s):
             if key == own:
                 continue
@@ -313,19 +321,15 @@ def _default_coherent_grid(prefactor_ratio: float, constants: PhysicalConstants)
 
 def calibrate_coherent_model(
     prefactor_ratio: float,
-    delta_grid: Sequence[float] | None = None,
     constants: PhysicalConstants = PhysicalConstants(),
 ) -> tuple[float, float]:
-    """Least-squares fit of the coherent law to the matrix-exponential oracle.
+    """Least-squares fit of the coherent law to the matrix-exponential oracle
+    over ``_default_coherent_grid``.
 
     The law linearizes as 1/sqrt(eps) = (x1 + delta)/sqrt(2 x0), so the fit
     is a degree-1 polynomial in delta.
     """
-    if delta_grid is None:
-        delta_grid = _default_coherent_grid(prefactor_ratio, constants)
-    grid = np.asarray(sorted(delta_grid), dtype=float)
-    if len(grid) < 3 or grid[-1] < 100.0 * grid[0] * (1 - 1e-9):
-        raise CalibrationError("delta grid must span at least two decades")
+    grid = _default_coherent_grid(prefactor_ratio, constants)
     eps = np.array([bounded_spectator_infidelity(d, prefactor_ratio, constants) for d in grid])
     if np.max(eps) < 1e-14:
         return 0.0, 1.0  # no spectator: degenerate fit, x0 -> 0
@@ -389,14 +393,14 @@ class CostModelParams:
     def coherent_for(self, prefactor: float) -> tuple[float, float]:
         return self.coh_x0 * prefactor**2, self.coh_x1 * prefactor
 
-    def coherent_crossing(self, prefactor: float, target_eps: float = 0.01) -> float:
-        """Detuning where the category curve drops to target_eps (Hz)."""
+    def coherent_crossing(self, prefactor: float) -> float:
+        """Detuning where the category curve drops to 0.01, F = 0.99 (Hz)."""
         x0, x1 = self.coherent_for(prefactor)
-        return (2.0 * x0 / target_eps) ** 0.5 - x1
+        return (2.0 * x0 / 0.01) ** 0.5 - x1
 
 
 def calibrate_cost_model(constants: PhysicalConstants = PhysicalConstants()) -> CostModelParams:
-    coh_x0, coh_x1 = calibrate_coherent_model(1.0, None, constants)
+    coh_x0, coh_x1 = calibrate_coherent_model(1.0, constants)
     inc_x0, inc_x1 = calibrate_incoherent_model(constants)
     return CostModelParams(coh_x0, coh_x1, inc_x0, inc_x1)
 
@@ -407,6 +411,7 @@ def calibrate_cost_model(constants: PhysicalConstants = PhysicalConstants()) -> 
 def worst_gate_exclusion(k: int, modules) -> int:
     """k, if dropping the k worst gates leaves each of `modules` (anything with
     `.gates`) at least one."""
+    _require_integer(k, "worst-gate exclusion k")
     if k < 0 or any(k >= len(m.gates) for m in modules):
         raise AllocationError(f"worst-gate exclusion k={k} must be >= 0 and leave every module a gate")
     return k
@@ -414,6 +419,7 @@ def worst_gate_exclusion(k: int, modules) -> int:
 
 def restart_count(restarts: int) -> int:
     """restarts, if Nelder-Mead gets at least one."""
+    _require_integer(restarts, "restarts")
     if restarts < 1:
         raise AllocationError(f"restarts={restarts} must be at least 1")
     return restarts

@@ -445,7 +445,7 @@ def _root_name(n: int) -> str:
     return f"iswap_r{n}"
 
 
-def serialize_qasm(dag: CircuitDag, register: str = "q") -> str:
+def serialize_qasm(dag: CircuitDag) -> str:
     """Emit the same dialect; root-iswap orders ride on pragma comments.
 
     Mirrored gates are emitted as their base gate followed by an explicit
@@ -463,19 +463,19 @@ def serialize_qasm(dag: CircuitDag, register: str = "q") -> str:
         lines.append("opaque iswap a,b;")
     if uses_ecr:
         lines.append("opaque ecr a,b;")
-    lines.append(f"qreg {register}[{dag.num_qubits}];")
+    lines.append(f"qreg q[{dag.num_qubits}];")
     for g in dag.gates:
         if g.kind == "unitary":
             raise QasmError("opaque-unitary gates have no QASM form")
         if g.kind == "barrier":
-            args = ",".join(f"{register}[{w}]" for w in g.wires)
+            args = ",".join(f"q[{w}]" for w in g.wires)
             lines.append(f"barrier {args};")
             continue
         name = _root_name(g.n) if g.kind == "root_iswap" else g.kind
         head = name
         if g.params:
             head += "(" + ",".join(repr(p) for p in g.params) + ")"
-        args = ",".join(f"{register}[{w}]" for w in g.wires)
+        args = ",".join(f"q[{w}]" for w in g.wires)
         if g.mirrored:
             lines.append(f"{head} {args}; // mirror half")
             lines.append(f"swap {args};")

@@ -37,6 +37,7 @@ real-valued near-ties that rounding decides.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from math import inf
 from operator import attrgetter
@@ -75,12 +76,18 @@ class RouterConfig:
             raise RoutingError(f"unknown algorithm {self.algorithm!r}")
         if self.post_selection not in ("native", "fidelity"):
             raise RoutingError(f"unknown post-selection {self.post_selection!r}")
-        if not 0 <= self.beta < inf:
-            raise RoutingError(f"beta must be finite and nonnegative, not {self.beta!r}")
-        if not 0 <= self.aggression <= 3:
-            raise RoutingError("aggression must be in 0..3")
-        if self.num_seeds < 1 or self.extended_size < 0 or self.release_valve_threshold < 1:
-            raise RoutingError("bad router configuration")
+        for name in ("beta", "w"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 <= value < inf:
+                raise RoutingError(f"{name} must be finite and nonnegative, not {value!r}")
+        for name, least, most in (("extended_size", 0, inf), ("aggression", 0, 3),
+                                  ("release_valve_threshold", 1, inf), ("num_seeds", 1, inf)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or not least <= value <= most:
+                bound = f">= {least}" if most == inf else f"in {least}..{most}"
+                raise RoutingError(f"{name} must be an integer {bound}, not {value!r}")
 
     @property
     def uses_blend(self) -> bool:
@@ -464,6 +471,5 @@ def transpile(
     cmap: CouplingMap,
     config: RouterConfig,
     seed: int = 0,
-    dists: DistanceSet | None = None,
 ) -> RoutingResult:
-    return select_trial(run_trials(dag, cmap, config, seed, dists), config)
+    return select_trial(run_trials(dag, cmap, config, seed), config)

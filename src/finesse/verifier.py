@@ -13,18 +13,21 @@ costs one full-state pass (the rule is in ``_TrackedState``); the 1q
 products left at the end cost one pass per ``FUSE`` slots.
 Two rules compare the result, and both require every ancilla output to be
 |0> whatever gates touched it: ``statevector_equivalent`` (reference width
-<= 15) checks overlaps of Haar-random inputs, ``unitary_equivalent`` (width
-<= 8) the computational basis entrywise up to one global phase.
+<= 15) checks overlaps of ``NUM_STATES`` Haar-random inputs,
+``unitary_equivalent`` (width <= 8) the computational basis entrywise up to
+one global phase.  Each checks its width before it evolves anything; after
+that the one limit is ``STATEVECTOR_WIDTH_LIMIT`` tracked slots, which only
+a routed circuit bringing a 16th wire into a statevector check reaches.
 
 One reference evolution per DAG: the evolved reference depends only on the
-reference, the seed and the number of states, never on the route, so
-``statevector_equivalent`` keeps it in a memo keyed weakly by the reference
-``CircuitDag``.  Each DAG holds one ``((seed, num_states), block)`` entry; a
-call with another seed or state count replaces it, and the entry is freed
-with the DAG.  A first call still evolves both circuits, so a caller that
-checks one route per reference (``finesse transpile``, ``finesse verify``)
-gains nothing; ``finesse bench`` checks every selected trial against one
-evolution.  ``unitary_equivalent`` evolves its identity block every time.
+reference and the seed, never on the route, so ``statevector_equivalent``
+keeps it in a memo keyed weakly by the reference ``CircuitDag``.  Each DAG
+holds one ``(seed, block)`` entry; a call with another seed replaces it, and
+the entry is freed with the DAG.  A first call still evolves both circuits,
+so a caller that checks one route per reference (``finesse transpile``,
+``finesse verify``) gains nothing; ``finesse bench`` checks every selected
+trial against one evolution.  ``unitary_equivalent`` evolves its identity
+block every time.
 
 ``clifford_equivalent`` compares tableaux exactly at any width, with a
 stricter ancilla contract: an ancilla must map its X and Z onto its own
@@ -45,7 +48,7 @@ from .stabilizer import tableau_of
 
 UNITARY_WIDTH_LIMIT = 8
 STATEVECTOR_WIDTH_LIMIT = 15
-DEFAULT_NUM_STATES = 8
+NUM_STATES = 8
 DEFAULT_TOL = 1e-8
 # Most slots one fused block spans.  A wider block makes fewer passes, each
 # dearer to compose and apply; of 3, 4 and 5, 5 checked the 15-qubit routes
@@ -55,7 +58,7 @@ FUSE = 5
 
 _I2 = np.eye(2, dtype=complex)
 
-# Reference DAG -> ((seed, num_states), its read-only evolved block).
+# Reference DAG -> (seed, its read-only evolved block).
 _REFERENCE_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -135,12 +138,11 @@ class _TrackedState:
     products, ``FUSE`` slots per pass.
     """
 
-    def __init__(self, amplitudes: np.ndarray, wires, limit: int):
+    def __init__(self, amplitudes: np.ndarray, wires):
         wires = list(wires)
         self.state = np.asarray(amplitudes, dtype=complex).reshape((2,) * len(wires) + (-1,))
         self.slots = len(wires)
         self.wire_slot = {w: i for i, w in enumerate(wires)}
-        self.limit = limit
         self.pending: dict[int, np.ndarray] = {}
         self.block_slots: list[int] = []
         self.block: list[tuple[np.ndarray, int, int]] = []  # (4x4, positions in block_slots)
@@ -148,8 +150,8 @@ class _TrackedState:
     def _slot_for(self, wire: int) -> int:
         if wire in self.wire_slot:
             return self.wire_slot[wire]
-        if self.slots >= self.limit:
-            raise WidthError(f"tracked subspace exceeds {self.limit} qubits")
+        if self.slots >= STATEVECTOR_WIDTH_LIMIT:
+            raise WidthError(f"tracked subspace exceeds {STATEVECTOR_WIDTH_LIMIT} qubits")
         self.state = np.stack([self.state, np.zeros_like(self.state)], axis=self.slots)
         self.wire_slot[wire] = self.slots
         self.slots += 1
@@ -226,30 +228,30 @@ class _TrackedState:
         self.pending.clear()
 
 
-def _evolve(dag: CircuitDag, amplitudes: np.ndarray, wires, limit: int) -> _TrackedState:
+def _evolve(dag: CircuitDag, amplitudes: np.ndarray, wires) -> _TrackedState:
     """Run ``dag`` on ``amplitudes`` ((2**len(wires), batch), entering on ``wires``)."""
-    ts = _TrackedState(amplitudes, wires, limit)
+    ts = _TrackedState(amplitudes, wires)
     for g in dag.gates:
         ts.apply_gate(g)
     ts.flush()
     return ts
 
 
-def _reference_block(ref: CircuitDag, amplitudes: np.ndarray, limit: int) -> np.ndarray:
+def _reference_block(ref: CircuitDag, amplitudes: np.ndarray) -> np.ndarray:
     """The reference run on ``amplitudes``, as a (2**n_ref, batch) block in
     wire order (its own swaps only relabel)."""
     n_ref = ref.num_qubits
-    ts = _evolve(ref, amplitudes, range(n_ref), limit)
+    ts = _evolve(ref, amplitudes, range(n_ref))
     state = np.moveaxis(ts.state, [ts.wire_slot[w] for w in range(n_ref)], range(n_ref))
     return state.reshape(2**n_ref, -1)
 
 
 def _routed_tensor(routed: CircuitDag, amplitudes: np.ndarray, inputs: np.ndarray,
-                   outputs: np.ndarray, n_ref: int, limit: int):
+                   outputs: np.ndarray, n_ref: int):
     """The routed circuit run on ``amplitudes`` entering on ``inputs[:n_ref]``:
     the slots on wires ``outputs[:n_ref]``, every other slot, then the batch
     axis.  None when a claimed data output is untracked."""
-    ts = _evolve(routed, amplitudes, inputs[:n_ref].tolist(), limit)
+    ts = _evolve(routed, amplitudes, inputs[:n_ref].tolist())
     data = [ts.wire_slot.get(int(w)) for w in outputs[:n_ref]]
     if None in data:
         return None
@@ -257,34 +259,31 @@ def _routed_tensor(routed: CircuitDag, amplitudes: np.ndarray, inputs: np.ndarra
     return np.moveaxis(ts.state, data + rest, range(ts.slots))
 
 
-def _check_options(tol, num_states: int = 1, seed: int = 0) -> None:
-    """Refuse a tolerance, state count or seed that cannot give a verdict,
-    and a bool for any of them."""
+def _check_options(tol, seed: int = 0) -> None:
+    """Refuse a tolerance or seed that cannot give a verdict, and a bool for
+    either."""
     if isinstance(tol, bool) or not (
             isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise VerifierError(f"tol must be a finite number >= 0, got {tol!r}")
-    if isinstance(num_states, bool) or not (
-            isinstance(num_states, numbers.Integral) and num_states >= 1):
-        raise VerifierError(f"num_states must be an integer >= 1, got {num_states!r}")
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise VerifierError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-def _haar_states(n: int, num_states: int, seed) -> np.ndarray:
+def _haar_states(n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x44A2,)))
-    z = rng.standard_normal((2**n, num_states)) + 1j * rng.standard_normal((2**n, num_states))
+    z = rng.standard_normal((2**n, NUM_STATES)) + 1j * rng.standard_normal((2**n, NUM_STATES))
     return z / np.linalg.norm(z, axis=0, keepdims=True)
 
 
-def _memoised_reference(ref: CircuitDag, psi: np.ndarray, key: tuple) -> np.ndarray:
-    """``ref``'s block on ``psi``, evolved once per ``key`` = (seed,
-    num_states), the only inputs that ``psi`` depends on."""
+def _memoised_reference(ref: CircuitDag, psi: np.ndarray, seed: int) -> np.ndarray:
+    """``ref``'s block on ``psi``, evolved once per ``seed``, the only input
+    that ``psi`` depends on."""
     entry = _REFERENCE_BLOCKS.get(ref)
-    if entry is not None and entry[0] == key:
+    if entry is not None and entry[0] == seed:
         return entry[1]
-    block = _reference_block(ref, psi, STATEVECTOR_WIDTH_LIMIT)
+    block = _reference_block(ref, psi)
     block.flags.writeable = False
-    _REFERENCE_BLOCKS[ref] = (key, block)
+    _REFERENCE_BLOCKS[ref] = (seed, block)
     return block
 
 
@@ -292,35 +291,35 @@ def statevector_equivalent(
     ref: CircuitDag,
     routed: CircuitDag,
     perm,
-    num_states: int = DEFAULT_NUM_STATES,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
     input_map=None,
 ) -> bool:
-    """Evolve Haar-random inputs through both circuits and compare overlaps.
+    """Evolve ``NUM_STATES`` Haar-random inputs through both circuits and
+    compare overlaps.
 
     Equivalence holds when |<psi_ref| P |psi_routed>| = 1 within tol for
     every sampled state, which is insensitive to global phase.
 
-    The evolved reference is memoised on ``ref`` under (seed, num_states):
-    one entry per DAG, replaced when either changes and freed with the DAG.
+    The evolved reference is memoised on ``ref`` under the seed: one entry
+    per DAG, replaced when the seed changes and freed with the DAG.
     A first call pays for both evolutions, a repeat only for the routed one.
     The memo relies on ``CircuitDag`` being immutable: writing into a gate's
     ``matrix`` after a check leaves a stale reference.
     """
-    _check_options(tol, num_states, seed)
+    _check_options(tol, seed)
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
     if n_ref > STATEVECTOR_WIDTH_LIMIT:
         raise WidthError(f"reference width {n_ref} exceeds {STATEVECTOR_WIDTH_LIMIT}")
     inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
-    psi = _haar_states(n_ref, num_states, seed)
-    a = _memoised_reference(ref, psi, (seed, num_states))
-    routed_state = _routed_tensor(routed, psi, inputs, outputs, n_ref, STATEVECTOR_WIDTH_LIMIT)
+    psi = _haar_states(n_ref, seed)
+    a = _memoised_reference(ref, psi, seed)
+    routed_state = _routed_tensor(routed, psi, inputs, outputs, n_ref)
     if routed_state is None:
         return False
     # Ancilla outputs projected on |0>: a view, then only the data block copied.
     ancillas_at_zero = (slice(None),) * n_ref + (0,) * (routed_state.ndim - 1 - n_ref)
-    b = routed_state[ancillas_at_zero].reshape(-1, num_states)
+    b = routed_state[ancillas_at_zero].reshape(-1, NUM_STATES)
     overlaps = np.abs(np.sum(a.conj() * b, axis=0))
     return bool(np.all(np.abs(overlaps - 1.0) <= tol))
 
@@ -339,8 +338,8 @@ def unitary_equivalent(
         raise WidthError(f"width exceeds {UNITARY_WIDTH_LIMIT} for direct unitary comparison")
     inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
     basis = np.eye(2**n_ref, dtype=complex)
-    u_ref = _reference_block(ref, basis, UNITARY_WIDTH_LIMIT)
-    routed_state = _routed_tensor(routed, basis, inputs, outputs, n_ref, UNITARY_WIDTH_LIMIT)
+    u_ref = _reference_block(ref, basis)
+    routed_state = _routed_tensor(routed, basis, inputs, outputs, n_ref)
     if routed_state is None:
         return False
     t = routed_state.reshape(2**n_ref, -1, 2**n_ref)  # (data out, ancilla out, data in)

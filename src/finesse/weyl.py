@@ -17,10 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from . import gates
-from .ir import Gate
+from .ir import _UNITARY_TOL, Gate
 
 WEYL_TOL = 1e-8
-_UNITARY_TOL = 1e-10
 
 # Magic (Bell) basis; local gates become real orthogonal matrices here.
 MAGIC = np.array(
@@ -47,11 +46,11 @@ class BasisError(ValueError):
     """A basis gate name, kind or order that names no supported basis."""
 
 
-def _require_unitary(u: np.ndarray, tol: float = _UNITARY_TOL):
+def _require_unitary(u: np.ndarray):
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise NonUnitaryError(f"expected a 4x4 matrix, got shape {u.shape}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(4))) > tol:
+    if np.max(np.abs(u @ u.conj().T - np.eye(4))) > _UNITARY_TOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
     return u
 
@@ -169,12 +168,12 @@ class BasisGate:
         return abs(c[0] - pi / 4) < WEYL_TOL and abs(c[2]) < WEYL_TOL
 
 
-def _is_local(c, tol=WEYL_TOL) -> bool:
-    return abs(c[0]) <= tol and abs(c[1]) <= tol and abs(c[2]) <= tol
+def _is_local(c) -> bool:
+    return all(abs(x) <= WEYL_TOL for x in c)
 
 
-def _at_point(c, point, tol=WEYL_TOL) -> bool:
-    return all(abs(a - b) <= tol for a, b in zip(c, point))
+def _at_point(c, point) -> bool:
+    return all(abs(a - b) <= WEYL_TOL for a, b in zip(c, point))
 
 
 def basis_gate_count(u: np.ndarray, basis: BasisGate) -> int:

@@ -102,10 +102,10 @@ def bernstein_vazirani(n: int, secret: int | None = None) -> CircuitDag:
     return build_dag(n, ops)
 
 
-def qaoa_ring(n: int, layers: int = 2, seed: int = 11) -> CircuitDag:
-    rng = np.random.default_rng(seed)
+def qaoa_ring(n: int) -> CircuitDag:
+    rng = np.random.default_rng(11)
     ops = [("h", (i,)) for i in range(n)]
-    for _ in range(layers):
+    for _ in range(2):
         gamma = float(rng.uniform(0.1, pi))
         beta = float(rng.uniform(0.1, pi))
         for i in range(n):
@@ -115,10 +115,10 @@ def qaoa_ring(n: int, layers: int = 2, seed: int = 11) -> CircuitDag:
     return build_dag(n, ops)
 
 
-def vqe_two_local(n: int, layers: int = 3, seed: int = 13) -> CircuitDag:
-    rng = np.random.default_rng(seed)
+def vqe_two_local(n: int) -> CircuitDag:
+    rng = np.random.default_rng(13)
     ops = []
-    for _ in range(layers):
+    for _ in range(3):
         for i in range(n):
             ops.append(("ry", (i,), (float(rng.uniform(0, 2 * pi)),)))
         for i in range(n - 1):
@@ -163,10 +163,9 @@ def amplitude_estimation(n: int) -> CircuitDag:
     return build_dag(n, ops)
 
 
-def shor_ec(n: int = 11) -> CircuitDag:
-    """Shor-code encode, inject an error, decode with Toffoli corrections."""
-    if n < 11:
-        raise ValueError("the error-correction kernel needs 11 qubits")
+def shor_ec() -> CircuitDag:
+    """Shor-code encode, inject an error, decode with Toffoli corrections,
+    on 11 qubits."""
     data = list(range(9))
     ops = [("ry", (0,), (0.7,))]
     for q in (3, 6):
@@ -187,7 +186,7 @@ def shor_ec(n: int = 11) -> CircuitDag:
     _ccx(ops, 6, 3, 0)
     ops.append(("cx", (0, 9)))   # readout ancillas keep the width at 11
     ops.append(("cx", (0, 10)))
-    return build_dag(n, ops)
+    return build_dag(11, ops)
 
 
 def cuccaro_adder(n: int) -> CircuitDag:
@@ -229,7 +228,7 @@ SUITE = {
     "qft_10": lambda: qft(10),
     "ae_10": lambda: amplitude_estimation(10),
     "vqe_10": lambda: vqe_two_local(10),
-    "seca_11": lambda: shor_ec(11),
+    "seca_11": shor_ec,
     "qaoa_12": lambda: qaoa_ring(12),
     "bv_13": lambda: bernstein_vazirani(13),
     "adder_15": lambda: cuccaro_adder(15),

@@ -280,6 +280,17 @@ def test_verify_auto_picks_the_unitary_up_to_its_width_limit(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["method"] == method
 
 
+def test_verify_unitary_past_its_width_limit_reports_the_error(tmp_path, capsys):
+    width = verifier.UNITARY_WIDTH_LIMIT + 1
+    path = tmp_path / "wide.qasm"
+    path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n')
+    assert main(["verify", str(path), str(path), "--method", "unitary"]) == EXIT_FAILED
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["method"] == "unitary"
+    assert verdict["error"] == f"width exceeds {width - 1} for direct unitary comparison"
+    assert "equivalent" not in verdict
+
+
 def test_python_dash_m_entry_point():
     src = Path(finesse.__file__).resolve().parents[1]
     proc = subprocess.run(

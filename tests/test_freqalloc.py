@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -211,10 +212,6 @@ class TestCalibration:
         grid = fa._default_coherent_grid(1.0, c)
         eps = [fa.bounded_spectator_infidelity(d, 1.0, c) for d in grid]
         assert all(a >= b for a, b in zip(eps, eps[1:]))
-
-    def test_grid_must_span_two_decades(self):
-        with pytest.raises(fa.CalibrationError):
-            fa.calibrate_coherent_model(1.0, delta_grid=np.linspace(1e8, 5e8, 10))
 
     def test_dominant_category_crossing_in_anchor_window(self, params):
         crossing = params.coherent_crossing(10.0)
@@ -607,6 +604,24 @@ class TestFidelityTable:
 ])
 def test_bad_inputs_raise_the_typed_error(call):
     with pytest.raises(fa.AllocationError):
+        call()
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: fa.optimize_frequencies(fa.FreqModule(2), params=_CALIBRATED, restarts=2.5), 2.5),
+    (lambda: fa.optimize_frequencies(fa.FreqModule(2), params=_CALIBRATED, restarts=True), True),
+    (lambda: fa.restart_count(np.float64(4.0)), np.float64(4.0)),
+    (lambda: fa.FreqModule(3.0), 3.0),
+    (lambda: fa.FreqModule(True), True),
+    (lambda: fa.worst_gate_exclusion(True, [fa.FreqModule(3)]), True),
+    (lambda: fa.worst_gate_exclusion(1.0, [fa.FreqModule(3)]), 1.0),
+    (lambda: fa.golomb_frequencies(3.0, 1.0, 0.0), 3.0),
+    (lambda: fa.golomb_frequencies(True, 1.0, 0.0), True),
+])
+def test_a_count_must_be_an_integer(call, value):
+    """Restarts, qubit counts, exclusion counts and Golomb orders refuse a bool
+    or a non-integer before they use it, naming the value."""
+    with pytest.raises(fa.AllocationError, match=f"must be an integer, not {re.escape(repr(value))}$"):
         call()
 
 

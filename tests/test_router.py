@@ -2,6 +2,7 @@
 set against a copying walk and against the front alone, routed circuits
 against the statevector verifier, trial selection, and a pinned golden route."""
 import hashlib
+import re
 from collections import Counter
 from dataclasses import replace
 from math import pi
@@ -336,6 +337,22 @@ def test_a_distance_set_for_another_fabric_or_config_is_refused(fabric, extra_k,
     dists = build_distance_set(suite[fabric], swap_count(config.basis) + extra_k, beta)
     with pytest.raises(router.RoutingError, match=f"distance set {field} is"):
         run_trials(SUITE["wstate_08"](), suite["5q7e"], config, dists=dists)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("num_seeds", 2.0), ("num_seeds", True), ("num_seeds", 0),
+    ("extended_size", 2.5), ("extended_size", -1),
+    ("aggression", 1.5), ("aggression", 4), ("aggression", False),
+    ("release_valve_threshold", 0), ("release_valve_threshold", True),
+    ("w", float("nan")), ("w", -1.0), ("w", float("inf")), ("w", True), ("w", "0.5"),
+    ("beta", True),
+])
+def test_a_bad_config_field_is_refused_by_name(name, value):
+    """Each int field takes only a non-bool int in its range, and w and beta
+    only a finite non-bool real >= 0; the error names the field and the
+    value."""
+    with pytest.raises(router.RoutingError, match=f"^{name} must be .*, not {re.escape(repr(value))}$"):
+        RouterConfig(**{name: value})
 
 
 @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])

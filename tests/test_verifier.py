@@ -3,7 +3,7 @@ circuits routed by hand with plain swaps, swaps computed as three cx and
 mirrored gates, and with 1q gates placed where folding them into 2q gates
 could go wrong; gates fused into blocks at every block width, one state pass
 per block; one reference evolution per
-DAG, seed and state count; five mutations each method must reject, on a warm
+DAG and seed; five mutations each method must reject, on a warm
 reference memo; Clifford's stricter ancilla contract; refused options and
 wire maps; and the routers' release valve."""
 import gc
@@ -24,9 +24,10 @@ from finesse.qasm import parse_qasm
 from finesse.router import ALGORITHMS, RouterConfig, run_trials
 from finesse.stabilizer import CliffordTableau, NonCliffordError
 from finesse.verifier import (
-    DEFAULT_NUM_STATES,
+    STATEVECTOR_WIDTH_LIMIT,
     UNITARY_WIDTH_LIMIT,
     VerifierError,
+    WidthError,
     _TrackedState,
     clifford_equivalent,
     statevector_equivalent,
@@ -249,12 +250,14 @@ def _state_passes():
 
 @contextmanager
 def _reference_evolutions():
-    """The width limit of every reference evolution inside the block: 15 for
-    statevector checks, UNITARY_WIDTH_LIMIT for unitary ones."""
+    """The check behind every reference evolution inside the block: "unitary"
+    when the inputs are the computational basis, else "statevector"."""
     with patch.object(verifier, "_reference_block", wraps=verifier._reference_block) as spy:
-        limits = []
-        yield limits
-        limits.extend(call.args[2] for call in spy.call_args_list)
+        checks = []
+        yield checks
+        for call in spy.call_args_list:
+            inputs = call.args[1]
+            checks.append("unitary" if np.array_equal(inputs, np.eye(*inputs.shape)) else "statevector")
 
 
 @pytest.mark.parametrize("name, passes", [("adder_15", 3 + 1 + 3), ("bv_13", 2 + 3)])
@@ -267,7 +270,7 @@ def test_one_state_pass_per_fused_block(name, passes):
     (4+3, 2+1, 0).  bv_13's 7 cx share one target, so 4 cx fill a block: 2
     blocks; its 12 data wires end on h, and those pending products take
     ceil(12 / 5) = 3 passes.  A first check evolves both sides; a repeat with
-    the same seed and state count reads the memoised reference, read-only,
+    the same seed reads the memoised reference, read-only,
     and evolves only the routed side."""
     assert verifier.FUSE == 5
     dag = workloads.SUITE[name]()
@@ -369,19 +372,19 @@ def test_block_boundaries(name):
 # --- one reference evolution per DAG ------------------------------------------
 
 
-def _checked(ref, routed, perm, input_map, **options) -> tuple[bool, int]:
+def _checked(ref, routed, perm, input_map, seed: int = 0) -> tuple[bool, int]:
     """(verdict, state passes) of one statevector check."""
     with _state_passes() as calls:
-        verdict = statevector_equivalent(ref, routed, perm, input_map=input_map, **options)
+        verdict = statevector_equivalent(ref, routed, perm, input_map=input_map, seed=seed)
     return verdict, len(calls)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=SEEDS)
-def test_a_new_seed_or_state_count_replaces_the_entry(seed):
+def test_a_new_seed_replaces_the_entry(seed):
     """Each check on one reference DAG gives the verdict of a check on a fresh
-    copy of it; a new (seed, num_states) costs the fresh copy's passes and
-    replaces the DAG's one entry, a repeat skips the reference's passes."""
+    copy of it; a new seed costs the fresh copy's passes and replaces the
+    DAG's one entry, a repeat skips the reference's passes."""
     rng = np.random.default_rng(seed)
     case = _random_case(rng, clifford=False)
     ref, routed = case.ref, case.circuit
@@ -390,12 +393,9 @@ def test_a_new_seed_or_state_count_replaces_the_entry(seed):
     copy = _circuit(ref.num_qubits, ref.gates)
     ref_passes = _checked(copy, copy, identity, None)[1] // 2
     previous = None
-    for options in ({"seed": 0}, {"seed": 1}, {"seed": 1, "num_states": 3},
-                    {"seed": 1, "num_states": 3}, {"seed": 0}, {"seed": 0}):
-        key = (options["seed"], options.get("num_states", DEFAULT_NUM_STATES))
-        fresh = _checked(_circuit(ref.num_qubits, ref.gates), routed, perm, case.input_map,
-                         **options)
-        verdict, passes = _checked(ref, routed, perm, case.input_map, **options)
+    for key in (0, 1, 1, 0, 0):
+        fresh = _checked(_circuit(ref.num_qubits, ref.gates), routed, perm, case.input_map, key)
+        verdict, passes = _checked(ref, routed, perm, case.input_map, key)
         assert verdict == fresh[0]
         assert passes == fresh[1] - (ref_passes if key == previous else 0)
         entry = verifier._REFERENCE_BLOCKS[ref]
@@ -516,11 +516,11 @@ def test_every_method_rejects_the_mutation(name, seed):
     gates, perm = mutate(case, int(rng.choice(sites(case))))
     routed = _circuit(case.width, gates)
     assert not reference_equivalent(case.ref, routed, perm, case.input_map)
-    with _reference_evolutions() as limits:
+    with _reference_evolutions() as checks:
         assert not any(_verdicts(case.ref, routed, perm, case.input_map, clifford).values())
     # Only the unitary check evolved the reference again: the statevector
     # check read the one evolved for the unmutated route.
-    assert limits == [UNITARY_WIDTH_LIMIT]
+    assert checks == ["unitary"]
 
 
 # --- pinned cases -------------------------------------------------------------
@@ -593,8 +593,7 @@ def test_input_map_of_the_wrong_length(method):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("tol", float("nan")), ("tol", -1.0), ("num_states", 0), ("num_states", -1), ("seed", -1),
-    ("tol", True), ("num_states", True), ("seed", True),
+    ("tol", float("nan")), ("tol", -1.0), ("seed", -1), ("tol", True), ("seed", True),
 ])
 def test_bad_options_are_refused(option, value):
     ref = _qasm(2, "cx q[0],q[1];")
@@ -603,6 +602,35 @@ def test_bad_options_are_refused(option, value):
     if option == "tol":
         with pytest.raises(VerifierError, match="tol must be"):
             unitary_equivalent(ref, ref, [0, 1], tol=value)
+
+
+def test_a_reference_wider_than_the_limit_is_refused():
+    n = STATEVECTOR_WIDTH_LIMIT + 1
+    ref = _qasm(n, "cx q[0],q[1];")
+    with pytest.raises(WidthError, match=f"reference width {n} exceeds {n - 1}"):
+        statevector_equivalent(ref, ref, range(n))
+
+
+@pytest.mark.parametrize("touched", [False, True])
+def test_the_tracked_slots_stop_at_the_limit(touched):
+    """A full-width reference routed on one more wire: left untouched, that
+    wire is never tracked; a gate on it is one slot too many."""
+    n = STATEVECTOR_WIDTH_LIMIT
+    ref = _qasm(n, f"h q[0]; cx q[0],q[{n - 1}];")
+    extra = f"cx q[{n - 1}],q[{n}];" if touched else ""
+    routed = _qasm(n + 1, f"h q[0]; cx q[0],q[{n - 1}]; {extra}")
+    if touched:
+        with pytest.raises(WidthError, match=f"tracked subspace exceeds {n} qubits"):
+            statevector_equivalent(ref, routed, range(n + 1))
+    else:
+        assert statevector_equivalent(ref, routed, range(n + 1))
+
+
+def test_a_routed_circuit_wider_than_the_unitary_limit_is_refused():
+    n = UNITARY_WIDTH_LIMIT + 1
+    ref, routed = _qasm(2, "cx q[0],q[1];"), _qasm(n, "cx q[0],q[1];")
+    with pytest.raises(WidthError, match=f"width exceeds {n - 1}"):
+        unitary_equivalent(ref, routed, range(n))
 
 
 def test_non_clifford_gate_is_refused():
