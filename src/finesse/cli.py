@@ -79,6 +79,22 @@ def _spacing(value) -> float:
     return hz
 
 
+def _seed(value) -> int:
+    """An integer >= 0, from a number or a decimal string (ValueError otherwise)."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
+def _seed_option(text: str) -> int:
+    """--seed's type: the parser names the option in its error."""
+    try:
+        return _seed(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}") from None
+
+
 def _bounds(value) -> fa.FrequencyBounds:
     """{"qubit": [lo, hi], "snail": [lo, hi]}; a band left out keeps its default."""
     bands = dict(value)
@@ -102,7 +118,7 @@ def cmd_allocate(args) -> int:
     k = read("k", lambda v: fa.worst_gate_exclusion(_integer(v), modules), 0)
     delta_q = read("delta_q", _spacing, fa.DEFAULT_DELTA_Q)
     restarts = read("restarts", lambda v: fa.restart_count(_integer(v)), fa.NM_RESTARTS)
-    seed = args.seed if args.seed is not None else read("seed", _integer, 0)
+    seed = args.seed if args.seed is not None else read("seed", _seed, 0)
     bounds = read("bounds", _bounds, fa.FrequencyBounds())
     constants = read("constants", lambda v: fa.PhysicalConstants(**v), fa.PhysicalConstants())
     if config.get("fit_params"):
@@ -313,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc = sub.add_parser("allocate", help="optimize module frequency assignments")
     p_alloc.add_argument("--config", help="JSON config (bounds, delta_q, k, constants)")
     p_alloc.add_argument("--out", default="out/allocate", help="output directory")
-    p_alloc.add_argument("--seed", type=int, default=None)
+    p_alloc.add_argument("--seed", type=_seed_option, default=None)
     p_alloc.set_defaults(func=cmd_allocate)
 
     p_trans = sub.add_parser("transpile", help="route one circuit onto a fabric")
@@ -321,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans.add_argument("--topology", default="4q4e", help="Table-3 name or fixture JSON")
     p_trans.add_argument("--algorithm", default="finesse", choices=ALGORITHMS)
     p_trans.add_argument("--seeds", type=int, default=ROUTER_DEFAULTS.num_seeds, help="routing trials")
-    p_trans.add_argument("--seed", type=int, default=0)
+    p_trans.add_argument("--seed", type=_seed_option, default=0)
     p_trans.add_argument("--beta", type=float, default=ROUTER_DEFAULTS.beta)
     p_trans.add_argument("--extended-size", type=int, default=ROUTER_DEFAULTS.extended_size)
     p_trans.add_argument("--aggression", type=int, default=ROUTER_DEFAULTS.aggression)
@@ -340,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algorithms", default=",".join(ALGORITHMS))
     p_bench.add_argument("--post-selection", default="both", choices=("both", "native", "fidelity"))
     p_bench.add_argument("--seeds", type=int, default=ROUTER_DEFAULTS.num_seeds)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed_option, default=0)
     p_bench.add_argument("--beta", type=float, default=ROUTER_DEFAULTS.beta)
     p_bench.add_argument("--basis", default="siswap")
     p_bench.set_defaults(func=cmd_bench)
@@ -353,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--method", default="auto",
                           choices=("auto", "unitary", "statevector", "clifford"))
     p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed_option, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

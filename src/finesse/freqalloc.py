@@ -12,11 +12,16 @@ under box bounds and a minimum qubit-spacing penalty.
 
 Each resonance rule is one row of RESONANCE_RULES over x = (omega_q..., omega_s,
 0): two endpoints and a divisor, the resonance being |x_i - x_j| / divisor.
-The loss evaluator expands the catalog into a two-level gather plan once per
-(module, params), so one cost call is two gathers plus the three cost laws.
+The loss evaluator expands the catalog into a gather plan once per (module,
+params) and evaluates a whole batch of points per call, each to the bits it
+gets alone.  The seeded restarts run in lockstep: one round advances every
+unconverged restart by one Nelder-Mead iteration, with one batched loss call
+per step kind.  scipy's Nelder-Mead, run one restart at a time, is the test
+oracle, and every restart matches it bit for bit.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -26,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 TWO_PI = 2.0 * pi
 
@@ -208,8 +212,11 @@ def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
     _require_integer(p, "p")
     if p < 2:
         raise AllocationError("need p >= 2")
+    for name, value in (("scale c", c), ("offset f_min", f_min)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < inf:
+            raise AllocationError(f"{name} must be a finite real, not {value!r}")
     if c <= 0:
-        raise AllocationError("scale c must be positive")
+        raise AllocationError(f"scale c must be positive, not {c!r}")
     if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         warnings.warn(f"p={p} is composite; pairwise-difference distinctness not guaranteed", stacklevel=2)
     return [f_min + c * (2 * p * k + (k * k) % p) for k in range(p)]
@@ -426,17 +433,18 @@ def restart_count(restarts: int) -> int:
 
 
 class _CostEvaluator:
-    """Vectorized Algorithm-1 loss for one module and parameter set.
+    """Vectorized Algorithm-1 loss for one module and parameter set, over a
+    batch of points.
 
-    __init__ builds a two-level gather plan.  Level 1 gathers over
-    x = (omega_q..., omega_s, 0): f = |x[i] - x[j]| / div holds every
-    loss-catalog resonance (catalog order, then key order, so the qubit-pair
-    gaps lead in triu order), then every gate's pump |w_a - w_b| / 1, every
-    qubit |w_a - 0| / 1 and the coupler subharmonic |omega_s - 0| / 2.
-    Level 2 gathers over f: |f[p] - f[q]| holds the (gates, resonances)
-    detunings of each pump from each resonance, row-major, then each gate's
-    incoherent detuning |w_a - omega_s/2|.  Dividing by 1 is exact, so for
-    frequencies >= 0 every value has the bits of its direct expression.
+    __init__ builds a gather plan.  Over x = (omega_q..., omega_s, 0), one
+    row per quantity and one column per point, f = |x[i] - x[j]| / div holds
+    every loss-catalog resonance (catalog order, then key order, so the
+    qubit-pair gaps lead in triu order), then every gate's pump
+    |w_a - w_b| / 1, every qubit |w_a - 0| / 1 and the coupler subharmonic
+    |omega_s - 0| / 2.  Each pump minus each resonance gives the
+    (resonances, gates) detunings; each gate's incoherent detuning is
+    |w_a - omega_s/2|.  Dividing by 1 is exact, so for frequencies >= 0
+    every value has the bits of its direct expression.
     """
 
     def __init__(self, module: FreqModule, params: CostModelParams, k: int, delta_q: float):
@@ -446,7 +454,7 @@ class _CostEvaluator:
         self.k = worst_gate_exclusion(k, [module])
         self.delta_q = delta_q
         n, g = module.num_qubits, len(module.gates)
-        # Catalog order, then key order: the coherent sum adds columns in it.
+        # Catalog order, then key order: the coherent sum adds rows in it.
         i, j, div, keys, x0, x1 = zip(
             *(
                 (*row, *params.coherent_for(term.normalized_prefactor))
@@ -455,54 +463,88 @@ class _CostEvaluator:
             )
         )
         r = len(keys)
-        self.x0, self.x1 = np.array(x0), np.array(x1)
-        self.own = np.array([[key == ("pair", *sorted(gate)) for key in keys] for gate in module.gates])
+        self.x0, self.x1 = np.array(x0)[:, None, None], np.array(x1)[:, None, None]
+        # Each gate's own pair conversion, which its coherent sum leaves out.
+        self.own = np.nonzero([[key == ("pair", *sorted(gate)) for gate in module.gates] for key in keys])
         gate_a, gate_b = np.array(module.gates).T
         self.i = np.concatenate((i, gate_a, np.arange(n + 1)))
         self.j = np.concatenate((j, gate_b, np.full(n + 1, n + 1)))
-        self.div = np.concatenate((div, np.ones(g + n), [2.0]))
-        self.p = np.concatenate((np.repeat(np.arange(r, r + g), r), r + g + gate_a))
-        self.q = np.concatenate((np.tile(np.arange(r), g), np.full(g, r + g + n)))
-        self.pairs, self.split = n * (n - 1) // 2, g * r
+        self.div = np.concatenate((div, np.ones(g + n), [2.0]))[:, None]
+        self.pumps, self.qubits = slice(r, r + g), r + g + gate_a
+        self.pairs = n * (n - 1) // 2
         self.kept = slice(g - 1 - self.k, None, -1)  # sorted ascending: all but the k worst
 
-    def frequencies(self, omega_q: np.ndarray, omega_s: float) -> np.ndarray:
-        """Level 1 of the gather plan: resonances, pumps, qubits, subharmonic."""
-        x = np.concatenate((omega_q, (omega_s, 0.0)))
-        return np.abs(x[self.i] - x[self.j]) / self.div
-
-    def gate_infidelities(self, omega_q: np.ndarray, omega_s: float, f=None):
-        """Per-gate (eps_coh, eps_inc, eps_gate) arrays in module.gates order;
-        f, if given, is self.frequencies(omega_q, omega_s).
+    def losses(self, w: np.ndarray):
+        """(cost, eps_coh, eps_inc, eps_gate) of each row of w, a (B, n+1)
+        array of points (omega_q..., omega_s): B costs, and (gates, B) eps
+        arrays in module.gates order.
 
         Gate (a, b) is pumped at |w_a - w_b|.  Its coherent part sums the
         coherent law over every loss-catalog resonance except its own pair
         conversion, detuning measured from the pump, clamped to [0, 1].  Its
-        incoherent part is the lifetime law at |w_a - omega_s/2|.
+        incoherent part is the lifetime law at |w_a - omega_s/2|.  The cost
+        sums eps_gate over all but the k worst gates, plus the spacing
+        penalty.  Each point gets the bits it gets alone: every sum runs in
+        a fixed order.
         """
-        if f is None:
-            f = self.frequencies(omega_q, omega_s)
-        det = np.abs(f[self.p] - f[self.q])
-        eps = coherent_infidelity(det[: self.split].reshape(self.own.shape), self.x0, self.x1)
-        # Clamped terms plus the +0.0 own column: the sum is never below +0.0.
-        eps_coh = np.minimum(np.add.reduce(np.where(self.own, 0.0, eps), axis=1), 1.0)
-        eps_inc = incoherent_infidelity(det[self.split :], self.params.inc_x0, self.params.inc_x1)
-        return eps_coh, eps_inc, compose_infidelity(eps_coh, eps_inc)
+        x = np.concatenate((w.T, np.zeros((1, len(w)))))
+        f = np.abs(x[self.i] - x[self.j]) / self.div
+        # (resonances, gates, points): each pump's detuning from each resonance.
+        eps = coherent_infidelity(np.abs(f[self.pumps] - f[: len(self.x0), None]), self.x0, self.x1)
+        eps[self.own] = 0.0
+        # Clamped terms plus the +0.0 own term: the sum is never below +0.0.
+        eps_coh = np.minimum(_pairwise_sum(eps), 1.0)
+        eps_inc = incoherent_infidelity(np.abs(f[self.qubits] - f[-1]), self.params.inc_x0, self.params.inc_x1)
+        eps_gate = compose_infidelity(eps_coh, eps_inc)
+        kept = np.sort(eps_gate, axis=0)[self.kept]
+        return _pairwise_sum(kept) + self.penalty(f[: self.pairs]), eps_coh, eps_inc, eps_gate
 
-    def penalty(self, gaps: np.ndarray) -> float:
-        """Sum of PENALTY_WEIGHT*((delta_q - gap)/delta_q)^2 over the qubit-pair
-        gaps closer than delta_q."""
-        total = 0.0
-        # A sequential sum: numpy's pairwise summation would reorder it.
-        for gap in gaps[gaps < self.delta_q]:
-            total += PENALTY_WEIGHT * ((self.delta_q - gap) / self.delta_q) ** 2
-        return total
+    def penalty(self, gaps: np.ndarray) -> np.ndarray:
+        """Per column of gaps, the sum of PENALTY_WEIGHT*((delta_q - gap)/delta_q)^2
+        over the qubit-pair gaps closer than delta_q, in row order."""
+        close = gaps < self.delta_q
+        if not close.any():
+            return np.zeros(gaps.shape[1])
+        terms = np.zeros(gaps.shape)
+        # libm pow, as a float's ** 2 uses: an array's ** 2 multiplies,
+        # which differs in the last bit now and then.
+        terms[close] = [math.pow(d, 2) for d in ((self.delta_q - gaps[close]) / self.delta_q).tolist()]
+        terms *= PENALTY_WEIGHT
+        # A sequential sum from +0.0; the far gaps add +0.0, which keeps it.
+        return np.cumsum(terms, axis=0)[-1]
+
+    def gate_infidelities(self, omega_q: np.ndarray, omega_s: float):
+        """Per-gate (eps_coh, eps_inc, eps_gate) arrays of one point."""
+        _, *eps = self.losses(np.append(omega_q, omega_s)[None])
+        return tuple(e[:, 0] for e in eps)
 
     def cost(self, omega_q: np.ndarray, omega_s: float) -> float:
-        f = self.frequencies(omega_q, omega_s)
-        _, _, eps_gate = self.gate_infidelities(omega_q, omega_s, f)
-        eps_gate.sort()
-        return float(np.add.reduce(eps_gate[self.kept]) + self.penalty(f[: self.pairs]))
+        return float(self.losses(np.append(omega_q, omega_s)[None])[0][0])
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis, in the order np.add.reduce adds a contiguous
+    1-D array: under 8 terms in sequence; up to 128 in 8 lanes (a[0:8], plus
+    each later whole block of 8), combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the tail in sequence; past 128, the two halves split at a multiple
+    of 8.  numpy's own order for a batch depends on its shape.
+    """
+    m = len(a)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    end = m - m % 8 if m >= 8 else 1
+    if m >= 8:
+        lanes = a[:8]
+        for i in range(8, end, 8):
+            lanes = lanes + a[i : i + 8]
+        pairs = lanes[0::2] + lanes[1::2]
+        res = pairs[0] + pairs[1] + (pairs[2] + pairs[3])
+    else:
+        res = a[0]
+    for i in range(end, m):
+        res = res + a[i]
+    return res
 
 
 def _omega_q(assign: FrequencyAssignment, module: FreqModule) -> np.ndarray:
@@ -587,9 +629,109 @@ class FrequencyBounds:
             raise AllocationError("bounds must be finite, nonnegative, increasing intervals")
 
 
+GHZ = 1e9  # Nelder-Mead works in GHz, for conditioning
 NM_MAX_ITER = 10_000
+NM_XATOL = 1e-8
 NM_FATOL = 1e-12
 NM_RESTARTS = 16
+# Trial point = c * centroid - d * worst vertex, rows (c, d): scipy's inside
+# contraction (written 0.5*centroid + 0.5*worst), outside contraction and
+# expansion, at its non-adaptive coefficients.
+_NM_STEPS = np.array([[0.5, -0.5], [1.5, 0.5], [3.0, 2.0]])
+
+
+def nelder_mead(loss, starts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Bounded Nelder-Mead from each row of starts, all in lockstep.
+
+    Per start this is scipy 1.17's ``minimize(method="Nelder-Mead")`` with
+    bounds (lo, hi), ``xatol=NM_XATOL``, ``fatol=NM_FATOL``,
+    ``maxiter=NM_MAX_ITER`` and ``adaptive=False``, to the bit: the start
+    clipped into the bounds, the 5% initial simplex reflected and clipped
+    into them, every trial point clipped, the vertices argsorted after each
+    iteration.  One round advances every unconverged start by one iteration;
+    loss maps a (B, N) array of points to their B values, and each round
+    calls it on the reflections, then on the expansion or contraction points
+    that are needed, then on any shrunk vertices.  Returns (x, fun) arrays.
+    """
+    b, n = starts.shape
+    x0 = np.clip(starts, lo, hi)
+    sim = np.repeat(x0[:, None], n + 1, axis=1)
+    sim[:, 1 + np.arange(n), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = loss(sim.reshape(-1, n)).reshape(b, n + 1)
+    rows = np.arange(b)[:, None]
+    for _ in range(2):  # scipy sorts the first simplex twice
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+    x, fun = np.empty((b, n)), np.empty(b)
+    live = np.arange(b)
+    for _ in range(1, NM_MAX_ITER):
+        # scipy ands the two tests; the one on values is the cheaper.
+        near = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= NM_FATOL
+        if near.any():
+            done = near & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= NM_XATOL)
+            if done.any():
+                x[live[done]], fun[live[done]] = sim[done, 0], fsim[done].min(axis=1)
+                live, sim, fsim, rows = live[~done], sim[~done], fsim[~done], rows[: (~done).sum()]
+                if not live.size:
+                    return x, fun
+        xbar = sim[:, 0]
+        for j in range(1, n):  # in scipy's order
+            xbar = xbar + sim[:, j]
+        xbar = xbar / n
+        worst = sim[:, -1]
+        new = np.clip(2 * xbar - worst, lo, hi)
+        fnew = loss(new)
+        # Negated comparisons, so that a NaN takes scipy's branches.
+        expand = fnew < fsim[:, 0]
+        contract = ~(expand | (fnew < fsim[:, -2]))
+        second = np.flatnonzero(expand | contract)
+        shrink = second[:0]
+        if second.size:
+            # Per second point: 0 inside contraction, 1 outside, 2 expansion.
+            kind = (2 * expand + (contract & (fnew < fsim[:, -1])))[second]
+            xt = np.clip(_NM_STEPS[kind, :1] * xbar[second] - _NM_STEPS[kind, 1:] * worst[second], lo, hi)
+            ft = loss(xt)
+            # An expansion point replaces the reflection if better, an
+            # outside contraction if no worse; an inside one must beat the
+            # worst vertex.  A contraction that fails shrinks the simplex.
+            bar = np.where(kind == 0, fsim[second, -1], fnew[second])
+            took = (ft < bar) | ((kind == 1) & (ft == bar))
+            new[second[took]], fnew[second[took]] = xt[took], ft[took]
+            shrink = second[~took & (kind < 2)]
+            new[shrink], fnew[shrink] = worst[shrink], fsim[shrink, -1]  # shrunk below
+        sim[:, -1], fsim[:, -1] = new, fnew
+        if shrink.size:
+            best = sim[shrink, :1]
+            sim[shrink, 1:] = np.clip(best + 0.5 * (sim[shrink, 1:] - best), lo, hi)
+            fsim[shrink, 1:] = loss(sim[shrink, 1:].reshape(-1, n)).reshape(len(shrink), n)
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+    x[live], fun[live] = sim[:, 0], fsim.min(axis=1)
+    return x, fun
+
+
+def restart_points(n: int, bounds: FrequencyBounds, seed: int, restarts: int) -> np.ndarray:
+    """The (restarts, n+1) seeded starting points, in GHz: jittered
+    ruler-spaced qubits plus a random coupler placement.
+
+    The ruler is the separation-optimal construction this allocation
+    problem relaxes, and restarts drawn from its neighborhood track the
+    solution family with well-spread interaction frequencies.  Uniform
+    starts instead collapse onto spacing-penalty-boundary packings.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # composite n is fine for a seed
+        marks = np.array(golomb_frequencies(n, 1.0, 0.0))
+    (q_lo, q_hi), (s_lo, s_hi) = bounds.qubit, bounds.snail
+    starts = []
+    for child in np.random.SeedSequence(entropy=seed, spawn_key=(0xA110C,)).spawn(restarts):
+        rng = np.random.default_rng(child)
+        span = (q_hi - q_lo) * (0.35 + 0.65 * rng.random())
+        qs = q_lo + rng.random() * (q_hi - q_lo - span) + marks / marks[-1] * span
+        qs = np.clip(qs + rng.normal(0.0, 0.01 * span, size=n), q_lo, q_hi)
+        starts.append(np.concatenate([qs, [s_lo + rng.random() * (s_hi - s_lo)]]) / GHZ)
+    return np.array(starts)
 
 
 def optimize_frequencies(
@@ -603,73 +745,40 @@ def optimize_frequencies(
 ) -> tuple[FrequencyAssignment, GateInfidelityReport]:
     """Nelder-Mead minimization of the allocation cost from seeded restarts.
 
-    Trial points are clamped to the box bounds.  The best restart is kept;
-    if no restart satisfies the qubit-spacing constraint the best-effort
-    assignment is returned with the report flagged infeasible.
+    The restarts run in lockstep through ``nelder_mead`` (scipy's
+    Nelder-Mead, bit for bit, is its test oracle), trial points clamped to
+    the box bounds.  The best restart is kept, then polished from itself;
+    if it misses the qubit-spacing constraint the best-effort assignment is
+    returned with the report flagged infeasible.
     """
     restart_count(restarts)
+    _require_integer(seed, "seed")
+    if seed < 0:
+        raise AllocationError(f"seed={seed} must be >= 0")
     if params is None:
         params = calibrate_cost_model()
     ev = _CostEvaluator(module, params, k, delta_q)
     n = module.num_qubits
-    scale = 1e9  # optimize in GHz for conditioning
-    lo = np.array([bounds.qubit[0]] * n + [bounds.snail[0]]) / scale
-    hi = np.array([bounds.qubit[1]] * n + [bounds.snail[1]]) / scale
+    lo = np.array([bounds.qubit[0]] * n + [bounds.snail[0]]) / GHZ
+    hi = np.array([bounds.qubit[1]] * n + [bounds.snail[1]]) / GHZ
 
-    def objective(x: np.ndarray) -> float:
-        x = x * scale
-        return ev.cost(x[:n], x[n])
+    def loss(x: np.ndarray) -> np.ndarray:
+        return ev.losses(x * GHZ)[0]
 
-    def run_nm(x0: np.ndarray):
-        return scipy.optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=scipy.optimize.Bounds(lo, hi),
-            options={
-                "maxiter": NM_MAX_ITER,
-                "fatol": NM_FATOL,
-                "xatol": 1e-8,
-                "adaptive": False,
-            },
-        )
-
-    def golomb_start(rng) -> np.ndarray:
-        """Jittered ruler-spaced qubits plus a random coupler placement.
-
-        The ruler is the separation-optimal construction this allocation
-        problem relaxes, and restarts drawn from its neighborhood track the
-        solution family with well-spread interaction frequencies.  Uniform
-        starts instead collapse onto spacing-penalty-boundary packings.
-        """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # composite n is fine for a seed
-            marks = np.array(golomb_frequencies(n, 1.0, 0.0))
-        width = 0.35 + 0.65 * rng.random()
-        span = (bounds.qubit[1] - bounds.qubit[0]) * width
-        offset = bounds.qubit[0] + rng.random() * (bounds.qubit[1] - bounds.qubit[0] - span)
-        qs = offset + marks / marks[-1] * span
-        qs = qs + rng.normal(0.0, 0.01 * span, size=n)
-        qs = np.clip(qs, bounds.qubit[0], bounds.qubit[1])
-        snail = bounds.snail[0] + rng.random() * (bounds.snail[1] - bounds.snail[0])
-        return np.concatenate([qs, [snail]]) / scale
-
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(0xA110C,))
-    best_x, best_cost = None, np.inf
-    for child in root.spawn(restarts):
-        res = run_nm(golomb_start(np.random.default_rng(child)))
-        if res.fun < best_cost:
-            best_cost, best_x = float(res.fun), np.array(res.x)
+    starts = restart_points(n, bounds, seed, restarts)
+    xs, funs = nelder_mead(loss, starts, lo, hi)
+    best = int(np.argmin(np.where(np.isnan(funs), inf, funs)))  # the first of a tie
+    best_x, best_cost = xs[best], float(funs[best])
     # NM stalls in shallow basins on the larger modules; restart from the
     # incumbent until it stops paying.
     for _ in range(8):
-        res = run_nm(best_x)
-        if res.fun >= best_cost - 1e-12:
+        x, fun = nelder_mead(loss, best_x[None], lo, hi)
+        if fun[0] >= best_cost - 1e-12:
             break
-        best_cost, best_x = float(res.fun), np.array(res.x)
+        best_cost, best_x = float(fun[0]), x[0]
     assign = FrequencyAssignment(
-        omega_q=tuple(float(v) for v in best_x[:n] * scale),
-        omega_s=float(best_x[n] * scale),
+        omega_q=tuple(float(v) for v in best_x[:n] * GHZ),
+        omega_s=float(best_x[n] * GHZ),
     )
     report = build_report(assign, module, params, delta_q)
     if not report.feasible:

@@ -405,6 +405,8 @@ def run_trials(
 ) -> list[RoutingResult]:
     """Route num_seeds independent trials: random layout, then forward,
     reverse, forward passes; the last pass emits the circuit."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise RoutingError(f"seed must be an integer >= 0, not {seed!r}")
     n_log, n_phys = dag.num_qubits, cmap.num_physical
     if n_log > n_phys:
         raise RoutingError(f"{n_log} circuit qubits exceed {n_phys} physical qubits")

@@ -5,7 +5,8 @@ exhaustive enumeration and by Bellman-Ford relaxation, two-qubit class
 labels by Makhlin invariants, basis counts by sampled reachability with
 Nelder-Mead polish, spectator infidelity by a closed form of the factorized
 matrix exponential, the allocation loss by explicit loops over every
-resonance, gate and qubit pair, the routing lookahead by a scalar loop over
+resonance, gate and qubit pair, the lockstep Nelder-Mead by one
+``scipy.optimize.minimize`` call per start, the routing lookahead by a scalar loop over
 the front and extended gates, the extended set by a walk over a full copy of
 the predecessor counts, circuits by dense Kronecker-product matrices,
 routed-circuit equivalence by loops over the computational basis of those
@@ -330,6 +331,47 @@ def reference_allocation_loss(omega_q, omega_s, gates, fit, k, delta_q, weight=1
             if gap < delta_q:
                 cost += weight * ((delta_q - gap) / delta_q) ** 2
     return eps_coh, eps_inc, eps_gate, cost
+
+
+def scipy_nelder_mead(cost, x0, lo, hi):
+    """scipy's bounded Nelder-Mead from x0 at freqalloc's options, cost taking
+    one point: its OptimizeResult."""
+    from finesse import freqalloc as fa
+
+    return scipy.optimize.minimize(
+        cost,
+        x0,
+        method="Nelder-Mead",
+        bounds=scipy.optimize.Bounds(lo, hi),
+        options={"maxiter": fa.NM_MAX_ITER, "fatol": fa.NM_FATOL, "xatol": fa.NM_XATOL, "adaptive": False},
+    )
+
+
+def reference_optimize(module, bounds, params, k, delta_q, seed, restarts):
+    """optimize_frequencies' assignment from one scipy Nelder-Mead per restart
+    and per polish run: (omega_q, omega_s) in Hz."""
+    from finesse import freqalloc as fa
+
+    ev = fa._CostEvaluator(module, params, k, delta_q)
+    n = module.num_qubits
+    lo = np.array([bounds.qubit[0]] * n + [bounds.snail[0]]) / fa.GHZ
+    hi = np.array([bounds.qubit[1]] * n + [bounds.snail[1]]) / fa.GHZ
+
+    def cost(x):
+        x = x * fa.GHZ
+        return ev.cost(x[:n], x[n])
+
+    best_x, best_cost = None, np.inf
+    for x0 in fa.restart_points(n, bounds, seed, restarts):
+        res = scipy_nelder_mead(cost, x0, lo, hi)
+        if res.fun < best_cost:
+            best_cost, best_x = float(res.fun), res.x
+    for _ in range(8):
+        res = scipy_nelder_mead(cost, best_x, lo, hi)
+        if res.fun >= best_cost - 1e-12:
+            break
+        best_cost, best_x = float(res.fun), res.x
+    return tuple(float(v) for v in best_x[:n] * fa.GHZ), float(best_x[n] * fa.GHZ)
 
 
 # --- dense circuit simulation -----------------------------------------------

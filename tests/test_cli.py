@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import finesse
-from finesse import bench, freqalloc as fa, verifier
+from finesse import bench, freqalloc as fa, router, verifier
 from finesse.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
-from finesse.qasm import serialize_qasm
+from finesse.hardware import load_topology
+from finesse.qasm import parse_qasm, serialize_qasm
 from finesse.router import RouterConfig
 from finesse.workloads import qft
 
@@ -258,6 +259,52 @@ def test_bench_refuses_a_bad_option_before_writing(tmp_path, capsys, option, val
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not workloads.exists() and not out.exists()
+
+
+_FIT = fa.CostModelParams(1e12, 1e4, 1e6, 1e5)
+
+
+def _optimize(seed):
+    return fa.optimize_frequencies(fa.FreqModule(2), params=_FIT, seed=seed, restarts=1)
+
+
+def _route(seed):
+    return router.run_trials(parse_qasm(SMALL_QASM), load_topology("4q4e"), RouterConfig(num_seeds=1), seed=seed)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _optimize(-1), "seed=-1 must be >= 0"),
+    (lambda: _optimize(1.5), "seed must be an integer, not 1.5"),
+    (lambda: _optimize(True), "seed must be an integer, not True"),
+    (lambda: _route(-1), "seed must be an integer >= 0, not -1"),
+    (lambda: _route(1.5), "seed must be an integer >= 0, not 1.5"),
+    (lambda: _route(True), "seed must be an integer >= 0, not True"),
+    (lambda: main(["allocate", "--seed", "-1", "--out", "out"]), "argument --seed: must be an integer >= 0, not '-1'"),
+    (lambda: main(["allocate", "--config", "seed.json", "--out", "out"]), "bad 'seed' value -2"),
+    (lambda: main(["bench", "--seed", "-1", "--out", "out", "--workloads", "workloads"]),
+     "argument --seed: must be an integer >= 0, not '-1'"),
+    (lambda: main(["transpile", "small.qasm", "--seed", "-1"]), "argument --seed: must be an integer >= 0, not '-1'"),
+    (lambda: main(["verify", "small.qasm", "small.qasm", "--seed", "1.5"]),
+     "argument --seed: must be an integer >= 0, not '1.5'"),
+], ids=["optimize-negative", "optimize-float", "optimize-bool", "route-negative", "route-float", "route-bool",
+        "allocate", "allocate-config", "bench", "transpile", "verify"])
+def test_a_bad_seed_is_refused_by_name(tmp_path, capsys, monkeypatch, call, message):
+    """A seed that is a bool, not an integer, or negative is refused before
+    any work: by the library with its typed error, by the CLI as a usage
+    error (exit code 2) before it writes anything."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.qasm").write_text(SMALL_QASM)
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": -2}))
+    try:
+        code = call()
+    except (fa.AllocationError, router.RoutingError) as exc:
+        code, text = EXIT_USAGE, str(exc)
+    except SystemExit as exc:  # parser.error
+        code, text = exc.code, capsys.readouterr().err
+    else:
+        text = capsys.readouterr().err
+    assert code == EXIT_USAGE and message in text
+    assert {p.name for p in tmp_path.iterdir()} == {"seed.json", "small.qasm"}
 
 
 def test_parser_defaults_are_the_library_defaults():

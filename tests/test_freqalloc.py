@@ -5,13 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, strategies as st
 
 from finesse import freqalloc as fa
 from oracles import (
     factorized_spectator_infidelity,
     reference_allocation_loss,
+    reference_optimize,
     reference_resonances,
+    scipy_nelder_mead,
 )
 
 
@@ -513,6 +516,105 @@ class TestLossBits:
         assert hashlib.sha256(repr(result).encode()).hexdigest() == _OPTIMIZE_REPR_SHA256[n]
 
 
+# A lifetime prefactor of -0.0 passes the nonnegativity check, and its sign
+# reaches eps_inc.
+_NEGATIVE_ZERO = fa.CostModelParams(_CALIBRATED.coh_x0, _CALIBRATED.coh_x1, -0.0, _CALIBRATED.inc_x1)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBatchedLoss:
+    @pytest.mark.parametrize("batch", [1, 2, 16, 64, 1000])
+    def test_each_row_has_its_one_row_bits(self, batch):
+        """Rows of one losses() call equal cost() and gate_infidelities() on
+        each point alone, over every fit, NaN and -0.0 included."""
+        rng = np.random.default_rng(batch)
+        seen_nan = False
+        for params in (*_FITS, _NEGATIVE_ZERO) * 2:
+            n, gates, k, delta_q, *_ = _bit_point(rng)
+            points = []
+            while len(points) < batch:
+                m, *_, omega_q, omega_s = _bit_point(rng)
+                if m == n:
+                    points.append((*omega_q, omega_s))
+            ev = fa._CostEvaluator(fa.FreqModule(n, gates), params, k, delta_q)
+            w = np.array(points)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cost, *eps = ev.losses(w)
+                for b, row in enumerate(w):
+                    assert _bits(cost[b]) == _bits(ev.cost(row[:n], row[n]))
+                    one = ev.gate_infidelities(row[:n], row[n])
+                    assert all((_bits(e[:, b]) == _bits(o)).all() for e, o in zip(eps, one))
+            seen_nan |= bool(np.isnan(cost).any())
+        assert seen_nan or batch < 16
+
+
+_NARROW = fa.FrequencyBounds(qubit=(4.0e9, 4.6e9), snail=(4.2e9, 4.4e9))
+
+
+class TestLockstepNelderMead:
+    """nelder_mead against one scipy.optimize.minimize call per start."""
+
+    @pytest.mark.parametrize("n, seed, k, delta_q, gates, bounds, starts", [
+        *((n, seed, 0, fa.DEFAULT_DELTA_Q, (), fa.FrequencyBounds(), 3)
+          for n in (2, 3, 4, 5) for seed in (0, 1, 2)),
+        (4, 3, 2, fa.DEFAULT_DELTA_Q, (), fa.FrequencyBounds(), 4),
+        (3, 4, 0, 0.0, (), fa.FrequencyBounds(), 4),
+        (4, 5, 1, fa.DEFAULT_DELTA_Q, ((0, 1), (3, 2), (1, 2)), fa.FrequencyBounds(), 4),
+        (4, 6, 0, fa.DEFAULT_DELTA_Q, (), _NARROW, 4),
+        (3, 7, 0, fa.DEFAULT_DELTA_Q, (), fa.FrequencyBounds(), 1),
+    ])
+    def test_every_start_matches_scipy(self, params, n, seed, k, delta_q, gates, bounds, starts):
+        ev = fa._CostEvaluator(fa.FreqModule(n, gates), params, k, delta_q)
+        lo = np.array([bounds.qubit[0]] * n + [bounds.snail[0]]) / fa.GHZ
+        hi = np.array([bounds.qubit[1]] * n + [bounds.snail[1]]) / fa.GHZ
+        rng = np.random.default_rng(seed)
+        # Inside the box, and past it by up to a tenth of its width.
+        x0 = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (starts, n + 1))
+        edge = rng.integers(n + 1)
+        x0[0, edge] = hi[edge]  # its simplex steps past hi and is reflected
+
+        def cost(x):
+            x = x * fa.GHZ
+            return ev.cost(x[:n], x[n])
+
+        xs, funs = fa.nelder_mead(lambda x: ev.losses(x * fa.GHZ)[0], x0, lo, hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)  # a start off the box
+            for start, x, fun in zip(x0, xs, funs):
+                want = scipy_nelder_mead(cost, start, lo, hi)
+                assert (_bits(x) == _bits(want.x)).all() and _bits(fun) == _bits(want.fun)
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 40])
+    def test_iterations_stop_at_maxiter(self, params, monkeypatch, maxiter):
+        """Both read NM_MAX_ITER; a lowered cap stops every start early."""
+        monkeypatch.setattr(fa, "NM_MAX_ITER", maxiter)
+        ev = fa._CostEvaluator(fa.FreqModule(3), params, 0, fa.DEFAULT_DELTA_Q)
+        lo, hi = np.array([3.3, 3.3, 3.3, 4.2]), np.array([5.7, 5.7, 5.7, 4.7])
+        starts = np.array([[3.5, 4.4, 5.5, 4.3], [4.0, 4.1, 5.0, 4.6]])
+        xs, funs = fa.nelder_mead(lambda x: ev.losses(x * fa.GHZ)[0], starts, lo, hi)
+        for start, x, fun in zip(starts, xs, funs):
+            want = scipy_nelder_mead(lambda v: ev.cost(v[:3] * fa.GHZ, v[3] * fa.GHZ), start, lo, hi)
+            assert want.nit == maxiter
+            assert (_bits(x) == _bits(want.x)).all() and _bits(fun) == _bits(want.fun)
+
+    @pytest.mark.parametrize("n, seed, k, delta_q, bounds, restarts", [
+        (2, 9, 0, fa.DEFAULT_DELTA_Q, fa.FrequencyBounds(), 1),
+        (3, 10, 1, 0.0, fa.FrequencyBounds(), 3),
+        (4, 11, 0, fa.DEFAULT_DELTA_Q, _NARROW, 2),
+    ])
+    def test_optimize_matches_scipy_restarts(self, params, n, seed, k, delta_q, bounds, restarts):
+        """Restarts and the incumbent polish, end to end."""
+        module = fa.FreqModule(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a narrow band is infeasible
+            assign, _ = fa.optimize_frequencies(module, bounds, params, k, delta_q, seed, restarts)
+        want = reference_optimize(module, bounds, params, k, delta_q, seed, restarts)
+        assert [v.hex() for v in (*assign.omega_q, assign.omega_s)] == [v.hex() for v in (*want[0], want[1])]
+
+
 class TestOptimizer:
     def test_deterministic(self, params):
         a1, r1 = fa.optimize_frequencies(fa.FreqModule(3), params=params, seed=5)
@@ -587,6 +689,13 @@ class TestFidelityTable:
     lambda: fa.FreqModule(3, gates=((True, 2),)),
     lambda: fa.golomb_frequencies(1, 1.0, 0.0),
     lambda: fa.golomb_frequencies(3, 0.0, 0.0),
+    lambda: fa.golomb_frequencies(3, True, 0.0),
+    lambda: fa.golomb_frequencies(3, math.nan, 0.0),
+    lambda: fa.golomb_frequencies(3, math.inf, 0.0),
+    lambda: fa.golomb_frequencies(3, "a", 0.0),
+    lambda: fa.golomb_frequencies(3, 1.0, math.nan),
+    lambda: fa.golomb_frequencies(3, 1.0, -math.inf),
+    lambda: fa.golomb_frequencies(3, 1.0, False),
     lambda: fa.iswap_gate_time(0, 1.0, 1.0, 0.1),
     lambda: fa.max_pump_eta(0.0, fa.PhysicalConstants()),
     lambda: fa.CostModelParams(-1.0, 0.0, 0.0, 0.0),

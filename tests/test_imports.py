@@ -1,7 +1,11 @@
 """Every name a module-level import binds in src/finesse is read in that
-module, and every defaulted parameter of a src/finesse function is passed by
-some call in src/, tests/ or perfbench/."""
+module, every defaulted parameter of a src/finesse function is passed by
+some call in src/, tests/ or perfbench/, and importing finesse loads no
+scipy.optimize."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,17 @@ class K:
 def test_every_default_is_passed_by_some_call():
     callers = [p.read_text() for p in CALLERS]
     assert unset_defaults([p.read_text() for p in MODULES], callers) == []
+
+
+def test_no_module_loads_scipy_optimize():
+    """scipy.optimize takes about 0.2 s to import and only the tests use it,
+    as an oracle; a fresh interpreter imports finesse and every submodule."""
+    code = (
+        "import importlib, pkgutil, sys, finesse\n"
+        "for m in pkgutil.iter_modules(finesse.__path__):\n"
+        "    importlib.import_module('finesse.' + m.name)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.optimize')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
