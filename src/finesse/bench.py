@@ -20,7 +20,7 @@ from pathlib import Path
 from .hardware import CouplingMap, build_distance_set
 from .ir import CircuitDag, CLIFFORD_KINDS
 from .qasm import parse_qasm
-from .router import RouterConfig, RoutingResult, run_trials, select_trial
+from .router import RoutePlan, RouterConfig, RoutingResult, run_trials, select_trial
 from .verifier import clifford_equivalent, statevector_equivalent
 from .weyl import swap_count
 
@@ -88,10 +88,14 @@ def run_bench(
     seed: int,
 ) -> list[dict]:
     """Route and verify the full cross product, one config per algorithm, all
-    with one basis and beta; returns one record per selected trial."""
+    with one basis, beta and extended size; returns one record per selected
+    trial.  Each circuit has one `RoutePlan`, shared by every fabric and
+    algorithm and dropped on return."""
     algorithms = tuple(c.algorithm for c in configs)
     if "sabre" not in algorithms:
         raise BenchError("the sweep needs sabre as the percentage baseline")
+    plans = {name: RoutePlan.build(dag, configs[0].basis, configs[0].extended_size)
+             for name, dag in workloads.items()}
     records: list[dict] = []
     for topo_name, cmap in sorted(topologies.items()):
         dists = build_distance_set(cmap, swap_count(configs[0].basis), configs[0].beta)
@@ -104,7 +108,8 @@ def run_bench(
             verified_ids: set[int] = set()
             for config in configs:
                 algo = config.algorithm
-                trials = run_trials(dag, cmap, config, seed=seed, dists=dists)
+                trials = run_trials(dag, cmap, config, seed=seed, dists=dists,
+                                    plan=plans[circ_name])
                 for mode in post_modes:
                     best = select_trial(trials, replace(config, post_selection=mode))
                     if id(best) not in verified_ids:
@@ -118,6 +123,11 @@ def run_bench(
                     selected[(algo, mode)] = best
             for mode in post_modes:
                 base = selected[("sabre", mode)].metrics
+                if not base.lf_cost or not base.depth:
+                    raise BenchError(
+                        f"{circ_name} on {topo_name} ({mode}): sabre's LF cost or depth is 0, "
+                        "so there is no baseline for the percentages"
+                    )
                 for algo in algorithms:
                     m = selected[(algo, mode)].metrics
                     records.append(

@@ -277,11 +277,15 @@ def extended_set(dag: CircuitDag, front: Sequence[Gate], size: int) -> list[Gate
     return extended_set_core(dag, front, size, counts)
 
 
-def circuit_depth(dag: CircuitDag) -> int:
-    """Longest path in gate count; barriers synchronize but do not count."""
+def circuit_depth(circuit: CircuitDag | Iterable) -> int:
+    """Longest path in gate count; barriers synchronize but do not count.
+
+    Takes a DAG or its gates in order; only each gate's ``kind`` and
+    ``wires`` are read, so the router passes its compact record.
+    """
     level: dict[int, int] = {}
     depth = 0
-    for g in dag.gates:
+    for g in circuit.gates if isinstance(circuit, CircuitDag) else circuit:
         t = max((level.get(w, 0) for w in g.wires), default=0)
         if g.kind != "barrier":
             t += 1

@@ -26,21 +26,36 @@ Predecessor counts are one dict, lowered once per executed gate by
 is ready.  Wherever the pass scores, every unexecuted gate therefore descends
 from a front gate, and the front (ready 2q gates, sorted by id) fixes the
 executed set and every remaining count.  The extended set is then a function
-of (DAG, size, front), so `run_trials` keeps one memo per DAG, front ids ->
-wire-table rows of that front's extended set, which every trial and pass over
-that DAG shares and which is dropped when the call returns: each front's set
-is walked once per call, whichever trial or retirement order reaches it.  A
-routable gate is retired before its mirror decision, so the decision scores
-the front and the extended set its successors will see.  The mirror rule
-compares absolute sums: written as a delta, the FINESSE rule flips on
-real-valued near-ties that rounding decides.
+of (DAG, size, front).  A routable gate is retired before its mirror
+decision, so the decision scores the front and the extended set its
+successors will see.  The mirror rule compares absolute sums: written as a
+delta, the FINESSE rule flips on real-valued near-ties that rounding decides.
+
+What depends on the circuit alone is a `RoutePlan`: the DAG and its reverse,
+one extended-set memo per direction (front ids -> wire-table rows of that
+front's extended set, for one extended size) and, for one basis, each
+wire-table row's decomposition count as placed and as mirrored.  Every trial
+and pass over the circuit shares it, so each front's set is walked once per
+plan, and no pass asks `weyl.gate_count`.  `run_trials` builds one when it
+is given none and drops it on return; `bench.run_bench` shares one per
+circuit across every fabric and algorithm.
+
+The final pass emits a compact record, one `RoutedOp` per op: its kind, its
+physical wires, its source gate (None for a routing swap) and its mirror
+flag.  As it emits a 2q op it adds edge log-weight times the op's count to
+the LF cost; that is emission order, the order in which `lf_cost` sums the
+circuit, so the float is the same.  The depth is `ir.circuit_depth` of the
+record.  `RoutingResult.circuit` builds the `CircuitDag` on first access, so
+a trial that is never read builds none.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,10 +116,55 @@ def trial_rng(seed: int, trial: int, pass_index: int) -> np.random.Generator:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class RoutePlan:
+    """What routing one circuit needs that depends on the circuit alone, for
+    one basis and one extended size.  Each pair holds the circuit's entry,
+    then its reverse's: the DAGs, the extended-set memos (front ids ->
+    wire-table rows of that front's extended set) and the counts, per
+    wire-table row, (k as placed, k mirrored).  The memos fill as passes
+    route; every other field is fixed at `build`."""
+
+    basis: BasisGate
+    extended_size: int
+    dags: tuple[CircuitDag, CircuitDag]
+    memos: tuple[dict[tuple[int, ...], np.ndarray], dict[tuple[int, ...], np.ndarray]]
+    counts: tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+    @classmethod
+    def build(cls, dag: CircuitDag, basis: BasisGate, extended_size: int) -> "RoutePlan":
+        counts = tuple((gate_count(g, basis), gate_count(g, basis, mirrored=not g.mirrored))
+                       for g in dag.gates if g.is_two_qubit)
+        return cls(basis, extended_size, (dag, dag.reversed()), ({}, {}), (counts, counts[::-1]))
+
+    def direction(self, dag: CircuitDag, config: RouterConfig) -> int:
+        """0 if ``dag`` is the plan's circuit, 1 if it is its reverse.  A DAG,
+        basis or extended size the plan was not built for is refused by name."""
+        for name, have, want in (("basis", self.basis, config.basis),
+                                 ("extended_size", self.extended_size, config.extended_size)):
+            if have != want:
+                raise RoutingError(f"route plan {name} is {have!r}, the config needs {want!r}")
+        for side, planned in enumerate(self.dags):
+            if planned is dag:
+                return side
+        raise RoutingError("route plan dag is neither the routed circuit nor its reverse")
+
+
+class RoutedOp(NamedTuple):
+    """One op of a routed circuit.  ``source`` is the gate it routes, None for
+    a routing swap; ``mirrored`` is the flag as emitted."""
+
+    kind: str
+    wires: tuple[int, ...]
+    source: Gate | None
+    mirrored: bool
+
+
 @dataclass
 class PassResult:
     final_layout: Layout
-    gates: list[Gate] | None
+    ops: list[RoutedOp] | None  # what an emitting pass emitted, in order
+    lf_cost: float              # LF of those ops, summed as they were emitted
     swap_trace: list[tuple[int, int]]
     swaps: int
     mirrors: int
@@ -124,10 +184,11 @@ class _Pass:
         layout: Layout,
         emit: bool,
         allow_mirror: bool,
-        memo: dict[tuple[int, ...], np.ndarray] | None = None,
+        plan: RoutePlan,
     ):
+        side = plan.direction(dag, config)
         self.dag = dag
-        self.memo = {} if memo is None else memo
+        self.memo, self.counts = plan.memos[side], plan.counts[side]
         self.cmap = cmap
         self.dists = dists
         self.config = config
@@ -140,40 +201,25 @@ class _Pass:
         self.front: list[Gate] = []  # ready 2q gates, sorted by id
         self.front_rows = np.empty(0, dtype=np.intp)
         self.scored_rows: np.ndarray | None = None  # front rows, then the extended set's
-        self.gates: list[Gate] | None = [] if emit else None
-        self.next_id = 0
+        self.ops: list[RoutedOp] | None = [] if emit else None
+        self.lf_cost = 0.0
         self.swap_trace: list[tuple[int, int]] = []
         self.mirrors = 0
         self.stall = 0
         self.valve_fires = 0
 
     # bookkeeping ----------------------------------------------------
-    def _emit_gate(self, g: Gate, wires: tuple[int, ...], mirrored: bool = False):
-        if self.gates is None:
-            return
-        self.gates.append(
-            Gate(
-                id=self.next_id,
-                kind=g.kind,
-                wires=wires,
-                params=g.params,
-                n=g.n,
-                matrix=g.matrix,
-                mirrored=mirrored != g.mirrored,
-            )
-        )
-        self.next_id += 1
+    def _emit_two_qubit(self, op: RoutedOp, k: int):
+        """Record a 2q op and add its LF term, in emission order."""
+        self.ops.append(op)
+        self.lf_cost += self.cmap.log_weight[op.wires] * k
 
     def _emit_local(self, gates: list[Gate]):
         """Emit 1q gates and barriers on their wires under the current layout."""
-        if self.gates is not None:
-            for g in gates:
-                self._emit_gate(g, tuple(self.layout.physical(w) for w in g.wires))
-
-    def _emit_swap(self, p0: int, p1: int):
-        if self.gates is not None:
-            self.gates.append(Gate(id=self.next_id, kind="swap", wires=(p0, p1)))
-            self.next_id += 1
+        if self.ops is not None:
+            physical = self.layout.physical
+            self.ops.extend(RoutedOp(g.kind, tuple(physical(w) for w in g.wires), g, g.mirrored)
+                            for g in gates)
 
     def _retire(self, gate_id: int) -> list[Gate]:
         """Mark gate_id executed in the predecessor counts.  The 2q gates it
@@ -208,7 +254,9 @@ class _Pass:
         self.front.remove(g)
         local = self._retire(g.id)
         mirrored = self._mirror_decision(g, p0, p1)
-        self._emit_gate(g, (p0, p1), mirrored=mirrored)
+        if self.ops is not None:
+            op = RoutedOp(g.kind, (p0, p1), g, mirrored != g.mirrored)
+            self._emit_two_qubit(op, self.counts[self.rows[g.id]][mirrored])
         if mirrored:
             self.layout.swap_physical(p0, p1)
             self.mirrors += 1
@@ -223,8 +271,7 @@ class _Pass:
             return False
         if self.config.aggression == 3:
             return True
-        k_orig = gate_count(g, self.config.basis)
-        k_mirr = gate_count(g, self.config.basis, mirrored=not g.mirrored)
+        k_orig, k_mirr = self.counts[self.rows[g.id]]
         now, after = self._distances(self._pairs(self._lookahead()), np.array([[p0, p1]]))
         n = len(self.front)
         score_now = float(self._heuristic(now[:n, None], now[n:, None])[0])
@@ -273,7 +320,8 @@ class _Pass:
         return int(p0), int(p1)
 
     def _apply_swap(self, p0: int, p1: int):
-        self._emit_swap(p0, p1)
+        if self.ops is not None:
+            self._emit_two_qubit(RoutedOp("swap", (p0, p1), None, False), self.dists.k_swap)
         self.layout.swap_physical(p0, p1)
         self.swap_trace.append((p0, p1))
 
@@ -314,7 +362,8 @@ class _Pass:
 
         return PassResult(
             final_layout=self.layout,
-            gates=self.gates,
+            ops=self.ops,
+            lf_cost=self.lf_cost,
             swap_trace=self.swap_trace,
             swaps=len(self.swap_trace),
             mirrors=self.mirrors,
@@ -341,12 +390,11 @@ def route_pass(
     initial_layout: Layout,
     emit: bool = True,
     allow_mirror: bool = True,
-    memo: dict[tuple[int, ...], np.ndarray] | None = None,
+    *,
+    plan: RoutePlan,
 ) -> PassResult:
-    """One pass.  ``memo`` maps front ids to the wire-table rows of that
-    front's extended set; passes over one DAG at one extended size may share
-    it, and without one the pass keeps its own."""
-    return _Pass(dag, cmap, dists, config, rng, initial_layout, emit, allow_mirror, memo).run()
+    """One pass over ``dag``, which must be ``plan``'s circuit or its reverse."""
+    return _Pass(dag, cmap, dists, config, rng, initial_layout, emit, allow_mirror, plan).run()
 
 
 @dataclass(frozen=True)
@@ -369,11 +417,22 @@ class TrialMetrics:
 
 @dataclass(frozen=True)
 class RoutingResult:
-    circuit: CircuitDag
+    ops: tuple[RoutedOp, ...]         # the routed circuit, on physical wires
     initial_layout: tuple[int, ...]   # virtual -> physical at circuit start
     final_layout: tuple[int, ...]     # virtual -> physical at circuit end
     metrics: TrialMetrics
     swap_trace: tuple[tuple[int, int], ...] = ()
+
+    @cached_property
+    def circuit(self) -> CircuitDag:
+        """The routed circuit as a DAG, built through `Gate` on first access."""
+        gates = [
+            Gate(id=i, kind="swap", wires=op.wires) if op.source is None else
+            Gate(id=i, kind=op.kind, wires=op.wires, params=op.source.params, n=op.source.n,
+                 matrix=op.source.matrix, mirrored=op.mirrored)
+            for i, op in enumerate(self.ops)
+        ]
+        return CircuitDag(len(self.final_layout), gates)
 
     @property
     def output_permutation(self) -> tuple[int, ...]:
@@ -402,9 +461,12 @@ def run_trials(
     config: RouterConfig,
     seed: int = 0,
     dists: DistanceSet | None = None,
+    plan: RoutePlan | None = None,
 ) -> list[RoutingResult]:
     """Route num_seeds independent trials: random layout, then forward,
-    reverse, forward passes; the last pass emits the circuit."""
+    reverse, forward passes; the last pass emits the circuit and scores it.
+    ``plan`` is the circuit's `RoutePlan`, which the caller may share across
+    calls; without one the call builds its own and drops it on return."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise RoutingError(f"seed must be an integer >= 0, not {seed!r}")
     n_log, n_phys = dag.num_qubits, cmap.num_physical
@@ -420,29 +482,29 @@ def run_trials(
     ):
         if have != want:
             raise RoutingError(f"distance set {name} is {have!r}, the fabric and config need {want!r}")
-    reversed_dag = dag.reversed()
-    memo, reversed_memo = {}, {}  # one per DAG, shared by every trial's passes
+    if plan is None:
+        plan = RoutePlan.build(dag, config.basis, config.extended_size)
+    reversed_dag = plan.dags[1 - plan.direction(dag, config)]
     trials = []
     for t in range(config.num_seeds):
         perm = trial_rng(seed, t, 0).permutation(n_phys)
         layout = Layout(perm)
         fwd = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 1), layout,
-                         emit=False, memo=memo)
+                         emit=False, plan=plan)
         rev = route_pass(reversed_dag, cmap, dists, config, trial_rng(seed, t, 2),
-                         fwd.final_layout, emit=False, allow_mirror=False, memo=reversed_memo)
+                         fwd.final_layout, emit=False, allow_mirror=False, plan=plan)
         final = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 3),
-                           rev.final_layout, emit=True, memo=memo)
-        circuit = CircuitDag(n_phys, final.gates)
+                           rev.final_layout, emit=True, plan=plan)
         metrics = TrialMetrics(
-            lf_cost=lf_cost(circuit, cmap, config.basis),
-            depth=circuit_depth(circuit),
+            lf_cost=final.lf_cost,
+            depth=circuit_depth(final.ops),
             swap_count=final.swaps,
             mirror_count=final.mirrors,
             seed=t,
         )
         trials.append(
             RoutingResult(
-                circuit=circuit,
+                ops=tuple(final.ops),
                 initial_layout=tuple(rev.final_layout.to_list()),
                 final_layout=tuple(final.final_layout.to_list()),
                 metrics=metrics,

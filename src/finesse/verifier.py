@@ -19,11 +19,12 @@ one global phase.  Each checks its width before it evolves anything; after
 that the one limit is ``STATEVECTOR_WIDTH_LIMIT`` tracked slots, which only
 a routed circuit bringing a 16th wire into a statevector check reaches.
 
-One reference evolution per DAG: the evolved reference depends only on the
-reference and the seed, never on the route, so ``statevector_equivalent``
-keeps it in a memo keyed weakly by the reference ``CircuitDag``.  Each DAG
-holds one ``(seed, block)`` entry; a call with another seed replaces it, and
-the entry is freed with the DAG.  A first call still evolves both circuits,
+One reference evolution per DAG: the Haar inputs and the evolved reference
+depend only on the reference and the seed, never on the route, so
+``statevector_equivalent`` keeps both in a memo keyed weakly by the
+reference ``CircuitDag``.  Each DAG holds one ``(seed, psi, block)`` entry,
+both arrays read-only; a call with another seed replaces it, and the entry
+is freed with the DAG.  A first call still evolves both circuits,
 so a caller that checks one route per reference (``finesse transpile``,
 ``finesse verify``) gains nothing; ``finesse bench`` checks every selected
 trial against one evolution.  ``unitary_equivalent`` evolves its identity
@@ -58,7 +59,7 @@ FUSE = 5
 
 _I2 = np.eye(2, dtype=complex)
 
-# Reference DAG -> (seed, its read-only evolved block).
+# Reference DAG -> (seed, the read-only Haar inputs, its read-only evolved block).
 _REFERENCE_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -275,16 +276,17 @@ def _haar_states(n: int, seed) -> np.ndarray:
     return z / np.linalg.norm(z, axis=0, keepdims=True)
 
 
-def _memoised_reference(ref: CircuitDag, psi: np.ndarray, seed: int) -> np.ndarray:
-    """``ref``'s block on ``psi``, evolved once per ``seed``, the only input
-    that ``psi`` depends on."""
+def _memoised_reference(ref: CircuitDag, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, block): the Haar inputs of ``seed`` and ``ref``'s block on them,
+    drawn and evolved once per ``seed``."""
     entry = _REFERENCE_BLOCKS.get(ref)
-    if entry is not None and entry[0] == seed:
-        return entry[1]
-    block = _reference_block(ref, psi)
-    block.flags.writeable = False
-    _REFERENCE_BLOCKS[ref] = (seed, block)
-    return block
+    if entry is None or entry[0] != seed:
+        psi = _haar_states(ref.num_qubits, seed)
+        psi.flags.writeable = False
+        block = _reference_block(ref, psi)
+        block.flags.writeable = False
+        entry = _REFERENCE_BLOCKS[ref] = (seed, psi, block)
+    return entry[1], entry[2]
 
 
 def statevector_equivalent(
@@ -301,9 +303,10 @@ def statevector_equivalent(
     Equivalence holds when |<psi_ref| P |psi_routed>| = 1 within tol for
     every sampled state, which is insensitive to global phase.
 
-    The evolved reference is memoised on ``ref`` under the seed: one entry
-    per DAG, replaced when the seed changes and freed with the DAG.
-    A first call pays for both evolutions, a repeat only for the routed one.
+    The inputs and the evolved reference are memoised on ``ref`` under the
+    seed: one entry per DAG, replaced when the seed changes and freed with
+    the DAG.  A first call draws the inputs and pays for both evolutions, a
+    repeat only for the routed one.
     The memo relies on ``CircuitDag`` being immutable: writing into a gate's
     ``matrix`` after a check leaves a stale reference.
     """
@@ -312,8 +315,7 @@ def statevector_equivalent(
     if n_ref > STATEVECTOR_WIDTH_LIMIT:
         raise WidthError(f"reference width {n_ref} exceeds {STATEVECTOR_WIDTH_LIMIT}")
     inputs, outputs = _wire_maps(perm, input_map, n_ref, n_routed)
-    psi = _haar_states(n_ref, seed)
-    a = _memoised_reference(ref, psi, seed)
+    psi, a = _memoised_reference(ref, seed)
     routed_state = _routed_tensor(routed, psi, inputs, outputs, n_ref)
     if routed_state is None:
         return False

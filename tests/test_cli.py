@@ -240,6 +240,20 @@ def test_bench_files_are_projections_of_one_record(tmp_path):
         assert {k: str(record[k]) for k in shared} == {k: row[k] for k in shared}
 
 
+def test_bench_without_a_two_qubit_gate_aborts_before_writing(tmp_path, capsys):
+    """sabre's LF cost and depth are the percentage baselines; a circuit with
+    no 2q gate has an LF cost of 0, so the sweep aborts naming the circuit,
+    topology and mode, and writes nothing."""
+    workloads, out = tmp_path / "workloads", tmp_path / "bench"
+    workloads.mkdir()
+    (workloads / "local.qasm").write_text("qreg q[2]; h q[0]; h q[1];\n")
+    code = main(["bench", "--workloads", str(workloads), "--out", str(out),
+                 "--seeds", "1", "--topologies", "4q4e"])
+    assert code == EXIT_FAILED
+    assert "bench aborted: local on 4q4e (native): sabre's LF cost or depth is 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--basis", "bogus", "unknown basis gate 'bogus'"),
     ("--basis", "root_iswap_3", "unreachable in <=3 uses of root_iswap_3"),

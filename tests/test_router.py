@@ -1,6 +1,8 @@
 """Router: the lookahead scorer against a scalar oracle, the memoised extended
 set against a copying walk and against the front alone, routed circuits
-against the statevector verifier, trial selection, and a pinned golden route."""
+against the statevector verifier, the route plan and the compact record
+against fresh routes and the circuit they build, trial selection, and a
+pinned golden route."""
 import hashlib
 import re
 from collections import Counter
@@ -14,17 +16,19 @@ from hypothesis import given, settings, strategies as st
 
 from finesse import router
 from finesse.hardware import CouplingMap, build_distance_set, fabric_suite
-from finesse.ir import CircuitDag, Gate, Layout, extended_set
+from finesse.ir import CircuitDag, Gate, Layout, circuit_depth, extended_set
 from finesse.router import (
     ALGORITHMS,
+    RoutePlan,
     RouterConfig,
     RoutingResult,
     TrialMetrics,
+    lf_cost,
     run_trials,
     select_trial,
 )
 from finesse.verifier import statevector_equivalent
-from finesse.weyl import swap_count
+from finesse.weyl import BasisGate, gate_count, swap_count
 from finesse.workloads import SUITE
 
 from oracles import haar_su4, random_connected_map, reference_extended_set, reference_lookahead
@@ -48,7 +52,8 @@ def _random_pass(rng, algorithm, *counts):
         lists.append(_random_gates(rng, n, int(rng.integers(low, high)), start))
         start += len(lists[-1])
     dag = CircuitDag(n, [g for gates in lists for g in gates])
-    p = router._Pass(dag, cmap, dists, config, rng, layout, emit=False, allow_mirror=True)
+    plan = RoutePlan.build(dag, config.basis, config.extended_size)
+    p = router._Pass(dag, cmap, dists, config, rng, layout, emit=False, allow_mirror=True, plan=plan)
     return p, lists
 
 
@@ -204,6 +209,18 @@ def _retire_randomly(p, rng):
         yield
 
 
+def _counting_walks(walks):
+    """A stand-in for `extended_set_core` that counts walks per (DAG, size,
+    front)."""
+    walk = router.extended_set_core
+
+    def counted(dag, front, size, preds):
+        walks[id(dag), size, tuple(g.id for g in front)] += 1
+        return walk(dag, front, size, preds)
+
+    return counted
+
+
 class TestLookaheadMemo:
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS)
@@ -231,10 +248,11 @@ class TestLookaheadMemo:
         cmap, dag = _random_routing_case(rng, 40)
         config = RouterConfig(algorithm="sabre", extended_size=size)
         dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
+        plan = RoutePlan.build(dag, config.basis, config.extended_size)
         seen = {}
         for _ in range(3):
-            p = router._Pass(dag, cmap, dists, config, rng,
-                             Layout.identity(cmap.num_physical), emit=False, allow_mirror=False)
+            p = router._Pass(dag, cmap, dists, config, rng, Layout.identity(cmap.num_physical),
+                             emit=False, allow_mirror=False, plan=plan)
             for _ in _retire_randomly(p, rng):
                 ids = [g.id for g in reference_extended_set(dag, p.front, size, p.preds)]
                 assert seen.setdefault(tuple(g.id for g in p.front), ids) == ids
@@ -242,13 +260,8 @@ class TestLookaheadMemo:
 
     def test_each_front_is_walked_once_per_call(self, fabric_4q4e):
         dag = SUITE["qft_10"]()
-        walks, walk = Counter(), router.extended_set_core
-
-        def counted(dag, front, size, preds):
-            walks[id(dag), size, tuple(g.id for g in front)] += 1
-            return walk(dag, front, size, preds)
-
-        with patch.object(router, "extended_set_core", counted):
+        walks = Counter()
+        with patch.object(router, "extended_set_core", _counting_walks(walks)):
             for algorithm in ALGORITHMS:
                 config = RouterConfig(algorithm=algorithm, num_seeds=4)
                 calls = []
@@ -257,13 +270,102 @@ class TestLookaheadMemo:
                     run_trials(dag, fabric_4q4e, config)
                     assert walks and max(walks.values()) == 1
                     calls.append(sum(walks.values()))
-                # The memo is dropped with the call: the next one walks again.
+                # Without a plan the call's own is dropped with it: the next
+                # call walks again.
                 assert calls[0] == calls[1]
+
+
+def _route(results):
+    """What the trials chose: swap traces, mirror counts, final layouts and
+    the repr of each LF cost."""
+    return [(r.swap_trace, r.metrics.mirror_count, r.final_layout, repr(r.metrics.lf_cost))
+            for r in results]
+
+
+class TestRoutePlan:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=SEEDS, trials=st.integers(1, 3), aggression=st.integers(0, 3))
+    def test_the_record_scores_as_the_circuit_does(self, seed, trials, aggression):
+        """The LF summed as the final pass emits is `lf_cost` of the circuit
+        the record builds, repr for repr, and the record's depth is the
+        circuit's; routes that share one plan across the four algorithms
+        equal fresh routes."""
+        rng = np.random.default_rng(seed)
+        cmap, dag = _random_routing_case(rng, 30)
+        base = RouterConfig(num_seeds=trials, aggression=aggression)
+        plan = RoutePlan.build(dag, base.basis, base.extended_size)
+        for algorithm in ALGORITHMS:
+            config = replace(base, algorithm=algorithm)
+            shared = run_trials(dag, cmap, config, seed=seed, plan=plan)
+            assert _route(shared) == _route(run_trials(dag, cmap, config, seed=seed))
+            for result in shared:
+                assert repr(result.metrics.lf_cost) == repr(lf_cost(result.circuit, cmap, config.basis))
+                assert result.metrics.depth == circuit_depth(result.circuit)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS, basis=st.sampled_from(("siswap", "cx", "iswap", "ecr")))
+    def test_the_count_table_is_gate_count_gate_by_gate(self, seed, basis):
+        """Each wire-table row of the circuit and of its reverse holds its
+        gate's count as placed and with the mirror flag flipped."""
+        rng = np.random.default_rng(seed)
+        dag = _random_circuit(rng, int(rng.integers(2, 6)), int(rng.integers(1, 40)))
+        basis = BasisGate.from_name(basis)
+        plan = RoutePlan.build(dag, basis, 20)
+        assert plan.dags[0] is dag and [g.id for g in plan.dags[1].gates] == [g.id for g in dag.gates][::-1]
+        for planned, counts in zip(plan.dags, plan.counts):
+            rows = planned.two_qubit_rows
+            assert len(counts) == len(rows)
+            for g in planned.gates:
+                if g.is_two_qubit:
+                    flipped = replace(g, mirrored=not g.mirrored)
+                    assert counts[rows[g.id]] == (gate_count(g, basis), gate_count(flipped, basis))
+
+    def test_each_front_is_walked_once_per_plan(self):
+        """One plan shared by routes on two fabrics, four algorithms and two
+        seeds walks each front once, and its memos hold exactly the walks."""
+        dag, suite = SUITE["qft_10"](), fabric_suite()
+        config = RouterConfig(num_seeds=4)
+        plan = RoutePlan.build(dag, config.basis, config.extended_size)
+        walks = Counter()
+        with patch.object(router, "extended_set_core", _counting_walks(walks)):
+            for fabric in ("4q4e", "5q7e"):
+                for algorithm in ALGORITHMS:
+                    for seed in (0, 1):
+                        run_trials(dag, suite[fabric], replace(config, algorithm=algorithm),
+                                   seed=seed, plan=plan)
+        assert walks and max(walks.values()) == 1
+        assert sum(walks.values()) == len(plan.memos[0]) + len(plan.memos[1])
+
+    def test_an_unread_trial_builds_no_dag(self, fabric_4q4e):
+        dag = SUITE["wstate_08"]()
+        config = RouterConfig(algorithm="finesse", num_seeds=3)
+        plan = RoutePlan.build(dag, config.basis, config.extended_size)
+        builds, build = [], CircuitDag.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        with patch.object(CircuitDag, "__init__", counted):
+            results = run_trials(dag, fabric_4q4e, config, plan=plan)
+            assert builds == []
+            circuit = results[1].circuit
+            assert builds == [circuit] and results[1].circuit is circuit
+        assert len(circuit.gates) == len(results[1].ops)
+
+    @pytest.mark.parametrize("field", ["dag", "basis", "extended_size"])
+    def test_a_plan_for_another_circuit_or_config_is_refused(self, fabric_4q4e, field):
+        dag, config = SUITE["wstate_08"](), RouterConfig(num_seeds=1)
+        fields = {"dag": dag, "basis": config.basis, "extended_size": config.extended_size}
+        fields[field] = {"dag": SUITE["wstate_08"](), "basis": BasisGate("cx"), "extended_size": 5}[field]
+        plan = RoutePlan.build(**fields)
+        with pytest.raises(router.RoutingError, match=f"^route plan {field} "):
+            run_trials(dag, fabric_4q4e, config, plan=plan)
 
 
 def _trial(index, lf_cost, depth, swaps):
     metrics = TrialMetrics(lf_cost=lf_cost, depth=depth, swap_count=swaps, mirror_count=0, seed=index)
-    return RoutingResult(CircuitDag(1, []), (0,), (0,), metrics)
+    return RoutingResult((), (0,), (0,), metrics)
 
 
 class TestSelectTrial:

@@ -1,0 +1,40 @@
+"""What perfbench's tracer reads of finesse.  `tracing.instrument` swaps
+module attributes by name and `_describe_pass` binds `route_pass`'s
+arguments and reads `PassResult` counts, so a rename here would fail every
+traced run with an AttributeError; these checks fail first."""
+import dataclasses
+import sys
+from pathlib import Path
+
+import pytest
+
+from finesse import router
+from finesse.hardware import fabric_suite
+from finesse.workloads import SUITE
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+@pytest.mark.parametrize("owner, attribute", [point[:2] for point in tracing.TRACE_POINTS],
+                         ids=[point[2] for point in tracing.TRACE_POINTS])
+def test_every_trace_point_exists(owner, attribute):
+    assert callable(getattr(owner, attribute, None))
+
+
+def test_pass_result_keeps_the_traced_counts():
+    assert {"swaps", "mirrors", "valve_fires"} <= {f.name for f in dataclasses.fields(router.PassResult)}
+
+
+def test_a_traced_route_binds_every_pass_and_scores_through_circuit_depth():
+    """Under `instrument`, one trial gives one span per pass kind with the
+    counts `_describe_pass` reads from its bound `dag`, `emit` and
+    `allow_mirror`, and one `circuit_depth` span."""
+    tracer = tracing.Tracer()
+    config = router.RouterConfig(algorithm="finesse", num_seeds=1)
+    with tracing.instrument(tracer):
+        router.run_trials(SUITE["wstate_08"](), fabric_suite()["4q4e"], config)
+    passes = [s.attrs for s in tracer.spans if s.name == "router.route_pass"]
+    assert [p["kind"] for p in passes] == ["fwd", "rev", "final"]
+    assert all({"n2q", "swaps", "mirrors", "valve_fires"} <= set(p) for p in passes)
+    assert [s.name for s in tracer.spans].count("router.circuit_depth") == 1

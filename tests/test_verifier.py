@@ -270,7 +270,7 @@ def test_one_state_pass_per_fused_block(name, passes):
     (4+3, 2+1, 0).  bv_13's 7 cx share one target, so 4 cx fill a block: 2
     blocks; its 12 data wires end on h, and those pending products take
     ceil(12 / 5) = 3 passes.  A first check evolves both sides; a repeat with
-    the same seed reads the memoised reference, read-only,
+    the same seed reads the memoised inputs and reference, both read-only,
     and evolves only the routed side."""
     assert verifier.FUSE == 5
     dag = workloads.SUITE[name]()
@@ -278,8 +278,9 @@ def test_one_state_pass_per_fused_block(name, passes):
         with _state_passes() as calls:
             assert statevector_equivalent(dag, dag, range(dag.num_qubits))
         assert len(calls) == expected
-    with pytest.raises(ValueError, match="read-only"):
-        verifier._REFERENCE_BLOCKS[dag][1][0, 0] = 0
+    for memoised in verifier._REFERENCE_BLOCKS[dag][1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            memoised[0, 0] = 0
 
 
 # --- fused blocks -------------------------------------------------------------
@@ -405,6 +406,34 @@ def test_a_new_seed_replaces_the_entry(seed):
         kept, previous = entry, key
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS)
+def test_a_repeat_check_draws_no_new_inputs(seed):
+    """The first check on a DAG draws its Haar inputs, the seed's own draw;
+    repeats with that seed draw none and give the first check's verdict, on
+    the true wire map and on a random one."""
+    rng = np.random.default_rng(seed)
+    case = _random_case(rng, clifford=False)
+    perms = [case.perm, rng.permutation(case.width).tolist()]
+    draws, draw = [], verifier._haar_states
+
+    def counted(n, key):
+        draws.append(key)
+        return draw(n, key)
+
+    with patch.object(verifier, "_haar_states", counted):
+        first = [statevector_equivalent(case.ref, case.circuit, perm, input_map=case.input_map,
+                                        seed=seed) for perm in perms]
+        assert draws == [seed]
+        psi = verifier._REFERENCE_BLOCKS[case.ref][1]
+        for _ in range(2):
+            assert [statevector_equivalent(case.ref, case.circuit, perm, input_map=case.input_map,
+                                           seed=seed) for perm in perms] == first
+        assert draws == [seed]
+    assert verifier._REFERENCE_BLOCKS[case.ref][1] is psi
+    assert np.array_equal(psi, draw(case.ref.num_qubits, seed))
+
+
 def test_unitary_neither_reads_nor_writes_the_memo():
     ref = _qasm(2, "h q[0]; cx q[0],q[1];")  # one pass per side: h folds into cx, one block
     assert unitary_equivalent(ref, ref, [0, 1])
@@ -420,10 +449,11 @@ def test_unitary_neither_reads_nor_writes_the_memo():
 def test_the_memo_dies_with_its_dag():
     ref = _qasm(2, "h q[0]; cx q[0],q[1];")
     assert statevector_equivalent(ref, ref, [0, 1])
-    dag, block = weakref.ref(ref), weakref.ref(verifier._REFERENCE_BLOCKS[ref][1])
+    _, psi, block = verifier._REFERENCE_BLOCKS[ref]
+    dag, psi, block = weakref.ref(ref), weakref.ref(psi), weakref.ref(block)
     del ref
     gc.collect()
-    assert dag() is None and block() is None
+    assert dag() is None and psi() is None and block() is None
 
 
 # --- mutations ----------------------------------------------------------------
