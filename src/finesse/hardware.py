@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +30,9 @@ class CouplingMap:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        n = self.num_physical
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise TopologyError(f"num_physical must be an integer >= 0, not {n!r}")
         seen = set()
         for i, j, c in self.edges:
             if i == j:
@@ -89,6 +93,15 @@ class CouplingMap:
         index = np.full((self.num_physical,) * 2, -1, dtype=np.intp)
         index[a, b] = index[b, a] = np.arange(len(a))
         return _read_only(index)
+
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """Per physical qubit, the edge_pairs rows that touch it, ascending."""
+        touching = [[] for _ in range(self.num_physical)]
+        for e, pair in enumerate(self.edge_pairs.tolist()):
+            for p in pair:
+                touching[p].append(e)
+        return tuple(map(tuple, touching))
 
     @cached_property
     def swap_moves(self) -> np.ndarray:
@@ -278,7 +291,7 @@ def load_calibration(source) -> CouplingMap:
             raise TopologyError(f"error rate {e} on ({i},{j}) outside [0, 1)")
         edges.append((min(i, j), max(i, j), 1.0 - e))
     if "num_physical" in data:
-        num = _field(data, "num_physical", _integer, "calibration", source)
+        num = _field(data, "num_physical", _count, "calibration", source)
     return CouplingMap(num, tuple(edges))
 
 
@@ -295,8 +308,8 @@ def load_topology(source) -> CouplingMap:
         spec = TABLE3_MODULES[mod]
     else:
         spec = ModuleSpec(
-            _field(mod, "qubits", _integer, "module", source),
-            _field(mod, "edges", lambda v: tuple((_integer(i), _integer(j)) for i, j in v), "module", source),
+            _field(mod, "qubits", _count, "module", source),
+            _field(mod, "edges", _module_edges, "module", source),
             _field(mod, "fidelities", lambda v: tuple(float(f) for f in v), "module", source),
             mod.get("name", "module"),
         )
@@ -347,6 +360,23 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _count(value) -> int:
+    """_integer(value), refusing a negative one."""
+    count = _integer(value)
+    if count < 0:
+        raise ValueError(f"{value!r} is negative")
+    return count
+
+
+def _module_edges(value) -> tuple[tuple[int, int], ...]:
+    """A module's (i, j) edge list, refusing an empty one: its fabric would
+    have no link to route on and no worst fidelity to join modules with."""
+    edges = tuple((_integer(i), _integer(j)) for i, j in value)
+    if not edges:
+        raise ValueError("a module needs at least one edge")
+    return edges
 
 
 def _check_version(data: dict):

@@ -299,7 +299,8 @@ class Layout:
     """Bijection between virtual (logical plus ancilla) and physical wires.
 
     The virtual -> physical map is kept both as a list and as an np.intp
-    array, so the router can map many wires in one gather.
+    array, so the router can map one wire by a list index and many wires in
+    one gather.
     """
 
     __slots__ = ("_v2p", "_p2v", "_v2p_array")
@@ -327,6 +328,11 @@ class Layout:
 
     def virtual(self, physical: int) -> int:
         return self._p2v[physical]
+
+    @property
+    def physical_list(self) -> list[int]:
+        """Virtual -> physical as the layout's own list (read-only by contract)."""
+        return self._v2p
 
     @property
     def physical_array(self) -> np.ndarray:

@@ -8,18 +8,24 @@ hurt decomposition cost or, for FINESSE, the fidelity-weighted lookahead.
 Relative scoring and a release valve follow the LightSABRE variant; the front
 sum is unnormalized.
 
-Pass state is held in arrays.  The layout keeps virtual -> physical as an
-integer array and the DAG a (2q gates, 2) wire table; the front and its
-lookahead are held as rows of that table, so their physical pairs are one
-gather (`_pairs`).  Every pass reads the edge tables the fabric caches
-(`CouplingMap.edge_pairs`, `edge_index`, `swap_moves`, `log_weight`).
-`_distances` reads the scoring-matrix entry of every gate now and after each
-candidate swap, shape (gates, candidates), with gathers only.
-`_heuristic` is one reduction: the front sum plus W times the extended-set
-average, one column per candidate, with the rows added in gate order (a
-pairwise sum would reorder them and move exact ties).  `_select_swap` reduces
-after - now over the edges that touch the front; a gate the swap does not
-touch contributes exactly 0.0, so no mask is needed.
+A front holds under two gates on average, so numpy call overhead, not
+arithmetic, sets the cost of a step, and a step makes few calls.
+Routability is a dict lookup: `run` executes the first front gate, in id
+order, whose physical pair (read from the layout's list) is a key of
+`CouplingMap.fidelity`.  Scoring works on rows of the DAG's (2q gates, 2)
+wire table.  The plan's memo holds, per front, one read-only array: the
+front's rows, then its extended set's, so their physical pairs are one
+gather (`_pairs`) through the layout's integer array.  The swap candidates
+are the edges incident on the front's physical qubits
+(`CouplingMap.incident`), in `edge_pairs` order, which fixes the tie order.
+`_distances` reads the scoring-matrix entry of every gate now and after a
+swap on each candidate edge (`swap_moves`), shape (gates, candidates), with
+gathers only.  `_heuristic` is one reduction: the front sum plus W times the
+extended-set average, one column per candidate, with the rows added in gate
+order (a pairwise sum would reorder them and move exact ties).
+`_select_swap` reduces after - now; a gate the swap does not touch
+contributes exactly 0.0, so no mask is needed.  A mirror decision scores
+"now" and "mirrored" as two columns of one reduction.
 
 Predecessor counts are one dict, lowered once per executed gate by
 `ir.retire`; `_retire` has it execute every 1q gate and barrier the moment it
@@ -32,8 +38,8 @@ successors will see.  The mirror rule compares absolute sums: written as a
 delta, the FINESSE rule flips on real-valued near-ties that rounding decides.
 
 What depends on the circuit alone is a `RoutePlan`: the DAG and its reverse,
-one extended-set memo per direction (front ids -> wire-table rows of that
-front's extended set, for one extended size) and, for one basis, each
+one lookahead memo per direction (front ids -> the front's wire-table rows,
+then its extended set's, for one extended size) and, for one basis, each
 wire-table row's decomposition count as placed and as mirrored.  Every trial
 and pass over the circuit shares it, so each front's set is walked once per
 plan, and no pass asks `weyl.gate_count`.  `run_trials` builds one when it
@@ -120,10 +126,12 @@ def trial_rng(seed: int, trial: int, pass_index: int) -> np.random.Generator:
 class RoutePlan:
     """What routing one circuit needs that depends on the circuit alone, for
     one basis and one extended size.  Each pair holds the circuit's entry,
-    then its reverse's: the DAGs, the extended-set memos (front ids ->
-    wire-table rows of that front's extended set) and the counts, per
-    wire-table row, (k as placed, k mirrored).  The memos fill as passes
-    route; every other field is fixed at `build`."""
+    then its reverse's: the DAGs, the lookahead memos (front ids -> one
+    read-only intp array of wire-table rows, the front's followed by its
+    extended set's) and the counts, per wire-table row, (k as placed, k
+    mirrored).  The memos fill as passes route, and every trial, fabric and
+    algorithm sharing the plan reads the same arrays; every other field is
+    fixed at `build`."""
 
     basis: BasisGate
     extended_size: int
@@ -199,8 +207,7 @@ class _Pass:
         self.preds = dag.predecessor_counts()
         self.rows, self.wires = dag.two_qubit_rows, dag.wire_table
         self.front: list[Gate] = []  # ready 2q gates, sorted by id
-        self.front_rows = np.empty(0, dtype=np.intp)
-        self.scored_rows: np.ndarray | None = None  # front rows, then the extended set's
+        self.scored_rows: np.ndarray | None = None  # the front's memo entry
         self.ops: list[RoutedOp] | None = [] if emit else None
         self.lf_cost = 0.0
         self.swap_trace: list[tuple[int, int]] = []
@@ -233,20 +240,20 @@ class _Pass:
 
     def _front_changed(self):
         self.front.sort(key=_gate_id)
-        self.front_rows = np.array([self.rows[g.id] for g in self.front], dtype=np.intp)
         self.scored_rows = None
 
     def _lookahead(self) -> np.ndarray:
-        """Wire-table rows of the front, then of its extended set, which is
-        walked only when the memo does not hold this front yet."""
+        """Wire-table rows of the front, then of its extended set: the memo's
+        read-only entry for this front, walked only when the memo lacks it."""
         if self.scored_rows is None:
             key = tuple(g.id for g in self.front)
-            extended = self.memo.get(key)
-            if extended is None:
-                gates = extended_set_core(self.dag, self.front, self.config.extended_size, self.preds)
-                extended = np.array([self.rows[g.id] for g in gates], dtype=np.intp)
-                self.memo[key] = extended
-            self.scored_rows = np.concatenate([self.front_rows, extended])
+            rows = self.memo.get(key)
+            if rows is None:
+                extended = extended_set_core(self.dag, self.front, self.config.extended_size, self.preds)
+                rows = np.array([self.rows[g.id] for g in self.front + extended], dtype=np.intp)
+                rows.flags.writeable = False
+                self.memo[key] = rows
+            self.scored_rows = rows
         return self.scored_rows
 
     def _execute(self, g: Gate, p0: int, p1: int):
@@ -272,10 +279,10 @@ class _Pass:
         if self.config.aggression == 3:
             return True
         k_orig, k_mirr = self.counts[self.rows[g.id]]
-        now, after = self._distances(self._pairs(self._lookahead()), np.array([[p0, p1]]))
+        now, after = self._distances(self._pairs(self._lookahead()), [self.cmap.edge_index[p0, p1]])
+        scored = np.concatenate((now[:, None], after), axis=1)  # columns: now, mirrored
         n = len(self.front)
-        score_now = float(self._heuristic(now[:n, None], now[n:, None])[0])
-        score_mirr = float(self._heuristic(after[:n], after[n:])[0])
+        score_now, score_mirr = self._heuristic(scored[:n], scored[n:]).tolist()
         if self.config.algorithm == "finesse":
             l_edge = self.cmap.log_weight[p0, p1]
             return score_mirr + k_mirr * l_edge <= score_now + k_orig * l_edge
@@ -290,11 +297,10 @@ class _Pass:
         """Physical (a, b) of each wire-table row under the current layout."""
         return self.layout.physical_array[self.wires[rows]]
 
-    def _distances(self, pairs: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """matrix[a, b] per gate, shape (gates,), and the same entry after each
-        candidate swap (p0, p1) on an edge, shape (gates, cands)."""
-        edge = self.cmap.edge_index[cands[:, 0], cands[:, 1]]
-        moved = self.cmap.swap_moves[edge].T  # (physical, cands)
+    def _distances(self, pairs: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+        """matrix[a, b] per gate, shape (gates,), and the same entry after a
+        swap on each candidate edge (`edge_pairs` rows), shape (gates, edges)."""
+        moved = self.cmap.swap_moves[edges].T  # (physical, edges)
         return self.matrix[pairs[:, 0], pairs[:, 1]], self.matrix[moved[pairs[:, 0]], moved[pairs[:, 1]]]
 
     def _heuristic(self, front_vals: np.ndarray, ext_vals: np.ndarray) -> np.ndarray:
@@ -305,19 +311,18 @@ class _Pass:
             total += self.config.w * _ordered_sum(ext_vals) / len(ext_vals)
         return total
 
-    def _select_swap(self, front_pairs: np.ndarray) -> tuple[int, int]:
-        """Relative scoring over the edges touching the front layer."""
-        on_front = np.zeros(self.cmap.num_physical, dtype=bool)
-        on_front[front_pairs] = True
-        cands = self.cmap.edge_pairs[on_front[self.cmap.edge_pairs].any(axis=1)]
+    def _select_swap(self, front_pairs: list[tuple[int, int]]) -> tuple[int, int]:
+        """Relative scoring over the edges touching the front layer, in
+        `edge_pairs` order, which fixes the tie order."""
+        incident = self.cmap.incident
+        edges = sorted({e for pair in front_pairs for p in pair for e in incident[p]})
         n = len(self.front)
-        now, after = self._distances(self._pairs(self._lookahead()), cands)
+        now, after = self._distances(self._pairs(self._lookahead()), edges)
         delta = after - now[:, None]
         scores = self._heuristic(delta[:n], delta[n:])
         ties = (scores == scores.min()).nonzero()[0]
         pick = ties[0] if len(ties) == 1 else ties[int(self.rng.integers(len(ties)))]
-        p0, p1 = cands[pick]
-        return int(p0), int(p1)
+        return tuple(self.cmap.edge_pairs[edges[pick]].tolist())
 
     def _apply_swap(self, p0: int, p1: int):
         if self.ops is not None:
@@ -325,11 +330,10 @@ class _Pass:
         self.layout.swap_physical(p0, p1)
         self.swap_trace.append((p0, p1))
 
-    def _release_valve(self, front_pairs: np.ndarray):
+    def _release_valve(self, front_pairs: list[tuple[int, int]]):
         """Force the full shortest-path chain for the closest front gate, the
         first in id order on ties."""
-        hops = self.dists.d_hop[front_pairs[:, 0], front_pairs[:, 1]]
-        p0, p1 = front_pairs[int(np.argmin(hops))].tolist()
+        p0, p1 = min(front_pairs, key=self.dists.d_hop.__getitem__)
         while self.dists.d_hop[p0, p1] > 1:
             closer = self.dists.d_hop[:, p1] < self.dists.d_hop[p0, p1]
             step = min(nb for nb in self.cmap.neighbors[p0] if closer[nb])
@@ -349,16 +353,19 @@ class _Pass:
         self._front_changed()
 
         while self.front:
-            pairs = self._pairs(self.front_rows)
-            routable = (self.cmap.edge_index[pairs[:, 0], pairs[:, 1]] >= 0).nonzero()[0]
-            if len(routable):
-                first = routable[0]
-                self._execute(self.front[first], *pairs[first].tolist())
-            elif self.stall >= self.config.release_valve_threshold:
-                self._release_valve(pairs)
+            v2p, on_edge, pairs = self.layout.physical_list, self.cmap.fidelity, []
+            for g in self.front:
+                pair = (v2p[g.wires[0]], v2p[g.wires[1]])
+                if pair in on_edge:
+                    self._execute(g, *pair)
+                    break
+                pairs.append(pair)
             else:
-                self._apply_swap(*self._select_swap(pairs))
-                self.stall += 1
+                if self.stall >= self.config.release_valve_threshold:
+                    self._release_valve(pairs)
+                else:
+                    self._apply_swap(*self._select_swap(pairs))
+                    self.stall += 1
 
         return PassResult(
             final_layout=self.layout,

@@ -133,6 +133,19 @@ class TestTranspileAndVerify:
         assert exc.value.code == EXIT_USAGE
         assert "bad 'edges' value 5 in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fixture, message", [
+        ({"num_physical": -1, "edges": []}, "bad 'num_physical' value -1 in"),
+        ({"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2}, "bad 'edges' value [] in"),
+    ])
+    def test_topology_without_a_fabric_is_usage_error(self, tmp_path, capsys, fixture, message):
+        circuit, topology = tmp_path / "small.qasm", tmp_path / "empty.json"
+        circuit.write_text(SMALL_QASM)
+        topology.write_text(json.dumps(fixture))
+        with pytest.raises(SystemExit) as exc:
+            main(["transpile", str(circuit), "--topology", str(topology)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"{message} {topology}" in capsys.readouterr().err
+
     def test_verify_error_is_a_failed_verdict(self, tmp_path, capsys):
         circuit = tmp_path / "small.qasm"
         circuit.write_text(SMALL_QASM)

@@ -58,6 +58,11 @@ class TestCouplingMap:
         with pytest.raises(TopologyError, match="3 pairs but"):
             CouplingMap.from_pairs(3, [(0, 1), (1, 2), (0, 2)], fidelities)
 
+    @pytest.mark.parametrize("num_physical", [True, 2.5, -1])
+    def test_num_physical_must_be_a_nonnegative_integer(self, num_physical):
+        with pytest.raises(TopologyError, match=f"num_physical must be an integer >= 0, not {num_physical!r}"):
+            CouplingMap(num_physical, ())
+
     def test_rejects_bad_fidelity(self):
         with pytest.raises(TopologyError):
             CouplingMap.from_pairs(2, [(0, 1)], [0.0])
@@ -119,6 +124,15 @@ class TestEdgeTables:
         for name in ("edge_pairs", "edge_index", "swap_moves", "log_weight"):
             assert getattr(cmap, name) is getattr(cmap, name)  # built once per map
         assert log_weights(cmap) is cmap.log_weight
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_incident_lists_the_edge_pairs_rows_on_each_qubit(self, seed):
+        cmap = random_connected_map(np.random.default_rng(seed))
+        pairs = cmap.edge_pairs.tolist()
+        assert cmap.incident == tuple(tuple(e for e, pair in enumerate(pairs) if q in pair)
+                                      for q in range(cmap.num_physical))
+        assert cmap.incident is cmap.incident
 
 
 class TestHopDistances:
@@ -402,6 +416,10 @@ class TestCalibrationImport:
         (load_calibration, {"edges": [{"i": 0, "j": 1.5, "error": 0.01}]}, "j"),
         (load_calibration, {"edges": [{"i": False, "j": 1, "error": 0.01}]}, "i"),
         (load_calibration, {"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 2.5}, "num_physical"),
+        # Counts are nonnegative, and a module has an edge.
+        (load_calibration, {"edges": [], "num_physical": -1}, "num_physical"),
+        (load_topology, {"module": {"qubits": -2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 2}, "qubits"),
+        (load_topology, {"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2}, "edges"),
     ])
     def test_mistyped_field_names_it_and_the_file(self, tmp_path, loader, payload, key):
         path = tmp_path / "typed.json"

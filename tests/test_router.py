@@ -1,8 +1,9 @@
-"""Router: the lookahead scorer against a scalar oracle, the memoised extended
-set against a copying walk and against the front alone, routed circuits
-against the statevector verifier, the route plan and the compact record
-against fresh routes and the circuit they build, trial selection, and a
-pinned golden route."""
+"""Router: the lookahead scorer and the mirror verdict against a scalar
+oracle, the executed gate and the swap candidates against brute-force rules,
+the memoised extended set against a copying walk and against the front
+alone, routed circuits against the statevector verifier, the route plan and
+the compact record against fresh routes and the circuit they build, trial
+selection, and a pinned golden route."""
 import hashlib
 import re
 from collections import Counter
@@ -36,14 +37,14 @@ from oracles import haar_su4, random_connected_map, reference_extended_set, refe
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def _random_pass(rng, algorithm, *counts):
+def _random_pass(rng, algorithm, *counts, aggression=2):
     """A routing pass on a random map and layout, ready to score gates.
 
     Its DAG holds one list of random cx gates per (low, high) count range,
     ids unique across the lists; the pass gathers wires from its own DAG.
     """
     cmap = random_connected_map(rng)
-    config = RouterConfig(algorithm=algorithm, w=float(rng.uniform(0.1, 1.0)))
+    config = RouterConfig(algorithm=algorithm, w=float(rng.uniform(0.1, 1.0)), aggression=aggression)
     dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
     n = cmap.num_physical
     layout = Layout(rng.permutation(n))
@@ -81,7 +82,7 @@ class TestLookahead:
     def test_relative_swap_scores_match_oracle(self, seed, algorithm):
         rng = np.random.default_rng(seed)
         p, (front, extended) = _random_pass(rng, algorithm, (1, 6), (0, 21))
-        now, after = p._distances(p._pairs(_rows(p, front + extended)), p.cmap.edge_pairs)
+        now, after = p._distances(p._pairs(_rows(p, front + extended)), np.arange(len(p.cmap.edge_pairs)))
         delta = after - now[:, None]
         k = len(front)
         scores = p._heuristic(delta[:k], delta[k:])
@@ -96,7 +97,7 @@ class TestLookahead:
         rng = np.random.default_rng(seed)
         p, (rest, extended) = _random_pass(rng, algorithm, (0, 6), (0, 21))
         p0, p1 = p.cmap.edge_pairs[rng.integers(len(p.cmap.edge_pairs))]
-        now, after = p._distances(p._pairs(_rows(p, rest + extended)), np.array([[p0, p1]]))
+        now, after = p._distances(p._pairs(_rows(p, rest + extended)), [p.cmap.edge_index[p0, p1]])
         k = len(rest)
         w = p.config.w
         assert p._heuristic(now[:k, None], now[k:, None])[0] == reference_lookahead(
@@ -105,6 +106,84 @@ class TestLookahead:
         assert p._heuristic(after[:k], after[k:])[0] == reference_lookahead(
             rest, extended, _swapped(p.layout, p0, p1), p.matrix, w
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=SEEDS, algorithm=st.sampled_from(router.MIRRORING), aggression=st.integers(1, 3))
+    def test_mirror_decision_equals_the_oracle_rule(self, seed, algorithm, aggression):
+        """The verdict from the two-column score (now, mirrored) is the
+        oracle's: FINESSE's absolute sums plus k * l_edge, MIRAGE's count
+        rule, strict at aggression 1 and not at 2, and always at 3.  The
+        counts are drawn at random so that every branch of the count rule
+        occurs; the table itself is checked against `gate_count` elsewhere."""
+        rng = np.random.default_rng(seed)
+        p, (rest, extended, (g,)) = _random_pass(rng, algorithm, (0, 6), (0, 21), (1, 2),
+                                                 aggression=aggression)
+        k_orig, k_mirr = (int(k) for k in rng.integers(0, 4, size=2))
+        p.counts = {p.rows[g.id]: (k_orig, k_mirr)}
+        p.front, p.scored_rows = list(rest), _rows(p, rest + extended)
+        p0, p1 = p.cmap.edge_pairs[rng.integers(len(p.cmap.edge_pairs))].tolist()
+        now = reference_lookahead(rest, extended, p.layout, p.matrix, p.config.w)
+        mirrored = reference_lookahead(rest, extended, _swapped(p.layout, p0, p1), p.matrix, p.config.w)
+        if aggression == 3:
+            expected = True
+        elif algorithm == "finesse":
+            l_edge = p.cmap.log_weight[p0, p1]
+            expected = mirrored + k_mirr * l_edge <= now + k_orig * l_edge
+        elif k_mirr != k_orig:
+            expected = k_mirr < k_orig
+        else:
+            expected = mirrored < now if aggression == 1 else mirrored <= now
+        assert p._mirror_decision(g, p0, p1) is expected
+
+
+class TestListBuiltChoices:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS)
+    def test_run_and_select_swap_choose_by_the_brute_force_rules(self, seed):
+        """On every step of a route: the gate `run` executes is the first
+        front gate, in id order, whose physical pair has `edge_index` >= 0;
+        a swap is selected only when no front gate is routable; and the
+        swap candidates are every edge with an endpoint on a front physical
+        qubit, in `edge_pairs` order."""
+        rng = np.random.default_rng(seed)
+        cmap, dag = _random_routing_case(rng, 40)
+        execute, select, distances = router._Pass._execute, router._Pass._select_swap, router._Pass._distances
+        scored, steps = [], Counter()
+
+        def front_pairs(self):
+            phys = self.layout.physical
+            return [(phys(g.wires[0]), phys(g.wires[1])) for g in self.front]
+
+        def checked_execute(self, g, p0, p1):
+            pairs = front_pairs(self)
+            first = next(i for i, (a, b) in enumerate(pairs) if self.cmap.edge_index[a, b] >= 0)
+            assert g is self.front[first] and (p0, p1) == pairs[first]
+            assert [f.id for f in self.front] == sorted(f.id for f in self.front)
+            steps["execute"] += 1
+            execute(self, g, p0, p1)
+
+        def checked_select(self, pairs):
+            assert pairs == front_pairs(self)
+            assert all(self.cmap.edge_index[a, b] < 0 for a, b in pairs)
+            on_front = {p for pair in pairs for p in pair}
+            expected = [[a, b] for a, b in self.cmap.edge_pairs.tolist() if a in on_front or b in on_front]
+            scored.clear()
+            pick = select(self, pairs)
+            (edges,) = scored
+            assert self.cmap.edge_pairs[edges].tolist() == expected
+            assert list(pick) in expected
+            steps["select"] += 1
+            return pick
+
+        def recorded_distances(self, pairs, edges):
+            scored.append(list(edges))
+            return distances(self, pairs, edges)
+
+        with patch.multiple(router._Pass, _execute=checked_execute, _select_swap=checked_select,
+                            _distances=recorded_distances):
+            for algorithm in ALGORITHMS:
+                run_trials(dag, cmap, RouterConfig(algorithm=algorithm, num_seeds=2), seed=seed)
+        assert steps["execute"] == 2 * 3 * len(ALGORITHMS) * len(dag.two_qubit_rows)
 
 
 ONE_QUBIT = ("h", "x", "s", "t", "rz", "ry")
@@ -352,6 +431,25 @@ class TestRoutePlan:
             circuit = results[1].circuit
             assert builds == [circuit] and results[1].circuit is circuit
         assert len(circuit.gates) == len(results[1].ops)
+
+    def test_memo_entries_are_read_only_front_then_extended_rows(self, fabric_4q4e):
+        """Each memo entry, shared by every trial, fabric and algorithm that
+        routes on the plan, is the front's rows then its extended set's, and
+        refuses a write."""
+        dag = SUITE["qft_10"]()
+        config = RouterConfig(algorithm="finesse", num_seeds=2)
+        plan = RoutePlan.build(dag, config.basis, config.extended_size)
+        run_trials(dag, fabric_4q4e, config, plan=plan)
+        for planned, memo in zip(plan.dags, plan.memos):
+            assert memo
+            gate, rows = planned.gate, planned.two_qubit_rows
+            for key, scored in memo.items():
+                front = [gate(i) for i in key]
+                extended = extended_set(planned, front, config.extended_size)
+                assert scored.dtype == np.intp
+                assert scored.tolist() == [rows[g.id] for g in front + extended]
+                with pytest.raises(ValueError, match="read-only"):
+                    scored[0] = 0
 
     @pytest.mark.parametrize("field", ["dag", "basis", "extended_size"])
     def test_a_plan_for_another_circuit_or_config_is_refused(self, fabric_4q4e, field):
