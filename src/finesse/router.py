@@ -352,8 +352,9 @@ class _Pass:
                 self._emit_local([g, *self._retire(g.id)])
         self._front_changed()
 
+        v2p, on_edge = self.layout.physical_list, self.cmap.fidelity  # swaps update v2p in place
         while self.front:
-            v2p, on_edge, pairs = self.layout.physical_list, self.cmap.fidelity, []
+            pairs = []
             for g in self.front:
                 pair = (v2p[g.wires[0]], v2p[g.wires[1]])
                 if pair in on_edge:
