@@ -16,12 +16,12 @@ from . import freqalloc as fa
 from .hardware import (
     TABLE3_MODULES,
     TopologyError,
-    _field,
-    _integer,
+    as_integer,
     fabric_suite,
     load_calibration,
     load_json,
     load_topology,
+    read_field,
 )
 from .qasm import parse_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, transpile
@@ -81,7 +81,7 @@ def _spacing(value) -> float:
 
 def _seed(value) -> int:
     """An integer >= 0, from a number or a decimal string (ValueError otherwise)."""
-    seed = _integer(value)
+    seed = as_integer(value)
     if seed < 0:
         raise ValueError(f"seed {seed} is negative")
     return seed
@@ -111,13 +111,13 @@ def cmd_allocate(args) -> int:
         """convert(config[key]), or default; a bad value raises TopologyError."""
         if key not in config:
             return default
-        return _field(config, key, convert, "allocate config", source)
+        return read_field(config, key, convert, "allocate config", source)
 
-    modules = read("module_sizes", lambda v: [fa.FreqModule(_integer(n)) for n in v],
+    modules = read("module_sizes", lambda v: [fa.FreqModule(as_integer(n)) for n in v],
                    [fa.FreqModule(n) for n in (2, 3, 4, 5)])
-    k = read("k", lambda v: fa.worst_gate_exclusion(_integer(v), modules), 0)
+    k = read("k", lambda v: fa.worst_gate_exclusion(as_integer(v), modules), 0)
     delta_q = read("delta_q", _spacing, fa.DEFAULT_DELTA_Q)
-    restarts = read("restarts", lambda v: fa.restart_count(_integer(v)), fa.NM_RESTARTS)
+    restarts = read("restarts", lambda v: fa.restart_count(as_integer(v)), fa.NM_RESTARTS)
     seed = args.seed if args.seed is not None else read("seed", _seed, 0)
     bounds = read("bounds", _bounds, fa.FrequencyBounds())
     constants = read("constants", lambda v: fa.PhysicalConstants(**v), fa.PhysicalConstants())

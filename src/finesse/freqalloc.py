@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf, pi
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -125,11 +124,6 @@ class SpectatorTerm:
             return [(at.get(i, a), at.get(j, a), divisor, (tag, a)) for a in range(n)]
         return [(at[i], at[j], divisor, (tag,))]
 
-    def frequencies(self, omega_q: Sequence[float], omega_s: float):
-        """Pump-frame resonance frequencies with an identifying key each."""
-        x = (*omega_q, omega_s, 0.0)
-        return [(abs(x[i] - x[j]) / d, key) for i, j, d, key in self.resonances(len(omega_q))]
-
 
 # Order-of-magnitude catalog for driven, intra-module, and inter-module
 # spectator terms, sorted by normalized prefactor within each block.
@@ -220,22 +214,6 @@ def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
     if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         warnings.warn(f"p={p} is composite; pairwise-difference distinctness not guaranteed", stacklevel=2)
     return [f_min + c * (2 * p * k + (k * k) % p) for k in range(p)]
-
-
-def spectator_frequencies(
-    assign: FrequencyAssignment,
-    driven_pair: tuple[int, int],
-) -> list[tuple[float, float]]:
-    """(frequency, prefactor) per applicable INTRA_CATALOG term, driven term excluded."""
-    a, b = driven_pair
-    own = ("pair", min(a, b), max(a, b))
-    out = []
-    for term in INTRA_CATALOG:
-        for freq, key in term.frequencies(assign.omega_q, assign.omega_s):
-            if key == own:
-                continue
-            out.append((freq, term.normalized_prefactor))
-    return out
 
 
 # Clamps with np.clip's bits, NaN kept: np.maximum(0.0, v) is v on a tie, -0.0 too.
@@ -399,11 +377,6 @@ class CostModelParams:
 
     def coherent_for(self, prefactor: float) -> tuple[float, float]:
         return self.coh_x0 * prefactor**2, self.coh_x1 * prefactor
-
-    def coherent_crossing(self, prefactor: float) -> float:
-        """Detuning where the category curve drops to 0.01, F = 0.99 (Hz)."""
-        x0, x1 = self.coherent_for(prefactor)
-        return (2.0 * x0 / 0.01) ** 0.5 - x1
 
 
 def calibrate_cost_model(constants: PhysicalConstants = PhysicalConstants()) -> CostModelParams:

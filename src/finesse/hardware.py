@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, log
@@ -48,17 +49,6 @@ class CouplingMap:
         graph = _graph(self, [1.0] * len(self.edges))
         if self.num_physical > 1 and connected_components(graph, return_labels=False) != 1:
             raise TopologyError("coupling graph is disconnected")
-
-    @classmethod
-    def from_pairs(cls, num_physical: int, pairs, fidelities=None) -> "CouplingMap":
-        pairs = list(pairs)
-        fidelities = [1.0] * len(pairs) if fidelities is None else list(fidelities)
-        if len(fidelities) != len(pairs):
-            raise TopologyError(f"{len(pairs)} pairs but {len(fidelities)} fidelities")
-        edges = tuple(
-            (min(i, j), max(i, j), float(c)) for (i, j), c in zip(pairs, fidelities)
-        )
-        return cls(num_physical, edges)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -114,11 +104,6 @@ class CouplingMap:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def log_weights(cmap: CouplingMap) -> dict[tuple[int, int], float]:
-    """The map's per-edge log-infidelity table, ``cmap.log_weight``."""
-    return cmap.log_weight
 
 
 def _graph(cmap: CouplingMap, values) -> csr_matrix:
@@ -280,19 +265,18 @@ def load_calibration(source) -> CouplingMap:
     _check_version(data)
     edges = []
     num = 0
-    for rec in _field(data, "edges", list, "calibration", source) if "edges" in data else []:
-        i, j = (_field(rec, key, _integer, "calibration edge", source) for key in "ij")
+    for rec in read_field(data, "edges", list, "calibration", source) if "edges" in data else []:
+        i, j = (read_field(rec, key, as_integer, "calibration edge", source) for key in "ij")
         num = max(num, i + 1, j + 1)
         if "error" not in rec or rec["error"] is None:
             warnings.warn(f"edge ({i},{j}) has no calibration; dropped", stacklevel=2)
             continue
-        e = _field(rec, "error", float, "calibration edge", source)
-        if not 0.0 <= e < 1.0:
-            raise TopologyError(f"error rate {e} on ({i},{j}) outside [0, 1)")
+        e = read_field(rec, "error", _error_rate, "calibration edge", source)
         edges.append((min(i, j), max(i, j), 1.0 - e))
     if "num_physical" in data:
-        num = _field(data, "num_physical", _count, "calibration", source)
-    return CouplingMap(num, tuple(edges))
+        num = read_field(data, "num_physical", _count, "calibration", source)
+    with _naming_file(source):
+        return CouplingMap(num, tuple(edges))
 
 
 def load_topology(source) -> CouplingMap:
@@ -307,13 +291,17 @@ def load_topology(source) -> CouplingMap:
             raise TopologyError(f"unknown module {mod!r}{_in_file(source)}")
         spec = TABLE3_MODULES[mod]
     else:
-        spec = ModuleSpec(
-            _field(mod, "qubits", _count, "module", source),
-            _field(mod, "edges", _module_edges, "module", source),
-            _field(mod, "fidelities", lambda v: tuple(float(f) for f in v), "module", source),
+        fields = (
+            read_field(mod, "qubits", _count, "module", source),
+            read_field(mod, "edges", _module_edges, "module", source),
+            read_field(mod, "fidelities", _fidelities, "module", source),
             mod.get("name", "module"),
         )
-    return build_snail_fabric(spec, _field(data, "num_modules", _integer, "topology", source))
+    num_modules = read_field(data, "num_modules", _module_count, "topology", source)
+    with _naming_file(source):  # ModuleSpec and the fabric refuse what no one field shows
+        if not isinstance(mod, str):
+            spec = ModuleSpec(*fields)
+        return build_snail_fabric(spec, num_modules)
 
 
 def load_json(source) -> dict:
@@ -337,6 +325,17 @@ def _in_file(source) -> str:
     return "" if isinstance(source, dict) else f" in {source}"
 
 
+@contextmanager
+def _naming_file(source):
+    """Re-raise a TopologyError from building the fabric, a structural
+    refusal such as an edge out of range or a disconnected graph, naming the
+    file."""
+    try:
+        yield
+    except TopologyError as exc:
+        raise TopologyError(f"{exc}{_in_file(source)}") from exc
+
+
 def _require(record, key: str, what: str, source):
     """record[key]; a missing key raises TopologyError naming it and the file."""
     if not isinstance(record, dict) or key not in record:
@@ -344,7 +343,7 @@ def _require(record, key: str, what: str, source):
     return record[key]
 
 
-def _field(record, key: str, convert, what: str, source):
+def read_field(record, key: str, convert, what: str, source):
     """convert(record[key]); a missing key, or a value that convert rejects,
     raises TopologyError naming the key and the file."""
     value = _require(record, key, what, source)
@@ -354,7 +353,7 @@ def _field(record, key: str, convert, what: str, source):
         raise TopologyError(f"{what} has a bad {key!r} value {value!r}{_in_file(source)}") from exc
 
 
-def _integer(value) -> int:
+def as_integer(value) -> int:
     """int(value) for an integral number or a decimal string; a bool or a
     float with a fractional part (or not finite) raises ValueError."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -363,17 +362,41 @@ def _integer(value) -> int:
 
 
 def _count(value) -> int:
-    """_integer(value), refusing a negative one."""
-    count = _integer(value)
+    """as_integer(value), refusing a negative one."""
+    count = as_integer(value)
     if count < 0:
         raise ValueError(f"{value!r} is negative")
     return count
 
 
+def _module_count(value) -> int:
+    """as_integer(value), refusing a fabric of no modules."""
+    count = as_integer(value)
+    if count < 1:
+        raise ValueError(f"{value!r} is below 1")
+    return count
+
+
+def _fidelities(value) -> tuple[float, ...]:
+    """A module's edge fidelities, each a real in (0, 1] (NaN refused)."""
+    fidelities = tuple(float(f) for f in value)
+    if not all(0.0 < f <= 1.0 for f in fidelities):
+        raise ValueError(f"{value!r} has a fidelity outside (0, 1]")
+    return fidelities
+
+
+def _error_rate(value) -> float:
+    """A calibration error rate in [0, 1) (NaN refused)."""
+    error = float(value)
+    if not 0.0 <= error < 1.0:
+        raise ValueError(f"{value!r} is outside [0, 1)")
+    return error
+
+
 def _module_edges(value) -> tuple[tuple[int, int], ...]:
     """A module's (i, j) edge list, refusing an empty one: its fabric would
     have no link to route on and no worst fidelity to join modules with."""
-    edges = tuple((_integer(i), _integer(j)) for i, j in value)
+    edges = tuple((as_integer(i), as_integer(j)) for i, j in value)
     if not edges:
         raise ValueError("a module needs at least one edge")
     return edges

@@ -1,8 +1,11 @@
 """Circuit intermediate representation: gates, dependency DAG, layouts.
 
-The DAG links each gate to its nearest successor per wire, which keeps
-front-layer maintenance O(degree) during routing.  For the router it also
-holds, built on first use, the wires of its 2q gates as one integer table.
+The DAG links each gate to its nearest successor per wire.  Two walks read
+those arcs: `retire` executes gates and lowers their successors' remaining
+predecessor counts, so the router keeps its front in O(degree) per gate, and
+`extended_set` is the leveled lookahead walk from a front over those counts.
+For the router the DAG also holds, built on first use, the wires of its 2q
+gates as one integer table.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ TWO_QUBIT_KINDS = frozenset({"cx", "cz", "swap", "iswap", "ecr", "root_iswap", "
 PARAM_COUNTS = {"rx": 1, "ry": 1, "rz": 1, "u": 3}
 CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap", "iswap"})
 
-_UNITARY_TOL = 1e-10
+UNITARY_TOL = 1e-10
 
 
 class CircuitError(ValueError):
@@ -64,7 +67,7 @@ class Gate:
             m = self.matrix
             if m is None or m.shape != (4, 4):
                 raise CircuitError("unitary gates carry a 4x4 matrix")
-            if np.max(np.abs(m @ m.conj().T - np.eye(4))) > _UNITARY_TOL:
+            if np.max(np.abs(m @ m.conj().T - np.eye(4))) > UNITARY_TOL:
                 raise CircuitError("unitary gate matrix is not unitary to 1e-10")
         if self.mirrored and self.num_wires != 2:
             raise CircuitError("only 2-wire gates can be mirrored")
@@ -76,17 +79,6 @@ class Gate:
     @property
     def is_two_qubit(self) -> bool:
         return self.kind in TWO_QUBIT_KINDS
-
-    def on_wires(self, wires: tuple[int, ...]) -> "Gate":
-        return Gate(
-            id=self.id,
-            kind=self.kind,
-            wires=wires,
-            params=self.params,
-            n=self.n,
-            matrix=self.matrix,
-            mirrored=self.mirrored,
-        )
 
     def __repr__(self):
         tag = f"{self.kind}"
@@ -131,9 +123,6 @@ class CircuitDag:
     def gate(self, gate_id: int) -> Gate:
         return self._by_id[gate_id]
 
-    def successors(self, gate_id: int) -> tuple[int, ...]:
-        return self._succ[gate_id]
-
     def predecessor_counts(self) -> dict[int, int]:
         return dict(self._pred_count)
 
@@ -151,31 +140,9 @@ class CircuitDag:
         wires = [g.wires for g in self.gates if g.is_two_qubit]
         return np.array(wires, dtype=np.intp).reshape(-1, 2)
 
-    @property
-    def edges(self) -> set[tuple[int, int]]:
-        """Dependency arcs as (gate id, successor id) pairs, deduplicated."""
-        return {(src, dst) for src, dsts in self._succ.items() for dst in dsts}
-
     def reversed(self) -> "CircuitDag":
         """Gate order reversed; used for the layout-refining reverse pass."""
         return CircuitDag(self.num_qubits, list(reversed(self.gates)))
-
-    def relabeled(self, wire_map: Sequence[int], num_qubits: int | None = None) -> "CircuitDag":
-        """Reindex every wire w to wire_map[w], optionally widening the register."""
-        n = self.num_qubits if num_qubits is None else num_qubits
-        gates = [g.on_wires(tuple(wire_map[w] for w in g.wires)) for g in self.gates]
-        return CircuitDag(n, gates)
-
-    def isomorphic(self, other: "CircuitDag") -> bool:
-        """Same width, gate sequence (kind/wires/params/n), and arc structure."""
-        if self.num_qubits != other.num_qubits or len(self.gates) != len(other.gates):
-            return False
-        remap = {}
-        for a, b in zip(self.gates, other.gates):
-            if (a.kind, a.wires, a.params, a.n, a.mirrored) != (b.kind, b.wires, b.params, b.n, b.mirrored):
-                return False
-            remap[a.id] = b.id
-        return {(remap[s], remap[d]) for s, d in self.edges} == other.edges
 
     def __len__(self):
         return len(self.gates)
@@ -199,7 +166,9 @@ def retire(
 
     A successor that becomes ready is held if ``hold(id)``; otherwise it is
     executed in turn, last ready first.  Returns the held gates and the
-    executed successors, each in the order the walk reached them.
+    executed successors, each in the order the walk reached them.  Retiring
+    the roots of a downward-closed executed set, holding every gate outside
+    it, leaves the front as the unexecuted gates whose count is 0.
     """
     held, executed, stack = [], [], list(gate_ids)
     while stack:
@@ -215,24 +184,14 @@ def retire(
     return held, executed
 
 
-def front_layer(dag: CircuitDag, executed: set[int]) -> list[Gate]:
-    """Unexecuted gates whose predecessors are all executed, in gate order.
-
-    ``executed`` must be downward-closed in the DAG order.
-    """
-    counts = dag.predecessor_counts()
-    roots = [gid for gid, c in counts.items() if c == 0 and gid in executed]
-    retire(dag, counts, roots, lambda gid: gid not in executed)
-    return [g for g in dag.gates if g.id not in executed and counts[g.id] == 0]
-
-
-def extended_set_core(
+def extended_set(
     dag: CircuitDag,
     front: Sequence[Gate],
     size: int,
     remaining_preds: dict[int, int],
 ) -> list[Gate]:
-    """Leveled lookahead BFS; gates join a level once all arcs into them are seen.
+    """Breadth-first 2q successors of the front, ordered (level, id): a gate
+    joins a level once all arcs into it are seen, and the first ``size`` are kept.
 
     ``remaining_preds`` is only read: the walk keeps the counts it lowers in an
     overlay of the gates it reaches, so a call costs the gates it visits, not
@@ -260,21 +219,6 @@ def extended_set_core(
         frontier = nxt
     collected.sort()
     return [dag.gate(gid) for _, gid in collected[:size]]
-
-
-def extended_set(dag: CircuitDag, front: Sequence[Gate], size: int) -> list[Gate]:
-    """Breadth-first 2q successors of the front layer, ordered (level, id).
-
-    Every gate that does not descend from the front is retired first, so the
-    counts left are the arcs from the front and its descendants.
-    """
-    if size < 0:
-        raise CircuitError("extended set size must be nonnegative")
-    front_ids = {g.id for g in front}
-    counts = dag.predecessor_counts()
-    roots = [gid for gid, c in counts.items() if c == 0 and gid not in front_ids]
-    retire(dag, counts, roots, front_ids.__contains__)
-    return extended_set_core(dag, front, size, counts)
 
 
 def circuit_depth(circuit: CircuitDag | Iterable) -> int:
@@ -316,18 +260,11 @@ class Layout:
         for v, p in enumerate(v2p):
             self._p2v[p] = v
 
-    @classmethod
-    def identity(cls, n: int) -> "Layout":
-        return cls(range(n))
-
     def __len__(self):
         return len(self._v2p)
 
     def physical(self, virtual: int) -> int:
         return self._v2p[virtual]
-
-    def virtual(self, physical: int) -> int:
-        return self._p2v[physical]
 
     @property
     def physical_list(self) -> list[int]:

@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hardware import CouplingMap, DistanceSet, build_distance_set
-from .ir import CircuitDag, Gate, Layout, circuit_depth, extended_set_core, retire
+from .ir import CircuitDag, Gate, Layout, circuit_depth, extended_set, retire
 from .weyl import BasisGate, gate_count, swap_count
 
 ALGORITHMS = ("sabre", "fasst", "mirage", "finesse")
@@ -249,7 +249,7 @@ class _Pass:
             key = tuple(g.id for g in self.front)
             rows = self.memo.get(key)
             if rows is None:
-                extended = extended_set_core(self.dag, self.front, self.config.extended_size, self.preds)
+                extended = extended_set(self.dag, self.front, self.config.extended_size, self.preds)
                 rows = np.array([self.rows[g.id] for g in self.front + extended], dtype=np.intp)
                 rows.flags.writeable = False
                 self.memo[key] = rows

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import gates
-from .ir import _UNITARY_TOL, Gate
+from .ir import UNITARY_TOL, Gate
 
 WEYL_TOL = 1e-8
 
@@ -50,7 +50,7 @@ def _require_unitary(u: np.ndarray):
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise NonUnitaryError(f"expected a 4x4 matrix, got shape {u.shape}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(4))) > _UNITARY_TOL:
+    if np.max(np.abs(u @ u.conj().T - np.eye(4))) > UNITARY_TOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
     return u
 
@@ -99,11 +99,6 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
     c2 = (th[1] + th[2]) / 2.0
     c3 = (th[0] + th[2]) / 2.0
     return canonicalize(c1, c2, c3)
-
-
-def mirror(u: np.ndarray) -> np.ndarray:
-    """SWAP times U: executes U and implicitly exchanges the two outputs."""
-    return gates.SWAP @ np.asarray(u, dtype=complex)
 
 
 def gate_unitary(g: Gate) -> np.ndarray:

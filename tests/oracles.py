@@ -7,8 +7,10 @@ Nelder-Mead polish, spectator infidelity by a closed form of the factorized
 matrix exponential, the allocation loss by explicit loops over every
 resonance, gate and qubit pair, the lockstep Nelder-Mead by one
 ``scipy.optimize.minimize`` call per start, the routing lookahead by a scalar loop over
-the front and extended gates, the extended set by a walk over a full copy of
-the predecessor counts, circuits by dense Kronecker-product matrices,
+the front and extended gates, a DAG's arcs by chaining each gate to the last
+one on each of its wires (never by reading the DAG's own arc table), the
+front, the remaining predecessor counts and the extended set by walks over
+those arcs, circuits by dense Kronecker-product matrices,
 routed-circuit equivalence by loops over the computational basis of those
 matrices, and QASM angles by Python's own expression grammar.
 """
@@ -88,10 +90,19 @@ def relaxed_distances(cmap, weight) -> np.ndarray:
     return d
 
 
-def random_connected_map(rng, max_nodes: int = 8):
-    """Random connected fidelity-weighted graph on <= max_nodes nodes."""
+def coupling_map(n: int, pairs, fidelities=None):
+    """CouplingMap on n qubits with an edge per (i, j) pair, stored as
+    (min, max), of the given fidelity (1.0 when none are given)."""
     from finesse.hardware import CouplingMap
 
+    pairs = list(pairs)
+    fidelities = [1.0] * len(pairs) if fidelities is None else fidelities
+    assert len(fidelities) == len(pairs), "one fidelity per pair"
+    return CouplingMap(n, tuple((min(i, j), max(i, j), float(c)) for (i, j), c in zip(pairs, fidelities)))
+
+
+def random_connected_map(rng, max_nodes: int = 8):
+    """Random connected fidelity-weighted graph on <= max_nodes nodes."""
     n = int(rng.integers(2, max_nodes + 1))
     pairs = set()
     order = list(rng.permutation(n))
@@ -103,7 +114,7 @@ def random_connected_map(rng, max_nodes: int = 8):
         if a != b:
             pairs.add((min(int(a), int(b)), max(int(a), int(b))))
     fids = [float(rng.uniform(0.9, 0.999)) for _ in pairs]
-    return CouplingMap.from_pairs(n, sorted(pairs), fids)
+    return coupling_map(n, sorted(pairs), fids)
 
 
 def reference_lookahead(front, extended, layout, matrix, w: float) -> float:
@@ -119,12 +130,72 @@ def reference_lookahead(front, extended, layout, matrix, w: float) -> float:
     return float(total)
 
 
+# --- circuit DAGs -----------------------------------------------------------
+
+
+def dag_arcs(dag) -> dict:
+    """Gate id -> ids of its successors, built from ``dag.gates`` alone: each
+    gate is chained to the previous gate on each of its wires, so a successor
+    on both wires of a gate is listed twice."""
+    successors = {g.id: [] for g in dag.gates}
+    last = {}
+    for g in dag.gates:
+        for w in g.wires:
+            if w in last:
+                successors[last[w]].append(g.id)
+            last[w] = g.id
+    return successors
+
+
+def arc_set(dag) -> set:
+    """The distinct (gate id, successor id) arcs of `dag_arcs`."""
+    return {(a, b) for a, successors in dag_arcs(dag).items() for b in successors}
+
+
+def same_circuit(a, b) -> bool:
+    """Same width, gate sequence (kind, wires, params, n, mirror flag) and,
+    gate ids matched by position, the same arcs."""
+    if a.num_qubits != b.num_qubits or len(a.gates) != len(b.gates):
+        return False
+    fields = lambda g: (g.kind, g.wires, g.params, g.n, g.mirrored)
+    if any(fields(x) != fields(y) for x, y in zip(a.gates, b.gates)):
+        return False
+    remap = {x.id: y.id for x, y in zip(a.gates, b.gates)}
+    return {(remap[s], remap[d]) for s, d in arc_set(a)} == arc_set(b)
+
+
+def reference_front(dag, executed) -> list:
+    """Unexecuted gates, in gate order, whose every per-wire predecessor has
+    executed."""
+    arcs = dag_arcs(dag)
+    blocked = {b for a in arcs if a not in executed for b in arcs[a]}
+    return [g for g in dag.gates if g.id not in executed and g.id not in blocked]
+
+
+def reference_remaining_counts(dag, front) -> dict:
+    """Per gate, the arcs into it from the front and the front's descendants:
+    the predecessor counts left once every other gate has executed."""
+    arcs = dag_arcs(dag)
+    reached, stack = set(), [g.id for g in front]
+    while stack:
+        gid = stack.pop()
+        if gid not in reached:
+            reached.add(gid)
+            stack.extend(arcs[gid])
+    counts = {g.id: 0 for g in dag.gates}
+    for a in reached:
+        for b in arcs[a]:
+            counts[b] += 1
+    return counts
+
+
 def reference_extended_set(dag, front, size: int, remaining_preds: dict) -> list:
     """Lookahead set by breadth-first levels from the front over a copy of
     every remaining predecessor count: a gate joins a level once all its arcs
     are seen; the first `size` 2q gates in (level, id) order."""
     if size <= 0:
         return []
+    arcs = dag_arcs(dag)
     counts = dict(remaining_preds)
     collected = []
     frontier = [g.id for g in front]
@@ -133,7 +204,7 @@ def reference_extended_set(dag, front, size: int, remaining_preds: dict) -> list
         level += 1
         nxt = []
         for gid in frontier:
-            for s in dag.successors(gid):
+            for s in arcs[gid]:
                 counts[s] -= 1
                 if counts[s] == 0:
                     nxt.append(s)

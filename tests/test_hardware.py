@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finesse import freqalloc as fa
+from finesse import cli, freqalloc as fa
 from finesse.hardware import (
     CouplingMap,
     TABLE3_MODULES,
@@ -20,11 +20,11 @@ from finesse.hardware import (
     hop_distances,
     load_calibration,
     load_topology,
-    log_weights,
 )
 from finesse.weyl import BasisGate, swap_count
 from oracles import (
     brute_force_fidelity_distance,
+    coupling_map,
     edge_log_weights,
     random_connected_map,
     relaxed_distances,
@@ -33,30 +33,21 @@ from oracles import (
 
 def triangle(l01=0.01, l12=0.01, l02=0.05):
     fid = [math.exp(-l01), math.exp(-l12), math.exp(-l02)]
-    return CouplingMap.from_pairs(3, [(0, 1), (1, 2), (0, 2)], fid)
+    return coupling_map(3, [(0, 1), (1, 2), (0, 2)], fid)
 
 
 class TestCouplingMap:
     def test_rejects_self_loop(self):
         with pytest.raises(TopologyError):
-            CouplingMap.from_pairs(2, [(0, 0)], [0.9])
+            coupling_map(2, [(0, 0)], [0.9])
 
     def test_rejects_duplicate_edges(self):
         with pytest.raises(TopologyError):
-            CouplingMap.from_pairs(2, [(0, 1), (1, 0)], [0.9, 0.8])
+            coupling_map(2, [(0, 1), (1, 0)], [0.9, 0.8])
 
     def test_rejects_disconnected(self):
         with pytest.raises(TopologyError):
-            CouplingMap.from_pairs(4, [(0, 1), (2, 3)], [0.9, 0.9])
-
-    def test_pairs_may_be_a_generator(self):
-        cmap = CouplingMap.from_pairs(3, ((i, i + 1) for i in range(2)))
-        assert cmap.edges == ((0, 1, 1.0), (1, 2, 1.0))
-
-    @pytest.mark.parametrize("fidelities", [[0.9, 0.9], [0.9, 0.9, 0.9, 0.9]])
-    def test_one_fidelity_per_pair(self, fidelities):
-        with pytest.raises(TopologyError, match="3 pairs but"):
-            CouplingMap.from_pairs(3, [(0, 1), (1, 2), (0, 2)], fidelities)
+            coupling_map(4, [(0, 1), (2, 3)], [0.9, 0.9])
 
     @pytest.mark.parametrize("num_physical", [True, 2.5, -1])
     def test_num_physical_must_be_a_nonnegative_integer(self, num_physical):
@@ -65,20 +56,20 @@ class TestCouplingMap:
 
     def test_rejects_bad_fidelity(self):
         with pytest.raises(TopologyError):
-            CouplingMap.from_pairs(2, [(0, 1)], [0.0])
+            coupling_map(2, [(0, 1)], [0.0])
         with pytest.raises(TopologyError):
-            CouplingMap.from_pairs(2, [(0, 1)], [1.2])
+            coupling_map(2, [(0, 1)], [1.2])
 
 
 class TestLogWeights:
     def test_perfect_gate_zero_weight(self):
-        w = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [1.0]))
+        w = coupling_map(2, [(0, 1)], [1.0]).log_weight
         assert w[0, 1] == w[1, 0] == 0.0
 
     def test_against_high_precision_reference(self):
         import mpmath
 
-        w = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [0.996]))
+        w = coupling_map(2, [(0, 1)], [0.996]).log_weight
         expected = float(-mpmath.log(mpmath.mpf("0.996")))
         assert w[0, 1] == pytest.approx(expected, abs=1e-15)
         assert w[0, 1] == pytest.approx(0.004008021397538, abs=1e-12)
@@ -87,13 +78,13 @@ class TestLogWeights:
         # fidelity 0 is rejected by the map, but the weight law still clamps
         from finesse.hardware import FIDELITY_FLOOR
 
-        w = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [1e-12]))
+        w = coupling_map(2, [(0, 1)], [1e-12]).log_weight
         assert w[0, 1] == pytest.approx(-math.log(FIDELITY_FLOOR))
 
     @given(st.floats(min_value=0.5, max_value=1.0), st.floats(min_value=0.5, max_value=1.0))
     def test_antitone(self, ca, cb):
-        wa = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [ca]))[0, 1]
-        wb = log_weights(CouplingMap.from_pairs(2, [(0, 1)], [cb]))[0, 1]
+        wa = coupling_map(2, [(0, 1)], [ca]).log_weight[0, 1]
+        wb = coupling_map(2, [(0, 1)], [cb]).log_weight[0, 1]
         if ca >= cb:
             assert wa <= wb
 
@@ -123,7 +114,6 @@ class TestEdgeTables:
                 table[0, 0] = 0
         for name in ("edge_pairs", "edge_index", "swap_moves", "log_weight"):
             assert getattr(cmap, name) is getattr(cmap, name)  # built once per map
-        assert log_weights(cmap) is cmap.log_weight
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -137,7 +127,7 @@ class TestEdgeTables:
 
 class TestHopDistances:
     def test_path_graph(self):
-        cmap = CouplingMap.from_pairs(3, [(0, 1), (1, 2)], [0.9, 0.9])
+        cmap = coupling_map(3, [(0, 1), (1, 2)], [0.9, 0.9])
         d = hop_distances(cmap)
         assert d[0][2] == 2
 
@@ -146,7 +136,7 @@ class TestHopDistances:
         assert all(d[i][i] == 0 for i in range(3))
 
     def test_four_cycle(self):
-        cmap = CouplingMap.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [0.9] * 4)
+        cmap = coupling_map(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [0.9] * 4)
         assert hop_distances(cmap)[0][2] == 2
 
     def test_triangle_inequality(self):
@@ -168,12 +158,12 @@ class TestFidelityDistances:
         assert d[0][2] == pytest.approx(3 * (0.01 + 0.01), rel=1e-9)
 
     def test_all_zero_weights(self):
-        cmap = CouplingMap.from_pairs(3, [(0, 1), (1, 2)], [1.0, 1.0])
+        cmap = coupling_map(3, [(0, 1), (1, 2)], [1.0, 1.0])
         d = fidelity_distances(cmap, k_swap=3)
         assert np.all(d == 0.0)
 
     def test_single_edge(self):
-        cmap = CouplingMap.from_pairs(2, [(0, 1)], [math.exp(-0.004)])
+        cmap = coupling_map(2, [(0, 1)], [math.exp(-0.004)])
         d = fidelity_distances(cmap, k_swap=3)
         assert d[0][1] == pytest.approx(0.012, rel=1e-9)
 
@@ -193,7 +183,7 @@ class TestFidelityDistances:
         rng = np.random.default_rng(21)
         maps = list(fabric_suite().values())
         maps += [random_connected_map(rng, max_nodes=10) for _ in range(60)]
-        maps.append(CouplingMap.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))  # all weights zero
+        maps.append(coupling_map(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))  # all weights zero
         for cmap in maps:
             hops = hop_distances(cmap)
             assert hops.dtype == np.int64
@@ -428,6 +418,38 @@ class TestCalibrationImport:
             loader(path)
         with pytest.raises(TopologyError, match=f"bad '{key}' value"):
             loader(payload)
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"module": "4q4e", "num_modules": 0}, "num_modules"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [1.5]}, "num_modules": 1}, "fidelities"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [math.nan]}, "num_modules": 1}, "fidelities"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99, 0.98]}, "num_modules": 1}, None),
+        ({"module": {"qubits": 2, "edges": [[0, 5]], "fidelities": [0.99]}, "num_modules": 1}, None),
+        ({"module": {"qubits": 4, "edges": [[0, 1], [2, 3]], "fidelities": [0.99, 0.98]}, "num_modules": 1}, None),
+        ({"edges": [{"i": 0, "j": 1, "error": 1.5}]}, "error"),
+        ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 1}, None),
+        ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 3}, None),
+        ({"edges": [{"i": 0, "j": 0, "error": 0.01}]}, None),
+    ], ids=["no-modules", "fidelity-1.5", "fidelity-nan", "two-fidelities-one-edge", "edge-out-of-range",
+            "disconnected-module", "error-1.5", "edge-past-num-physical", "disconnected-snapshot", "self-loop"])
+    def test_every_refusal_names_the_file(self, tmp_path, capsys, payload, key):
+        """A value out of range names its key and the file; a fabric that
+        cannot be built (an edge out of range, a disconnected graph) names the
+        file.  `finesse transpile --topology` exits 2 on each."""
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(payload))
+        loader = load_topology if "module" in payload else load_calibration
+        with pytest.raises(TopologyError) as error:
+            loader(path)
+        message = str(error.value)
+        assert message.endswith(f" in {path}")
+        assert key is None or f"bad '{key}' value" in message
+        circuit = tmp_path / "c.qasm"
+        circuit.write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["transpile", str(circuit), "--topology", str(path)])
+        assert exit_.value.code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_integral_floats_load_as_integers(self):
         payload = {"module": {"qubits": 2.0, "edges": [[0.0, 1]], "fidelities": [0.99]}, "num_modules": 2.0}

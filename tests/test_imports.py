@@ -1,19 +1,27 @@
 """Every name a module-level import binds in src/finesse is read in that
-module, every defaulted parameter of a src/finesse function is passed by
-some call in src/, tests/ or perfbench/, and importing finesse loads no
+module, no module imports another's private name, every defaulted parameter
+of a src/finesse function is passed by some call in src/, tests/ or
+perfbench/, every function and method is read in src/ or perfbench/ or
+declared in `finesse.__all__`, and importing finesse loads no
 scipy.optimize."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import finesse
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "finesse"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# Library code outside the declaration, and the benchmark that drives it:
+# a test alone does not keep a function alive.
+READERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +46,24 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Names starting with one underscore that a relative import takes from
+    another module of the package."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+
+
+def test_the_check_sees_a_private_import():
+    source = "from .m import _x, y\nfrom . import gates\nfrom .n import __version__\nfrom os import _exit\n"
+    assert private_imports(source) == ["_x"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(path.read_text()) == []
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
@@ -108,6 +134,81 @@ class K:
 def test_every_default_is_passed_by_some_call():
     callers = [p.read_text() for p in CALLERS]
     assert unset_defaults([p.read_text() for p in MODULES], callers) == []
+
+
+def defined_functions(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(class name or None, name) of every function and method a module
+    defines at its top level or in a top-level class, dunders excepted."""
+    out = []
+    for node in tree.body:
+        body, cls = (node.body, node.name) if isinstance(node, ast.ClassDef) else ([node], None)
+        out.extend((cls, f.name) for f in body
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not (f.name.startswith("__") and f.name.endswith("__")))
+    return out
+
+
+def read_names(readers: list[str]) -> tuple[set[str], set[str]]:
+    """The bare names that ``readers`` load or import, and the attribute
+    names they read or call."""
+    names, attributes = set(), set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+    return names, attributes
+
+
+def uncalled(sources: dict[str, str], readers: list[str], exported) -> list[str]:
+    """``module.name`` or ``module.Class.name`` of each function or method in
+    ``sources`` (module name -> text) that no reader names, unless it is a
+    function listed in ``exported``.  A function is named by a bare name, an
+    import or an attribute (``module.f``); a method only by an attribute, so a
+    local variable of the same name does not keep it."""
+    names, attributes = read_names(readers)
+    out = []
+    for module, text in sources.items():
+        for cls, name in defined_functions(ast.parse(text)):
+            if name in attributes or (cls is None and (name in names or name in exported)):
+                continue
+            out.append(".".join(filter(None, (module, cls, name))))
+    return out
+
+
+def test_the_check_sees_an_uncalled_function_and_method():
+    source = """
+def used(): ...
+def unused(): ...
+def declared(): ...
+def local(): ...
+class K:
+    def called(self): ...
+    def unread(self): ...
+    def local(self): ...
+    def __repr__(self): ...
+"""
+    readers = [source, "used()\nk.called()\ndef f(local):\n    return local\n"]
+    assert uncalled({"m": source}, readers, {"declared", "K"}) == ["m.unused", "m.K.unread", "m.K.local"]
+
+
+def test_every_function_is_read_or_declared():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert uncalled(sources, [p.read_text() for p in READERS], set(finesse.__all__)) == []
+
+
+def test_every_declared_name_resolves_and_an_unread_one_says_why():
+    """Each name in `finesse.__all__` is a package attribute, and each that no
+    code in src/ or perfbench/ reads carries a reason on its line."""
+    names, attributes = read_names([p.read_text() for p in READERS])
+    lines = (SRC / "__init__.py").read_text().splitlines()
+    for name in finesse.__all__:
+        assert hasattr(finesse, name), name
+        if name not in names | attributes:
+            assert any(re.fullmatch(rf'\s*"{name}",\s*#.+', line) for line in lines), name
 
 
 def test_no_module_loads_scipy_optimize():

@@ -10,15 +10,30 @@ from finesse.ir import (
     build_dag,
     circuit_depth,
     extended_set,
-    extended_set_core,
-    front_layer,
+    retire,
 )
 
-from oracles import reference_extended_set
+from oracles import (
+    arc_set,
+    dag_arcs,
+    reference_extended_set,
+    reference_front,
+    reference_remaining_counts,
+)
 
 
 def chain_dag():
     return build_dag(2, [("h", (0,)), ("cx", (0, 1)), ("x", (1,))])
+
+
+def retired_front(dag, executed):
+    """`retire` from the roots over a downward-closed ``executed``, holding
+    every other gate: the unexecuted gates left at count 0, in gate order,
+    and the counts."""
+    counts = dag.predecessor_counts()
+    roots = [g.id for g in dag.gates if counts[g.id] == 0 and g.id in executed]
+    retire(dag, counts, roots, lambda gid: gid not in executed)
+    return [g for g in dag.gates if g.id not in executed and counts[g.id] == 0], counts
 
 
 class TestGate:
@@ -51,17 +66,23 @@ class TestGate:
 class TestDag:
     def test_chain_arcs(self):
         dag = chain_dag()
-        assert dag.edges == {(0, 1), (1, 2)}
+        assert dag.predecessor_counts() == {0: 0, 1: 1, 2: 1}
+        assert arc_set(dag) == {(0, 1), (1, 2)}
 
     def test_arcs_are_nearest_successor_only(self):
         # h; x; cx on wire 0: h -> x -> cx, no transitive h -> cx arc
         dag = build_dag(2, [("h", (0,)), ("x", (0,)), ("cx", (0, 1))])
-        assert dag.edges == {(0, 1), (1, 2)}
+        assert dag.predecessor_counts() == {0: 0, 1: 1, 2: 1}
+        assert retire(dag, dag.predecessor_counts(), [0], lambda gid: True)[0] == [dag.gate(1)]
 
     def test_shared_two_wires_single_successor_counted_twice(self):
         dag = build_dag(2, [("cx", (0, 1)), ("cx", (0, 1))])
-        assert dag.successors(0) == (1, 1)
-        assert dag.predecessor_counts()[1] == 2
+        assert dag_arcs(dag)[0] == [1, 1]
+        counts = dag.predecessor_counts()
+        assert counts[1] == 2
+        # One retirement of gate 0 lowers both arcs: gate 1 is then ready.
+        assert retire(dag, counts, [0], lambda gid: True) == ([dag.gate(1)], [])
+        assert counts[1] == 0
 
     def test_wire_out_of_range(self):
         with pytest.raises(CircuitError):
@@ -71,62 +92,65 @@ class TestDag:
         dag = chain_dag()
         assert [g.kind for g in dag.reversed().gates] == ["x", "cx", "h"]
 
-    def test_relabeled(self):
-        dag = chain_dag().relabeled([3, 1], num_qubits=4)
-        assert dag.gates[1].wires == (3, 1)
-        assert dag.num_qubits == 4
+class TestRetireFront:
+    """`retire` from the roots leaves the front that `reference_front` finds."""
 
-
-class TestFrontLayer:
     def test_first_gate_ready(self):
-        assert [g.kind for g in front_layer(chain_dag(), set())] == ["h"]
+        dag = chain_dag()
+        assert retired_front(dag, set())[0] == reference_front(dag, set()) == [dag.gate(0)]
 
     def test_after_h_cx_ready(self):
-        assert [g.kind for g in front_layer(chain_dag(), {0})] == ["cx"]
+        dag = chain_dag()
+        assert retired_front(dag, {0})[0] == reference_front(dag, {0}) == [dag.gate(1)]
 
     def test_parallel_gates_both_ready(self):
         dag = build_dag(4, [("cx", (0, 1)), ("cx", (2, 3))])
-        assert [g.id for g in front_layer(dag, set())] == [0, 1]
+        assert retired_front(dag, set())[0] == reference_front(dag, set()) == list(dag.gates)
 
     def test_partition_of_gates(self):
         dag = build_dag(4, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (2, 3)), ("cx", (0, 1))])
         executed = {0}
-        front = {g.id for g in front_layer(dag, executed)}
-        blocked = {
-            g.id for g in dag.gates if g.id not in executed and g.id not in front
-        }
-        all_ids = {g.id for g in dag.gates}
-        assert executed | front | blocked == all_ids
-        assert not (executed & front) and not (front & blocked) and not (executed & blocked)
+        front, counts = retired_front(dag, executed)
+        assert front == reference_front(dag, executed) == [dag.gate(1)]
+        # The counts left are the arcs from the front and its descendants.
+        assert counts == reference_remaining_counts(dag, front) == {0: 0, 1: 0, 2: 1, 3: 1}
+
+
+def _roots(dag):
+    counts = dag.predecessor_counts()
+    return [g for g in dag.gates if counts[g.id] == 0]
 
 
 class TestExtendedSet:
+    """From the roots, the remaining counts are the DAG's own."""
+
     def test_successors_collected(self):
         dag = build_dag(4, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 3))])
-        front = front_layer(dag, set())
-        assert [g.id for g in extended_set(dag, front, 20)] == [1, 2]
+        assert [g.id for g in extended_set(dag, _roots(dag), 20, dag.predecessor_counts())] == [1, 2]
 
     def test_size_zero(self):
         dag = chain_dag()
-        assert extended_set(dag, front_layer(dag, set()), 0) == []
+        assert extended_set(dag, _roots(dag), 0, dag.predecessor_counts()) == []
 
     def test_tie_break_by_id_at_same_level(self):
         dag = build_dag(4, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 3))])
-        front = front_layer(dag, set())
-        picked = extended_set(dag, front, 1)
+        picked = extended_set(dag, _roots(dag), 1, dag.predecessor_counts())
         assert [g.id for g in picked] == [1]
 
     def test_one_qubit_gates_traversed_not_collected(self):
         dag = build_dag(3, [("cx", (0, 1)), ("h", (1,)), ("cx", (1, 2))])
-        front = front_layer(dag, set())
-        assert [g.id for g in extended_set(dag, front, 20)] == [2]
+        assert [g.id for g in extended_set(dag, _roots(dag), 20, dag.predecessor_counts())] == [2]
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_core_matches_copying_oracle(self, seed):
+    def test_walk_matches_copying_oracle(self, seed):
         rng = np.random.default_rng(seed)
         dag = _random_dag(rng)
-        preds = dag.predecessor_counts()
+        arcs = dag_arcs(dag)
+        preds = {g.id: 0 for g in dag.gates}
+        for successors in arcs.values():
+            for s in successors:
+                preds[s] += 1
         # execute a random prefix of a random topological order
         ready = [g.id for g in dag.gates if preds[g.id] == 0]
         executed = set()
@@ -135,7 +159,7 @@ class TestExtendedSet:
                 break
             gid = ready.pop(int(rng.integers(len(ready))))
             executed.add(gid)
-            for s in dag.successors(gid):
+            for s in arcs[gid]:
                 preds[s] -= 1
                 if preds[s] == 0:
                     ready.append(s)
@@ -146,11 +170,12 @@ class TestExtendedSet:
         size = int(rng.integers(0, 25))
         before = dict(preds)
         expected = reference_extended_set(dag, front, size, preds)
-        assert extended_set_core(dag, front, size, preds) == expected
+        assert extended_set(dag, front, size, preds) == expected
         assert preds == before
         if full:  # the front alone then fixes the counts
-            assert extended_set(dag, front, size) == expected
-            assert front_layer(dag, executed) == [g for g in dag.gates if g.id in ready]
+            retired, counts = retired_front(dag, executed)
+            assert retired == reference_front(dag, executed) == [g for g in dag.gates if g.id in ready]
+            assert counts == reference_remaining_counts(dag, front) == preds
 
 
 def _random_dag(rng):
@@ -216,10 +241,9 @@ class TestLayout:
         with pytest.raises(CircuitError):
             Layout([0, 0, 1])
 
-    def test_inverse_roundtrip(self):
+    def test_physical_is_the_given_map(self):
         lay = Layout([2, 0, 1])
-        for v in range(3):
-            assert lay.virtual(lay.physical(v)) == v
+        assert [lay.physical(v) for v in range(3)] == [2, 0, 1]
 
     def test_swap_physical(self):
         lay = Layout([0, 1, 2])

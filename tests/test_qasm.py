@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from finesse.ir import build_dag
 from finesse.qasm import QasmError, parse_qasm, serialize_qasm
-from oracles import reference_angle
+from oracles import arc_set, dag_arcs, reference_angle, same_circuit
 
 
 def _gates(dag):
@@ -20,13 +20,13 @@ def _outcome(text):
         dag = parse_qasm(text)
     except QasmError:
         return "QasmError"
-    return _gates(dag), dag.edges
+    return _gates(dag), arc_set(dag)
 
 
 def _descendants(dag, gate_id):
-    reach, stack = set(), [gate_id]
+    arcs, reach, stack = dag_arcs(dag), set(), [gate_id]
     while stack:
-        for s in dag.successors(stack.pop()):
+        for s in arcs[stack.pop()]:
             if s not in reach:
                 reach.add(s)
                 stack.append(s)
@@ -60,12 +60,12 @@ def _substitute(text, values):
 class TestParse:
     def test_single_gate(self):
         dag = parse_qasm("qreg q[2]; cx q[0],q[1];")
-        assert len(dag.gates) == 1 and dag.edges == set()
+        assert len(dag.gates) == 1 and arc_set(dag) == set()
 
     def test_chain_on_shared_wires(self):
         dag = parse_qasm("qreg q[2]; h q[0]; cx q[0],q[1]; x q[1];")
         assert [g.kind for g in dag.gates] == ["h", "cx", "x"]
-        assert dag.edges == {(0, 1), (1, 2)}
+        assert arc_set(dag) == {(0, 1), (1, 2)}
 
     def test_three_qubit_gate_rejected(self):
         with pytest.raises(QasmError, match="3\\+ qubits"):
@@ -301,7 +301,7 @@ class TestBarriers:
     def test_two_wire_barrier_node(self):
         dag = parse_qasm("qreg q[2]; h q[0]; barrier q[0],q[1]; x q[1];")
         assert [g.kind for g in dag.gates] == ["h", "barrier", "x"]
-        assert dag.edges == {(0, 1), (1, 2)}
+        assert arc_set(dag) == {(0, 1), (1, 2)}
 
     def test_full_register_barrier_orders_across_wires(self):
         dag = parse_qasm("qreg q[4]; h q[3]; barrier q; x q[0];")
@@ -341,7 +341,7 @@ class TestRoundTrip:
         swap q[0],q[1];
         """
         dag = parse_qasm(text)
-        assert dag.isomorphic(parse_qasm(serialize_qasm(dag)))
+        assert same_circuit(dag, parse_qasm(serialize_qasm(dag)))
 
     def test_root_iswap_pragma_roundtrip_bit_exact(self):
         dag = build_dag(2, [("root_iswap", (0, 1), (), 2), ("root_iswap", (1, 0), (), 5)])

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finesse import router
-from finesse.hardware import CouplingMap, build_distance_set, fabric_suite
-from finesse.ir import CircuitDag, Gate, Layout, circuit_depth, extended_set
+from finesse.hardware import build_distance_set, fabric_suite
+from finesse.ir import CircuitDag, Gate, Layout, circuit_depth
 from finesse.router import (
     ALGORITHMS,
     RoutePlan,
@@ -32,7 +32,14 @@ from finesse.verifier import statevector_equivalent
 from finesse.weyl import BasisGate, gate_count, swap_count
 from finesse.workloads import SUITE
 
-from oracles import haar_su4, random_connected_map, reference_extended_set, reference_lookahead
+from oracles import (
+    coupling_map,
+    haar_su4,
+    random_connected_map,
+    reference_extended_set,
+    reference_lookahead,
+    reference_remaining_counts,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -247,7 +254,7 @@ class TestRoutedEquivalence:
             Gate(id=2, kind="rz", wires=(1,), params=(0.3,)),
             Gate(id=3, kind="cx", wires=(1, 2)),
         ])
-        cmap = CouplingMap.from_pairs(3, [(0, 1), (1, 2)], [0.99, 0.98])
+        cmap = coupling_map(3, [(0, 1), (1, 2)], [0.99, 0.98])
         config = RouterConfig(algorithm=algorithm, aggression=3, num_seeds=3)
         for result in run_trials(dag, cmap, config):
             assert result.metrics.mirror_count == 2
@@ -289,9 +296,9 @@ def _retire_randomly(p, rng):
 
 
 def _counting_walks(walks):
-    """A stand-in for `extended_set_core` that counts walks per (DAG, size,
+    """A stand-in for `extended_set` that counts walks per (DAG, size,
     front)."""
-    walk = router.extended_set_core
+    walk = router.extended_set
 
     def counted(dag, front, size, preds):
         walks[id(dag), size, tuple(g.id for g in front)] += 1
@@ -322,7 +329,7 @@ class TestLookaheadMemo:
     @given(seed=SEEDS, size=st.sampled_from((1, 3, 20)))
     def test_the_front_fixes_the_extended_set(self, seed, size):
         """Random retirement orders that reach one front see one extended set,
-        the one `extended_set` finds from the front alone."""
+        the one the oracle finds from the front alone."""
         rng = np.random.default_rng(seed)
         cmap, dag = _random_routing_case(rng, 40)
         config = RouterConfig(algorithm="sabre", extended_size=size)
@@ -330,17 +337,18 @@ class TestLookaheadMemo:
         plan = RoutePlan.build(dag, config.basis, config.extended_size)
         seen = {}
         for _ in range(3):
-            p = router._Pass(dag, cmap, dists, config, rng, Layout.identity(cmap.num_physical),
+            p = router._Pass(dag, cmap, dists, config, rng, Layout(range(cmap.num_physical)),
                              emit=False, allow_mirror=False, plan=plan)
             for _ in _retire_randomly(p, rng):
                 ids = [g.id for g in reference_extended_set(dag, p.front, size, p.preds)]
                 assert seen.setdefault(tuple(g.id for g in p.front), ids) == ids
-                assert ids == [g.id for g in extended_set(dag, p.front, size)]
+                alone = reference_extended_set(dag, p.front, size, reference_remaining_counts(dag, p.front))
+                assert ids == [g.id for g in alone]
 
     def test_each_front_is_walked_once_per_call(self, fabric_4q4e):
         dag = SUITE["qft_10"]()
         walks = Counter()
-        with patch.object(router, "extended_set_core", _counting_walks(walks)):
+        with patch.object(router, "extended_set", _counting_walks(walks)):
             for algorithm in ALGORITHMS:
                 config = RouterConfig(algorithm=algorithm, num_seeds=4)
                 calls = []
@@ -406,7 +414,7 @@ class TestRoutePlan:
         config = RouterConfig(num_seeds=4)
         plan = RoutePlan.build(dag, config.basis, config.extended_size)
         walks = Counter()
-        with patch.object(router, "extended_set_core", _counting_walks(walks)):
+        with patch.object(router, "extended_set", _counting_walks(walks)):
             for fabric in ("4q4e", "5q7e"):
                 for algorithm in ALGORITHMS:
                     for seed in (0, 1):
@@ -445,7 +453,8 @@ class TestRoutePlan:
             gate, rows = planned.gate, planned.two_qubit_rows
             for key, scored in memo.items():
                 front = [gate(i) for i in key]
-                extended = extended_set(planned, front, config.extended_size)
+                counts = reference_remaining_counts(planned, front)
+                extended = reference_extended_set(planned, front, config.extended_size, counts)
                 assert scored.dtype == np.intp
                 assert scored.tolist() == [rows[g.id] for g in front + extended]
                 with pytest.raises(ValueError, match="read-only"):

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finesse import router, verifier, workloads
-from finesse.hardware import CouplingMap
 from finesse.ir import CircuitDag, Gate, build_dag
 from finesse.qasm import parse_qasm
 from finesse.router import ALGORITHMS, RouterConfig, run_trials
@@ -34,7 +33,7 @@ from finesse.verifier import (
     unitary_equivalent,
 )
 
-from oracles import dense_unitary, reference_equivalent
+from oracles import coupling_map, dense_unitary, reference_equivalent
 
 SEEDS = st.integers(0, 2**32 - 1)
 ONE_QUBIT = {False: ("h", "x", "rz", "ry"), True: ("h", "x")}
@@ -687,8 +686,8 @@ def test_release_valve_ends_on_paths():
     rng = np.random.default_rng(5)
     with patch.object(router, "route_pass", recording):
         for n in range(3, 8):
-            cmap = CouplingMap.from_pairs(n, [(i, i + 1) for i in range(n - 1)],
-                                          rng.uniform(0.95, 1.0, n - 1).tolist())
+            cmap = coupling_map(n, [(i, i + 1) for i in range(n - 1)],
+                                rng.uniform(0.95, 1.0, n - 1).tolist())
             for algorithm in ALGORITHMS:
                 dag = _random_reference(rng, int(rng.integers(2, n + 1)), 4 * n, clifford=False)
                 config = RouterConfig(algorithm=algorithm, release_valve_threshold=1, num_seeds=2)

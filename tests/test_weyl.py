@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from finesse import gates, weyl
-from finesse.hardware import CouplingMap
 from finesse.ir import CircuitDag, Gate
 from finesse.router import RouterConfig, run_trials
 from finesse.weyl import (
@@ -16,13 +15,13 @@ from finesse.weyl import (
     basis_gate_count,
     gate_count,
     gate_unitary,
-    mirror,
     swap_count,
     weyl_coordinates,
 )
 from oracles import (
     CoverageOracle,
     canonical_gate,
+    coupling_map,
     haar_su2,
     haar_su4,
     same_local_class,
@@ -79,17 +78,23 @@ class TestCoordinates:
                 assert c3 >= -1e-9
 
 
+def _mirrored(kind, matrix=None):
+    """The matrix of a mirrored 2q gate, SWAP folded in."""
+    return gate_unitary(Gate(id=0, kind=kind, wires=(0, 1), matrix=matrix, mirrored=True))
+
+
 class TestMirror:
     def test_mirror_of_swap_is_identity_class(self):
-        assert weyl_coordinates(mirror(gates.SWAP)) == pytest.approx((0, 0, 0), abs=1e-10)
+        assert weyl_coordinates(_mirrored("swap")) == pytest.approx((0, 0, 0), abs=1e-10)
 
     def test_involution(self):
         rng = np.random.default_rng(8)
         u = haar_su4(rng)
-        assert np.allclose(mirror(mirror(u)), u)
+        assert np.allclose(_mirrored("unitary", u), gates.SWAP @ u)
+        assert np.allclose(_mirrored("unitary", _mirrored("unitary", u)), u)
 
     def test_mirror_of_cx_is_iswap_class(self):
-        assert weyl_coordinates(mirror(gates.CX)) == pytest.approx(
+        assert weyl_coordinates(_mirrored("cx")) == pytest.approx(
             weyl_coordinates(gates.ISWAP), abs=1e-10
         )
 
@@ -185,7 +190,7 @@ class TestBasisCounts:
         for _ in range(60):
             u = haar_su4(rng)
             k = basis_gate_count(u, SQISWAP)
-            km = basis_gate_count(mirror(u), SQISWAP)
+            km = basis_gate_count(gates.SWAP @ u, SQISWAP)
             assert 0 <= k <= 3 and 0 <= km <= 3 and abs(k - km) <= 3
 
     def test_gate_count_uses_mirror_flag(self):
@@ -242,7 +247,7 @@ class TestBasisCounts:
         dag = CircuitDag(4, [
             Gate(id=i, kind="unitary", wires=ws, matrix=mats[i % len(mats)]) for i, ws in enumerate(wires)
         ])
-        cmap = CouplingMap.from_pairs(4, [(0, 1), (1, 2), (2, 3)], [0.99, 0.98, 0.97])
+        cmap = coupling_map(4, [(0, 1), (1, 2), (2, 3)], [0.99, 0.98, 0.97])
         config = RouterConfig(algorithm="finesse", aggression=3, num_seeds=3, basis=BasisGate.root_iswap(2))
         results = run_trials(dag, cmap, config)
         assert any(g.mirrored for r in results for g in r.circuit.gates if g.kind == "unitary")
@@ -250,7 +255,7 @@ class TestBasisCounts:
         for m in mats:
             for mirrored in (False, True):
                 g = Gate(id=0, kind="unitary", wires=(0, 1), matrix=m, mirrored=mirrored)
-                assert gate_count(g, SQISWAP) == basis_gate_count(mirror(m) if mirrored else m, SQISWAP)
+                assert gate_count(g, SQISWAP) == basis_gate_count(gates.SWAP @ m if mirrored else m, SQISWAP)
 
 
 @lru_cache(maxsize=None)
