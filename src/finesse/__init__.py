@@ -8,11 +8,10 @@ calls says why it is kept.
 
 from .hardware import (
     CouplingMap, DistanceSet, ModuleSpec, TopologyError, blended_distances, build_distance_set,
-    build_snail_fabric, fabric_suite, fidelity_distances, hop_distances, load_calibration,
-    load_topology,
+    build_snail_fabric, fabric_suite, fidelity_distances, hop_distances, load_topology,
 )
 from .ir import CircuitDag, CircuitError, Gate, Layout, circuit_depth
-from .qasm import QasmError, parse_qasm, serialize_qasm
+from .qasm import QasmError, load_qasm, parse_qasm, serialize_qasm
 from .router import RouterConfig, RoutingError, RoutingResult, lf_cost, run_trials, select_trial, transpile
 from .verifier import clifford_equivalent, statevector_equivalent, unitary_equivalent
 from .weyl import BasisGate, basis_gate_count, gate_unitary, weyl_coordinates
@@ -25,10 +24,10 @@ from .freqalloc import (
 __all__ = [
     # circuits and fabrics
     "CircuitDag", "CircuitError", "Gate", "Layout", "circuit_depth",
-    "QasmError", "parse_qasm", "serialize_qasm",
+    "QasmError", "load_qasm", "parse_qasm", "serialize_qasm",
     "CouplingMap", "DistanceSet", "ModuleSpec", "TopologyError", "blended_distances",
     "build_distance_set", "build_snail_fabric", "fabric_suite", "fidelity_distances",
-    "hop_distances", "load_calibration", "load_topology",
+    "hop_distances", "load_topology",
     "BasisGate", "basis_gate_count", "gate_unitary", "weyl_coordinates",
     # routing
     "RouterConfig", "RoutingError", "RoutingResult", "run_trials", "select_trial", "transpile",

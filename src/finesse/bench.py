@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .hardware import CouplingMap, build_distance_set
 from .ir import CircuitDag, CLIFFORD_KINDS
-from .qasm import parse_qasm
+from .qasm import load_qasm
 from .router import RoutePlan, RouterConfig, RoutingResult, run_trials, select_trial
 from .verifier import clifford_equivalent, statevector_equivalent
 from .weyl import swap_count
@@ -55,7 +55,7 @@ def load_workloads(directory) -> dict[str, CircuitDag]:
     files = sorted(Path(directory).glob("*.qasm"))
     if not files:
         raise BenchError(f"no .qasm workloads found in {directory}")
-    return {p.stem: parse_qasm(p.read_text()) for p in files}
+    return {p.stem: load_qasm(p) for p in files}
 
 
 def _is_clifford(dag: CircuitDag) -> bool:

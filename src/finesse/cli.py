@@ -1,7 +1,9 @@
 """Command-line entry point: allocate, transpile, bench, verify.
 
 Exit codes: 0 success, 1 verification failure or infeasible allocation,
-2 usage or configuration errors.  All randomness derives from --seed.
+2 for every refused input: a command raises ValueError (each typed error of
+the library is one) or OSError, and `main` prints it under the usage line.
+All randomness derives from --seed.
 """
 from __future__ import annotations
 
@@ -13,17 +15,8 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import freqalloc as fa
-from .hardware import (
-    TABLE3_MODULES,
-    TopologyError,
-    as_integer,
-    fabric_suite,
-    load_calibration,
-    load_json,
-    load_topology,
-    read_field,
-)
-from .qasm import parse_qasm, serialize_qasm
+from .hardware import as_integer, fabric_suite, load_json, load_topology, read_field
+from .qasm import load_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, transpile
 from .verifier import (
     DEFAULT_TOL,
@@ -41,10 +34,6 @@ EXIT_USAGE = 2
 ROUTER_DEFAULTS = RouterConfig()
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_frequency(value) -> float:
     """Hz as a number, or strings like '4.2 GHz' / '200MHz'."""
     if isinstance(value, (int, float)):
@@ -54,18 +43,6 @@ def parse_frequency(value) -> float:
         if text.endswith(suffix):
             return float(text[: -len(suffix)]) * scale
     return float(text)
-
-
-def _resolve_topology(name_or_path: str):
-    if name_or_path in TABLE3_MODULES:
-        return load_topology(name_or_path)
-    path = Path(name_or_path)
-    if not path.exists():
-        raise UsageError(f"unknown topology {name_or_path!r} (not a Table-3 name or file)")
-    data = load_json(path)
-    if "edges" in data and "module" not in data:
-        return load_calibration(path)  # the path, so that errors name the file
-    return load_topology(path)
 
 
 # --- allocate -------------------------------------------------------------
@@ -175,9 +152,9 @@ def cmd_allocate(args) -> int:
 def _check_routing_options(args):
     """--seeds and --beta are checked here, so that each error names its option."""
     if args.seeds < 1:
-        raise UsageError(f"--seeds must be at least 1, not {args.seeds}")
+        raise ValueError(f"--seeds must be at least 1, not {args.seeds}")
     if not 0 <= args.beta < inf:
-        raise UsageError(f"--beta must be finite and nonnegative, not {args.beta!r}")
+        raise ValueError(f"--beta must be finite and nonnegative, not {args.beta!r}")
 
 
 def _router_config(args) -> RouterConfig:
@@ -194,11 +171,8 @@ def _router_config(args) -> RouterConfig:
 
 
 def cmd_transpile(args) -> int:
-    path = Path(args.circuit)
-    if not path.exists():
-        raise UsageError(f"missing file: {path}")
-    dag = parse_qasm(path.read_text())
-    cmap = _resolve_topology(args.topology)
+    dag = load_qasm(args.circuit)
+    cmap = load_topology(args.topology)
     config = _router_config(args)
     result = transpile(dag, cmap, config, seed=args.seed)
     bench_mod.verify_result(dag, result, seed=args.seed)
@@ -234,13 +208,13 @@ def cmd_bench(args) -> int:
         for algo in args.algorithms.split(",")
     )
     if "sabre" not in (c.algorithm for c in configs):
-        raise UsageError("--algorithms must include sabre, the percentage baseline")
+        raise ValueError("--algorithms must include sabre, the percentage baseline")
     if args.topologies == "all":
         topologies = fabric_suite()
     else:
-        topologies = {name: _resolve_topology(name) for name in args.topologies.split(",")}
+        topologies = {name: load_topology(name) for name in args.topologies.split(",")}
     workdir = Path(args.workloads)
-    if not workdir.exists() or not any(workdir.glob("*.qasm")):
+    if not any(workdir.glob("*.qasm")):  # a missing directory globs nothing
         workdir.mkdir(parents=True, exist_ok=True)
         write_suite(workdir)
         print(f"generated builtin workload suite in {workdir}")
@@ -273,28 +247,23 @@ def cmd_bench(args) -> int:
 
 
 def _wire_list(option: str, text: str) -> list[int]:
-    """The wires of a comma list; an entry that is not an integer is a
-    UsageError naming the option and the entry."""
+    """The wires of a comma list; an entry that is not an integer raises
+    ValueError naming the option and the entry."""
     wires = []
     for entry in text.split(","):
         try:
             wires.append(int(entry))
         except ValueError:
-            raise UsageError(f"{option}: {entry!r} is not a wire number") from None
+            raise ValueError(f"{option}: {entry!r} is not a wire number") from None
     return wires
 
 
 def cmd_verify(args) -> int:
-    ref_path, routed_path = Path(args.reference), Path(args.routed)
-    for p in (ref_path, routed_path):
-        if not p.exists():
-            raise UsageError(f"missing file: {p}")
-    ref = parse_qasm(ref_path.read_text())
-    routed = parse_qasm(routed_path.read_text())
+    ref, routed = load_qasm(args.reference), load_qasm(args.routed)
     perm = _wire_list("--perm", args.perm) if args.perm else list(range(routed.num_qubits))
     input_map = _wire_list("--input-map", args.input_map) if args.input_map else None
     n = max(ref.num_qubits, routed.num_qubits)
-    verdict = {"reference": str(ref_path), "routed": str(routed_path)}
+    verdict = {"reference": str(Path(args.reference)), "routed": str(Path(args.routed))}
     try:
         if args.method == "unitary" or (args.method == "auto" and n <= UNITARY_WIDTH_LIMIT):
             verdict["method"] = "unitary"
@@ -334,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trans = sub.add_parser("transpile", help="route one circuit onto a fabric")
     p_trans.add_argument("circuit", help="OpenQASM 2 file")
-    p_trans.add_argument("--topology", default="4q4e", help="Table-3 name or fixture JSON")
+    p_trans.add_argument("--topology", default="4q4e", help="Table-3 name, fixture or calibration JSON")
     p_trans.add_argument("--algorithm", default="finesse", choices=ALGORITHMS)
     p_trans.add_argument("--seeds", type=int, default=ROUTER_DEFAULTS.num_seeds, help="routing trials")
     p_trans.add_argument("--seed", type=_seed_option, default=0)
@@ -379,11 +348,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, TopologyError) as exc:
-        parser.error(str(exc))  # exits with code 2
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser.error(str(exc))  # exits with EXIT_USAGE
 
 
 if __name__ == "__main__":

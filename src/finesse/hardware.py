@@ -1,4 +1,9 @@
-"""Fidelity-weighted coupling graphs and routing distance matrices."""
+"""Fidelity-weighted coupling graphs and routing distance matrices.
+
+`load_topology` is the one reader of fabrics, in three forms: a Table-3
+name, a topology fixture (``module`` chained ``num_modules`` times), or a
+calibration snapshot (per-edge error rates), told by ``edges`` and no ``module``.
+"""
 from __future__ import annotations
 
 import json
@@ -259,17 +264,15 @@ def fabric_suite() -> dict[str, CouplingMap]:
     return {name: _table3_fabric(name) for name in TABLE3_MODULES}
 
 
-def load_calibration(source) -> CouplingMap:
-    """Backend calibration snapshot -> coupling map via C = 1 - error."""
-    data = load_json(source)
-    _check_version(data)
+def _calibration_fabric(data: dict, source) -> CouplingMap:
+    """A calibration snapshot's coupling map, with C = 1 - error per edge."""
     edges = []
     num = 0
-    for rec in read_field(data, "edges", list, "calibration", source) if "edges" in data else []:
+    for rec in read_field(data, "edges", list, "calibration", source):
         i, j = (read_field(rec, key, as_integer, "calibration edge", source) for key in "ij")
         num = max(num, i + 1, j + 1)
         if "error" not in rec or rec["error"] is None:
-            warnings.warn(f"edge ({i},{j}) has no calibration; dropped", stacklevel=2)
+            warnings.warn(f"edge ({i},{j}) has no calibration; dropped", stacklevel=3)
             continue
         e = read_field(rec, "error", _error_rate, "calibration edge", source)
         edges.append((min(i, j), max(i, j), 1.0 - e))
@@ -280,11 +283,17 @@ def load_calibration(source) -> CouplingMap:
 
 
 def load_topology(source) -> CouplingMap:
-    """Topology fixture: a named Table-3 module spec or explicit edges."""
+    """The fabric that `source` names: a Table-3 name, or a fixture or a
+    calibration snapshot as a file path or its parsed dict.  A snapshot is
+    told apart by holding ``edges`` and no ``module``; the file is read once."""
     if isinstance(source, str) and source in TABLE3_MODULES:
         return _table3_fabric(source)
+    if not isinstance(source, dict) and not Path(source).is_file():
+        raise TopologyError(f"unknown topology {str(source)!r} (not a Table-3 name or file)")
     data = load_json(source)
     _check_version(data)
+    if "edges" in data and "module" not in data:
+        return _calibration_fabric(data, source)
     mod = _require(data, "module", "topology", source)
     if isinstance(mod, str):
         if mod not in TABLE3_MODULES:
@@ -345,12 +354,15 @@ def _require(record, key: str, what: str, source):
 
 def read_field(record, key: str, convert, what: str, source):
     """convert(record[key]); a missing key, or a value that convert rejects,
-    raises TopologyError naming the key and the file."""
+    raises TopologyError naming the key, the converter's reason and the file."""
     value = _require(record, key, what, source)
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
-        raise TopologyError(f"{what} has a bad {key!r} value {value!r}{_in_file(source)}") from exc
+        reason = f": {exc}" if isinstance(exc, ValueError) else ""  # a TypeError says no more
+        raise TopologyError(
+            f"{what} has a bad {key!r} value {value!r}{reason}{_in_file(source)}"
+        ) from exc
 
 
 def as_integer(value) -> int:

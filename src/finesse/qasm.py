@@ -17,6 +17,7 @@ errors (a list takes one comma between items, none trailing); an unknown
 symbol or argument in a gate body, when the gate is defined; division by
 zero, overflow, a math domain error or a result that is not a finite real
 number, at the literal, operator or function that produces it.
+``load_qasm`` reads a file and puts its name ahead of the position.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from math import pi
+from pathlib import Path
 
 from .ir import ONE_QUBIT_KINDS, PARAM_COUNTS, TWO_QUBIT_KINDS, CircuitDag, CircuitError, Gate
 
@@ -435,6 +437,20 @@ class _Parser:
 def parse_qasm(text: str) -> CircuitDag:
     """Parse the restricted OpenQASM 2 dialect into a circuit DAG."""
     return _Parser(text).parse()
+
+
+def load_qasm(path) -> CircuitDag:
+    """Parse the OpenQASM file at `path`, the one reader of circuit files.  A
+    missing file, or a QasmError, raises QasmError naming the file, as in
+    ``bad.qasm:4:1: expected ';', found 'cx'``."""
+    path = Path(path)
+    try:
+        return parse_qasm(path.read_text())
+    except FileNotFoundError:
+        raise QasmError(f"missing file: {path}") from None
+    except QasmError as exc:
+        exc.args = (f"{path}:{exc}",)  # the file ahead of line:col; line and col stay set
+        raise
 
 
 def _root_name(n: int) -> str:

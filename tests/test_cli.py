@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import Mock, patch
 
 import pytest
 
 import finesse
-from finesse import bench, freqalloc as fa, router, verifier
+from finesse import bench, cli, freqalloc as fa, hardware, router, verifier
 from finesse.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from finesse.hardware import load_topology
 from finesse.qasm import parse_qasm, serialize_qasm
@@ -90,6 +91,11 @@ cx q[0],q[3];
 rz(pi/4) q[3];
 cx q[3],q[2];
 """
+# The ';' after h q[0] is missing, so the parser stops at line 4, column 1.
+BAD_QASM = 'OPENQASM 2.0;\nqreg q[2];\nh q[0]\ncx q[0],q[1];\n'
+BAD_QASM_ERROR = "4:1: expected ';', found 'cx'"
+# A 4-qubit ring snapshot: edges and no module make it a calibration.
+CALIBRATION = {"edges": [{"i": i, "j": (i + 1) % 4, "error": 0.01 * (i + 1)} for i in range(4)]}
 
 
 def _transpile(tmp_path):
@@ -110,10 +116,33 @@ class TestTranspileAndVerify:
         assert sorted(payload["initial_layout"]) == list(range(16))
         assert routed.read_text().startswith("OPENQASM 2.0;")
 
-    def test_transpile_missing_file_is_usage_error(self, tmp_path):
+    def test_transpile_missing_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.qasm"
+        with pytest.raises(finesse.QasmError) as error:
+            finesse.load_qasm(path)
+        assert str(error.value) == f"missing file: {path}"
         with pytest.raises(SystemExit) as exc:
-            main(["transpile", str(tmp_path / "absent.qasm")])
+            main(["transpile", str(path)])
         assert exc.value.code == EXIT_USAGE
+        assert str(error.value) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fixture, qubits", [
+        (CALIBRATION, 4),
+        ({"module": "4q4e", "num_modules": 2}, 8),
+    ], ids=["calibration", "fixture"])
+    def test_a_topology_file_is_read_once(self, tmp_path, fixture, qubits):
+        """`transpile --topology <file>` parses the file once, whichever of
+        the two file forms it holds, and routes onto its fabric."""
+        circuit, topology, metrics = tmp_path / "small.qasm", tmp_path / "topo.json", tmp_path / "m.json"
+        circuit.write_text(SMALL_QASM)
+        topology.write_text(json.dumps(fixture))
+        reads = Mock(wraps=hardware.load_json)
+        with patch.object(hardware, "load_json", reads), patch.object(cli, "load_json", reads):
+            code = main(["transpile", str(circuit), "--topology", str(topology), "--seeds", "2",
+                         "--out", str(tmp_path / "routed.qasm"), "--metrics", str(metrics)])
+        assert code == EXIT_OK and reads.call_count == 1
+        payload = json.loads(metrics.read_text())
+        assert payload["verified"] is True and sorted(payload["initial_layout"]) == list(range(qubits))
 
     def test_topology_missing_key_is_usage_error(self, tmp_path, capsys):
         circuit, topology = tmp_path / "small.qasm", tmp_path / "bad.json"
@@ -134,8 +163,9 @@ class TestTranspileAndVerify:
         assert "bad 'edges' value 5 in" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fixture, message", [
-        ({"num_physical": -1, "edges": []}, "bad 'num_physical' value -1 in"),
-        ({"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2}, "bad 'edges' value [] in"),
+        ({"num_physical": -1, "edges": []}, "bad 'num_physical' value -1: -1 is negative in"),
+        ({"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2},
+         "bad 'edges' value []: a module needs at least one edge in"),
     ])
     def test_topology_without_a_fabric_is_usage_error(self, tmp_path, capsys, fixture, message):
         circuit, topology = tmp_path / "small.qasm", tmp_path / "empty.json"
@@ -184,6 +214,17 @@ class TestTranspileAndVerify:
         assert exc.value.code == EXIT_USAGE
         assert f"{option}: {entry} is not a wire number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["reference", "routed"])
+    def test_verify_names_the_bad_file(self, tmp_path, capsys, bad_first):
+        good, bad = tmp_path / "good.qasm", tmp_path / "bad.qasm"
+        good.write_text(SMALL_QASM)
+        bad.write_text(BAD_QASM)
+        pair = (bad, good) if bad_first else (good, bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *map(str, pair)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"{bad}:{BAD_QASM_ERROR}" in capsys.readouterr().err
+
     def test_verify_accepts_the_routed_pair(self, tmp_path, capsys):
         _, circuit, routed, payload = _transpile(tmp_path)
         capsys.readouterr()
@@ -217,6 +258,32 @@ def test_bench_writes_results(tmp_path):
     # A fixed-seed bench writes the same bytes; any routing or format change shows here.
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCH_DIGESTS}
     assert digests == BENCH_DIGESTS
+
+
+def test_bench_names_the_bad_workload(tmp_path, capsys):
+    workloads, out = tmp_path / "workloads", tmp_path / "bench"
+    workloads.mkdir()
+    (workloads / "small.qasm").write_text(SMALL_QASM)
+    (workloads / "bad.qasm").write_text(BAD_QASM)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--workloads", str(workloads), "--out", str(out),
+              "--topologies", "4q4e", "--algorithms", "sabre", "--seeds", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"{workloads / 'bad.qasm'}:{BAD_QASM_ERROR}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_routes_on_a_calibration_snapshot(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("workloads").mkdir()
+    Path("workloads/small.qasm").write_text(SMALL_QASM)
+    Path("cal.json").write_text(json.dumps(CALIBRATION))
+    code = main(["bench", "--workloads", "workloads", "--out", "bench",
+                 "--topologies", "4q4e,cal.json", "--algorithms", "sabre,finesse", "--seeds", "1"])
+    assert code == EXIT_OK
+    rows = _csv_rows(Path("bench/results.csv"))
+    assert sorted({r["topology"] for r in rows}) == ["4q4e", "cal.json"]
+    assert len(rows) == 2 * 2 * 2  # two fabrics x two algorithms x two post-selection modes
 
 
 def _csv_rows(path):

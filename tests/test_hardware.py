@@ -18,7 +18,6 @@ from finesse.hardware import (
     fabric_suite,
     fidelity_distances,
     hop_distances,
-    load_calibration,
     load_topology,
 )
 from finesse.weyl import BasisGate, swap_count
@@ -277,13 +276,13 @@ class TestSnailFabric:
 
 class TestCalibrationImport:
     def test_error_to_fidelity(self):
-        cmap = load_calibration(
+        cmap = load_topology(
             {"format_version": 1, "edges": [{"i": 0, "j": 1, "error": 0.007}]}
         )
         assert cmap.fidelity[(0, 1)] == pytest.approx(0.993)
 
     def test_zero_error(self):
-        cmap = load_calibration({"edges": [{"i": 0, "j": 1, "error": 0.0}]})
+        cmap = load_topology({"edges": [{"i": 0, "j": 1, "error": 0.0}]})
         assert cmap.fidelity[(0, 1)] == 1.0
 
     def test_missing_entry_dropped_with_warning(self):
@@ -295,12 +294,12 @@ class TestCalibrationImport:
             ]
         }
         with pytest.warns(UserWarning, match="dropped"):
-            cmap = load_calibration(payload)
+            cmap = load_topology(payload)
         assert len(cmap.edges) == 2
 
     def test_disconnected_snapshot_rejected(self):
         with pytest.raises(TopologyError):
-            load_calibration(
+            load_topology(
                 {"num_physical": 4, "edges": [{"i": 0, "j": 1, "error": 0.01}]}
             )
 
@@ -338,9 +337,8 @@ class TestCalibrationImport:
     def test_malformed_json_names_the_path(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"format_version": 1, "module": ')
-        for loader in (load_topology, load_calibration):
-            with pytest.raises(TopologyError, match="malformed JSON in .*broken.json"):
-                loader(path)
+        with pytest.raises(TopologyError, match="malformed JSON in .*broken.json"):
+            load_topology(path)
 
     @pytest.mark.parametrize("version", ["x", None, [1], 1.5, True])
     def test_non_integer_format_version(self, version):
@@ -369,9 +367,8 @@ class TestCalibrationImport:
     def test_top_level_non_object_names_the_path(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        for loader in (load_topology, load_calibration):
-            with pytest.raises(TopologyError, match="list.json does not hold a JSON object"):
-                loader(path)
+        with pytest.raises(TopologyError, match="list.json does not hold a JSON object"):
+            load_topology(path)
 
     def test_unknown_module_name(self):
         with pytest.raises(TopologyError, match="unknown module '9q9e'"):
@@ -384,40 +381,40 @@ class TestCalibrationImport:
         path = tmp_path / "calibration.json"
         path.write_text(json.dumps({"edges": [edge]}))
         with pytest.raises(TopologyError, match=f"calibration edge has no '{key}' key in .*calibration.json"):
-            load_calibration(path)
+            load_topology(path)
 
 
-    @pytest.mark.parametrize("loader, payload, key", [
-        (load_calibration, {"edges": [{"i": "x", "j": 1, "error": 0.01}]}, "i"),
-        (load_calibration, {"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": "x"}, "num_physical"),
-        (load_calibration, {"edges": [{"i": 0, "j": 1, "error": "bad"}]}, "error"),
-        (load_calibration, {"edges": 5}, "edges"),
-        (load_topology, {"module": {"qubits": "x", "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
-        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": "x"}, "num_modules"),
-        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": ["bad"]}, "num_modules": 1}, "fidelities"),
-        (load_topology, {"module": {"qubits": 2, "edges": [[0]], "fidelities": [0.99]}, "num_modules": 1}, "edges"),
-        (load_topology, {"module": {"qubits": 2, "edges": 5, "fidelities": [0.99]}, "num_modules": 1}, "edges"),
+    @pytest.mark.parametrize("payload, key", [
+        ({"edges": [{"i": "x", "j": 1, "error": 0.01}]}, "i"),
+        ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": "x"}, "num_physical"),
+        ({"edges": [{"i": 0, "j": 1, "error": "bad"}]}, "error"),
+        ({"edges": 5}, "edges"),
+        ({"module": {"qubits": "x", "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": "x"}, "num_modules"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": ["bad"]}, "num_modules": 1}, "fidelities"),
+        ({"module": {"qubits": 2, "edges": [[0]], "fidelities": [0.99]}, "num_modules": 1}, "edges"),
+        ({"module": {"qubits": 2, "edges": 5, "fidelities": [0.99]}, "num_modules": 1}, "edges"),
         # Integer fields take integral values only: no truncation, no booleans.
-        (load_topology, {"module": {"qubits": 2.7, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
-        (load_topology, {"module": {"qubits": True, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
-        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1.9]], "fidelities": [0.99]}, "num_modules": 1}, "edges"),
-        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1.5}, "num_modules"),
-        (load_topology, {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": True}, "num_modules"),
-        (load_calibration, {"edges": [{"i": 0, "j": 1.5, "error": 0.01}]}, "j"),
-        (load_calibration, {"edges": [{"i": False, "j": 1, "error": 0.01}]}, "i"),
-        (load_calibration, {"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 2.5}, "num_physical"),
+        ({"module": {"qubits": 2.7, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
+        ({"module": {"qubits": True, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1}, "qubits"),
+        ({"module": {"qubits": 2, "edges": [[0, 1.9]], "fidelities": [0.99]}, "num_modules": 1}, "edges"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 1.5}, "num_modules"),
+        ({"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": True}, "num_modules"),
+        ({"edges": [{"i": 0, "j": 1.5, "error": 0.01}]}, "j"),
+        ({"edges": [{"i": False, "j": 1, "error": 0.01}]}, "i"),
+        ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 2.5}, "num_physical"),
         # Counts are nonnegative, and a module has an edge.
-        (load_calibration, {"edges": [], "num_physical": -1}, "num_physical"),
-        (load_topology, {"module": {"qubits": -2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 2}, "qubits"),
-        (load_topology, {"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2}, "edges"),
+        ({"edges": [], "num_physical": -1}, "num_physical"),
+        ({"module": {"qubits": -2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 2}, "qubits"),
+        ({"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2}, "edges"),
     ])
-    def test_mistyped_field_names_it_and_the_file(self, tmp_path, loader, payload, key):
+    def test_mistyped_field_names_it_and_the_file(self, tmp_path, payload, key):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(TopologyError, match=f"bad '{key}' value .* in .*typed.json"):
-            loader(path)
+            load_topology(path)
         with pytest.raises(TopologyError, match=f"bad '{key}' value"):
-            loader(payload)
+            load_topology(payload)
 
     @pytest.mark.parametrize("payload, key", [
         ({"module": "4q4e", "num_modules": 0}, "num_modules"),
@@ -438,9 +435,8 @@ class TestCalibrationImport:
         file.  `finesse transpile --topology` exits 2 on each."""
         path = tmp_path / "refused.json"
         path.write_text(json.dumps(payload))
-        loader = load_topology if "module" in payload else load_calibration
         with pytest.raises(TopologyError) as error:
-            loader(path)
+            load_topology(path)
         message = str(error.value)
         assert message.endswith(f" in {path}")
         assert key is None or f"bad '{key}' value" in message
@@ -455,7 +451,7 @@ class TestCalibrationImport:
         payload = {"module": {"qubits": 2.0, "edges": [[0.0, 1]], "fidelities": [0.99]}, "num_modules": 2.0}
         exact = {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 2}
         assert load_topology(payload) == load_topology(exact)
-        calibration = load_calibration({"edges": [{"i": 0.0, "j": 1, "error": 0.01}], "num_physical": 2.0})
+        calibration = load_topology({"edges": [{"i": 0.0, "j": 1, "error": 0.01}], "num_physical": 2.0})
         assert calibration.num_physical == 2 and type(calibration.edges[0][0]) is int
 
 

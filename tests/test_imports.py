@@ -2,8 +2,8 @@
 module, no module imports another's private name, every defaulted parameter
 of a src/finesse function is passed by some call in src/, tests/ or
 perfbench/, every function and method is read in src/ or perfbench/ or
-declared in `finesse.__all__`, and importing finesse loads no
-scipy.optimize."""
+declared in `finesse.__all__`, only the one reader of each outside format
+reads a file, and importing finesse loads no scipy.optimize."""
 import ast
 import os
 import re
@@ -136,16 +136,19 @@ def test_every_default_is_passed_by_some_call():
     assert unset_defaults([p.read_text() for p in MODULES], callers) == []
 
 
+def function_nodes(tree: ast.Module):
+    """(class name or None, node) of every function and method a module
+    defines at its top level or in a top-level class."""
+    for node in tree.body:
+        body, cls = (node.body, node.name) if isinstance(node, ast.ClassDef) else ([node], None)
+        yield from ((cls, f) for f in body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
 def defined_functions(tree: ast.Module) -> list[tuple[str | None, str]]:
     """(class name or None, name) of every function and method a module
     defines at its top level or in a top-level class, dunders excepted."""
-    out = []
-    for node in tree.body:
-        body, cls = (node.body, node.name) if isinstance(node, ast.ClassDef) else ([node], None)
-        out.extend((cls, f.name) for f in body
-                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   and not (f.name.startswith("__") and f.name.endswith("__")))
-    return out
+    return [(cls, f.name) for cls, f in function_nodes(tree)
+            if not (f.name.startswith("__") and f.name.endswith("__"))]
 
 
 def read_names(readers: list[str]) -> tuple[set[str], set[str]]:
@@ -209,6 +212,47 @@ def test_every_declared_name_resolves_and_an_unread_one_says_why():
         assert hasattr(finesse, name), name
         if name not in names | attributes:
             assert any(re.fullmatch(rf'\s*"{name}",\s*#.+', line) for line in lines), name
+
+
+# The one reader of each outside format: JSON fixtures and configs, and QASM.
+FILE_READERS = ["hardware.load_json", "qasm.load_qasm"]
+
+
+def file_readers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` or ``module.Class.name`` of each function or method in
+    ``sources`` (module name -> text) whose body calls ``open``,
+    ``read_text`` or ``read_bytes``, by bare name or as an attribute."""
+    return [".".join(filter(None, (module, cls, f.name)))
+            for module, text in sources.items()
+            for cls, f in function_nodes(ast.parse(text))
+            if any(isinstance(c, ast.Call)
+                   and (getattr(c.func, "id", None) or getattr(c.func, "attr", None))
+                   in ("open", "read_text", "read_bytes")
+                   for c in ast.walk(f))]
+
+
+def test_the_check_sees_a_file_reader():
+    source = """
+def load(p):
+    return p.read_text()
+def raw(p):
+    with open(p) as f:
+        return f
+def write(p):
+    p.write_text("x")
+class K:
+    def __init__(self, p):
+        self.raw = open(p)
+    def blob(self, p):
+        def inner():
+            return p.read_bytes()
+        return inner
+"""
+    assert file_readers({"m": source}) == ["m.load", "m.raw", "m.K.__init__", "m.K.blob"]
+
+
+def test_only_the_format_readers_read_files():
+    assert file_readers({p.stem: p.read_text() for p in MODULES}) == FILE_READERS
 
 
 def test_no_module_loads_scipy_optimize():

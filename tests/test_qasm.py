@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finesse.ir import build_dag
-from finesse.qasm import QasmError, parse_qasm, serialize_qasm
+from finesse.qasm import QasmError, load_qasm, parse_qasm, serialize_qasm
 from oracles import arc_set, dag_arcs, reference_angle, same_circuit
 
 
@@ -83,6 +83,14 @@ class TestParse:
         with pytest.raises(QasmError) as err:
             parse_qasm("qreg q[2];\ncx q[0] q[1];")
         assert err.value.line == 2
+
+    def test_a_file_error_names_the_file_ahead_of_its_position(self, tmp_path):
+        path = tmp_path / "bad.qasm"
+        path.write_text("qreg q[2];\ncx q[0] q[1];")
+        with pytest.raises(QasmError) as err:
+            load_qasm(path)
+        assert str(err.value) == f"{path}:2:9: expected ';', found 'q'"
+        assert (err.value.line, err.value.col) == (2, 9)
 
     def test_angle_expressions(self):
         dag = parse_qasm("qreg q[1]; rx(pi/2) q[0]; rz(-3*pi/4) q[0]; ry(2^3) q[0];")
