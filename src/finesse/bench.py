@@ -9,7 +9,9 @@ holds each record without the two percentages, and ``summary.csv`` holds the
 
 A record exists only for a routed circuit that passed statevector
 verification (plus exact tableau comparison for Clifford circuits); a
-verification failure aborts the sweep naming the offending run.
+verification failure aborts the sweep naming the offending run.  The sweep
+builds no routing tables: `run_trials` looks up each circuit's plan and each
+fabric's distances, so the configs may differ in any field.
 """
 from __future__ import annotations
 
@@ -17,12 +19,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from .hardware import CouplingMap, build_distance_set
+from .hardware import CouplingMap
 from .ir import CircuitDag, CLIFFORD_KINDS
 from .qasm import load_qasm
-from .router import RoutePlan, RouterConfig, RoutingResult, run_trials, select_trial
+from .router import RouterConfig, RoutingResult, run_trials, select_trial
 from .verifier import clifford_equivalent, statevector_equivalent
-from .weyl import swap_count
 
 CSV_COLUMNS = (
     "algorithm",
@@ -87,18 +88,15 @@ def run_bench(
     post_modes: tuple[str, ...],
     seed: int,
 ) -> list[dict]:
-    """Route and verify the full cross product, one config per algorithm, all
-    with one basis, beta and extended size; returns one record per selected
-    trial.  Each circuit has one `RoutePlan`, shared by every fabric and
-    algorithm and dropped on return."""
+    """Route and verify the full cross product, one config per algorithm;
+    returns one record per selected trial.  Routes on one circuit share its
+    `RoutePlan` and routes on one fabric its distance set, as `run_trials`
+    looks both up."""
     algorithms = tuple(c.algorithm for c in configs)
     if "sabre" not in algorithms:
         raise BenchError("the sweep needs sabre as the percentage baseline")
-    plans = {name: RoutePlan.build(dag, configs[0].basis, configs[0].extended_size)
-             for name, dag in workloads.items()}
     records: list[dict] = []
     for topo_name, cmap in sorted(topologies.items()):
-        dists = build_distance_set(cmap, swap_count(configs[0].basis), configs[0].beta)
         for circ_name, dag in sorted(workloads.items()):
             if dag.num_qubits > cmap.num_physical:
                 raise BenchError(
@@ -108,8 +106,7 @@ def run_bench(
             verified_ids: set[int] = set()
             for config in configs:
                 algo = config.algorithm
-                trials = run_trials(dag, cmap, config, seed=seed, dists=dists,
-                                    plan=plans[circ_name])
+                trials = run_trials(dag, cmap, config, seed=seed)
                 for mode in post_modes:
                     best = select_trial(trials, replace(config, post_selection=mode))
                     if id(best) not in verified_ids:

@@ -35,7 +35,9 @@ ROUTER_DEFAULTS = RouterConfig()
 
 
 def parse_frequency(value) -> float:
-    """Hz as a number, or strings like '4.2 GHz' / '200MHz'."""
+    """Hz as a number (not a bool), or strings like '4.2 GHz' / '200MHz'."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a frequency")
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).strip().lower().replace(" ", "")

@@ -64,14 +64,13 @@ class PhysicalConstants:
 
     g3: float = TWO_PI * 50e6        # third-order coupler nonlinearity
     lam: float = 0.06                # coupler-qubit hybridization
-    alpha: float = TWO_PI * 200e6    # transmon anharmonicity magnitude
     eps_drive: float = 1.08          # reference pump strength |eta|
     t1: float = 160e-6               # relaxation time, seconds
     anchor_gate_time: float = 250e-9
     anchor_detuning: float = 1e9
 
     def __post_init__(self):
-        for name in ("g3", "lam", "alpha", "eps_drive", "t1", "anchor_gate_time", "anchor_detuning"):
+        for name in ("g3", "lam", "eps_drive", "t1", "anchor_gate_time", "anchor_detuning"):
             value = getattr(self, name)
             if not 0 < value < inf:
                 raise AllocationError(f"{name}={value!r} must be positive and finite")

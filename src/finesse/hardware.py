@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf, log
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -151,19 +152,28 @@ def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.n
 
 @dataclass(frozen=True)
 class DistanceSet:
-    """Precomputed routing distances shared read-only across seeds."""
+    """A fabric's routing distances for one (k_swap, beta), read-only."""
 
     d_hop: np.ndarray
     d_fid: np.ndarray
     d_blend: np.ndarray
-    beta: float
     k_swap: int
 
 
+# cmap -> {(k_swap, beta): set}.  Equal maps share an entry, which goes when
+# the map does: a set holds no reference to its map.
+_DISTANCE_SETS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def build_distance_set(cmap: CouplingMap, k_swap: int, beta: float = 1.0) -> DistanceSet:
-    d_hop = hop_distances(cmap)
-    d_fid = fidelity_distances(cmap, k_swap)
-    return DistanceSet(d_hop, d_fid, blended_distances(d_hop, d_fid, beta), beta, k_swap)
+    """The one distance set of (cmap, k_swap, beta), built on first use."""
+    sets = _DISTANCE_SETS.setdefault(cmap, {})
+    if (k_swap, beta) not in sets:
+        d_hop = hop_distances(cmap)
+        d_fid = fidelity_distances(cmap, k_swap)
+        arrays = (d_hop, d_fid, blended_distances(d_hop, d_fid, beta))
+        sets[k_swap, beta] = DistanceSet(*map(_read_only, arrays), k_swap)
+    return sets[k_swap, beta]
 
 
 @dataclass(frozen=True)
@@ -314,16 +324,16 @@ def load_topology(source) -> CouplingMap:
 
 
 def load_json(source) -> dict:
-    """A JSON file's object (a dict passes through); a missing file, malformed
-    JSON or another top-level value raises TopologyError naming the path."""
+    """A JSON file's object (a dict passes through); a missing, non-UTF-8 or
+    malformed file, or another top-level value, raises TopologyError naming it."""
     if isinstance(source, dict):
         return source
     path = Path(source)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise TopologyError(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8 (RFC 8259)
         raise TopologyError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise TopologyError(f"{path} does not hold a JSON object")

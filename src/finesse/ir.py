@@ -59,7 +59,7 @@ class Gate:
             raise CircuitError(f"{self.kind} expects {expected} wires, got {len(self.wires)}")
         if len(set(self.wires)) != len(self.wires):
             raise CircuitError(f"gate {self.kind} wires must be distinct: {self.wires}")
-        if self.kind == "root_iswap" and (not isinstance(self.n, int) or self.n < 1):
+        if self.kind == "root_iswap" and (type(self.n) is not int or self.n < 1):  # not isinstance: a bool is an int
             raise CircuitError(f"root_iswap order must be a positive integer, got {self.n}")
         if self.kind in PARAM_COUNTS and len(self.params) != PARAM_COUNTS[self.kind]:
             raise CircuitError(f"{self.kind} expects {PARAM_COUNTS[self.kind]} parameter(s)")

@@ -441,13 +441,15 @@ def parse_qasm(text: str) -> CircuitDag:
 
 def load_qasm(path) -> CircuitDag:
     """Parse the OpenQASM file at `path`, the one reader of circuit files.  A
-    missing file, or a QasmError, raises QasmError naming the file, as in
-    ``bad.qasm:4:1: expected ';', found 'cx'``."""
+    missing file, bytes that are not UTF-8, or a QasmError, raises QasmError
+    naming the file, as in ``bad.qasm:4:1: expected ';', found 'cx'``."""
     path = Path(path)
     try:
-        return parse_qasm(path.read_text())
+        return parse_qasm(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise QasmError(f"missing file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise QasmError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except QasmError as exc:
         exc.args = (f"{path}:{exc}",)  # the file ahead of line:col; line and col stay set
         raise

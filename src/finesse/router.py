@@ -37,14 +37,14 @@ decision, so the decision scores the front and the extended set its
 successors will see.  The mirror rule compares absolute sums: written as a
 delta, the FINESSE rule flips on real-valued near-ties that rounding decides.
 
-What depends on the circuit alone is a `RoutePlan`: the DAG and its reverse,
-one lookahead memo per direction (front ids -> the front's wire-table rows,
-then its extended set's, for one extended size) and, for one basis, each
-wire-table row's decomposition count as placed and as mirrored.  Every trial
-and pass over the circuit shares it, so each front's set is walked once per
-plan, and no pass asks `weyl.gate_count`.  `run_trials` builds one when it
-is given none and drops it on return; `bench.run_bench` shares one per
-circuit across every fabric and algorithm.
+Each table a route reads has one owner.  The distances are the fabric's:
+`hardware.build_distance_set` keeps one set per (fabric, k_swap, beta).  What
+depends on the circuit alone is its `RoutePlan` per (basis, extended size),
+freed with the DAG: the DAG's reverse, one lookahead memo per direction
+(front ids -> the front's wire-table rows, then its extended set's) and each
+wire-table row's decomposition count as placed and as mirrored.  Every trial,
+pass, fabric and algorithm routing the circuit shares it, so each front's set
+is walked once per plan, and no pass asks `weyl.gate_count`.
 
 The final pass emits a compact record, one `RoutedOp` per op: its kind, its
 physical wires, its source gate (None for a routing swap) and its mirror
@@ -62,6 +62,7 @@ from functools import cached_property
 from math import inf
 from operator import attrgetter
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -125,37 +126,31 @@ def trial_rng(seed: int, trial: int, pass_index: int) -> np.random.Generator:
 @dataclass(frozen=True, eq=False)
 class RoutePlan:
     """What routing one circuit needs that depends on the circuit alone, for
-    one basis and one extended size.  Each pair holds the circuit's entry,
-    then its reverse's: the DAGs, the lookahead memos (front ids -> one
-    read-only intp array of wire-table rows, the front's followed by its
-    extended set's) and the counts, per wire-table row, (k as placed, k
-    mirrored).  The memos fill as passes route, and every trial, fabric and
-    algorithm sharing the plan reads the same arrays; every other field is
-    fixed at `build`."""
+    one basis and one extended size.  ``reverse`` is the circuit reversed;
+    each pair holds the circuit's entry, then its reverse's: the lookahead
+    memos (front ids -> one read-only intp array of wire-table rows, the
+    front's followed by its extended set's) and the counts, per wire-table
+    row, (k as placed, k mirrored).  The memos fill as passes route, and
+    every trial, fabric and algorithm routing the circuit reads the same
+    arrays; the other fields are fixed when `of` builds the plan."""
 
-    basis: BasisGate
-    extended_size: int
-    dags: tuple[CircuitDag, CircuitDag]
+    reverse: CircuitDag
     memos: tuple[dict[tuple[int, ...], np.ndarray], dict[tuple[int, ...], np.ndarray]]
     counts: tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
     @classmethod
-    def build(cls, dag: CircuitDag, basis: BasisGate, extended_size: int) -> "RoutePlan":
-        counts = tuple((gate_count(g, basis), gate_count(g, basis, mirrored=not g.mirrored))
-                       for g in dag.gates if g.is_two_qubit)
-        return cls(basis, extended_size, (dag, dag.reversed()), ({}, {}), (counts, counts[::-1]))
+    def of(cls, dag: CircuitDag, basis: BasisGate, extended_size: int) -> "RoutePlan":
+        """``dag``'s one plan for (basis, extended_size), built on first use
+        and freed with ``dag``: the plan holds no reference to it."""
+        plans = _PLANS.setdefault(dag, {})
+        if (basis, extended_size) not in plans:
+            counts = tuple((gate_count(g, basis), gate_count(g, basis, mirrored=not g.mirrored))
+                           for g in dag.gates if g.is_two_qubit)
+            plans[basis, extended_size] = cls(dag.reversed(), ({}, {}), (counts, counts[::-1]))
+        return plans[basis, extended_size]
 
-    def direction(self, dag: CircuitDag, config: RouterConfig) -> int:
-        """0 if ``dag`` is the plan's circuit, 1 if it is its reverse.  A DAG,
-        basis or extended size the plan was not built for is refused by name."""
-        for name, have, want in (("basis", self.basis, config.basis),
-                                 ("extended_size", self.extended_size, config.extended_size)):
-            if have != want:
-                raise RoutingError(f"route plan {name} is {have!r}, the config needs {want!r}")
-        for side, planned in enumerate(self.dags):
-            if planned is dag:
-                return side
-        raise RoutingError("route plan dag is neither the routed circuit nor its reverse")
+
+_PLANS: WeakKeyDictionary = WeakKeyDictionary()  # dag -> {(basis, extended_size): plan}
 
 
 class RoutedOp(NamedTuple):
@@ -194,7 +189,7 @@ class _Pass:
         allow_mirror: bool,
         plan: RoutePlan,
     ):
-        side = plan.direction(dag, config)
+        side = dag is plan.reverse
         self.dag = dag
         self.memo, self.counts = plan.memos[side], plan.counts[side]
         self.cmap = cmap
@@ -203,7 +198,7 @@ class _Pass:
         self.rng = rng
         self.layout = layout.copy()
         self.allow_mirror = allow_mirror and config.algorithm in MIRRORING and config.aggression > 0
-        self.matrix = dists.d_blend if config.uses_blend else dists.d_hop.astype(float)
+        self.matrix = dists.d_blend if config.uses_blend else dists.d_hop
         self.preds = dag.predecessor_counts()
         self.rows, self.wires = dag.two_qubit_rows, dag.wire_table
         self.front: list[Gate] = []  # ready 2q gates, sorted by id
@@ -307,8 +302,8 @@ class _Pass:
         """Unnormalized front sum plus W-weighted extended-set average, one
         column per candidate."""
         total = _ordered_sum(front_vals)
-        if len(ext_vals):
-            total += self.config.w * _ordered_sum(ext_vals) / len(ext_vals)
+        if len(ext_vals):  # not +=: hop distances sum as integers
+            total = total + self.config.w * _ordered_sum(ext_vals) / len(ext_vals)
         return total
 
     def _select_swap(self, front_pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -469,37 +464,29 @@ def run_trials(
     config: RouterConfig,
     seed: int = 0,
     dists: DistanceSet | None = None,
-    plan: RoutePlan | None = None,
 ) -> list[RoutingResult]:
     """Route num_seeds independent trials: random layout, then forward,
     reverse, forward passes; the last pass emits the circuit and scores it.
-    ``plan`` is the circuit's `RoutePlan`, which the caller may share across
-    calls; without one the call builds its own and drops it on return."""
+    The fabric's distance set and the circuit's `RoutePlan` are looked up, so
+    every call on one fabric or circuit shares them.  ``dists`` may be given
+    only as the set `build_distance_set` returns for the fabric and config."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise RoutingError(f"seed must be an integer >= 0, not {seed!r}")
     n_log, n_phys = dag.num_qubits, cmap.num_physical
     if n_log > n_phys:
         raise RoutingError(f"{n_log} circuit qubits exceed {n_phys} physical qubits")
-    if dists is None:
-        dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
+    own = build_distance_set(cmap, swap_count(config.basis), config.beta)
     # A set built for another fabric or config can leave a pass swapping forever.
-    for name, have, want in (
-        ("shape", dists.d_hop.shape, (n_phys, n_phys)),
-        ("k_swap", dists.k_swap, swap_count(config.basis)),
-        ("beta", dists.beta, config.beta),
-    ):
-        if have != want:
-            raise RoutingError(f"distance set {name} is {have!r}, the fabric and config need {want!r}")
-    if plan is None:
-        plan = RoutePlan.build(dag, config.basis, config.extended_size)
-    reversed_dag = plan.dags[1 - plan.direction(dag, config)]
+    if dists is not None and dists is not own:
+        raise RoutingError("distance set is not the one built for this fabric, k_swap and beta")
+    dists, plan = own, RoutePlan.of(dag, config.basis, config.extended_size)
     trials = []
     for t in range(config.num_seeds):
         perm = trial_rng(seed, t, 0).permutation(n_phys)
         layout = Layout(perm)
         fwd = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 1), layout,
                          emit=False, plan=plan)
-        rev = route_pass(reversed_dag, cmap, dists, config, trial_rng(seed, t, 2),
+        rev = route_pass(plan.reverse, cmap, dists, config, trial_rng(seed, t, 2),
                          fwd.final_layout, emit=False, allow_mirror=False, plan=plan)
         final = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 3),
                            rev.final_layout, emit=True, plan=plan)

@@ -118,7 +118,8 @@ class BasisGate:
     def __post_init__(self):
         if self.kind not in ("cx", "ecr", "iswap", "root_iswap"):
             raise BasisError(f"unsupported basis kind {self.kind!r}")
-        if self.kind == "root_iswap" and (not isinstance(self.n, numbers.Integral) or self.n < 1):
+        if self.kind == "root_iswap" and (isinstance(self.n, bool)
+                                          or not isinstance(self.n, numbers.Integral) or self.n < 1):
             raise BasisError(f"root_iswap order must be an integer >= 1, got {self.n!r}")
 
     @classmethod

@@ -66,6 +66,10 @@ class TestAllocate:
         ({"delta_q": "inf GHz"}, "delta_q"),
         ({"restarts": 0}, "restarts"),
         ({"restarts": -3}, "restarts"),
+        ({"delta_q": True}, "delta_q"),
+        ({"bounds": {"qubit": [True, "5 GHz"]}}, "bounds"),
+        ({"bounds": {"snail": [True, "9 GHz"]}}, "bounds"),
+        ({"constants": {"alpha": 1.0}}, "constants"),  # not a field: no loss reads it
     ])
     def test_bad_config_field_names_it_and_the_file(self, tmp_path, capsys, config, key):
         with pytest.raises(SystemExit) as exc:
@@ -143,6 +147,21 @@ class TestTranspileAndVerify:
         assert code == EXIT_OK and reads.call_count == 1
         payload = json.loads(metrics.read_text())
         assert payload["verified"] is True and sorted(payload["initial_layout"]) == list(range(qubits))
+
+    @pytest.mark.parametrize("position, message", [
+        ("circuit", "{} is not UTF-8 text: invalid start byte at byte 0"),
+        ("topology", "malformed JSON in {}: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ])
+    def test_a_file_that_is_not_utf8_is_usage_error_naming_it(self, tmp_path, capsys, position, message):
+        circuit, topology = tmp_path / "ok.qasm", tmp_path / "ok.json"
+        circuit.write_text(SMALL_QASM)
+        topology.write_text(json.dumps(CALIBRATION))
+        binary = circuit if position == "circuit" else topology
+        binary.write_bytes(b"\xff\xfe")
+        with pytest.raises(SystemExit) as exc:
+            main(["transpile", str(circuit), "--topology", str(topology)])
+        assert exc.value.code == EXIT_USAGE
+        assert message.format(binary) in capsys.readouterr().err
 
     def test_topology_missing_key_is_usage_error(self, tmp_path, capsys):
         circuit, topology = tmp_path / "small.qasm", tmp_path / "bad.json"
@@ -284,6 +303,21 @@ def test_bench_routes_on_a_calibration_snapshot(tmp_path, monkeypatch):
     rows = _csv_rows(Path("bench/results.csv"))
     assert sorted({r["topology"] for r in rows}) == ["4q4e", "cal.json"]
     assert len(rows) == 2 * 2 * 2  # two fabrics x two algorithms x two post-selection modes
+
+
+def test_run_bench_routes_configs_that_differ_in_extended_size_and_beta():
+    """Each config routes on its own plan and distance set: every record is
+    the trial that config selects when it routes a fresh copy alone."""
+    cmap = load_topology("4q4e")
+    configs = (RouterConfig(algorithm="sabre", num_seeds=2),
+               RouterConfig(algorithm="fasst", num_seeds=2, beta=0.5),
+               RouterConfig(algorithm="finesse", num_seeds=2, extended_size=5, beta=2.0))
+    records = bench.run_bench({"small": parse_qasm(SMALL_QASM)}, {"4q4e": cmap}, configs,
+                              ("native",), seed=3)
+    assert [r["algorithm"] for r in records] == ["sabre", "fasst", "finesse"]
+    for record, config in zip(records, configs):
+        alone = router.select_trial(router.run_trials(parse_qasm(SMALL_QASM), cmap, config, seed=3), config)
+        assert {k: record[k] for k in alone.metrics.to_dict()} == alone.metrics.to_dict()
 
 
 def _csv_rows(path):

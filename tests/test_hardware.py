@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -340,6 +341,12 @@ class TestCalibrationImport:
         with pytest.raises(TopologyError, match="malformed JSON in .*broken.json"):
             load_topology(path)
 
+    def test_a_file_that_is_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(TopologyError, match=f"^malformed JSON in {re.escape(str(path))}: 'utf-8' codec"):
+            load_topology(path)
+
     @pytest.mark.parametrize("version", ["x", None, [1], 1.5, True])
     def test_non_integer_format_version(self, version):
         with pytest.raises(TopologyError, match="unsupported format_version"):
@@ -459,6 +466,21 @@ def test_distance_set_builder():
     ds = build_distance_set(triangle(), k_swap=3, beta=1.0)
     assert ds.d_blend[0][2] == pytest.approx(ds.d_hop[0][2] + ds.d_fid[0][2])
     assert np.array_equal(ds.d_blend.T, ds.d_blend)
+
+
+def test_equal_fabrics_share_one_read_only_distance_set():
+    """One set per (fabric, k_swap, beta): equal maps get the same object,
+    another k_swap or beta another set, and no array takes a write."""
+    fabric, equal = fabric_suite(), fabric_suite()
+    assert equal["4q4e"] == fabric["4q4e"] and equal["4q4e"] is not fabric["4q4e"]
+    ds = build_distance_set(fabric["4q4e"], 3)
+    assert build_distance_set(equal["4q4e"], 3, 1.0) is ds
+    assert build_distance_set(fabric["4q5e"], 3) is not ds
+    assert build_distance_set(fabric["4q4e"], 4) is not ds
+    assert build_distance_set(fabric["4q4e"], 3, 0.5) is not ds
+    for array in (ds.d_hop, ds.d_fid, ds.d_blend):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 1] = 0
 
 
 # sha256 of d_hop, d_fid and d_blend bytes for the Table-3 fabrics at the

@@ -50,6 +50,8 @@ class TestGate:
     def test_root_iswap_order_positive(self):
         with pytest.raises(CircuitError):
             Gate(id=0, kind="root_iswap", wires=(0, 1), n=0)
+        with pytest.raises(CircuitError, match="got True"):
+            Gate(id=0, kind="root_iswap", wires=(0, 1), n=True)
         assert Gate(id=0, kind="root_iswap", wires=(0, 1), n=3).n == 3
 
     def test_unitary_kind_checks_matrix(self):

@@ -92,6 +92,13 @@ class TestParse:
         assert str(err.value) == f"{path}:2:9: expected ';', found 'q'"
         assert (err.value.line, err.value.col) == (2, 9)
 
+    def test_a_file_that_is_not_utf8_is_refused_naming_it(self, tmp_path):
+        path = tmp_path / "bin.qasm"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(QasmError) as err:
+            load_qasm(path)
+        assert str(err.value) == f"{path} is not UTF-8 text: invalid start byte at byte 0"
+
     def test_angle_expressions(self):
         dag = parse_qasm("qreg q[1]; rx(pi/2) q[0]; rz(-3*pi/4) q[0]; ry(2^3) q[0];")
         assert dag.gates[0].params == (pi / 2,)

@@ -4,8 +4,10 @@ the memoised extended set against a copying walk and against the front
 alone, routed circuits against the statevector verifier, the route plan and
 the compact record against fresh routes and the circuit they build, trial
 selection, and a pinned golden route."""
+import gc
 import hashlib
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 from math import pi
@@ -60,7 +62,7 @@ def _random_pass(rng, algorithm, *counts, aggression=2):
         lists.append(_random_gates(rng, n, int(rng.integers(low, high)), start))
         start += len(lists[-1])
     dag = CircuitDag(n, [g for gates in lists for g in gates])
-    plan = RoutePlan.build(dag, config.basis, config.extended_size)
+    plan = RoutePlan.of(dag, config.basis, config.extended_size)
     p = router._Pass(dag, cmap, dists, config, rng, layout, emit=False, allow_mirror=True, plan=plan)
     return p, lists
 
@@ -334,7 +336,7 @@ class TestLookaheadMemo:
         cmap, dag = _random_routing_case(rng, 40)
         config = RouterConfig(algorithm="sabre", extended_size=size)
         dists = build_distance_set(cmap, swap_count(config.basis), config.beta)
-        plan = RoutePlan.build(dag, config.basis, config.extended_size)
+        plan = RoutePlan.of(dag, config.basis, config.extended_size)
         seen = {}
         for _ in range(3):
             p = router._Pass(dag, cmap, dists, config, rng, Layout(range(cmap.num_physical)),
@@ -346,20 +348,16 @@ class TestLookaheadMemo:
                 assert ids == [g.id for g in alone]
 
     def test_each_front_is_walked_once_per_call(self, fabric_4q4e):
-        dag = SUITE["qft_10"]()
-        walks = Counter()
-        with patch.object(router, "extended_set", _counting_walks(walks)):
-            for algorithm in ALGORITHMS:
-                config = RouterConfig(algorithm=algorithm, num_seeds=4)
-                calls = []
-                for _ in range(2):
-                    walks.clear()
-                    run_trials(dag, fabric_4q4e, config)
-                    assert walks and max(walks.values()) == 1
-                    calls.append(sum(walks.values()))
-                # Without a plan the call's own is dropped with it: the next
-                # call walks again.
-                assert calls[0] == calls[1]
+        """Two calls on one DAG walk each front once in all: the second
+        routes the same way on the plan the first filled, and walks none."""
+        for algorithm in ALGORITHMS:
+            dag, walks = SUITE["qft_10"](), Counter()
+            config = RouterConfig(algorithm=algorithm, num_seeds=4)
+            with patch.object(router, "extended_set", _counting_walks(walks)):
+                first = run_trials(dag, fabric_4q4e, config)
+                walked = sum(walks.values())
+                assert _route(run_trials(dag, fabric_4q4e, config)) == _route(first)
+            assert walks and max(walks.values()) == 1 and sum(walks.values()) == walked
 
 
 def _route(results):
@@ -376,15 +374,15 @@ class TestRoutePlan:
         """The LF summed as the final pass emits is `lf_cost` of the circuit
         the record builds, repr for repr, and the record's depth is the
         circuit's; routes that share one plan across the four algorithms
-        equal fresh routes."""
+        equal routes of a fresh copy of the circuit."""
         rng = np.random.default_rng(seed)
         cmap, dag = _random_routing_case(rng, 30)
         base = RouterConfig(num_seeds=trials, aggression=aggression)
-        plan = RoutePlan.build(dag, base.basis, base.extended_size)
         for algorithm in ALGORITHMS:
             config = replace(base, algorithm=algorithm)
-            shared = run_trials(dag, cmap, config, seed=seed, plan=plan)
-            assert _route(shared) == _route(run_trials(dag, cmap, config, seed=seed))
+            shared = run_trials(dag, cmap, config, seed=seed)
+            fresh = CircuitDag(dag.num_qubits, dag.gates)
+            assert _route(shared) == _route(run_trials(fresh, cmap, config, seed=seed))
             for result in shared:
                 assert repr(result.metrics.lf_cost) == repr(lf_cost(result.circuit, cmap, config.basis))
                 assert result.metrics.depth == circuit_depth(result.circuit)
@@ -397,9 +395,9 @@ class TestRoutePlan:
         rng = np.random.default_rng(seed)
         dag = _random_circuit(rng, int(rng.integers(2, 6)), int(rng.integers(1, 40)))
         basis = BasisGate.from_name(basis)
-        plan = RoutePlan.build(dag, basis, 20)
-        assert plan.dags[0] is dag and [g.id for g in plan.dags[1].gates] == [g.id for g in dag.gates][::-1]
-        for planned, counts in zip(plan.dags, plan.counts):
+        plan = RoutePlan.of(dag, basis, 20)
+        assert [g.id for g in plan.reverse.gates] == [g.id for g in dag.gates][::-1]
+        for planned, counts in zip((dag, plan.reverse), plan.counts):
             rows = planned.two_qubit_rows
             assert len(counts) == len(rows)
             for g in planned.gates:
@@ -408,25 +406,27 @@ class TestRoutePlan:
                     assert counts[rows[g.id]] == (gate_count(g, basis), gate_count(flipped, basis))
 
     def test_each_front_is_walked_once_per_plan(self):
-        """One plan shared by routes on two fabrics, four algorithms and two
-        seeds walks each front once, and its memos hold exactly the walks."""
+        """Routes on two fabrics, four algorithms and two seeds share the
+        circuit's one plan, which walks each front once, and its memos hold
+        exactly the walks.  Another extended size or basis has its own plan."""
         dag, suite = SUITE["qft_10"](), fabric_suite()
         config = RouterConfig(num_seeds=4)
-        plan = RoutePlan.build(dag, config.basis, config.extended_size)
         walks = Counter()
         with patch.object(router, "extended_set", _counting_walks(walks)):
             for fabric in ("4q4e", "5q7e"):
                 for algorithm in ALGORITHMS:
                     for seed in (0, 1):
-                        run_trials(dag, suite[fabric], replace(config, algorithm=algorithm),
-                                   seed=seed, plan=plan)
+                        run_trials(dag, suite[fabric], replace(config, algorithm=algorithm), seed=seed)
+        plan = RoutePlan.of(dag, config.basis, config.extended_size)
         assert walks and max(walks.values()) == 1
         assert sum(walks.values()) == len(plan.memos[0]) + len(plan.memos[1])
+        assert RoutePlan.of(dag, config.basis, 5) is not plan
+        assert RoutePlan.of(dag, BasisGate("cx"), config.extended_size) is not plan
 
     def test_an_unread_trial_builds_no_dag(self, fabric_4q4e):
         dag = SUITE["wstate_08"]()
         config = RouterConfig(algorithm="finesse", num_seeds=3)
-        plan = RoutePlan.build(dag, config.basis, config.extended_size)
+        RoutePlan.of(dag, config.basis, config.extended_size)  # builds the reverse
         builds, build = [], CircuitDag.__init__
 
         def counted(self, *args, **kwargs):
@@ -434,7 +434,7 @@ class TestRoutePlan:
             build(self, *args, **kwargs)
 
         with patch.object(CircuitDag, "__init__", counted):
-            results = run_trials(dag, fabric_4q4e, config, plan=plan)
+            results = run_trials(dag, fabric_4q4e, config)
             assert builds == []
             circuit = results[1].circuit
             assert builds == [circuit] and results[1].circuit is circuit
@@ -446,9 +446,9 @@ class TestRoutePlan:
         refuses a write."""
         dag = SUITE["qft_10"]()
         config = RouterConfig(algorithm="finesse", num_seeds=2)
-        plan = RoutePlan.build(dag, config.basis, config.extended_size)
-        run_trials(dag, fabric_4q4e, config, plan=plan)
-        for planned, memo in zip(plan.dags, plan.memos):
+        run_trials(dag, fabric_4q4e, config)
+        plan = RoutePlan.of(dag, config.basis, config.extended_size)
+        for planned, memo in zip((dag, plan.reverse), plan.memos):
             assert memo
             gate, rows = planned.gate, planned.two_qubit_rows
             for key, scored in memo.items():
@@ -460,14 +460,15 @@ class TestRoutePlan:
                 with pytest.raises(ValueError, match="read-only"):
                     scored[0] = 0
 
-    @pytest.mark.parametrize("field", ["dag", "basis", "extended_size"])
-    def test_a_plan_for_another_circuit_or_config_is_refused(self, fabric_4q4e, field):
-        dag, config = SUITE["wstate_08"](), RouterConfig(num_seeds=1)
-        fields = {"dag": dag, "basis": config.basis, "extended_size": config.extended_size}
-        fields[field] = {"dag": SUITE["wstate_08"](), "basis": BasisGate("cx"), "extended_size": 5}[field]
-        plan = RoutePlan.build(**fields)
-        with pytest.raises(router.RoutingError, match=f"^route plan {field} "):
-            run_trials(dag, fabric_4q4e, config, plan=plan)
+    def test_a_routed_circuit_and_its_fabric_are_freed(self):
+        """The plan and the distance set a route leaves behind hold neither
+        the circuit nor the fabric, so both go once the caller drops them."""
+        dag, cmap = SUITE["wstate_08"](), fabric_suite()["4q4e"]
+        run_trials(dag, cmap, RouterConfig(algorithm="finesse", num_seeds=1))
+        refs = weakref.ref(dag), weakref.ref(cmap)
+        del dag, cmap
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 def _trial(index, lf_cost, depth, swaps):
@@ -535,17 +536,20 @@ def test_golden_route(fabric_4q4e, workload, algorithm, trials):
     assert [repr(r.metrics.lf_cost) for r in results] == costs
 
 
-@pytest.mark.parametrize("fabric, extra_k, beta, field", [
-    ("4q4e", 0, 1.0, "shape"),  # 16 qubits against the 15 of 5q7e
-    ("5q7e", 1, 1.0, "k_swap"),
-    ("5q7e", 0, 0.5, "beta"),
+@pytest.mark.parametrize("fabric, extra_k, beta, routed", [
+    pytest.param("4q4e", 0, 1.0, "5q7e", id="4q4e-0-1.0-shape"),  # 16 qubits against 15
+    pytest.param("5q7e", 1, 1.0, "5q7e", id="5q7e-1-1.0-k_swap"),
+    pytest.param("5q7e", 0, 0.5, "5q7e", id="5q7e-0-0.5-beta"),
+    pytest.param("4q5e", 0, 1.0, "4q4e", id="4q5e-0-1.0-same-size"),  # 16 qubits each
 ])
-def test_a_distance_set_for_another_fabric_or_config_is_refused(fabric, extra_k, beta, field):
+def test_a_distance_set_for_another_fabric_or_config_is_refused(fabric, extra_k, beta, routed):
     config = RouterConfig(num_seeds=1)
     suite = fabric_suite()
     dists = build_distance_set(suite[fabric], swap_count(config.basis) + extra_k, beta)
-    with pytest.raises(router.RoutingError, match=f"distance set {field} is"):
-        run_trials(SUITE["wstate_08"](), suite["5q7e"], config, dists=dists)
+    with pytest.raises(router.RoutingError, match="^distance set is not the one built for"):
+        run_trials(SUITE["wstate_08"](), suite[routed], config, dists=dists)
+    own = build_distance_set(suite[routed], swap_count(config.basis), config.beta)
+    assert run_trials(SUITE["wstate_08"](), suite[routed], config, dists=own)
 
 
 @pytest.mark.parametrize("name, value", [

@@ -149,6 +149,7 @@ class TestBasisNames:
         ("bogus", 1, "unsupported basis kind 'bogus'"),
         ("root_iswap", 0, "root_iswap order must be an integer >= 1, got 0"),
         ("root_iswap", 2.5, "root_iswap order must be an integer >= 1, got 2.5"),
+        ("root_iswap", True, "root_iswap order must be an integer >= 1, got True"),
     ])
     def test_bad_kind_or_order_is_a_basis_error(self, kind, n, message):
         with pytest.raises(BasisError) as err:
