@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import freqalloc as fa
 from .hardware import as_integer, fabric_suite, load_json, load_topology, read_field
 from .qasm import load_qasm, serialize_qasm
-from .router import ALGORITHMS, RouterConfig, transpile
+from .router import ALGORITHMS, RouterConfig, RoutingError, transpile
 from .verifier import (
     DEFAULT_TOL,
     UNITARY_WIDTH_LIMIT,
@@ -151,31 +151,27 @@ def cmd_allocate(args) -> int:
 # --- transpile ------------------------------------------------------------
 
 
-def _check_routing_options(args):
-    """--seeds and --beta are checked here, so that each error names its option."""
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be at least 1, not {args.seeds}")
-    if not 0 <= args.beta < inf:
-        raise ValueError(f"--beta must be finite and nonnegative, not {args.beta!r}")
+ROUTER_OPTIONS = {"num_seeds": "--seeds", "beta": "--beta", "extended_size": "--extended-size",
+                  "aggression": "--aggression"}
 
 
-def _router_config(args) -> RouterConfig:
-    _check_routing_options(args)
-    return RouterConfig(
-        algorithm=args.algorithm,
-        num_seeds=args.seeds,
-        beta=args.beta,
-        extended_size=args.extended_size,
-        aggression=args.aggression,
-        post_selection=args.post_selection,
-        basis=BasisGate.from_name(args.basis),
-    )
+def _router_config(**fields) -> RouterConfig:
+    """RouterConfig(**fields); a field it refuses is named by its option."""
+    try:
+        return RouterConfig(**fields)
+    except RoutingError as exc:
+        name, _, reason = str(exc).partition(" ")
+        raise RoutingError(f"{ROUTER_OPTIONS.get(name, name)} {reason}") from exc
 
 
 def cmd_transpile(args) -> int:
     dag = load_qasm(args.circuit)
     cmap = load_topology(args.topology)
-    config = _router_config(args)
+    config = _router_config(
+        algorithm=args.algorithm, num_seeds=args.seeds, beta=args.beta,
+        extended_size=args.extended_size, aggression=args.aggression,
+        post_selection=args.post_selection, basis=BasisGate.from_name(args.basis),
+    )
     result = transpile(dag, cmap, config, seed=args.seed)
     bench_mod.verify_result(dag, result, seed=args.seed)
     routed_text = serialize_qasm(result.circuit)
@@ -204,9 +200,8 @@ def cmd_bench(args) -> int:
     # no files behind; swap_count refuses a basis that cannot route a SWAP.
     basis = BasisGate.from_name(args.basis)
     swap_count(basis)
-    _check_routing_options(args)
     configs = tuple(
-        RouterConfig(algorithm=algo, num_seeds=args.seeds, basis=basis, beta=args.beta)
+        _router_config(algorithm=algo, num_seeds=args.seeds, basis=basis, beta=args.beta)
         for algo in args.algorithms.split(",")
     )
     if "sabre" not in (c.algorithm for c in configs):

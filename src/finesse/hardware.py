@@ -150,14 +150,36 @@ def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.n
     return d_hop.astype(float) + beta * d_fid
 
 
-@dataclass(frozen=True)
+def _swap_tables(matrix: np.ndarray, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    (num_edges, n), now = moves.shape, matrix.reshape(-1, 1)
+    after = matrix[moves[:, :, None], moves[:, None, :]].reshape(num_edges, n * n).T
+    absolute = np.concatenate((after, now), axis=1)  # row-major: a gather reads whole rows
+    return _read_only(absolute), _read_only(absolute[:, :-1] - now)
+
+
+@dataclass(frozen=True, eq=False)
 class DistanceSet:
-    """A fabric's routing distances for one (k_swap, beta), read-only."""
+    """A fabric's routing distances for one (k_swap, beta), read-only and equal
+    only to itself.  ``hop_tables`` and ``blend_tables`` are (absolute, delta)
+    over flat pairs a·n + b, built on first read: ``absolute[a·n + b, e]`` is
+    the matrix at (a, b) after a swap on edge e (``swap_moves``, the map's
+    table, which holds no reference to it), column E is the entry now, and
+    ``delta`` is after - now.  That is n²·(2E+1) entries per kind: about
+    113 KB for 4q6e, but 37 MB for a 127-qubit heavy-hex."""
 
     d_hop: np.ndarray
     d_fid: np.ndarray
     d_blend: np.ndarray
     k_swap: int
+    swap_moves: np.ndarray
+
+    @cached_property
+    def hop_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return _swap_tables(self.d_hop, self.swap_moves)
+
+    @cached_property
+    def blend_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return _swap_tables(self.d_blend, self.swap_moves)
 
 
 # cmap -> {(k_swap, beta): set}.  Equal maps share an entry, which goes when
@@ -172,7 +194,7 @@ def build_distance_set(cmap: CouplingMap, k_swap: int, beta: float = 1.0) -> Dis
         d_hop = hop_distances(cmap)
         d_fid = fidelity_distances(cmap, k_swap)
         arrays = (d_hop, d_fid, blended_distances(d_hop, d_fid, beta))
-        sets[k_swap, beta] = DistanceSet(*map(_read_only, arrays), k_swap)
+        sets[k_swap, beta] = DistanceSet(*map(_read_only, arrays), k_swap, cmap.swap_moves)
     return sets[k_swap, beta]
 
 

@@ -9,7 +9,7 @@ gates as one integer table.
 """
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -250,7 +250,11 @@ class Layout:
     __slots__ = ("_v2p", "_p2v", "_v2p_array")
 
     def __init__(self, virtual_to_physical: Sequence[int]):
-        v2p = [operator.index(p) for p in virtual_to_physical]
+        v2p = []
+        for v, p in enumerate(virtual_to_physical):
+            if isinstance(p, bool) or not isinstance(p, numbers.Integral):  # numpy integers pass
+                raise CircuitError(f"layout position {v} must hold an integer, not {p!r}")
+            v2p.append(int(p))
         n = len(v2p)
         if sorted(v2p) != list(range(n)):
             raise CircuitError("layout must be a bijection on 0..n-1")

@@ -12,20 +12,19 @@ A front holds under two gates on average, so numpy call overhead, not
 arithmetic, sets the cost of a step, and a step makes few calls.
 Routability is a dict lookup: `run` executes the first front gate, in id
 order, whose physical pair (read from the layout's list) is a key of
-`CouplingMap.fidelity`.  Scoring works on rows of the DAG's (2q gates, 2)
-wire table.  The plan's memo holds, per front, one read-only array: the
-front's rows, then its extended set's, so their physical pairs are one
-gather (`_pairs`) through the layout's integer array.  The swap candidates
-are the edges incident on the front's physical qubits
-(`CouplingMap.incident`), in `edge_pairs` order, which fixes the tie order.
-`_distances` reads the scoring-matrix entry of every gate now and after a
-swap on each candidate edge (`swap_moves`), shape (gates, candidates), with
-gathers only.  `_heuristic` is one reduction: the front sum plus W times the
-extended-set average, one column per candidate, with the rows added in gate
-order (a pairwise sum would reorder them and move exact ties).
-`_select_swap` reduces after - now; a gate the swap does not touch
-contributes exactly 0.0, so no mask is needed.  A mirror decision scores
-"now" and "mirrored" as two columns of one reduction.
+`CouplingMap.fidelity`.  Scoring reads the distance set's swap tables for
+the algorithm's matrix (`DistanceSet.hop_tables` or `blend_tables`).  The
+plan's memo holds, per front, one read-only array of wire pairs: the front's,
+then its extended set's.  `_scores` maps them through the layout to flat
+physical pairs and gathers their table rows at the wanted columns: one
+gather per score.  The swap candidates are the edges incident on the front's
+physical qubits (`CouplingMap.incident`), in `edge_pairs` order, which fixes
+the tie order; `_select_swap` reads their ``delta`` columns (a gate the swap
+does not touch reads exactly 0, so no mask is needed), and a mirror decision
+the ``absolute`` columns now and after a swap on the gate's edge.
+`_heuristic` is one reduction: the front sum plus W times the extended-set
+average, one column per candidate, with the rows added in gate order (a
+pairwise sum would reorder them and move exact ties).
 
 Predecessor counts are one dict, lowered once per executed gate by
 `ir.retire`; `_retire` has it execute every 1q gate and barrier the moment it
@@ -41,7 +40,7 @@ Each table a route reads has one owner.  The distances are the fabric's:
 `hardware.build_distance_set` keeps one set per (fabric, k_swap, beta).  What
 depends on the circuit alone is its `RoutePlan` per (basis, extended size),
 freed with the DAG: the DAG's reverse, one lookahead memo per direction
-(front ids -> the front's wire-table rows, then its extended set's) and each
+(front ids -> the front's wire pairs, then its extended set's) and each
 wire-table row's decomposition count as placed and as mirrored.  Every trial,
 pass, fabric and algorithm routing the circuit shares it, so each front's set
 is walked once per plan, and no pass asks `weyl.gate_count`.
@@ -128,8 +127,8 @@ class RoutePlan:
     """What routing one circuit needs that depends on the circuit alone, for
     one basis and one extended size.  ``reverse`` is the circuit reversed;
     each pair holds the circuit's entry, then its reverse's: the lookahead
-    memos (front ids -> one read-only intp array of wire-table rows, the
-    front's followed by its extended set's) and the counts, per wire-table
+    memos (front ids -> one read-only (gates, 2) intp array of wire pairs,
+    the front's followed by its extended set's) and the counts, per wire-table
     row, (k as placed, k mirrored).  The memos fill as passes route, and
     every trial, fabric and algorithm routing the circuit reads the same
     arrays; the other fields are fixed when `of` builds the plan."""
@@ -198,11 +197,12 @@ class _Pass:
         self.rng = rng
         self.layout = layout.copy()
         self.allow_mirror = allow_mirror and config.algorithm in MIRRORING and config.aggression > 0
-        self.matrix = dists.d_blend if config.uses_blend else dists.d_hop
+        self.absolute, self.delta = dists.blend_tables if config.uses_blend else dists.hop_tables
+        self.flat = np.array((cmap.num_physical, 1), dtype=np.intp)  # (a, b) @ flat = a·n + b
         self.preds = dag.predecessor_counts()
         self.rows, self.wires = dag.two_qubit_rows, dag.wire_table
         self.front: list[Gate] = []  # ready 2q gates, sorted by id
-        self.scored_rows: np.ndarray | None = None  # the front's memo entry
+        self.scored_wires: np.ndarray | None = None  # the front's memo entry
         self.ops: list[RoutedOp] | None = [] if emit else None
         self.lf_cost = 0.0
         self.swap_trace: list[tuple[int, int]] = []
@@ -235,21 +235,21 @@ class _Pass:
 
     def _front_changed(self):
         self.front.sort(key=_gate_id)
-        self.scored_rows = None
+        self.scored_wires = None
 
     def _lookahead(self) -> np.ndarray:
-        """Wire-table rows of the front, then of its extended set: the memo's
+        """Wire pairs of the front, then of its extended set: the memo's
         read-only entry for this front, walked only when the memo lacks it."""
-        if self.scored_rows is None:
+        if self.scored_wires is None:
             key = tuple(g.id for g in self.front)
-            rows = self.memo.get(key)
-            if rows is None:
+            wires = self.memo.get(key)
+            if wires is None:
                 extended = extended_set(self.dag, self.front, self.config.extended_size, self.preds)
-                rows = np.array([self.rows[g.id] for g in self.front + extended], dtype=np.intp)
-                rows.flags.writeable = False
-                self.memo[key] = rows
-            self.scored_rows = rows
-        return self.scored_rows
+                wires = self.wires[[self.rows[g.id] for g in self.front + extended]]
+                wires.flags.writeable = False
+                self.memo[key] = wires
+            self.scored_wires = wires
+        return self.scored_wires
 
     def _execute(self, g: Gate, p0: int, p1: int):
         """Run front gate g on the edge (p0, p1), mirrored if the policy says so."""
@@ -274,8 +274,7 @@ class _Pass:
         if self.config.aggression == 3:
             return True
         k_orig, k_mirr = self.counts[self.rows[g.id]]
-        now, after = self._distances(self._pairs(self._lookahead()), [self.cmap.edge_index[p0, p1]])
-        scored = np.concatenate((now[:, None], after), axis=1)  # columns: now, mirrored
+        scored = self._scores(self.absolute, [len(self.cmap.edge_pairs), self.cmap.edge_index[p0, p1]])
         n = len(self.front)
         score_now, score_mirr = self._heuristic(scored[:n], scored[n:]).tolist()
         if self.config.algorithm == "finesse":
@@ -288,15 +287,11 @@ class _Pass:
         return score_mirr < score_now if self.config.aggression == 1 else score_mirr <= score_now
 
     # scoring ----------------------------------------------------------
-    def _pairs(self, rows: np.ndarray) -> np.ndarray:
-        """Physical (a, b) of each wire-table row under the current layout."""
-        return self.layout.physical_array[self.wires[rows]]
-
-    def _distances(self, pairs: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-        """matrix[a, b] per gate, shape (gates,), and the same entry after a
-        swap on each candidate edge (`edge_pairs` rows), shape (gates, edges)."""
-        moved = self.cmap.swap_moves[edges].T  # (physical, edges)
-        return self.matrix[pairs[:, 0], pairs[:, 1]], self.matrix[moved[pairs[:, 0]], moved[pairs[:, 1]]]
+    def _scores(self, table: np.ndarray, columns) -> np.ndarray:
+        """A swap table's rows at the lookahead's physical pairs under the
+        current layout, one per gate, at ``columns``."""
+        flat = self.layout.physical_array[self._lookahead()] @ self.flat
+        return table[flat[:, None], columns]
 
     def _heuristic(self, front_vals: np.ndarray, ext_vals: np.ndarray) -> np.ndarray:
         """Unnormalized front sum plus W-weighted extended-set average, one
@@ -312,8 +307,7 @@ class _Pass:
         incident = self.cmap.incident
         edges = sorted({e for pair in front_pairs for p in pair for e in incident[p]})
         n = len(self.front)
-        now, after = self._distances(self._pairs(self._lookahead()), edges)
-        delta = after - now[:, None]
+        delta = self._scores(self.delta, edges)
         scores = self._heuristic(delta[:n], delta[n:])
         ties = (scores == scores.min()).nonzero()[0]
         pick = ties[0] if len(ties) == 1 else ties[int(self.rng.integers(len(ties)))]

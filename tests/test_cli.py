@@ -120,6 +120,23 @@ class TestTranspileAndVerify:
         assert sorted(payload["initial_layout"]) == list(range(16))
         assert routed.read_text().startswith("OPENQASM 2.0;")
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seeds", "0", "--seeds must be an integer >= 1, not 0"),
+        ("--beta", "-1", "--beta must be finite and nonnegative, not -1.0"),
+        ("--extended-size", "-1", "--extended-size must be an integer >= 0, not -1"),
+        ("--aggression", "7", "--aggression must be an integer in 0..3, not 7"),
+    ])
+    def test_a_bad_router_option_is_refused_by_its_flag(self, tmp_path, capsys, option, value, message):
+        """Each router option RouterConfig refuses exits 2 with its reason,
+        under the option's name as typed, not the config field's."""
+        circuit, out = tmp_path / "small.qasm", tmp_path / "routed.qasm"
+        circuit.write_text(SMALL_QASM)
+        with pytest.raises(SystemExit) as exc:
+            main(["transpile", str(circuit), "--out", str(out), option, value])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
+        assert not out.exists()
+
     def test_transpile_missing_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "absent.qasm"
         with pytest.raises(finesse.QasmError) as error:
@@ -373,7 +390,7 @@ def test_bench_without_a_two_qubit_gate_aborts_before_writing(tmp_path, capsys):
     ("--basis", "root_iswap_3", "unreachable in <=3 uses of root_iswap_3"),
     ("--algorithms", "sabre,bogus", "unknown algorithm 'bogus'"),
     ("--topologies", "4q4e,nope", "unknown topology 'nope'"),
-    ("--seeds", "0", "--seeds must be at least 1"),
+    ("--seeds", "0", "--seeds must be an integer"),
     ("--beta", "-1", "--beta must be finite and nonnegative"),
     ("--beta", "nan", "--beta must be finite and nonnegative"),
     ("--algorithms", "finesse", "--algorithms must include sabre"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finesse import cli, freqalloc as fa
+from finesse import cli, freqalloc as fa, router
 from finesse.hardware import (
     CouplingMap,
     TABLE3_MODULES,
@@ -21,6 +21,7 @@ from finesse.hardware import (
     hop_distances,
     load_topology,
 )
+from finesse.ir import CircuitDag, Gate, Layout
 from finesse.weyl import BasisGate, swap_count
 from oracles import (
     brute_force_fidelity_distance,
@@ -481,6 +482,62 @@ def test_equal_fabrics_share_one_read_only_distance_set():
     for array in (ds.d_hop, ds.d_fid, ds.d_blend):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 1] = 0
+
+
+def test_a_distance_set_is_equal_only_to_itself():
+    """Sets compare by identity, so == gives a bool and a set is a dict key."""
+    cmap = triangle()
+    ds, other = build_distance_set(cmap, 3), build_distance_set(cmap, 3, 2.0)
+    assert (ds == other) is False and (ds == ds) is True and (ds != other) is True
+    assert {ds: "k3", other: "beta2"}[build_distance_set(cmap, 3, 1.0)] == "k3"
+
+
+def _swap_table_oracle(matrix, cmap):
+    """(absolute, delta) from scalar reads: column e reads matrix at the
+    physical qubits of wires a and b after `Layout.swap_physical` on edge e,
+    the last absolute column reads it with no swap, and delta is after - now
+    one element at a time."""
+    n = cmap.num_physical
+    layouts = [Layout(range(n)) for _ in range(len(cmap.edge_pairs) + 1)]
+    for layout, (p, q) in zip(layouts, cmap.edge_pairs.tolist()):
+        layout.swap_physical(p, q)
+    absolute = [[matrix[lay.physical(a), lay.physical(b)] for lay in layouts]
+                for a in range(n) for b in range(n)]
+    delta = [[after - row[-1] for after in row[:-1]] for row in absolute]
+    return np.array(absolute, dtype=matrix.dtype), np.array(delta, dtype=matrix.dtype)
+
+
+class TestSwapTables:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_tables_equal_scalar_reads_after_each_swap(self, seed):
+        """Both kinds, hop (int64) and blend (float), equal the scalar oracle
+        bit for bit over flat rows a·n + b, and refuse a write."""
+        rng = np.random.default_rng(seed)
+        cmap = random_connected_map(rng)
+        ds = build_distance_set(cmap, int(rng.integers(1, 4)), float(rng.uniform(0.0, 2.0)))
+        n, num_edges = cmap.num_physical, len(cmap.edge_pairs)
+        for matrix, tables in ((ds.d_hop, ds.hop_tables), (ds.d_blend, ds.blend_tables)):
+            for table, expected, columns in zip(tables, _swap_table_oracle(matrix, cmap),
+                                                (num_edges + 1, num_edges)):
+                assert table.shape == (n * n, columns) and table.dtype == matrix.dtype
+                assert table.tobytes() == expected.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0
+
+    def test_tables_are_built_on_first_read(self):
+        """No table exists when the set is built; a SABRE route builds the
+        hop tables alone, a FINESSE route the blend tables too, each once."""
+        cmap = coupling_map(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0.951, 0.952, 0.953, 0.954])
+        config = router.RouterConfig(algorithm="sabre", num_seeds=2)
+        ds = build_distance_set(cmap, swap_count(config.basis), config.beta)
+        assert "hop_tables" not in vars(ds) and "blend_tables" not in vars(ds)
+        dag = CircuitDag(5, [Gate(id=i, kind="cx", wires=w) for i, w in enumerate([(0, 4), (1, 3), (4, 2)])])
+        router.run_trials(dag, cmap, config)
+        assert "hop_tables" in vars(ds) and "blend_tables" not in vars(ds)
+        hop = ds.hop_tables
+        router.run_trials(dag, cmap, router.RouterConfig(algorithm="finesse", num_seeds=2))
+        assert "blend_tables" in vars(ds) and ds.hop_tables is hop
 
 
 # sha256 of d_hop, d_fid and d_blend bytes for the Table-3 fabrics at the

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,5 +266,17 @@ class TestLayout:
     def test_numpy_permutation_gives_python_ints(self):
         lay = Layout(np.random.default_rng(0).permutation(4))
         assert all(type(p) is int for p in lay.to_list())
-        with pytest.raises(TypeError):
+        with pytest.raises(CircuitError, match=r"^layout position 0 must hold an integer, not 0\.0$"):
             Layout([0.0, 1.0])
+
+    @pytest.mark.parametrize("wires, position", [
+        ([1.0, 0.0], 0), ([True, False], 0), ([0, np.True_], 1), ([1, 0, "2"], 2),
+        ([0, 2.5, 1], 1), ([np.float64(0.0), 1], 0), ([0, None], 1),
+    ])
+    def test_a_wire_that_is_not_an_integer_is_refused_by_position(self, wires, position):
+        """A bool, float, string or None is refused by name and position,
+        never read as the integer it converts to; numpy integers pass."""
+        with pytest.raises(CircuitError, match=f"^layout position {position} must hold an integer, "
+                                               f"not {re.escape(repr(wires[position]))}$"):
+            Layout(wires)
+        assert Layout([np.int64(1), np.int32(0)]).to_list() == [1, 0]

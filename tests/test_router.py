@@ -74,9 +74,15 @@ def _random_gates(rng, n, count, start):
     ]
 
 
-def _rows(p, gates):
-    """The pass's wire-table rows of a gate list."""
-    return np.array([p.rows[g.id] for g in gates], dtype=np.intp)
+def _wires(gates):
+    """The (gates, 2) wire pairs of a gate list, read from the gates."""
+    return np.array([g.wires for g in gates], dtype=np.intp).reshape(-1, 2)
+
+
+def _matrix(p):
+    """The distance matrix the pass's algorithm scores against, read from
+    the distance set, not from its swap tables."""
+    return p.dists.d_blend if p.config.uses_blend else p.dists.d_hop
 
 
 def _swapped(layout, p0, p1):
@@ -91,13 +97,14 @@ class TestLookahead:
     def test_relative_swap_scores_match_oracle(self, seed, algorithm):
         rng = np.random.default_rng(seed)
         p, (front, extended) = _random_pass(rng, algorithm, (1, 6), (0, 21))
-        now, after = p._distances(p._pairs(_rows(p, front + extended)), np.arange(len(p.cmap.edge_pairs)))
-        delta = after - now[:, None]
+        p.scored_wires = _wires(front + extended)
+        delta = p._scores(p.delta, np.arange(len(p.cmap.edge_pairs)))
         k = len(front)
         scores = p._heuristic(delta[:k], delta[k:])
-        base = reference_lookahead(front, extended, p.layout, p.matrix, p.config.w)
+        matrix = _matrix(p)
+        base = reference_lookahead(front, extended, p.layout, matrix, p.config.w)
         for c, (p0, p1) in enumerate(p.cmap.edge_pairs):
-            moved = reference_lookahead(front, extended, _swapped(p.layout, p0, p1), p.matrix, p.config.w)
+            moved = reference_lookahead(front, extended, _swapped(p.layout, p0, p1), matrix, p.config.w)
             assert abs(scores[c] - (moved - base)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -106,15 +113,13 @@ class TestLookahead:
         rng = np.random.default_rng(seed)
         p, (rest, extended) = _random_pass(rng, algorithm, (0, 6), (0, 21))
         p0, p1 = p.cmap.edge_pairs[rng.integers(len(p.cmap.edge_pairs))]
-        now, after = p._distances(p._pairs(_rows(p, rest + extended)), [p.cmap.edge_index[p0, p1]])
+        p.scored_wires = _wires(rest + extended)
+        scored = p._scores(p.absolute, [len(p.cmap.edge_pairs), p.cmap.edge_index[p0, p1]])
         k = len(rest)
-        w = p.config.w
-        assert p._heuristic(now[:k, None], now[k:, None])[0] == reference_lookahead(
-            rest, extended, p.layout, p.matrix, w
-        )
-        assert p._heuristic(after[:k], after[k:])[0] == reference_lookahead(
-            rest, extended, _swapped(p.layout, p0, p1), p.matrix, w
-        )
+        matrix, w = _matrix(p), p.config.w
+        now, mirrored = p._heuristic(scored[:k], scored[k:])
+        assert now == reference_lookahead(rest, extended, p.layout, matrix, w)
+        assert mirrored == reference_lookahead(rest, extended, _swapped(p.layout, p0, p1), matrix, w)
 
     @settings(max_examples=80, deadline=None)
     @given(seed=SEEDS, algorithm=st.sampled_from(router.MIRRORING), aggression=st.integers(1, 3))
@@ -129,10 +134,10 @@ class TestLookahead:
                                                  aggression=aggression)
         k_orig, k_mirr = (int(k) for k in rng.integers(0, 4, size=2))
         p.counts = {p.rows[g.id]: (k_orig, k_mirr)}
-        p.front, p.scored_rows = list(rest), _rows(p, rest + extended)
+        p.front, p.scored_wires = list(rest), _wires(rest + extended)
         p0, p1 = p.cmap.edge_pairs[rng.integers(len(p.cmap.edge_pairs))].tolist()
-        now = reference_lookahead(rest, extended, p.layout, p.matrix, p.config.w)
-        mirrored = reference_lookahead(rest, extended, _swapped(p.layout, p0, p1), p.matrix, p.config.w)
+        now = reference_lookahead(rest, extended, p.layout, _matrix(p), p.config.w)
+        mirrored = reference_lookahead(rest, extended, _swapped(p.layout, p0, p1), _matrix(p), p.config.w)
         if aggression == 3:
             expected = True
         elif algorithm == "finesse":
@@ -156,7 +161,7 @@ class TestListBuiltChoices:
         qubit, in `edge_pairs` order."""
         rng = np.random.default_rng(seed)
         cmap, dag = _random_routing_case(rng, 40)
-        execute, select, distances = router._Pass._execute, router._Pass._select_swap, router._Pass._distances
+        execute, select, scores = router._Pass._execute, router._Pass._select_swap, router._Pass._scores
         scored, steps = [], Counter()
 
         def front_pairs(self):
@@ -184,12 +189,13 @@ class TestListBuiltChoices:
             steps["select"] += 1
             return pick
 
-        def recorded_distances(self, pairs, edges):
-            scored.append(list(edges))
-            return distances(self, pairs, edges)
+        def recorded_scores(self, table, columns):
+            if table is self.delta:  # a swap choice; the mirror rule reads the absolute table
+                scored.append(list(columns))
+            return scores(self, table, columns)
 
         with patch.multiple(router._Pass, _execute=checked_execute, _select_swap=checked_select,
-                            _distances=recorded_distances):
+                            _scores=recorded_scores):
             for algorithm in ALGORITHMS:
                 run_trials(dag, cmap, RouterConfig(algorithm=algorithm, num_seeds=2), seed=seed)
         assert steps["execute"] == 2 * 3 * len(ALGORITHMS) * len(dag.two_qubit_rows)
@@ -270,11 +276,11 @@ def _route_checking_lookahead(dag, cmap, config) -> int:
     lookahead, hits = router._Pass._lookahead, []
 
     def checked(self):
-        hits.append(self.scored_rows is None and tuple(g.id for g in self.front) in self.memo)
-        rows = lookahead(self)
+        hits.append(self.scored_wires is None and tuple(g.id for g in self.front) in self.memo)
+        wires = lookahead(self)
         expected = reference_extended_set(self.dag, self.front, self.config.extended_size, self.preds)
-        assert rows.tolist() == _rows(self, self.front + expected).tolist()
-        return rows
+        assert wires.tolist() == _wires(self.front + expected).tolist()
+        return wires
 
     with patch.object(router._Pass, "_lookahead", checked):
         run_trials(dag, cmap, config)
@@ -442,29 +448,31 @@ class TestRoutePlan:
 
     def test_memo_entries_are_read_only_front_then_extended_rows(self, fabric_4q4e):
         """Each memo entry, shared by every trial, fabric and algorithm that
-        routes on the plan, is the front's rows then its extended set's, and
-        refuses a write."""
+        routes on the plan, is the wire pairs of the front's gates then of
+        its extended set's, and refuses a write."""
         dag = SUITE["qft_10"]()
         config = RouterConfig(algorithm="finesse", num_seeds=2)
         run_trials(dag, fabric_4q4e, config)
         plan = RoutePlan.of(dag, config.basis, config.extended_size)
         for planned, memo in zip((dag, plan.reverse), plan.memos):
             assert memo
-            gate, rows = planned.gate, planned.two_qubit_rows
             for key, scored in memo.items():
-                front = [gate(i) for i in key]
+                front = [planned.gate(i) for i in key]
                 counts = reference_remaining_counts(planned, front)
                 extended = reference_extended_set(planned, front, config.extended_size, counts)
                 assert scored.dtype == np.intp
-                assert scored.tolist() == [rows[g.id] for g in front + extended]
+                assert scored.tolist() == [list(g.wires) for g in front + extended]
                 with pytest.raises(ValueError, match="read-only"):
                     scored[0] = 0
 
     def test_a_routed_circuit_and_its_fabric_are_freed(self):
-        """The plan and the distance set a route leaves behind hold neither
-        the circuit nor the fabric, so both go once the caller drops them."""
+        """The plan and the distance set a route leaves behind, its swap
+        tables built, hold neither the circuit nor the fabric, so both go once
+        the caller drops them."""
         dag, cmap = SUITE["wstate_08"](), fabric_suite()["4q4e"]
-        run_trials(dag, cmap, RouterConfig(algorithm="finesse", num_seeds=1))
+        config = RouterConfig(algorithm="finesse", num_seeds=1)
+        run_trials(dag, cmap, config)
+        assert "blend_tables" in vars(build_distance_set(cmap, swap_count(config.basis), config.beta))
         refs = weakref.ref(dag), weakref.ref(cmap)
         del dag, cmap
         gc.collect()
