@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .hardware import CouplingMap
-from .ir import CircuitDag, CLIFFORD_KINDS
+from .ir import CircuitDag, is_clifford
 from .qasm import load_qasm
 from .router import RouterConfig, RoutingResult, run_trials, select_trial
 from .verifier import clifford_equivalent, statevector_equivalent
@@ -59,10 +59,6 @@ def load_workloads(directory) -> dict[str, CircuitDag]:
     return {p.stem: load_qasm(p) for p in files}
 
 
-def _is_clifford(dag: CircuitDag) -> bool:
-    return all(g.kind in CLIFFORD_KINDS or g.kind == "barrier" for g in dag.gates)
-
-
 def verify_result(dag: CircuitDag, result: RoutingResult, seed: int = 0) -> None:
     ok = statevector_equivalent(
         dag,
@@ -71,7 +67,7 @@ def verify_result(dag: CircuitDag, result: RoutingResult, seed: int = 0) -> None
         seed=seed,
         input_map=result.initial_layout,
     )
-    if ok and _is_clifford(dag):
+    if ok and is_clifford(dag):
         ok = clifford_equivalent(
             dag, result.circuit, result.output_permutation, input_map=result.initial_layout
         )

@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import inf
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import freqalloc as fa
+from .checks import real
 from .hardware import as_integer, fabric_suite, load_json, load_topology, read_field
+from .ir import is_clifford
 from .qasm import load_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, RoutingError, transpile
 from .verifier import (
     DEFAULT_TOL,
+    STATEVECTOR_WIDTH_LIMIT,
     UNITARY_WIDTH_LIMIT,
     clifford_equivalent,
     statevector_equivalent,
@@ -35,41 +37,24 @@ ROUTER_DEFAULTS = RouterConfig()
 
 
 def parse_frequency(value) -> float:
-    """Hz as a number (not a bool), or strings like '4.2 GHz' / '200MHz'."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a frequency")
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip().lower().replace(" ", "")
-    for suffix, scale in (("ghz", 1e9), ("mhz", 1e6), ("khz", 1e3), ("hz", 1.0)):
-        if text.endswith(suffix):
-            return float(text[: -len(suffix)]) * scale
-    return float(text)
+    """Hz, finite and >= 0: a number, or a string like '4.2 GHz' / '200MHz'."""
+    if isinstance(value, str):
+        text, scale = value.strip().lower().replace(" ", ""), 1.0
+        for suffix, unit in (("ghz", 1e9), ("mhz", 1e6), ("khz", 1e3), ("hz", 1.0)):
+            if text.endswith(suffix):
+                text, scale = text[: -len(suffix)], unit
+                break
+        value = float(text) * scale
+    return float(real(value, "a frequency", ValueError))
 
 
 # --- allocate -------------------------------------------------------------
 
 
-def _spacing(value) -> float:
-    """A frequency that is finite and nonnegative (ValueError otherwise)."""
-    hz = parse_frequency(value)
-    if not 0 <= hz < inf:
-        raise ValueError(f"{hz!r} Hz is not a finite, nonnegative spacing")
-    return hz
-
-
-def _seed(value) -> int:
-    """An integer >= 0, from a number or a decimal string (ValueError otherwise)."""
-    seed = as_integer(value)
-    if seed < 0:
-        raise ValueError(f"seed {seed} is negative")
-    return seed
-
-
 def _seed_option(text: str) -> int:
     """--seed's type: the parser names the option in its error."""
     try:
-        return _seed(text)
+        return as_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}") from None
 
@@ -95,9 +80,9 @@ def cmd_allocate(args) -> int:
     modules = read("module_sizes", lambda v: [fa.FreqModule(as_integer(n)) for n in v],
                    [fa.FreqModule(n) for n in (2, 3, 4, 5)])
     k = read("k", lambda v: fa.worst_gate_exclusion(as_integer(v), modules), 0)
-    delta_q = read("delta_q", _spacing, fa.DEFAULT_DELTA_Q)
+    delta_q = read("delta_q", parse_frequency, fa.DEFAULT_DELTA_Q)
     restarts = read("restarts", lambda v: fa.restart_count(as_integer(v)), fa.NM_RESTARTS)
-    seed = args.seed if args.seed is not None else read("seed", _seed, 0)
+    seed = args.seed if args.seed is not None else read("seed", as_integer, 0)
     bounds = read("bounds", _bounds, fa.FrequencyBounds())
     constants = read("constants", lambda v: fa.PhysicalConstants(**v), fa.PhysicalConstants())
     if config.get("fit_params"):
@@ -260,16 +245,18 @@ def cmd_verify(args) -> int:
     perm = _wire_list("--perm", args.perm) if args.perm else list(range(routed.num_qubits))
     input_map = _wire_list("--input-map", args.input_map) if args.input_map else None
     n = max(ref.num_qubits, routed.num_qubits)
-    verdict = {"reference": str(Path(args.reference)), "routed": str(Path(args.routed))}
+    method = args.method
+    if method == "auto":  # past the statevector limit, Clifford circuits still compare exactly
+        method = ("unitary" if n <= UNITARY_WIDTH_LIMIT else
+                  "clifford" if n > STATEVECTOR_WIDTH_LIMIT and is_clifford(ref) and is_clifford(routed)
+                  else "statevector")
+    verdict = {"reference": str(Path(args.reference)), "routed": str(Path(args.routed)), "method": method}
     try:
-        if args.method == "unitary" or (args.method == "auto" and n <= UNITARY_WIDTH_LIMIT):
-            verdict["method"] = "unitary"
+        if method == "unitary":
             ok = unitary_equivalent(ref, routed, perm, tol=args.tol, input_map=input_map)
-        elif args.method == "clifford":
-            verdict["method"] = "clifford"
+        elif method == "clifford":
             ok = clifford_equivalent(ref, routed, perm, input_map=input_map)
         else:
-            verdict["method"] = "statevector"
             ok = statevector_equivalent(
                 ref, routed, perm, tol=args.tol, seed=args.seed, input_map=input_map
             )

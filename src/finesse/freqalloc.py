@@ -22,7 +22,6 @@ oracle, and every restart matches it bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,6 +29,8 @@ from math import inf, pi
 
 import numpy as np
 import scipy.linalg
+
+from .checks import integer, real, seeded_stream
 
 TWO_PI = 2.0 * pi
 
@@ -52,12 +53,6 @@ class PumpPoleError(AllocationError):
     pass
 
 
-def _require_integer(value, what: str) -> None:
-    """Refuse a bool or a non-integer ``value``, naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise AllocationError(f"{what} must be an integer, not {value!r}")
-
-
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Device scales; rates are angular (rad/s), frequencies plain Hz."""
@@ -71,9 +66,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("g3", "lam", "eps_drive", "t1", "anchor_gate_time", "anchor_detuning"):
-            value = getattr(self, name)
-            if not 0 < value < inf:
-                raise AllocationError(f"{name}={value!r} must be positive and finite")
+            real(getattr(self, name), name, AllocationError, positive=True)
         if self.lam >= 0.5:
             raise AllocationError("hybridization lam must stay well below 1 (lam < 0.5)")
 
@@ -184,35 +177,27 @@ class FreqModule:
     gates: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        _require_integer(self.num_qubits, "a module's qubit count")
-        if self.num_qubits < 2:
-            raise AllocationError("a module needs at least two qubits")
+        n = integer(self.num_qubits, "num_qubits", AllocationError, 2)
         if not self.gates:
-            object.__setattr__(self, "gates", tuple(combinations(range(self.num_qubits), 2)))
+            object.__setattr__(self, "gates", tuple(combinations(range(n), 2)))
         seen = set()
         for pos, (a, b) in enumerate(self.gates):
-            ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (a, b))
-            if not (ints and 0 <= min(a, b) < max(a, b) < self.num_qubits) or (min(a, b), max(a, b)) in seen:
+            for v in (a, b):
+                integer(v, f"a qubit of gate pair ({a},{b}) at position {pos}", AllocationError, 0, n - 1)
+            if a == b or (min(a, b), max(a, b)) in seen:
                 raise AllocationError(f"bad or repeated gate pair ({a},{b}) at position {pos}")
             seen.add((min(a, b), max(a, b)))
 
 
-def golomb_frequencies(p: int, c: float, f_min: float) -> list[float]:
-    """Erdos-Turan ruler: f_k = f_min + c*(2*p*k + k^2 mod p), k = 0..p-1.
+def golomb_frequencies(p: int) -> list[float]:
+    """Erdos-Turan ruler: f_k = 2*p*k + k^2 mod p, k = 0..p-1.
 
     Pairwise differences are all distinct when p is prime.
     """
-    _require_integer(p, "p")
-    if p < 2:
-        raise AllocationError("need p >= 2")
-    for name, value in (("scale c", c), ("offset f_min", f_min)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < inf:
-            raise AllocationError(f"{name} must be a finite real, not {value!r}")
-    if c <= 0:
-        raise AllocationError(f"scale c must be positive, not {c!r}")
+    integer(p, "p", AllocationError, 2)
     if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         warnings.warn(f"p={p} is composite; pairwise-difference distinctness not guaranteed", stacklevel=2)
-    return [f_min + c * (2 * p * k + (k * k) % p) for k in range(p)]
+    return [float(2 * p * k + (k * k) % p) for k in range(p)]
 
 
 # Clamps with np.clip's bits, NaN kept: np.maximum(0.0, v) is v on a tie, -0.0 too.
@@ -371,8 +356,8 @@ class CostModelParams:
     inc_x1: float
 
     def __post_init__(self):
-        if not all(0 <= v < inf for v in (self.coh_x0, self.coh_x1, self.inc_x0, self.inc_x1)):
-            raise AllocationError("fit parameters must be finite and nonnegative")
+        for name in ("coh_x0", "coh_x1", "inc_x0", "inc_x1"):
+            real(getattr(self, name), name, AllocationError)
 
     def coherent_for(self, prefactor: float) -> tuple[float, float]:
         return self.coh_x0 * prefactor**2, self.coh_x1 * prefactor
@@ -390,18 +375,15 @@ def calibrate_cost_model(constants: PhysicalConstants = PhysicalConstants()) -> 
 def worst_gate_exclusion(k: int, modules) -> int:
     """k, if dropping the k worst gates leaves each of `modules` (anything with
     `.gates`) at least one."""
-    _require_integer(k, "worst-gate exclusion k")
-    if k < 0 or any(k >= len(m.gates) for m in modules):
-        raise AllocationError(f"worst-gate exclusion k={k} must be >= 0 and leave every module a gate")
+    integer(k, "worst-gate exclusion k", AllocationError, 0)
+    if any(k >= len(m.gates) for m in modules):
+        raise AllocationError(f"worst-gate exclusion k={k} must leave every module a gate")
     return k
 
 
 def restart_count(restarts: int) -> int:
     """restarts, if Nelder-Mead gets at least one."""
-    _require_integer(restarts, "restarts")
-    if restarts < 1:
-        raise AllocationError(f"restarts={restarts} must be at least 1")
-    return restarts
+    return integer(restarts, "restarts", AllocationError, 1)
 
 
 class _CostEvaluator:
@@ -420,11 +402,9 @@ class _CostEvaluator:
     """
 
     def __init__(self, module: FreqModule, params: CostModelParams, k: int, delta_q: float):
-        if not 0 <= delta_q < inf:
-            raise AllocationError(f"spacing delta_q={delta_q!r} must be finite and nonnegative")
         self.params = params
         self.k = worst_gate_exclusion(k, [module])
-        self.delta_q = delta_q
+        self.delta_q = real(delta_q, "spacing delta_q", AllocationError)
         n, g = module.num_qubits, len(module.gates)
         # Catalog order, then key order: the coherent sum adds rows in it.
         i, j, div, keys, x0, x1 = zip(
@@ -694,11 +674,11 @@ def restart_points(n: int, bounds: FrequencyBounds, seed: int, restarts: int) ->
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # composite n is fine for a seed
-        marks = np.array(golomb_frequencies(n, 1.0, 0.0))
+        marks = np.array(golomb_frequencies(n))
     (q_lo, q_hi), (s_lo, s_hi) = bounds.qubit, bounds.snail
     starts = []
-    for child in np.random.SeedSequence(entropy=seed, spawn_key=(0xA110C,)).spawn(restarts):
-        rng = np.random.default_rng(child)
+    for i in range(restarts):
+        rng = seeded_stream(seed, 0xA110C, i)
         span = (q_hi - q_lo) * (0.35 + 0.65 * rng.random())
         qs = q_lo + rng.random() * (q_hi - q_lo - span) + marks / marks[-1] * span
         qs = np.clip(qs + rng.normal(0.0, 0.01 * span, size=n), q_lo, q_hi)
@@ -724,9 +704,7 @@ def optimize_frequencies(
     returned with the report flagged infeasible.
     """
     restart_count(restarts)
-    _require_integer(seed, "seed")
-    if seed < 0:
-        raise AllocationError(f"seed={seed} must be >= 0")
+    integer(seed, "seed", AllocationError, 0)
     if params is None:
         params = calibrate_cost_model()
     ev = _CostEvaluator(module, params, k, delta_q)

@@ -7,18 +7,19 @@ calibration snapshot (per-edge error rates), told by ``edges`` and no ``module``
 from __future__ import annotations
 
 import json
-import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, log
+from math import log
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
+
+from .checks import integer, real
 
 FIDELITY_FLOOR = 1e-10
 FORMAT_VERSION = 1
@@ -37,16 +38,14 @@ class CouplingMap:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        n = self.num_physical
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-            raise TopologyError(f"num_physical must be an integer >= 0, not {n!r}")
+        n = integer(self.num_physical, "num_physical", TopologyError, 0)
         seen = set()
         for i, j, c in self.edges:
+            for p in (i, j):
+                integer(p, f"an endpoint of edge ({i},{j})", TopologyError, 0, n - 1)
             if i == j:
                 raise TopologyError(f"self-loop on qubit {i}")
-            if not (0 <= i < self.num_physical and 0 <= j < self.num_physical):
-                raise TopologyError(f"edge ({i},{j}) out of range")
-            if not 0.0 < c <= 1.0:
+            if real(c, f"the fidelity on ({i},{j})", TopologyError, positive=True) > 1.0:
                 raise TopologyError(f"fidelity {c} on ({i},{j}) outside (0, 1]")
             key = (min(i, j), max(i, j))
             if key in seen:
@@ -136,8 +135,7 @@ def fidelity_distances(cmap: CouplingMap, k_swap: int) -> np.ndarray:
     rounded d[u] + k_swap * L_uv: the weights are nonnegative and rounding is
     monotone, so no order of settling equal-cost paths can change a value.
     """
-    if k_swap < 1:
-        raise TopologyError("k_swap must be a positive integer")
+    integer(k_swap, "k_swap", TopologyError, 1)
     return dijkstra(_graph(cmap, [k_swap * cmap.log_weight[i, j] for i, j, _ in cmap.edges]))
 
 
@@ -145,8 +143,7 @@ def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.n
     """D' = D_hop + beta * D_fid, elementwise."""
     if d_hop.shape != d_fid.shape:
         raise TopologyError(f"shape mismatch {d_hop.shape} vs {d_fid.shape}")
-    if not 0 <= beta < inf:
-        raise TopologyError(f"beta must be finite and nonnegative, not {beta!r}")
+    real(beta, "beta", TopologyError)
     return d_hop.astype(float) + beta * d_fid
 
 
@@ -271,8 +268,7 @@ def build_snail_fabric(spec: ModuleSpec, num_modules: int) -> CouplingMap:
     next and carries the worse of the two modules' worst intra-module
     fidelities (fixture convention; the source fabrics are only pictorial).
     """
-    if num_modules < 1:
-        raise TopologyError("num_modules must be >= 1")
+    integer(num_modules, "num_modules", TopologyError, 1)
     n = spec.qubits_per_module
     edges: list[tuple[int, int, float]] = []
     for m in range(num_modules):
@@ -309,7 +305,7 @@ def _calibration_fabric(data: dict, source) -> CouplingMap:
         e = read_field(rec, "error", _error_rate, "calibration edge", source)
         edges.append((min(i, j), max(i, j), 1.0 - e))
     if "num_physical" in data:
-        num = read_field(data, "num_physical", _count, "calibration", source)
+        num = read_field(data, "num_physical", as_integer, "calibration", source)
     with _naming_file(source):
         return CouplingMap(num, tuple(edges))
 
@@ -333,12 +329,12 @@ def load_topology(source) -> CouplingMap:
         spec = TABLE3_MODULES[mod]
     else:
         fields = (
-            read_field(mod, "qubits", _count, "module", source),
+            read_field(mod, "qubits", as_integer, "module", source),
             read_field(mod, "edges", _module_edges, "module", source),
             read_field(mod, "fidelities", _fidelities, "module", source),
             mod.get("name", "module"),
         )
-    num_modules = read_field(data, "num_modules", _module_count, "topology", source)
+    num_modules = read_field(data, "num_modules", lambda v: as_integer(v, 1), "topology", source)
     with _naming_file(source):  # ModuleSpec and the fabric refuse what no one field shows
         if not isinstance(mod, str):
             spec = ModuleSpec(*fields)
@@ -397,28 +393,12 @@ def read_field(record, key: str, convert, what: str, source):
         ) from exc
 
 
-def as_integer(value) -> int:
-    """int(value) for an integral number or a decimal string; a bool or a
-    float with a fractional part (or not finite) raises ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _count(value) -> int:
-    """as_integer(value), refusing a negative one."""
-    count = as_integer(value)
-    if count < 0:
-        raise ValueError(f"{value!r} is negative")
-    return count
-
-
-def _module_count(value) -> int:
-    """as_integer(value), refusing a fabric of no modules."""
-    count = as_integer(value)
-    if count < 1:
-        raise ValueError(f"{value!r} is below 1")
-    return count
+def as_integer(value, least: int = 0) -> int:
+    """A file's integer at least ``least``: an integer, an integral float or a
+    decimal string; anything else raises ValueError."""
+    if isinstance(value, str) or isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return int(integer(value, "the value", ValueError, least))
 
 
 def _fidelities(value) -> tuple[float, ...]:

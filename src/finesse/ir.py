@@ -9,12 +9,13 @@ gates as one integer table.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .checks import integer
 
 ONE_QUBIT_KINDS = frozenset(
     {"h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u"}
@@ -24,6 +25,11 @@ PARAM_COUNTS = {"rx": 1, "ry": 1, "rz": 1, "u": 3}
 CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap", "iswap"})
 
 UNITARY_TOL = 1e-10
+
+
+def is_clifford(dag: CircuitDag) -> bool:
+    """Whether every gate of ``dag`` is a Clifford or a barrier."""
+    return all(g.kind in CLIFFORD_KINDS or g.kind == "barrier" for g in dag.gates)
 
 
 class CircuitError(ValueError):
@@ -57,10 +63,12 @@ class Gate:
                 raise CircuitError("barrier nodes carry 1 or 2 wires")
         elif len(self.wires) != expected:
             raise CircuitError(f"{self.kind} expects {expected} wires, got {len(self.wires)}")
+        for w in self.wires:
+            integer(w, "a gate wire", CircuitError, 0)
         if len(set(self.wires)) != len(self.wires):
             raise CircuitError(f"gate {self.kind} wires must be distinct: {self.wires}")
-        if self.kind == "root_iswap" and (type(self.n) is not int or self.n < 1):  # not isinstance: a bool is an int
-            raise CircuitError(f"root_iswap order must be a positive integer, got {self.n}")
+        if self.kind == "root_iswap":
+            integer(self.n, "root_iswap order", CircuitError, 1)
         if self.kind in PARAM_COUNTS and len(self.params) != PARAM_COUNTS[self.kind]:
             raise CircuitError(f"{self.kind} expects {PARAM_COUNTS[self.kind]} parameter(s)")
         if self.kind == "unitary":
@@ -95,9 +103,7 @@ class CircuitDag:
     """Immutable gate list plus nearest-successor-per-wire dependency arcs."""
 
     def __init__(self, num_qubits: int, gates: Sequence[Gate]):
-        if num_qubits < 0:
-            raise CircuitError("num_qubits must be nonnegative")
-        self.num_qubits = num_qubits
+        self.num_qubits = integer(num_qubits, "num_qubits", CircuitError, 0)
         self.gates = tuple(gates)
         ids = [g.id for g in self.gates]
         if len(set(ids)) != len(ids):
@@ -250,11 +256,8 @@ class Layout:
     __slots__ = ("_v2p", "_p2v", "_v2p_array")
 
     def __init__(self, virtual_to_physical: Sequence[int]):
-        v2p = []
-        for v, p in enumerate(virtual_to_physical):
-            if isinstance(p, bool) or not isinstance(p, numbers.Integral):  # numpy integers pass
-                raise CircuitError(f"layout position {v} must hold an integer, not {p!r}")
-            v2p.append(int(p))
+        v2p = [int(integer(p, f"layout position {v}", CircuitError, 0))
+               for v, p in enumerate(virtual_to_physical)]
         n = len(v2p)
         if sorted(v2p) != list(range(n)):
             raise CircuitError("layout must be a bijection on 0..n-1")

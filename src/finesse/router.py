@@ -55,7 +55,6 @@ a trial that is never read builds none.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
@@ -65,6 +64,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from .checks import integer, real, seeded_stream
 from .hardware import CouplingMap, DistanceSet, build_distance_set
 from .ir import CircuitDag, Gate, Layout, circuit_depth, extended_set, retire
 from .weyl import BasisGate, gate_count, swap_count
@@ -98,28 +98,14 @@ class RouterConfig:
         if self.post_selection not in ("native", "fidelity"):
             raise RoutingError(f"unknown post-selection {self.post_selection!r}")
         for name in ("beta", "w"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 <= value < inf:
-                raise RoutingError(f"{name} must be finite and nonnegative, not {value!r}")
+            real(getattr(self, name), name, RoutingError)
         for name, least, most in (("extended_size", 0, inf), ("aggression", 0, 3),
                                   ("release_valve_threshold", 1, inf), ("num_seeds", 1, inf)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or not least <= value <= most:
-                bound = f">= {least}" if most == inf else f"in {least}..{most}"
-                raise RoutingError(f"{name} must be an integer {bound}, not {value!r}")
+            integer(getattr(self, name), name, RoutingError, least, most)
 
     @property
     def uses_blend(self) -> bool:
         return self.algorithm in FIDELITY_AWARE
-
-
-def trial_rng(seed: int, trial: int, pass_index: int) -> np.random.Generator:
-    """PCG64 stream for (trial, pass), split off the top-level seed."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial, pass_index))
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,8 +450,7 @@ def run_trials(
     The fabric's distance set and the circuit's `RoutePlan` are looked up, so
     every call on one fabric or circuit shares them.  ``dists`` may be given
     only as the set `build_distance_set` returns for the fabric and config."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise RoutingError(f"seed must be an integer >= 0, not {seed!r}")
+    integer(seed, "seed", RoutingError, 0)
     n_log, n_phys = dag.num_qubits, cmap.num_physical
     if n_log > n_phys:
         raise RoutingError(f"{n_log} circuit qubits exceed {n_phys} physical qubits")
@@ -476,13 +461,13 @@ def run_trials(
     dists, plan = own, RoutePlan.of(dag, config.basis, config.extended_size)
     trials = []
     for t in range(config.num_seeds):
-        perm = trial_rng(seed, t, 0).permutation(n_phys)
+        perm = seeded_stream(seed, t, 0).permutation(n_phys)
         layout = Layout(perm)
-        fwd = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 1), layout,
+        fwd = route_pass(dag, cmap, dists, config, seeded_stream(seed, t, 1), layout,
                          emit=False, plan=plan)
-        rev = route_pass(plan.reverse, cmap, dists, config, trial_rng(seed, t, 2),
+        rev = route_pass(plan.reverse, cmap, dists, config, seeded_stream(seed, t, 2),
                          fwd.final_layout, emit=False, allow_mirror=False, plan=plan)
-        final = route_pass(dag, cmap, dists, config, trial_rng(seed, t, 3),
+        final = route_pass(dag, cmap, dists, config, seeded_stream(seed, t, 3),
                            rev.final_layout, emit=True, plan=plan)
         metrics = TrialMetrics(
             lf_cost=final.lf_cost,

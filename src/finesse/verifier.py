@@ -37,13 +37,12 @@ output wire, so one in |0> that controls a cx fails it.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 import weakref
 
 import numpy as np
 
 from . import gates
+from .checks import integer, real, seeded_stream
 from .ir import CircuitDag, Gate
 from .stabilizer import tableau_of
 
@@ -260,18 +259,8 @@ def _routed_tensor(routed: CircuitDag, amplitudes: np.ndarray, inputs: np.ndarra
     return np.moveaxis(ts.state, data + rest, range(ts.slots))
 
 
-def _check_options(tol, seed: int = 0) -> None:
-    """Refuse a tolerance or seed that cannot give a verdict, and a bool for
-    either."""
-    if isinstance(tol, bool) or not (
-            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
-        raise VerifierError(f"tol must be a finite number >= 0, got {tol!r}")
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise VerifierError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def _haar_states(n: int, seed) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x44A2,)))
+    rng = seeded_stream(seed, 0x44A2)
     z = rng.standard_normal((2**n, NUM_STATES)) + 1j * rng.standard_normal((2**n, NUM_STATES))
     return z / np.linalg.norm(z, axis=0, keepdims=True)
 
@@ -310,7 +299,8 @@ def statevector_equivalent(
     The memo relies on ``CircuitDag`` being immutable: writing into a gate's
     ``matrix`` after a check leaves a stale reference.
     """
-    _check_options(tol, seed)
+    real(tol, "tol", VerifierError)
+    integer(seed, "seed", VerifierError, 0)
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
     if n_ref > STATEVECTOR_WIDTH_LIMIT:
         raise WidthError(f"reference width {n_ref} exceeds {STATEVECTOR_WIDTH_LIMIT}")
@@ -334,7 +324,7 @@ def unitary_equivalent(
     input_map=None,
 ) -> bool:
     """Entrywise P . U_routed = e^{i phi} U_ref on the embedded block."""
-    _check_options(tol)
+    real(tol, "tol", VerifierError)
     n_ref, n_routed = ref.num_qubits, routed.num_qubits
     if max(n_ref, n_routed) > UNITARY_WIDTH_LIMIT:
         raise WidthError(f"width exceeds {UNITARY_WIDTH_LIMIT} for direct unitary comparison")

@@ -8,7 +8,6 @@ the supercontrolled bases (cx, ecr, iswap) and for every iswap root.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import pi
@@ -17,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import gates
+from .checks import integer
 from .ir import UNITARY_TOL, Gate
 
 WEYL_TOL = 1e-8
@@ -118,9 +118,8 @@ class BasisGate:
     def __post_init__(self):
         if self.kind not in ("cx", "ecr", "iswap", "root_iswap"):
             raise BasisError(f"unsupported basis kind {self.kind!r}")
-        if self.kind == "root_iswap" and (isinstance(self.n, bool)
-                                          or not isinstance(self.n, numbers.Integral) or self.n < 1):
-            raise BasisError(f"root_iswap order must be an integer >= 1, got {self.n!r}")
+        if self.kind == "root_iswap":
+            integer(self.n, "root_iswap order", BasisError, 1)
 
     @classmethod
     def root_iswap(cls, n: int) -> "BasisGate":

@@ -70,6 +70,8 @@ class TestAllocate:
         ({"bounds": {"qubit": [True, "5 GHz"]}}, "bounds"),
         ({"bounds": {"snail": [True, "9 GHz"]}}, "bounds"),
         ({"constants": {"alpha": 1.0}}, "constants"),  # not a field: no loss reads it
+        ({"constants": {"t1": True}}, "constants"),  # not T1 = 1 s
+        ({"fit_params": {"coh_x0": True, "coh_x1": 1e4, "inc_x0": 1e6, "inc_x1": 1e5}}, "fit_params"),
     ])
     def test_bad_config_field_names_it_and_the_file(self, tmp_path, capsys, config, key):
         with pytest.raises(SystemExit) as exc:
@@ -122,7 +124,7 @@ class TestTranspileAndVerify:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--seeds", "0", "--seeds must be an integer >= 1, not 0"),
-        ("--beta", "-1", "--beta must be finite and nonnegative, not -1.0"),
+        ("--beta", "-1", "--beta must be a finite real >= 0, not -1.0"),
         ("--extended-size", "-1", "--extended-size must be an integer >= 0, not -1"),
         ("--aggression", "7", "--aggression must be an integer in 0..3, not 7"),
     ])
@@ -199,7 +201,7 @@ class TestTranspileAndVerify:
         assert "bad 'edges' value 5 in" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fixture, message", [
-        ({"num_physical": -1, "edges": []}, "bad 'num_physical' value -1: -1 is negative in"),
+        ({"num_physical": -1, "edges": []}, "bad 'num_physical' value -1: the value must be an integer >= 0, not -1 in"),
         ({"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2},
          "bad 'edges' value []: a module needs at least one edge in"),
     ])
@@ -391,8 +393,8 @@ def test_bench_without_a_two_qubit_gate_aborts_before_writing(tmp_path, capsys):
     ("--algorithms", "sabre,bogus", "unknown algorithm 'bogus'"),
     ("--topologies", "4q4e,nope", "unknown topology 'nope'"),
     ("--seeds", "0", "--seeds must be an integer"),
-    ("--beta", "-1", "--beta must be finite and nonnegative"),
-    ("--beta", "nan", "--beta must be finite and nonnegative"),
+    ("--beta", "-1", "--beta must be a finite real >= 0, not -1.0"),
+    ("--beta", "nan", "--beta must be a finite real >= 0, not nan"),
     ("--algorithms", "finesse", "--algorithms must include sabre"),
 ])
 def test_bench_refuses_a_bad_option_before_writing(tmp_path, capsys, option, value, message):
@@ -418,9 +420,9 @@ def _route(seed):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: _optimize(-1), "seed=-1 must be >= 0"),
-    (lambda: _optimize(1.5), "seed must be an integer, not 1.5"),
-    (lambda: _optimize(True), "seed must be an integer, not True"),
+    (lambda: _optimize(-1), "seed must be an integer >= 0, not -1"),
+    (lambda: _optimize(1.5), "seed must be an integer >= 0, not 1.5"),
+    (lambda: _optimize(True), "seed must be an integer >= 0, not True"),
     (lambda: _route(-1), "seed must be an integer >= 0, not -1"),
     (lambda: _route(1.5), "seed must be an integer >= 0, not 1.5"),
     (lambda: _route(True), "seed must be an integer >= 0, not True"),
@@ -470,6 +472,22 @@ def test_verify_auto_picks_the_unitary_up_to_its_width_limit(tmp_path, capsys):
         path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n')
         assert main(["verify", str(path), str(path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["method"] == method
+
+
+@pytest.mark.parametrize("last, method, code", [("h", "clifford", EXIT_OK), ("t", "statevector", EXIT_FAILED)])
+def test_verify_auto_picks_the_tableau_past_the_statevector_limit(tmp_path, capsys, last, method, code):
+    """A GHZ circuit wider than the statevector limit is compared as a
+    tableau; one T gate makes it non-Clifford, and the width is refused."""
+    width = verifier.STATEVECTOR_WIDTH_LIMIT + 5
+    path = tmp_path / "ghz.qasm"
+    body = "".join(f"cx q[{i}],q[{i + 1}];\n" for i in range(width - 1))
+    path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n{body}{last} q[0];\n')
+    assert main(["verify", str(path), str(path)]) == code
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["method"] == method
+    assert verdict.get("equivalent", False) is (code == EXIT_OK)
+    if code == EXIT_FAILED:
+        assert verdict["error"] == f"reference width {width} exceeds {width - 5}"
 
 
 def test_verify_unitary_past_its_width_limit_reports_the_error(tmp_path, capsys):

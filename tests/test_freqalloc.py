@@ -46,26 +46,26 @@ def coherent_crossing(params, prefactor):
 
 class TestGolomb:
     def test_p3_marks(self):
-        assert fa.golomb_frequencies(3, 1.0, 0.0) == [0.0, 7.0, 13.0]
+        assert fa.golomb_frequencies(3) == [0.0, 7.0, 13.0]
 
     def test_p2_marks_follow_construction(self):
         # 2*p*k + k^2 mod p at p=2, k=1 gives 4 + 1
-        assert fa.golomb_frequencies(2, 1.0, 0.0) == [0.0, 5.0]
+        assert fa.golomb_frequencies(2) == [0.0, 5.0]
 
     def test_p5_all_differences_distinct(self):
-        marks = fa.golomb_frequencies(5, 1e6, 3.3e9)
+        marks = fa.golomb_frequencies(5)
         diffs = [abs(a - b) for i, a in enumerate(marks) for b in marks[i + 1 :]]
         assert len(diffs) == 10 and len(set(diffs)) == 10
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_prime_rulers_distinct(self, p):
-        marks = fa.golomb_frequencies(p, 1.0, 0.0)
+        marks = fa.golomb_frequencies(p)
         diffs = [abs(a - b) for i, a in enumerate(marks) for b in marks[i + 1 :]]
         assert len(set(diffs)) == p * (p - 1) // 2
 
     def test_composite_warns(self):
         with pytest.warns(UserWarning, match="composite"):
-            fa.golomb_frequencies(4, 1.0, 0.0)
+            fa.golomb_frequencies(4)
 
 
 class TestSpectatorCatalog:
@@ -325,7 +325,7 @@ class TestAllocationCost:
 
     @pytest.mark.parametrize("k", [1, -1])
     def test_k_must_leave_a_gate(self, params, k):
-        with pytest.raises(fa.AllocationError, match=f"k={k}"):
+        with pytest.raises(fa.AllocationError, match=f"worst-gate exclusion k.*{k}"):
             fa.allocation_cost(
                 fa.FrequencyAssignment((4e9, 5e9), 4.4e9), fa.FreqModule(2), params, k=k
             )
@@ -690,7 +690,7 @@ class TestFidelityTable:
 
     @pytest.mark.parametrize("drop_worst", [3, -1])
     def test_drop_worst_must_leave_a_gate(self, params, drop_worst):
-        with pytest.raises(fa.AllocationError, match=f"k={drop_worst}"):
+        with pytest.raises(fa.AllocationError, match=f"worst-gate exclusion k.*{drop_worst}"):
             fa.fidelity_table(self._report(params), drop_worst=drop_worst)
 
     def test_empty_module_rejected(self):
@@ -708,15 +708,15 @@ class TestFidelityTable:
     lambda: fa.FreqModule(2, gates=((0, 2),)),
     lambda: fa.FreqModule(2, gates=((0, 1), (1, 0))),
     lambda: fa.FreqModule(3, gates=((True, 2),)),
-    lambda: fa.golomb_frequencies(1, 1.0, 0.0),
-    lambda: fa.golomb_frequencies(3, 0.0, 0.0),
-    lambda: fa.golomb_frequencies(3, True, 0.0),
-    lambda: fa.golomb_frequencies(3, math.nan, 0.0),
-    lambda: fa.golomb_frequencies(3, math.inf, 0.0),
-    lambda: fa.golomb_frequencies(3, "a", 0.0),
-    lambda: fa.golomb_frequencies(3, 1.0, math.nan),
-    lambda: fa.golomb_frequencies(3, 1.0, -math.inf),
-    lambda: fa.golomb_frequencies(3, 1.0, False),
+    lambda: fa.golomb_frequencies(1),
+    lambda: fa.PhysicalConstants(t1=True),
+    lambda: fa.PhysicalConstants(eps_drive="1"),
+    lambda: fa.CostModelParams(True, 0.0, 0.0, 0.0),
+    lambda: fa.CostModelParams(0.0, 0.0, 0.0, None),
+    lambda: fa.FreqModule(3, gates=((0, 1.5),)),
+    lambda: fa.FreqModule(3, gates=((0, np.True_),)),
+    lambda: fa._CostEvaluator(fa.FreqModule(2), _CALIBRATED, 0, True),
+    lambda: fa.optimize_frequencies(fa.FreqModule(2), params=_CALIBRATED, seed=-1),
     lambda: fa.iswap_gate_time(0, 1.0, 1.0, 0.1),
     lambda: fa.max_pump_eta(0.0, fa.PhysicalConstants()),
     lambda: fa.CostModelParams(-1.0, 0.0, 0.0, 0.0),
@@ -745,13 +745,13 @@ def test_bad_inputs_raise_the_typed_error(call):
     (lambda: fa.FreqModule(True), True),
     (lambda: fa.worst_gate_exclusion(True, [fa.FreqModule(3)]), True),
     (lambda: fa.worst_gate_exclusion(1.0, [fa.FreqModule(3)]), 1.0),
-    (lambda: fa.golomb_frequencies(3.0, 1.0, 0.0), 3.0),
-    (lambda: fa.golomb_frequencies(True, 1.0, 0.0), True),
+    (lambda: fa.golomb_frequencies(3.0), 3.0),
+    (lambda: fa.golomb_frequencies(True), True),
 ])
 def test_a_count_must_be_an_integer(call, value):
     """Restarts, qubit counts, exclusion counts and Golomb orders refuse a bool
     or a non-integer before they use it, naming the value."""
-    with pytest.raises(fa.AllocationError, match=f"must be an integer, not {re.escape(repr(value))}$"):
+    with pytest.raises(fa.AllocationError, match=rf"must be an integer >= \d, not {re.escape(repr(value))}$"):
         call()
 
 

@@ -55,6 +55,17 @@ class TestCouplingMap:
         with pytest.raises(TopologyError, match=f"num_physical must be an integer >= 0, not {num_physical!r}"):
             CouplingMap(num_physical, ())
 
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1.5, 0.9), (1, 2, 0.9)), r"an endpoint of edge \(0,1\.5\) must be an integer in 0\.\.2, not 1\.5"),
+        (((0, 1, True), (1, 2, 0.9)), r"the fidelity on \(0,1\) must be a finite real > 0, not True"),
+    ], ids=["float-endpoint", "bool-fidelity"])
+    def test_an_edge_needs_integer_endpoints_and_a_real_fidelity(self, edges, message):
+        """A float endpoint was taken (its fidelity keyed (0, 1.5) while its
+        edge pair read (0, 1), and routing on the map never returned), and a
+        bool fidelity was read as 1."""
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            CouplingMap(3, edges)
+
     def test_rejects_bad_fidelity(self):
         with pytest.raises(TopologyError):
             coupling_map(2, [(0, 1)], [0.0])
@@ -232,7 +243,7 @@ class TestBlended:
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
     def test_beta_must_be_finite_and_nonnegative(self, beta):
-        with pytest.raises(TopologyError, match="beta must be finite and nonnegative"):
+        with pytest.raises(TopologyError, match=f"beta must be a finite real >= 0, not {beta}"):
             blended_distances(np.zeros((2, 2)), np.zeros((2, 2)), beta)
 
 

@@ -3,7 +3,8 @@ module, no module imports another's private name, every defaulted parameter
 of a src/finesse function is passed by some call in src/, tests/ or
 perfbench/, every function and method is read in src/ or perfbench/ or
 declared in `finesse.__all__`, only the one reader of each outside format
-reads a file, and importing finesse loads no scipy.optimize."""
+reads a file, only `finesse.checks` decides what a number is or seeds a
+stream, and importing finesse loads no scipy.optimize."""
 import ast
 import os
 import re
@@ -267,3 +268,54 @@ def test_no_module_loads_scipy_optimize():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# The one module that decides what an integer or a real is at the API, and
+# how a seeded stream is built.
+NUMBER_RULES = "checks.py"
+
+
+def number_rule_copies(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each place in ``source`` that decides for itself what
+    a number is or how a stream is seeded: an import of ``numbers``,
+    ``isinstance(_, bool)`` (bool alone or in a tuple), ``type(_) is int`` or
+    ``is not int``, and any use of the name ``SeedSequence``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found.append((node.lineno, "imports numbers"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                and len(node.args) == 2 and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1])):
+            found.append((node.lineno, "isinstance(_, bool)"))
+        elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call) \
+                and getattr(node.left.func, "id", None) == "type" \
+                and any(isinstance(op, (ast.Is, ast.IsNot)) and getattr(c, "id", None) == "int"
+                        for op, c in zip(node.ops, node.comparators)):
+            found.append((node.lineno, "type(_) is int"))
+        elif "SeedSequence" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append((node.lineno, "SeedSequence"))
+    return sorted(found)
+
+
+def test_the_check_sees_a_number_rule_copy():
+    source = """
+import numbers, os
+from numbers import Integral
+def f(x, rng):
+    if isinstance(x, bool) or isinstance(x, (int, np.bool_, bool)):
+        return type(x) is int or type(x) is not int
+    isinstance(x, int), type(x) is float, x is int, dtype(bool)
+    return np.random.SeedSequence(0), SeedSequence
+"""
+    assert number_rule_copies(source) == [
+        (2, "imports numbers"), (3, "imports numbers"), (5, "isinstance(_, bool)"), (5, "isinstance(_, bool)"),
+        (6, "type(_) is int"), (6, "type(_) is int"), (8, "SeedSequence"), (8, "SeedSequence"),
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != NUMBER_RULES], ids=lambda p: p.name)
+def test_only_the_number_rules_decide_what_a_number_is(path):
+    """Every other module calls `checks.integer`, `checks.real` and
+    `checks.seeded_stream` rather than keep its own copy of one."""
+    assert number_rule_copies(path.read_text()) == []

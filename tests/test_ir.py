@@ -52,9 +52,13 @@ class TestGate:
     def test_root_iswap_order_positive(self):
         with pytest.raises(CircuitError):
             Gate(id=0, kind="root_iswap", wires=(0, 1), n=0)
-        with pytest.raises(CircuitError, match="got True"):
+        with pytest.raises(CircuitError, match="root_iswap order must be an integer >= 1, not True"):
             Gate(id=0, kind="root_iswap", wires=(0, 1), n=True)
         assert Gate(id=0, kind="root_iswap", wires=(0, 1), n=3).n == 3
+
+    def test_a_wire_must_be_an_integer(self):
+        with pytest.raises(CircuitError, match=r"^a gate wire must be an integer >= 0, not 1\.5$"):
+            Gate(id=0, kind="cx", wires=(0, 1.5))
 
     def test_unitary_kind_checks_matrix(self):
         with pytest.raises(CircuitError):
@@ -266,7 +270,7 @@ class TestLayout:
     def test_numpy_permutation_gives_python_ints(self):
         lay = Layout(np.random.default_rng(0).permutation(4))
         assert all(type(p) is int for p in lay.to_list())
-        with pytest.raises(CircuitError, match=r"^layout position 0 must hold an integer, not 0\.0$"):
+        with pytest.raises(CircuitError, match=r"^layout position 0 must be an integer >= 0, not 0\.0$"):
             Layout([0.0, 1.0])
 
     @pytest.mark.parametrize("wires, position", [
@@ -276,7 +280,7 @@ class TestLayout:
     def test_a_wire_that_is_not_an_integer_is_refused_by_position(self, wires, position):
         """A bool, float, string or None is refused by name and position,
         never read as the integer it converts to; numpy integers pass."""
-        with pytest.raises(CircuitError, match=f"^layout position {position} must hold an integer, "
+        with pytest.raises(CircuitError, match=f"^layout position {position} must be an integer >= 0, "
                                                f"not {re.escape(repr(wires[position]))}$"):
             Layout(wires)
         assert Layout([np.int64(1), np.int32(0)]).to_list() == [1, 0]

@@ -226,7 +226,7 @@ class TestMalformed:
         assert (err.value.line, err.value.col) == (2, 19)
 
     def test_invalid_root_order_is_positioned(self):
-        with pytest.raises(QasmError, match="positive integer") as err:
+        with pytest.raises(QasmError, match="root_iswap order must be an integer >= 1, not 0") as err:
             parse_qasm("//!root-iswap r0 0\nqreg q[2];\nr0 q[0],q[1];")
         assert (err.value.line, err.value.col) == (3, 1)
 

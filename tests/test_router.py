@@ -578,5 +578,5 @@ def test_a_bad_config_field_is_refused_by_name(name, value):
 
 @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
 def test_beta_must_be_finite_and_nonnegative(beta):
-    with pytest.raises(router.RoutingError, match="beta must be finite and nonnegative"):
+    with pytest.raises(router.RoutingError, match=f"beta must be a finite real >= 0, not {beta}"):
         RouterConfig(algorithm="finesse", beta=beta)

@@ -626,7 +626,7 @@ def test_input_map_of_the_wrong_length(method):
 ])
 def test_bad_options_are_refused(option, value):
     ref = _qasm(2, "cx q[0],q[1];")
-    with pytest.raises(VerifierError, match=f"{option} must be .*got {value}"):
+    with pytest.raises(VerifierError, match=f"{option} must be .*not {value}"):
         statevector_equivalent(ref, ref, [0, 1], **{option: value})
     if option == "tol":
         with pytest.raises(VerifierError, match="tol must be"):

@@ -138,7 +138,7 @@ class TestBasisNames:
         ("root_iswap", "unknown basis gate 'root_iswap'"),
         ("root_iswap_x", "unknown basis gate 'root_iswap_x'"),
         ("root_iswap_-2", "unknown basis gate 'root_iswap_-2'"),
-        ("root_iswap_0", "root_iswap order must be an integer >= 1, got 0"),
+        ("root_iswap_0", "root_iswap order must be an integer >= 1, not 0"),
     ])
     def test_bad_name_is_a_basis_error(self, name, message):
         with pytest.raises(BasisError) as err:
@@ -147,9 +147,9 @@ class TestBasisNames:
 
     @pytest.mark.parametrize("kind, n, message", [
         ("bogus", 1, "unsupported basis kind 'bogus'"),
-        ("root_iswap", 0, "root_iswap order must be an integer >= 1, got 0"),
-        ("root_iswap", 2.5, "root_iswap order must be an integer >= 1, got 2.5"),
-        ("root_iswap", True, "root_iswap order must be an integer >= 1, got True"),
+        ("root_iswap", 0, "root_iswap order must be an integer >= 1, not 0"),
+        ("root_iswap", 2.5, "root_iswap order must be an integer >= 1, not 2.5"),
+        ("root_iswap", True, "root_iswap order must be an integer >= 1, not True"),
     ])
     def test_bad_kind_or_order_is_a_basis_error(self, kind, n, message):
         with pytest.raises(BasisError) as err:
