@@ -7,11 +7,11 @@ the records: ``results.csv`` holds their ``CSV_COLUMNS``, ``results.json``
 holds each record without the two percentages, and ``summary.csv`` holds the
 ``SUMMARY_COLUMNS`` of their means per (algorithm, post-selection).
 
-A record exists only for a routed circuit that passed statevector
-verification (plus exact tableau comparison for Clifford circuits); a
-verification failure aborts the sweep naming the offending run.  The sweep
-builds no routing tables: `run_trials` looks up each circuit's plan and each
-fabric's distances, so the configs may differ in any field.
+A record exists only for a route that passed the one verification policy,
+`check_equivalence`; a route that fails it, or that no method can check,
+aborts the sweep naming the offending run.  The sweep builds no routing
+tables: `run_trials` looks up each circuit's plan and each fabric's
+distances, so the configs may differ in any field.
 """
 from __future__ import annotations
 
@@ -23,7 +23,10 @@ from .hardware import CouplingMap
 from .ir import CircuitDag, is_clifford
 from .qasm import load_qasm
 from .router import RouterConfig, RoutingResult, run_trials, select_trial
-from .verifier import clifford_equivalent, statevector_equivalent
+from .verifier import (
+    DEFAULT_TOL, STATEVECTOR_WIDTH_LIMIT, UNITARY_WIDTH_LIMIT, VerifierError, WidthError,
+    clifford_equivalent, statevector_equivalent, unitary_equivalent,
+)
 
 CSV_COLUMNS = (
     "algorithm",
@@ -59,22 +62,44 @@ def load_workloads(directory) -> dict[str, CircuitDag]:
     return {p.stem: load_qasm(p) for p in files}
 
 
-def verify_result(dag: CircuitDag, result: RoutingResult, seed: int = 0) -> None:
-    ok = statevector_equivalent(
-        dag,
-        result.circuit,
-        result.output_permutation,
-        seed=seed,
-        input_map=result.initial_layout,
+def check_equivalence(ref: CircuitDag, routed: CircuitDag, perm, input_map=None, seed: int = 0,
+                      tol: float = DEFAULT_TOL, method: str = "auto") -> tuple[tuple[str, ...], bool]:
+    """(the methods run, in order; whether all passed), stopping at the first
+    that fails.  A forced ``method`` runs alone; ``"auto"`` runs each its row
+    allows, and raises WidthError when none does.  Built per call, the table
+    calls each check through this module's globals, where a tracer swaps it."""
+    n_ref, n = ref.num_qubits, max(ref.num_qubits, routed.num_qubits)
+    table = (  # (method, whether auto runs it, its check)
+        ("unitary", n <= UNITARY_WIDTH_LIMIT,
+         lambda: unitary_equivalent(ref, routed, perm, tol=tol, input_map=input_map)),
+        ("statevector", n > UNITARY_WIDTH_LIMIT and n_ref <= STATEVECTOR_WIDTH_LIMIT,
+         lambda: statevector_equivalent(ref, routed, perm, tol=tol, seed=seed, input_map=input_map)),
+        ("clifford", is_clifford(ref) and is_clifford(routed),
+         lambda: clifford_equivalent(ref, routed, perm, input_map=input_map)),
     )
-    if ok and is_clifford(dag):
-        ok = clifford_equivalent(
-            dag, result.circuit, result.output_permutation, input_map=result.initial_layout
-        )
+    rows = [(name, check) for name, auto, check in table if (auto if method == "auto" else name == method)]
+    if not rows and method == "auto":
+        raise WidthError(f"reference width {n_ref} exceeds {STATEVECTOR_WIDTH_LIMIT}, and a circuit is not Clifford")
+    if not rows:
+        raise VerifierError(f"unknown verification method {method!r}")
+    ran = ()
+    for name, check in rows:
+        ran += (name,)
+        if not check():
+            return ran, False
+    return ran, True
+
+
+def verify_result(dag: CircuitDag, result: RoutingResult, seed: int = 0) -> tuple[str, ...]:
+    """The methods `check_equivalence` ran on a route that passed them all."""
+    try:
+        methods, ok = check_equivalence(dag, result.circuit, result.output_permutation,
+                                        result.initial_layout, seed)
+    except WidthError as exc:
+        raise BenchError(f"routed circuit cannot be verified: {exc}") from exc
     if not ok:
-        raise BenchError(
-            f"routed circuit failed verification (trial seed {result.metrics.seed})"
-        )
+        raise BenchError(f"routed circuit failed verification by {methods[-1]} (trial seed {result.metrics.seed})")
+    return methods
 
 
 def run_bench(

@@ -1,6 +1,8 @@
 """Command-line entry point: allocate, transpile, bench, verify.
 
-Exit codes: 0 success, 1 verification failure or infeasible allocation,
+Exit codes: 0 success; 1 an infeasible allocation, or a BenchError (a route
+that fails its equivalence checks or that no method can check, or a sweep
+that cannot run), which `main` prints as one ``<command> aborted:`` line;
 2 for every refused input: a command raises ValueError (each typed error of
 the library is one) or OSError, and `main` prints it under the usage line.
 All randomness derives from --seed.
@@ -16,17 +18,9 @@ from . import bench as bench_mod
 from . import freqalloc as fa
 from .checks import real
 from .hardware import as_integer, fabric_suite, load_json, load_topology, read_field
-from .ir import is_clifford
 from .qasm import load_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, RoutingError, transpile
-from .verifier import (
-    DEFAULT_TOL,
-    STATEVECTOR_WIDTH_LIMIT,
-    UNITARY_WIDTH_LIMIT,
-    clifford_equivalent,
-    statevector_equivalent,
-    unitary_equivalent,
-)
+from .verifier import DEFAULT_TOL
 from .weyl import BasisGate, swap_count
 from .workloads import write_suite
 
@@ -158,7 +152,7 @@ def cmd_transpile(args) -> int:
         post_selection=args.post_selection, basis=BasisGate.from_name(args.basis),
     )
     result = transpile(dag, cmap, config, seed=args.seed)
-    bench_mod.verify_result(dag, result, seed=args.seed)
+    methods = bench_mod.verify_result(dag, result, seed=args.seed)
     routed_text = serialize_qasm(result.circuit)
     if args.out:
         Path(args.out).write_text(routed_text)
@@ -172,6 +166,7 @@ def cmd_transpile(args) -> int:
             "final_layout": list(result.final_layout),
             "output_permutation": list(result.output_permutation),
             "verified": True,
+            "methods": list(methods),
         }
         Path(args.metrics).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -202,17 +197,7 @@ def cmd_bench(args) -> int:
         print(f"generated builtin workload suite in {workdir}")
     workloads = bench_mod.load_workloads(workdir)
     post_modes = ("native", "fidelity") if args.post_selection == "both" else (args.post_selection,)
-    try:
-        records = bench_mod.run_bench(
-            workloads,
-            topologies,
-            configs=configs,
-            post_modes=post_modes,
-            seed=args.seed,
-        )
-    except bench_mod.BenchError as exc:
-        print(f"bench aborted: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    records = bench_mod.run_bench(workloads, topologies, configs=configs, post_modes=post_modes, seed=args.seed)
     summary = bench_mod.summarize(records)
     paths = bench_mod.write_outputs(records, summary, args.out)
     for s in summary:
@@ -244,27 +229,13 @@ def cmd_verify(args) -> int:
     ref, routed = load_qasm(args.reference), load_qasm(args.routed)
     perm = _wire_list("--perm", args.perm) if args.perm else list(range(routed.num_qubits))
     input_map = _wire_list("--input-map", args.input_map) if args.input_map else None
-    n = max(ref.num_qubits, routed.num_qubits)
-    method = args.method
-    if method == "auto":  # past the statevector limit, Clifford circuits still compare exactly
-        method = ("unitary" if n <= UNITARY_WIDTH_LIMIT else
-                  "clifford" if n > STATEVECTOR_WIDTH_LIMIT and is_clifford(ref) and is_clifford(routed)
-                  else "statevector")
-    verdict = {"reference": str(Path(args.reference)), "routed": str(Path(args.routed)), "method": method}
+    verdict = {"reference": str(Path(args.reference)), "routed": str(Path(args.routed)), "methods": []}
     try:
-        if method == "unitary":
-            ok = unitary_equivalent(ref, routed, perm, tol=args.tol, input_map=input_map)
-        elif method == "clifford":
-            ok = clifford_equivalent(ref, routed, perm, input_map=input_map)
-        else:
-            ok = statevector_equivalent(
-                ref, routed, perm, tol=args.tol, seed=args.seed, input_map=input_map
-            )
+        methods, ok = bench_mod.check_equivalence(ref, routed, perm, input_map, args.seed, args.tol,
+                                                  args.method)
+        verdict.update(methods=list(methods), equivalent=ok)
     except ValueError as exc:  # every verifier error is a ValueError
-        verdict["error"] = str(exc)
-        print(json.dumps(verdict, indent=2, sort_keys=True))
-        return EXIT_FAILED
-    verdict["equivalent"] = bool(ok)
+        ok, verdict["error"] = False, str(exc)
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return EXIT_OK if ok else EXIT_FAILED
 
@@ -319,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("routed")
     p_verify.add_argument("--perm", help="output wire -> reference wire, comma list")
     p_verify.add_argument("--input-map", help="reference wire -> input wire, comma list")
-    p_verify.add_argument("--method", default="auto",
-                          choices=("auto", "unitary", "statevector", "clifford"))
+    p_verify.add_argument("--method", default="auto", choices=("auto", "unitary", "statevector", "clifford"),
+                          help="auto runs the policy's table: unitary within its width limit, else statevector "
+                               "within its own, then clifford when both are Clifford; a named method runs alone")
     p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--seed", type=_seed_option, default=0)
     p_verify.set_defaults(func=cmd_verify)
@@ -332,6 +304,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except bench_mod.BenchError as exc:  # a route that fails its checks, or a sweep that cannot run
+        print(f"{args.command} aborted: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except (ValueError, OSError) as exc:
         parser.error(str(exc))  # exits with EXIT_USAGE
 

@@ -500,11 +500,11 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _omega_q(assign: FrequencyAssignment, module: FreqModule) -> np.ndarray:
-    """assign.omega_q as an array, once it fits the module and all is finite and >= 0."""
+    """assign.omega_q as an array, once it fits the module and every frequency is a real."""
     if len(assign.omega_q) != module.num_qubits:
         raise AllocationError(f"{len(assign.omega_q)} qubit frequencies for a {module.num_qubits}-qubit module")
-    if not all(0 <= w < inf for w in (*assign.omega_q, assign.omega_s)):
-        raise AllocationError("frequencies must be finite and nonnegative")
+    for w in (*assign.omega_q, assign.omega_s):
+        real(w, "a frequency", AllocationError)
     return np.asarray(assign.omega_q, dtype=float)
 
 
@@ -577,8 +577,10 @@ class FrequencyBounds:
     snail: tuple[float, float] = DEFAULT_SNAIL_BAND
 
     def __post_init__(self):
-        if not all(0 <= lo < hi < inf for lo, hi in (self.qubit, self.snail)):
-            raise AllocationError("bounds must be finite, nonnegative, increasing intervals")
+        for band, edges in (("qubit", self.qubit), ("snail", self.snail)):
+            lo, hi = (real(edge, f"a {band} band edge", AllocationError) for edge in edges)
+            if not lo < hi:
+                raise AllocationError(f"the {band} band must be an increasing interval, not {edges!r}")
 
 
 GHZ = 1e9  # Nelder-Mead works in GHz, for conditioning

@@ -74,6 +74,12 @@ REAL_SITES = [
     ("cost-delta_q", lambda v: fa.allocation_cost(fa.FrequencyAssignment((4e9, 5e9), 4.4e9), fa.FreqModule(2),
                                                   _FIT, delta_q=v), fa.AllocationError, "spacing delta_q", 0),
     ("cli-frequency", cli.parse_frequency, ValueError, "a frequency", 0),
+    ("bounds-qubit", lambda v: fa.FrequencyBounds(qubit=(v, 5e9)), fa.AllocationError, "a qubit band edge", 0),
+    ("bounds-snail", lambda v: fa.FrequencyBounds(snail=(4e9, v)), fa.AllocationError, "a snail band edge", 0),
+    ("cost-omega_q", lambda v: fa.allocation_cost(fa.FrequencyAssignment((v, 5e9), 4.4e9), fa.FreqModule(2), _FIT),
+     fa.AllocationError, "a frequency", 0),
+    ("cost-omega_s", lambda v: fa.allocation_cost(fa.FrequencyAssignment((4e9, 5e9), v), fa.FreqModule(2), _FIT),
+     fa.AllocationError, "a frequency", 0),
 ]
 BAD = (True, math.nan, math.inf, -math.inf, "1", None)
 # A string is the one thing the file and frequency readers parse.

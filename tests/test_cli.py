@@ -467,27 +467,27 @@ def test_parser_defaults_are_the_library_defaults():
 
 def test_verify_auto_picks_the_unitary_up_to_its_width_limit(tmp_path, capsys):
     n = verifier.UNITARY_WIDTH_LIMIT
-    for width, method in ((n, "unitary"), (n + 1, "statevector")):
+    for width, methods in ((n, ["unitary", "clifford"]), (n + 1, ["statevector", "clifford"])):
         path = tmp_path / f"id{width}.qasm"
         path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n')
         assert main(["verify", str(path), str(path)]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["method"] == method
+        assert json.loads(capsys.readouterr().out)["methods"] == methods
 
 
-@pytest.mark.parametrize("last, method, code", [("h", "clifford", EXIT_OK), ("t", "statevector", EXIT_FAILED)])
-def test_verify_auto_picks_the_tableau_past_the_statevector_limit(tmp_path, capsys, last, method, code):
+@pytest.mark.parametrize("last, methods, code", [("h", ["clifford"], EXIT_OK), ("t", [], EXIT_FAILED)])
+def test_verify_auto_picks_the_tableau_past_the_statevector_limit(tmp_path, capsys, last, methods, code):
     """A GHZ circuit wider than the statevector limit is compared as a
-    tableau; one T gate makes it non-Clifford, and the width is refused."""
+    tableau; one T gate makes it non-Clifford, and no method applies."""
     width = verifier.STATEVECTOR_WIDTH_LIMIT + 5
     path = tmp_path / "ghz.qasm"
     body = "".join(f"cx q[{i}],q[{i + 1}];\n" for i in range(width - 1))
     path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n{body}{last} q[0];\n')
     assert main(["verify", str(path), str(path)]) == code
     verdict = json.loads(capsys.readouterr().out)
-    assert verdict["method"] == method
+    assert verdict["methods"] == methods
     assert verdict.get("equivalent", False) is (code == EXIT_OK)
     if code == EXIT_FAILED:
-        assert verdict["error"] == f"reference width {width} exceeds {width - 5}"
+        assert verdict["error"] == f"reference width {width} exceeds {width - 5}, and a circuit is not Clifford"
 
 
 def test_verify_unitary_past_its_width_limit_reports_the_error(tmp_path, capsys):
@@ -496,9 +496,119 @@ def test_verify_unitary_past_its_width_limit_reports_the_error(tmp_path, capsys)
     path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n')
     assert main(["verify", str(path), str(path), "--method", "unitary"]) == EXIT_FAILED
     verdict = json.loads(capsys.readouterr().out)
-    assert verdict["method"] == "unitary"
+    assert verdict["methods"] == []
     assert verdict["error"] == f"width exceeds {width - 1} for direct unitary comparison"
     assert "equivalent" not in verdict
+
+
+def _ghz(width: int, last: str) -> str:
+    """GHZ on ``width`` wires, then ``last`` on wire 0: Clifford for h, not for t."""
+    body = "".join(f"cx q[{i}],q[{i + 1}];\n" for i in range(width - 1))
+    return f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\nh q[0];\n{body}{last} q[0];\n'
+
+
+# The auto policy written out as data, independent of the code's limits:
+# (width, last gate) -> the methods run, in order, or None when none applies.
+AUTO_TABLE = {
+    (8, "h"): ("unitary", "clifford"), (8, "t"): ("unitary",),
+    (9, "h"): ("statevector", "clifford"), (9, "t"): ("statevector",),
+    (15, "h"): ("statevector", "clifford"), (15, "t"): ("statevector",),
+    (16, "h"): ("clifford",), (16, "t"): None,
+    (20, "h"): ("clifford",), (20, "t"): None,
+}
+
+
+@pytest.mark.parametrize("width, last", AUTO_TABLE, ids=[f"{w}-{g}" for w, g in AUTO_TABLE])
+def test_the_auto_policy_is_one_table(tmp_path, capsys, width, last):
+    """`check_equivalence` and `finesse verify` both run the table's methods
+    on a circuit against itself; where no method applies, the function raises
+    WidthError and the verdict carries its message and no method."""
+    text, expected = _ghz(width, last), AUTO_TABLE[width, last]
+    dag = parse_qasm(text)
+    path = tmp_path / "c.qasm"
+    path.write_text(text)
+    code = main(["verify", str(path), str(path)])
+    verdict = json.loads(capsys.readouterr().out)
+    message = f"reference width {width} exceeds 15, and a circuit is not Clifford"
+    if expected is None:
+        with pytest.raises(verifier.WidthError, match=f"^{message}$"):
+            bench.check_equivalence(dag, dag, range(width))
+        assert (code, verdict["methods"], verdict["error"]) == (EXIT_FAILED, [], message)
+    else:
+        assert bench.check_equivalence(dag, dag, range(width)) == (expected, True)
+        assert (code, verdict["methods"], verdict["equivalent"]) == (EXIT_OK, list(expected), True)
+
+
+def test_auto_holds_a_clifford_route_to_the_tableau_ancilla_contract(tmp_path, capsys):
+    """An ancilla in |0> that controls a cx leaves every dense check
+    satisfied, but the tableau check requires each ancilla to map onto its
+    own wire; auto runs that check on any Clifford pair, so the route fails."""
+    ref_text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+    routed_text = ref_text.replace("qreg q[2];", "qreg q[3];") + "cx q[2],q[0];\n"
+    ref, routed = parse_qasm(ref_text), parse_qasm(routed_text)
+    assert verifier.unitary_equivalent(ref, routed, [0, 1, 2])
+    assert verifier.statevector_equivalent(ref, routed, [0, 1, 2])
+    assert bench.check_equivalence(ref, routed, [0, 1, 2]) == (("unitary", "clifford"), False)
+    paths = tmp_path / "ref.qasm", tmp_path / "routed.qasm"
+    for path, text in zip(paths, (ref_text, routed_text)):
+        path.write_text(text)
+    assert main(["verify", *map(str, paths)]) == EXIT_FAILED
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["methods"], verdict["equivalent"]) == (["unitary", "clifford"], False)
+
+
+def test_a_forced_method_runs_alone():
+    dag = parse_qasm(_ghz(4, "h"))
+    for method in ("unitary", "statevector", "clifford"):
+        assert bench.check_equivalence(dag, dag, range(4), method=method) == ((method,), True)
+    with pytest.raises(verifier.VerifierError, match="unknown verification method 'dense'"):
+        bench.check_equivalence(dag, dag, range(4), method="dense")
+
+
+def test_transpile_reports_a_failed_check_in_one_line(tmp_path, capsys, monkeypatch):
+    """A route that fails its check exits 1 with one line naming the method,
+    writes no file, and raises no traceback."""
+    monkeypatch.setattr(bench, "statevector_equivalent", lambda *args, **kwargs: False)
+    circuit, out, metrics = tmp_path / "small.qasm", tmp_path / "routed.qasm", tmp_path / "m.json"
+    circuit.write_text(SMALL_QASM)
+    code = main(["transpile", str(circuit), "--seeds", "1", "--out", str(out), "--metrics", str(metrics)])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAILED
+    assert err.startswith("transpile aborted: routed circuit failed verification by statevector (trial seed ")
+    assert err.count("\n") == 1 and not out.exists() and not metrics.exists()
+
+
+SIX_MODULES = {"module": "4q4e", "num_modules": 6}  # 24 qubits
+
+
+@pytest.mark.parametrize("last", ["h", "t"])
+def test_a_route_past_the_statevector_limit_is_checked_by_the_policy(tmp_path, capsys, last):
+    """On six 4q4e modules a 20-wire GHZ route is verified by the tableau
+    alone, in transpile and in bench; with one T gate no method can check it,
+    so both exit 1 naming the width, write nothing, and neither is a usage
+    error."""
+    workloads, topology = tmp_path / "workloads", tmp_path / "six.json"
+    workloads.mkdir()
+    circuit = workloads / "ghz20.qasm"
+    circuit.write_text(_ghz(20, last))
+    topology.write_text(json.dumps(SIX_MODULES))
+    out, metrics, bench_out = tmp_path / "routed.qasm", tmp_path / "m.json", tmp_path / "bench"
+    transpiled = main(["transpile", str(circuit), "--topology", str(topology), "--seeds", "2",
+                       "--out", str(out), "--metrics", str(metrics)])
+    transpile_err = capsys.readouterr().err
+    benched = main(["bench", "--workloads", str(workloads), "--out", str(bench_out),
+                    "--topologies", str(topology), "--seeds", "2"])
+    bench_err = capsys.readouterr().err
+    if last == "h":
+        assert (transpiled, benched) == (EXIT_OK, EXIT_OK)
+        assert json.loads(metrics.read_text())["methods"] == ["clifford"]
+        assert {r["circuit"] for r in _csv_rows(bench_out / "results.csv")} == {"ghz20"}
+    else:
+        assert (transpiled, benched) == (EXIT_FAILED, EXIT_FAILED)
+        reason = "routed circuit cannot be verified: reference width 20 exceeds 15, and a circuit is not Clifford"
+        assert transpile_err == f"transpile aborted: {reason}\n"
+        assert bench_err == f"bench aborted: ghz20 on {topology} with sabre: {reason}\n"
+        assert not any(p.exists() for p in (out, metrics, bench_out))
 
 
 def test_python_dash_m_entry_point():

@@ -4,7 +4,8 @@ of a src/finesse function is passed by some call in src/, tests/ or
 perfbench/, every function and method is read in src/ or perfbench/ or
 declared in `finesse.__all__`, only the one reader of each outside format
 reads a file, only `finesse.checks` decides what a number is or seeds a
-stream, and importing finesse loads no scipy.optimize."""
+stream, only the verification policy reads what it decides by, and importing
+finesse loads no scipy.optimize."""
 import ast
 import os
 import re
@@ -319,3 +320,48 @@ def test_only_the_number_rules_decide_what_a_number_is(path):
     """Every other module calls `checks.integer`, `checks.real` and
     `checks.seeded_stream` rather than keep its own copy of one."""
     assert number_rule_copies(path.read_text()) == []
+
+
+# What the verification policy decides by, and who may read it: the checks'
+# own code in verifier.py and the one policy function.
+POLICY_INPUTS = {"is_clifford", "STATEVECTOR_WIDTH_LIMIT", "UNITARY_WIDTH_LIMIT"}
+POLICY = "bench.check_equivalence"
+
+
+def policy_readers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` or ``module.Class.name`` of each function or method in
+    ``sources`` (module name -> text) that reads a name of POLICY_INPUTS,
+    bare or as an attribute."""
+    return [".".join(filter(None, (module, cls, f.name)))
+            for module, text in sources.items()
+            for cls, f in function_nodes(ast.parse(text))
+            if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in POLICY_INPUTS
+                   or isinstance(n, ast.Attribute) and n.attr in POLICY_INPUTS for n in ast.walk(f))]
+
+
+def test_the_check_sees_a_policy_reader():
+    source = """
+from .verifier import UNITARY_WIDTH_LIMIT
+LIMIT = UNITARY_WIDTH_LIMIT
+def pick(ref):
+    return is_clifford(ref)
+def wide(n):
+    return n > verifier.STATEVECTOR_WIDTH_LIMIT
+def narrow(n):
+    return n <= LIMIT
+class K:
+    def fits(self, n):
+        def inner():
+            return n <= UNITARY_WIDTH_LIMIT
+        return inner
+def is_clifford(dag):
+    return all(dag)
+"""
+    assert policy_readers({"m": source}) == ["m.pick", "m.wide", "m.K.fits"]
+
+
+def test_only_the_policy_reads_its_inputs():
+    """`bench.check_equivalence` alone picks the checks a route gets;
+    verifier.py's checks read their own width limits."""
+    readers = policy_readers({p.stem: p.read_text() for p in MODULES})
+    assert [r for r in readers if not r.startswith("verifier.")] == [POLICY]

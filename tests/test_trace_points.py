@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from finesse import router
+from finesse import bench, router
 from finesse.hardware import build_distance_set, fabric_suite
 from finesse.weyl import swap_count
 from finesse.workloads import SUITE
@@ -50,3 +50,23 @@ def test_perfbench_calls_keep_working():
     cmap, config = fabric_suite()["4q4e"], router.RouterConfig(num_seeds=1)
     dists = build_distance_set(cmap, swap_count(config.basis))
     assert router.run_trials(SUITE["wstate_08"](), cmap, config, dists=dists)
+
+
+@pytest.mark.parametrize("circuit, expected", [
+    ("bv_13", {"verifier.statevector_equivalent": 1, "verifier.clifford_equivalent": 1}),
+    ("qft_10", {"verifier.statevector_equivalent": 1, "verifier.clifford_equivalent": 0}),
+])
+def test_the_policy_calls_each_check_where_the_tracer_sees_it(circuit, expected):
+    """`verify_result` on a 4q4e route runs the statevector check, then the
+    tableau check for a Clifford circuit, each as a span inside its own; a
+    policy that bound the checks anywhere but `bench`'s globals would record
+    neither, and perfbench's per-layer `verifier.*` figures would read 0."""
+    dag = SUITE[circuit]()
+    result = router.transpile(dag, fabric_suite()["4q4e"], router.RouterConfig(num_seeds=1))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        bench.verify_result(dag, result)
+    [outer] = [i for i, s in enumerate(tracer.spans) if s.name == "bench.verify_result"]
+    inside = [s.name for s in tracer.spans if s.parent == outer]
+    assert {name: inside.count(name) for name in expected} == expected
+    assert len(inside) == sum(expected.values())
