@@ -82,6 +82,11 @@ class CouplingMap:
         return _read_only(np.array(pairs, dtype=np.intp).reshape(-1, 2))
 
     @cached_property
+    def edge_tuples(self) -> tuple[tuple[int, int], ...]:
+        """The rows of edge_pairs as tuples of ints."""
+        return tuple(map(tuple, self.edge_pairs.tolist()))
+
+    @cached_property
     def edge_index(self) -> np.ndarray:
         """(n, n): the edge_pairs row joining p and q, or -1 off an edge."""
         a, b = self.edge_pairs.T
@@ -90,10 +95,19 @@ class CouplingMap:
         return _read_only(index)
 
     @cached_property
+    def swap_columns(self) -> dict[tuple[int, int], np.ndarray]:
+        """Per edge, under both orientations, the swap-table columns that
+        read a pair now (column E) and after a swap on the edge (its
+        edge_pairs row), as a read-only intp array."""
+        num_edges = len(self.edge_pairs)
+        return {pair: _read_only(np.array((num_edges, self.edge_index[pair]), dtype=np.intp))
+                for pair in self.fidelity}
+
+    @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Per physical qubit, the edge_pairs rows that touch it, ascending."""
         touching = [[] for _ in range(self.num_physical)]
-        for e, pair in enumerate(self.edge_pairs.tolist()):
+        for e, pair in enumerate(self.edge_tuples):
             for p in pair:
                 touching[p].append(e)
         return tuple(map(tuple, touching))

@@ -1,7 +1,8 @@
 """Circuit intermediate representation: gates, dependency DAG, layouts.
 
-The DAG links each gate to its nearest successor per wire.  Two walks read
-those arcs: `retire` executes gates and lowers their successors' remaining
+The DAG links each gate to its nearest successor per wire, holding the
+successor `Gate` itself, so a walk needs no id lookup.  Two walks read those
+arcs: `retire` executes gates and lowers their successors' remaining
 predecessor counts, so the router keeps its front in O(degree) per gate, and
 `extended_set` is the leveled lookahead walk from a front over those counts.
 For the router the DAG also holds, built on first use, the wires of its 2q
@@ -113,14 +114,15 @@ class CircuitDag:
                 if not 0 <= w < num_qubits:
                     raise CircuitError(f"wire {w} out of range for {num_qubits} qubits")
         self._by_id = {g.id: g for g in self.gates}
-        # Per-wire chain arcs; a successor sharing both wires appears twice.
-        succ: dict[int, list[int]] = {g.id: [] for g in self.gates}
+        # Per-wire chain arcs to successor gates; one sharing both wires
+        # appears twice.
+        succ: dict[int, list[Gate]] = {g.id: [] for g in self.gates}
         pred_count: dict[int, int] = {g.id: 0 for g in self.gates}
         last_on_wire: dict[int, int] = {}
         for g in self.gates:
             for w in g.wires:
                 if w in last_on_wire:
-                    succ[last_on_wire[w]].append(g.id)
+                    succ[last_on_wire[w]].append(g)
                     pred_count[g.id] += 1
                 last_on_wire[w] = g.id
         self._succ = {k: tuple(v) for k, v in succ.items()}
@@ -178,10 +180,10 @@ def retire(
     """
     held, executed, stack = [], [], list(gate_ids)
     while stack:
-        for s in dag._succ[stack.pop()]:
+        for g in dag._succ[stack.pop()]:
+            s = g.id
             counts[s] -= 1
             if counts[s] == 0:
-                g = dag._by_id[s]
                 if hold(s):
                     held.append(g)
                 else:
@@ -216,7 +218,8 @@ def extended_set(
         level += 1
         nxt = []
         for gid in frontier:
-            for s in succ[gid]:
+            for g in succ[gid]:
+                s = g.id
                 counts[s] = left = counts.get(s, remaining_preds[s]) - 1
                 if left == 0:
                     nxt.append(s)
@@ -231,17 +234,23 @@ def circuit_depth(circuit: CircuitDag | Iterable) -> int:
     """Longest path in gate count; barriers synchronize but do not count.
 
     Takes a DAG or its gates in order; only each gate's ``kind`` and
-    ``wires`` are read, so the router passes its compact record.
+    ``wires`` (one or two, as `Gate` requires) are read, so the router
+    passes its compact record.
     """
     level: dict[int, int] = {}
+    get = level.get
     depth = 0
     for g in circuit.gates if isinstance(circuit, CircuitDag) else circuit:
-        t = max((level.get(w, 0) for w in g.wires), default=0)
+        wires = g.wires
+        t = get(wires[0], 0)
+        if len(wires) == 2 and get(wires[1], 0) > t:
+            t = level[wires[1]]
         if g.kind != "barrier":
             t += 1
-        for w in g.wires:
+        for w in wires:
             level[w] = t
-        depth = max(depth, t)
+        if t > depth:
+            depth = t
     return depth
 
 
@@ -250,7 +259,9 @@ class Layout:
 
     The virtual -> physical map is kept both as a list and as an np.intp
     array, so the router can map one wire by a list index and many wires in
-    one gather.
+    one gather.  The constructor checks the bijection; `copy` does not check
+    again, since a layout was checked when built and `swap_physical` keeps
+    it a bijection.
     """
 
     __slots__ = ("_v2p", "_p2v", "_v2p_array")
@@ -270,9 +281,6 @@ class Layout:
     def __len__(self):
         return len(self._v2p)
 
-    def physical(self, virtual: int) -> int:
-        return self._v2p[virtual]
-
     @property
     def physical_list(self) -> list[int]:
         """Virtual -> physical as the layout's own list (read-only by contract)."""
@@ -290,7 +298,9 @@ class Layout:
         self._v2p_array[v0], self._v2p_array[v1] = p1, p0
 
     def copy(self) -> "Layout":
-        return Layout(self._v2p)
+        twin = Layout.__new__(Layout)
+        twin._v2p, twin._p2v, twin._v2p_array = self._v2p[:], self._p2v[:], self._v2p_array.copy()
+        return twin
 
     def to_list(self) -> list[int]:
         return list(self._v2p)

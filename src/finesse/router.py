@@ -9,32 +9,39 @@ Relative scoring and a release valve follow the LightSABRE variant; the front
 sum is unnormalized.
 
 A front holds under two gates on average, so numpy call overhead, not
-arithmetic, sets the cost of a step, and a step makes few calls.
-Routability is a dict lookup: `run` executes the first front gate, in id
-order, whose physical pair (read from the layout's list) is a key of
-`CouplingMap.fidelity`.  Scoring reads the distance set's swap tables for
-the algorithm's matrix (`DistanceSet.hop_tables` or `blend_tables`).  The
-plan's memo holds, per front, one read-only array of wire pairs: the front's,
-then its extended set's.  `_scores` maps them through the layout to flat
-physical pairs and gathers their table rows at the wanted columns: one
-gather per score.  The swap candidates are the edges incident on the front's
-physical qubits (`CouplingMap.incident`), in `edge_pairs` order, which fixes
-the tie order; `_select_swap` reads their ``delta`` columns (a gate the swap
-does not touch reads exactly 0, so no mask is needed), and a mirror decision
-the ``absolute`` columns now and after a swap on the gate's edge.
-`_heuristic` is one reduction: the front sum plus W times the extended-set
-average, one column per candidate, with the rows added in gate order (a
-pairwise sum would reorder them and move exact ties).
+arithmetic, sets the cost of a step: a step makes few numpy calls, and none
+where a list does.  A pass starts from a copy of its layout, which
+`Layout.copy` does not check again.  Routability is a dict lookup: `run`
+executes the first front gate, in id order, whose physical pair (read from
+the layout's list) is a key of `CouplingMap.fidelity`.  Scoring reads the
+distance set's swap tables for the algorithm's matrix
+(`DistanceSet.hop_tables` or `blend_tables`).  The plan's memo holds, per
+front, one read-only array of wire pairs: the front's, then its extended
+set's.  `_scores` maps them through the layout to flat physical pairs and
+gathers their table rows at the wanted columns: one gather per score.  The
+swap candidates are the edges incident on the front's physical qubits
+(`CouplingMap.incident`), in `edge_pairs` order, which fixes the tie order;
+`_select_swap` reads their ``delta`` columns (a gate the swap does not touch
+reads exactly 0, so no mask is needed), and a mirror decision the
+``absolute`` columns now and after a swap on the gate's edge (one cached
+array per edge, `CouplingMap.swap_columns`).  `_heuristic` is one reduction:
+the front sum plus W times the extended-set average, one column per
+candidate, with the rows added in gate order (a pairwise sum would reorder
+them and move exact ties); a front of one gate, the common case, is its own
+sum.  `_select_swap` finds the least score and its exact ties on the score
+list (`_pick_minimum`) and takes the pair from `CouplingMap.edge_tuples`.
 
 Predecessor counts are one dict, lowered once per executed gate by
-`ir.retire`; `_retire` has it execute every 1q gate and barrier the moment it
-is ready.  Wherever the pass scores, every unexecuted gate therefore descends
-from a front gate, and the front (ready 2q gates, sorted by id) fixes the
-executed set and every remaining count.  The extended set is then a function
-of (DAG, size, front).  A routable gate is retired before its mirror
-decision, so the decision scores the front and the extended set its
-successors will see.  The mirror rule compares absolute sums: written as a
-delta, the FINESSE rule flips on real-valued near-ties that rounding decides.
+`ir.retire`, which walks the DAG's successor gates directly; `_retire` has it
+execute every 1q gate and barrier the moment it is ready, and inserts each
+2q gate it readies into the front in id order (`bisect.insort`).  Wherever
+the pass scores, every unexecuted gate therefore descends from a front gate,
+and the front (ready 2q gates, sorted by id) fixes the executed set and every
+remaining count.  The extended set is then a function of (DAG, size, front).
+A routable gate is retired before its mirror decision, so the decision
+scores the front and the extended set its successors will see.  The mirror
+rule compares absolute sums: written as a delta, the FINESSE rule flips on
+real-valued near-ties that rounding decides.
 
 Each table a route reads has one owner.  The distances are the fabric's:
 `hardware.build_distance_set` keeps one set per (fabric, k_swap, beta).  What
@@ -55,6 +62,7 @@ a trial that is never read builds none.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
@@ -205,8 +213,8 @@ class _Pass:
     def _emit_local(self, gates: list[Gate]):
         """Emit 1q gates and barriers on their wires under the current layout."""
         if self.ops is not None:
-            physical = self.layout.physical
-            self.ops.extend(RoutedOp(g.kind, tuple(physical(w) for w in g.wires), g, g.mirrored)
+            v2p = self.layout.physical_list
+            self.ops.extend(RoutedOp(g.kind, tuple([v2p[w] for w in g.wires]), g, g.mirrored)
                             for g in gates)
 
     def _retire(self, gate_id: int) -> list[Gate]:
@@ -215,13 +223,10 @@ class _Pass:
         barriers it readies are executed in the same walk and returned in walk
         order, to be emitted under the layout that follows the gate."""
         held, local = retire(self.dag, self.preds, [gate_id], self.rows.__contains__)
-        self.front += held
-        self._front_changed()
-        return local
-
-    def _front_changed(self):
-        self.front.sort(key=_gate_id)
+        for g in held:
+            insort(self.front, g, key=_gate_id)
         self.scored_wires = None
+        return local
 
     def _lookahead(self) -> np.ndarray:
         """Wire pairs of the front, then of its extended set: the memo's
@@ -260,7 +265,7 @@ class _Pass:
         if self.config.aggression == 3:
             return True
         k_orig, k_mirr = self.counts[self.rows[g.id]]
-        scored = self._scores(self.absolute, [len(self.cmap.edge_pairs), self.cmap.edge_index[p0, p1]])
+        scored = self._scores(self.absolute, self.cmap.swap_columns[p0, p1])
         n = len(self.front)
         score_now, score_mirr = self._heuristic(scored[:n], scored[n:]).tolist()
         if self.config.algorithm == "finesse":
@@ -294,10 +299,8 @@ class _Pass:
         edges = sorted({e for pair in front_pairs for p in pair for e in incident[p]})
         n = len(self.front)
         delta = self._scores(self.delta, edges)
-        scores = self._heuristic(delta[:n], delta[n:])
-        ties = (scores == scores.min()).nonzero()[0]
-        pick = ties[0] if len(ties) == 1 else ties[int(self.rng.integers(len(ties)))]
-        return tuple(self.cmap.edge_pairs[edges[pick]].tolist())
+        pick = _pick_minimum(self._heuristic(delta[:n], delta[n:]).tolist(), self.rng)
+        return self.cmap.edge_tuples[edges[pick]]
 
     def _apply_swap(self, p0: int, p1: int):
         if self.ops is not None:
@@ -322,10 +325,9 @@ class _Pass:
         roots = [g for g in self.dag.gates if self.preds[g.id] == 0]
         for g in roots:
             if g.id in self.rows:
-                self.front.append(g)
+                insort(self.front, g, key=_gate_id)
             else:
                 self._emit_local([g, *self._retire(g.id)])
-        self._front_changed()
 
         v2p, on_edge = self.layout.physical_list, self.cmap.fidelity  # swaps update v2p in place
         while self.front:
@@ -354,11 +356,22 @@ class _Pass:
         )
 
 
+def _pick_minimum(scores: list, rng: np.random.Generator) -> int:
+    """The index of the least score; among exact ties, the one that one
+    ``rng.integers`` draw picks, drawn only when there are ties."""
+    best = min(scores)
+    ties = [c for c, score in enumerate(scores) if score == best]
+    return ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+
+
 def _ordered_sum(vals: np.ndarray) -> np.ndarray:
     """Column sums of (gates, columns) with the rows added one at a time in
     gate order, as a scalar loop would round them.  ``ndarray.sum`` sums a
     contiguous column pairwise, and Python's ``sum`` of floats is compensated
-    from 3.12 on; either would move exact ties."""
+    from 3.12 on; either would move exact ties.  A one-row block, a front of
+    one gate, is its own sum: its row comes back as it is."""
+    if len(vals) == 1:
+        return vals[0]
     if not len(vals):
         return np.zeros(vals.shape[1])
     return np.add.accumulate(vals, axis=0)[-1]
@@ -461,8 +474,7 @@ def run_trials(
     dists, plan = own, RoutePlan.of(dag, config.basis, config.extended_size)
     trials = []
     for t in range(config.num_seeds):
-        perm = seeded_stream(seed, t, 0).permutation(n_phys)
-        layout = Layout(perm)
+        layout = Layout(seeded_stream(seed, t, 0).permutation(n_phys).tolist())
         fwd = route_pass(dag, cmap, dists, config, seeded_stream(seed, t, 1), layout,
                          emit=False, plan=plan)
         rev = route_pass(plan.reverse, cmap, dists, config, seeded_stream(seed, t, 2),
@@ -500,6 +512,8 @@ def selection_key(algorithm: str, post_selection: str):
 
 
 def select_trial(trials: list[RoutingResult], config: RouterConfig) -> RoutingResult:
+    if not trials:
+        raise RoutingError("no trials to select from")
     key = selection_key(config.algorithm, config.post_selection)
     return min(trials, key=lambda t: key(t.metrics))
 

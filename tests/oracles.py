@@ -10,7 +10,8 @@ resonance, gate and qubit pair, the lockstep Nelder-Mead by one
 the front and extended gates, a DAG's arcs by chaining each gate to the last
 one on each of its wires (never by reading the DAG's own arc table), the
 front, the remaining predecessor counts and the extended set by walks over
-those arcs, circuits by dense Kronecker-product matrices,
+those arcs, whole routes by a rewrite of `run_trials` over lists and dicts,
+circuits by dense Kronecker-product matrices,
 routed-circuit equivalence by loops over the computational basis of those
 matrices, and QASM angles by Python's own expression grammar.
 """
@@ -119,13 +120,14 @@ def random_connected_map(rng, max_nodes: int = 8):
 
 def reference_lookahead(front, extended, layout, matrix, w: float) -> float:
     """SABRE lookahead: unnormalized front sum plus W-weighted extended average."""
+    v2p = layout.physical_list
     total = 0.0
     for g in front:
-        total += matrix[layout.physical(g.wires[0]), layout.physical(g.wires[1])]
+        total += matrix[v2p[g.wires[0]], v2p[g.wires[1]]]
     if extended:
         ext = 0.0
         for g in extended:
-            ext += matrix[layout.physical(g.wires[0]), layout.physical(g.wires[1])]
+            ext += matrix[v2p[g.wires[0]], v2p[g.wires[1]]]
         total += w * ext / len(extended)
     return float(total)
 
@@ -137,9 +139,13 @@ def dag_arcs(dag) -> dict:
     """Gate id -> ids of its successors, built from ``dag.gates`` alone: each
     gate is chained to the previous gate on each of its wires, so a successor
     on both wires of a gate is listed twice."""
-    successors = {g.id: [] for g in dag.gates}
+    return _chained(dag.gates)
+
+
+def _chained(gates) -> dict:
+    successors = {g.id: [] for g in gates}
     last = {}
-    for g in dag.gates:
+    for g in gates:
         for w in g.wires:
             if w in last:
                 successors[last[w]].append(g.id)
@@ -193,12 +199,17 @@ def reference_extended_set(dag, front, size: int, remaining_preds: dict) -> list
     """Lookahead set by breadth-first levels from the front over a copy of
     every remaining predecessor count: a gate joins a level once all its arcs
     are seen; the first `size` 2q gates in (level, id) order."""
+    two_qubit = {g.id for g in dag.gates if g.is_two_qubit}
+    ids = _leveled_walk(dag_arcs(dag), two_qubit, [g.id for g in front], size, remaining_preds)
+    return [dag.gate(gid) for gid in ids]
+
+
+def _leveled_walk(arcs: dict, two_qubit: set, front_ids: list, size: int, remaining_preds: dict) -> list:
     if size <= 0:
         return []
-    arcs = dag_arcs(dag)
     counts = dict(remaining_preds)
     collected = []
-    frontier = [g.id for g in front]
+    frontier = list(front_ids)
     level = 0
     while frontier and len(collected) < size:
         level += 1
@@ -208,11 +219,157 @@ def reference_extended_set(dag, front, size: int, remaining_preds: dict) -> list
                 counts[s] -= 1
                 if counts[s] == 0:
                     nxt.append(s)
-                    if dag.gate(s).is_two_qubit:
+                    if s in two_qubit:
                         collected.append((level, s))
         frontier = nxt
     collected.sort()
-    return [dag.gate(gid) for _, gid in collected[:size]]
+    return [gid for _, gid in collected[:size]]
+
+
+# --- whole routes -------------------------------------------------------------
+
+
+def reference_route(dag, cmap, config, seed: int) -> list:
+    """`router.run_trials` over Python lists and dicts: per trial, its swap
+    trace, mirror count, final layout and the repr of its LF cost.
+
+    Arcs are chained from the gates, as `dag_arcs` does, and edges,
+    neighbours, the tie order and log weights come from the raw edge list.  It shares with the router
+    only `seeded_stream`, the raw ``d_hop`` and ``d_blend`` matrices and
+    `gate_count`.  Each trial draws a random layout, then routes forward,
+    reversed (never mirroring) and forward again; the last pass is scored.
+    """
+    from finesse.checks import seeded_stream
+    from finesse.hardware import build_distance_set
+    from finesse.ir import Gate
+    from finesse.weyl import gate_count
+
+    basis, algorithm = config.basis, config.algorithm
+    k_swap = gate_count(Gate(id=0, kind="swap", wires=(0, 1)), basis)
+    dists = build_distance_set(cmap, k_swap, config.beta)
+    hop = dists.d_hop.tolist()
+    matrix = dists.d_blend.tolist() if algorithm in ("fasst", "finesse") else hop
+    weight = edge_log_weights(cmap)
+    edges = sorted((int(min(i, j)), int(max(i, j))) for i, j, _ in cmap.edges)
+    adjacent = {p: sorted({q for e in edges if p in e for q in e} - {p}) for p in range(cmap.num_physical)}
+    counts = {g.id: (gate_count(g, basis), gate_count(g, basis, mirrored=not g.mirrored))
+              for g in dag.gates if g.is_two_qubit}
+    mirroring = algorithm in ("mirage", "finesse") and config.aggression > 0
+
+    def swapped(layout, p0, p1):
+        return [p1 if p == p0 else p0 if p == p1 else p for p in layout]
+
+    def fold(values):
+        """Left to right from the first value, as the router adds rows."""
+        total = values[0] if values else 0.0
+        for v in values[1:]:
+            total += v
+        return total
+
+    def heuristic(front_vals, ext_vals):
+        total = fold(front_vals)
+        if ext_vals:
+            total = total + config.w * fold(ext_vals) / len(ext_vals)
+        return total
+
+    def route(gates, layout, rng, mirror):
+        arcs, by_id = _chained(gates), {g.id: g for g in gates}
+        two_qubit = {gid for gid in by_id if gid in counts}
+        left = {gid: 0 for gid in by_id}
+        for successors in arcs.values():
+            for s in successors:
+                left[s] += 1
+        front, trace, mirrors, lf, stall = [], [], 0, 0.0, 0
+
+        def done(gid):
+            """Mark gid executed; every 1q gate or barrier it readies runs at
+            once, and every 2q gate it readies joins the front."""
+            stack = [gid]
+            while stack:
+                for s in arcs[stack.pop()]:
+                    left[s] -= 1
+                    if left[s] == 0:
+                        (front if s in two_qubit else stack).append(s)
+            front.sort()
+
+        def scored():
+            ext = _leveled_walk(arcs, two_qubit, front, config.extended_size, left)
+            return [by_id[i].wires for i in front], [by_id[i].wires for i in ext]
+
+        def distances(wires, lay):
+            return [matrix[lay[a]][lay[b]] for a, b in wires]
+
+        def swap(p0, p1):
+            nonlocal layout, lf
+            lf += weight[p0, p1] * k_swap
+            layout = swapped(layout, p0, p1)
+            trace.append((p0, p1))
+
+        for gid in [gid for gid in by_id if left[gid] == 0]:
+            if gid in two_qubit:
+                front.append(gid)
+            else:
+                done(gid)
+        while front:
+            pairs = [(layout[by_id[i].wires[0]], layout[by_id[i].wires[1]]) for i in front]
+            routable = [n for n, pair in enumerate(pairs) if pair in weight]
+            if routable:
+                gid, (p0, p1) = front.pop(routable[0]), pairs[routable[0]]
+                done(gid)
+                k_orig, k_mirr = counts[gid]
+                mirrored = False
+                if mirror and config.aggression == 3:
+                    mirrored = True
+                elif mirror:
+                    front_wires, ext_wires = scored()
+                    after = swapped(layout, p0, p1)
+                    now = heuristic(distances(front_wires, layout), distances(ext_wires, layout))
+                    then = heuristic(distances(front_wires, after), distances(ext_wires, after))
+                    if algorithm == "finesse":
+                        mirrored = then + k_mirr * weight[p0, p1] <= now + k_orig * weight[p0, p1]
+                    elif k_mirr != k_orig:
+                        mirrored = k_mirr < k_orig
+                    else:
+                        mirrored = then < now if config.aggression == 1 else then <= now
+                lf += weight[p0, p1] * (k_mirr if mirrored else k_orig)
+                if mirrored:
+                    layout = swapped(layout, p0, p1)
+                    mirrors += 1
+                stall = 0
+            elif stall >= config.release_valve_threshold:
+                p0, p1 = min(pairs, key=lambda pair: hop[pair[0]][pair[1]])
+                while hop[p0][p1] > 1:
+                    step = min(q for q in adjacent[p0] if hop[q][p1] < hop[p0][p1])
+                    swap(p0, step)
+                    p0 = step
+                stall = 0
+            else:
+                touched = {p for pair in pairs for p in pair}
+                candidates = [e for e in edges if e[0] in touched or e[1] in touched]
+                front_wires, ext_wires = scored()
+                base_front, base_ext = distances(front_wires, layout), distances(ext_wires, layout)
+                scores = []
+                for a, b in candidates:
+                    after = swapped(layout, a, b)
+                    scores.append(heuristic(
+                        [x - y for x, y in zip(distances(front_wires, after), base_front)],
+                        [x - y for x, y in zip(distances(ext_wires, after), base_ext)]))
+                best = min(scores)
+                ties = [c for c, s in enumerate(scores) if s == best]
+                pick = ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+                swap(*candidates[pick])
+                stall += 1
+        return layout, tuple(trace), mirrors, lf
+
+    forward = list(dag.gates)
+    trials = []
+    for t in range(config.num_seeds):
+        layout = seeded_stream(seed, t, 0).permutation(cmap.num_physical).tolist()
+        layout = route(forward, layout, seeded_stream(seed, t, 1), mirroring)[0]
+        layout = route(forward[::-1], layout, seeded_stream(seed, t, 2), False)[0]
+        layout, trace, mirrors, lf = route(forward, layout, seeded_stream(seed, t, 3), mirroring)
+        trials.append((trace, mirrors, tuple(layout), repr(lf)))
+    return trials
 
 
 # --- two-qubit invariants ---------------------------------------------------

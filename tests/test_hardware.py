@@ -512,7 +512,7 @@ def _swap_table_oracle(matrix, cmap):
     layouts = [Layout(range(n)) for _ in range(len(cmap.edge_pairs) + 1)]
     for layout, (p, q) in zip(layouts, cmap.edge_pairs.tolist()):
         layout.swap_physical(p, q)
-    absolute = [[matrix[lay.physical(a), lay.physical(b)] for lay in layouts]
+    absolute = [[matrix[lay.physical_list[a], lay.physical_list[b]] for lay in layouts]
                 for a in range(n) for b in range(n)]
     delta = [[after - row[-1] for after in row[:-1]] for row in absolute]
     return np.array(absolute, dtype=matrix.dtype), np.array(delta, dtype=matrix.dtype)

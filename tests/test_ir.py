@@ -237,6 +237,24 @@ class TestDepth:
         dag = build_dag(2, [("h", (0,)), ("barrier", (0, 1)), ("x", (1,))])
         assert circuit_depth(dag) == 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(width=st.integers(1, 5), data=st.data())
+    def test_depth_is_the_longest_path_over_the_arcs(self, width, data):
+        """The depth is the most non-barrier gates on any path of the arcs
+        chained from the gates (`dag_arcs`)."""
+        kinds = st.sampled_from(("h", "cx", "barrier", "barrier1") if width > 1 else ("h", "barrier1"))
+        ops = []
+        for kind in data.draw(st.lists(kinds, max_size=30)):
+            wires = data.draw(st.permutations(range(width)))[:1 if kind in ("h", "barrier1") else 2]
+            ops.append(("barrier" if kind == "barrier1" else kind, tuple(wires)))
+        dag = build_dag(width, ops)
+        arcs, longest = dag_arcs(dag), {}
+        for g in dag.gates:  # gate order is topological, so every predecessor is done
+            into = [longest[a] for a, successors in arcs.items() if g.id in successors]
+            longest[g.id] = max(into, default=0) + (g.kind != "barrier")
+        assert circuit_depth(dag) == max(longest.values(), default=0)
+        assert circuit_depth(dag.gates) == circuit_depth(dag)
+
     def test_invariant_under_topological_reorder(self):
         gates = [("cx", (0, 1)), ("h", (2,)), ("cx", (2, 3)), ("cx", (1, 2))]
         dag = build_dag(4, gates)
@@ -251,12 +269,12 @@ class TestLayout:
 
     def test_physical_is_the_given_map(self):
         lay = Layout([2, 0, 1])
-        assert [lay.physical(v) for v in range(3)] == [2, 0, 1]
+        assert [lay.physical_list[v] for v in range(3)] == [2, 0, 1]
 
     def test_swap_physical(self):
         lay = Layout([0, 1, 2])
         lay.swap_physical(0, 2)
-        assert lay.physical(0) == 2 and lay.physical(2) == 0
+        assert lay.physical_list[0] == 2 and lay.physical_list[2] == 0
 
     @given(n=st.integers(1, 9), data=st.data())
     def test_physical_array_tracks_swaps(self, n, data):
@@ -266,6 +284,25 @@ class TestLayout:
             assert lay.physical_array.tolist() == lay.to_list()
         assert lay.physical_array.dtype == np.intp
         assert lay.copy().physical_array is not lay.physical_array
+
+    @given(n=st.integers(1, 9), data=st.data())
+    def test_a_copy_is_an_independent_bijection(self, n, data):
+        """After random swaps on a copy, its list, array and inverse are a
+        fresh layout's of the same map; the source keeps its own, and the
+        two share no list or array."""
+        source = Layout(data.draw(st.permutations(range(n))))
+        before = (source.to_list(), source.physical_array.tolist(), list(source._p2v))
+        copy = source.copy()
+        for p0, p1 in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), max_size=12)):
+            copy.swap_physical(p0, p1)
+        fresh = Layout(copy.to_list())
+        assert copy.physical_list == fresh.physical_list
+        assert copy.physical_array.tolist() == fresh.physical_array.tolist()
+        assert copy.physical_array.dtype == fresh.physical_array.dtype
+        assert copy._p2v == fresh._p2v
+        assert (source.to_list(), source.physical_array.tolist(), list(source._p2v)) == before
+        assert copy.physical_list is not source.physical_list and copy._p2v is not source._p2v
+        assert not np.shares_memory(copy.physical_array, source.physical_array)
 
     def test_numpy_permutation_gives_python_ints(self):
         lay = Layout(np.random.default_rng(0).permutation(4))

@@ -3,7 +3,9 @@ oracle, the executed gate and the swap candidates against brute-force rules,
 the memoised extended set against a copying walk and against the front
 alone, routed circuits against the statevector verifier, the route plan and
 the compact record against fresh routes and the circuit they build, trial
-selection, and a pinned golden route."""
+selection, the tie pick and the ordered sum against their numpy forms,
+whole routes against a list-and-dict reference router, the counted steps of
+a route, and a pinned golden route."""
 import gc
 import hashlib
 import re
@@ -41,6 +43,7 @@ from oracles import (
     reference_extended_set,
     reference_lookahead,
     reference_remaining_counts,
+    reference_route,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -165,8 +168,8 @@ class TestListBuiltChoices:
         scored, steps = [], Counter()
 
         def front_pairs(self):
-            phys = self.layout.physical
-            return [(phys(g.wires[0]), phys(g.wires[1])) for g in self.front]
+            v2p = self.layout.physical_list
+            return [(v2p[g.wires[0]], v2p[g.wires[1]]) for g in self.front]
 
         def checked_execute(self, g, p0, p1):
             pairs = front_pairs(self)
@@ -199,6 +202,50 @@ class TestListBuiltChoices:
             for algorithm in ALGORITHMS:
                 run_trials(dag, cmap, RouterConfig(algorithm=algorithm, num_seeds=2), seed=seed)
         assert steps["execute"] == 2 * 3 * len(ALGORITHMS) * len(dag.two_qubit_rows)
+
+
+class _CountedDraws:
+    """A generator that counts its ``integers`` draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def integers(self, high):
+        self.draws += 1
+        return self.rng.integers(high)
+
+
+def _score_vectors(dtype):
+    """Score vectors drawn from a few values, so that exact ties are common."""
+    values = (st.integers(-2**40, 2**40) if dtype == np.int64 else
+              st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((0.0, -0.0)))
+    return st.lists(values, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+class TestTieRule:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from((np.int64, np.float64)), seed=SEEDS)
+    def test_the_list_pick_is_the_numpy_pick(self, data, dtype, seed):
+        """The pick on a score list is the one the array form
+        ``(s == s.min()).nonzero()[0]`` makes, after as many draws."""
+        s = np.array(data.draw(_score_vectors(dtype)), dtype=dtype)
+        oracle, rng = _CountedDraws(seed), _CountedDraws(seed)
+        ties = (s == s.min()).nonzero()[0]
+        expected = ties[0] if len(ties) == 1 else ties[int(oracle.integers(len(ties)))]
+        assert router._pick_minimum(s.tolist(), rng) == expected
+        assert rng.draws == oracle.draws == (len(ties) > 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from((np.int64, np.float64)), rows=st.integers(1, 4),
+           columns=st.integers(1, 8), seed=SEEDS)
+    def test_the_ordered_sum_is_the_accumulated_last_row(self, dtype, rows, columns, seed):
+        rng = np.random.default_rng(seed)
+        block = (rng.integers(-50, 50, size=(rows, columns)) if dtype == np.int64 else
+                 rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-8, 9, size=(rows, 1)))
+        block = block.astype(dtype)
+        total, expected = router._ordered_sum(block), np.add.accumulate(block, axis=0)[-1]
+        assert total.dtype == expected.dtype and total.tobytes() == expected.tobytes()
 
 
 ONE_QUBIT = ("h", "x", "s", "t", "rz", "ry")
@@ -295,7 +342,7 @@ def _retire_randomly(p, rng):
             p.front.append(g)
         else:
             p._retire(g.id)
-    p._front_changed()
+    p.front.sort(key=lambda g: g.id)
     yield
     while p.front:
         g = p.front.pop(int(rng.integers(len(p.front))))
@@ -501,6 +548,11 @@ class TestSelectTrial:
         for algorithm in ALGORITHMS:
             assert select_trial(trials, RouterConfig(algorithm=algorithm)) is trials[1]
 
+    def test_no_trials_is_a_routing_error(self):
+        for algorithm in ALGORITHMS:
+            with pytest.raises(router.RoutingError, match="^no trials to select from$"):
+                select_trial([], RouterConfig(algorithm=algorithm))
+
 
 # Routes of the suite on the 4q4e fabric at seed 0: per-trial mirror counts,
 # the sha256 of the repr of the swap traces, and the repr of each LF cost.
@@ -542,6 +594,62 @@ def test_golden_route(fabric_4q4e, workload, algorithm, trials):
     assert [r.metrics.mirror_count for r in results] == mirrors
     assert hashlib.sha256(repr([r.swap_trace for r in results]).encode()).hexdigest() == digest
     assert [repr(r.metrics.lf_cost) for r in results] == costs
+
+
+# Calls to `_execute`, `_select_swap` and `_scores` routing each circuit on
+# the 4q6e fabric at seed 0 with 2 trials: the work a route does, counted, so
+# that a faster router shows it takes cheaper steps, not fewer or other ones.
+STEP_COUNTS = {
+    ("qft_10", "sabre"): (570, 255, 255),
+    ("qft_10", "fasst"): (570, 248, 248),
+    ("qft_10", "mirage"): (570, 211, 591),
+    ("qft_10", "finesse"): (570, 215, 595),
+    ("seca_11", "sabre"): (252, 104, 104),
+    ("seca_11", "fasst"): (252, 97, 97),
+    ("seca_11", "mirage"): (252, 79, 247),
+    ("seca_11", "finesse"): (252, 89, 257),
+}
+
+
+@pytest.mark.parametrize("workload, algorithm", sorted(STEP_COUNTS))
+def test_a_route_takes_its_pinned_steps(workload, algorithm):
+    steps = Counter()
+
+    def counted(name):
+        method = getattr(router._Pass, name)
+
+        def call(self, *args):
+            steps[name] += 1
+            return method(self, *args)
+        return call
+
+    names = ("_execute", "_select_swap", "_scores")
+    with patch.multiple(router._Pass, **{name: counted(name) for name in names}):
+        run_trials(SUITE[workload](), fabric_suite()["4q6e"], RouterConfig(algorithm=algorithm, num_seeds=2))
+    assert tuple(steps[name] for name in names) == STEP_COUNTS[workload, algorithm]
+
+
+@pytest.mark.parametrize("workload, algorithm, trials", sorted(GOLDEN))
+def test_the_reference_route_gives_the_golden_pins(fabric_4q4e, workload, algorithm, trials):
+    config = RouterConfig(algorithm=algorithm, num_seeds=trials)
+    routes = reference_route(SUITE[workload](), fabric_4q4e, config, 0)
+    traces, mirrors, _, costs = zip(*routes)
+    digest = hashlib.sha256(repr(list(traces)).encode()).hexdigest()
+    assert (list(mirrors), digest, list(costs)) == GOLDEN[(workload, algorithm, trials)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, algorithm=st.sampled_from(ALGORITHMS), aggression=st.integers(0, 3),
+       trials=st.integers(1, 3), extended_size=st.sampled_from((2, 20)), valve=st.integers(1, 10))
+def test_every_route_equals_the_reference_route(seed, algorithm, aggression, trials, extended_size, valve):
+    """Whole routes (swap traces, mirror counts, final layouts and the repr
+    of LF) equal the list-and-dict rewrite of `run_trials`, on random maps
+    of <= 7 nodes and circuits with mirrored, unitary and barrier gates."""
+    rng = np.random.default_rng(seed)
+    cmap, dag = _random_routing_case(rng, 30)
+    config = RouterConfig(algorithm=algorithm, aggression=aggression, num_seeds=trials,
+                          extended_size=extended_size, release_valve_threshold=valve)
+    assert _route(run_trials(dag, cmap, config, seed=seed)) == reference_route(dag, cmap, config, seed)
 
 
 @pytest.mark.parametrize("fabric, extra_k, beta, routed", [
