@@ -11,7 +11,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from math import log
+from math import inf, log
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -23,6 +23,10 @@ from .checks import integer, real
 
 FIDELITY_FLOOR = 1e-10
 FORMAT_VERSION = 1
+# No fabric read from a file holds more qubits (one distance matrix of this
+# many takes 34 GB), so a count from a file is refused before it sizes an
+# array or a loop.
+MAX_QUBITS = 1 << 16
 
 
 class TopologyError(ValueError):
@@ -51,6 +55,9 @@ class CouplingMap:
             if key in seen:
                 raise TopologyError(f"duplicate edge {key}")
             seen.add(key)
+        # Numpy integers pass the checks; stored as Python ints, they never
+        # reach a swap trace or a layout a route returns.
+        object.__setattr__(self, "edges", tuple((int(i), int(j), c) for i, j, c in self.edges))
         graph = _graph(self, [1.0] * len(self.edges))
         if self.num_physical > 1 and connected_components(graph, return_labels=False) != 1:
             raise TopologyError("coupling graph is disconnected")
@@ -85,23 +92,6 @@ class CouplingMap:
     def edge_tuples(self) -> tuple[tuple[int, int], ...]:
         """The rows of edge_pairs as tuples of ints."""
         return tuple(map(tuple, self.edge_pairs.tolist()))
-
-    @cached_property
-    def edge_index(self) -> np.ndarray:
-        """(n, n): the edge_pairs row joining p and q, or -1 off an edge."""
-        a, b = self.edge_pairs.T
-        index = np.full((self.num_physical,) * 2, -1, dtype=np.intp)
-        index[a, b] = index[b, a] = np.arange(len(a))
-        return _read_only(index)
-
-    @cached_property
-    def swap_columns(self) -> dict[tuple[int, int], np.ndarray]:
-        """Per edge, under both orientations, the swap-table columns that
-        read a pair now (column E) and after a swap on the edge (its
-        edge_pairs row), as a read-only intp array."""
-        num_edges = len(self.edge_pairs)
-        return {pair: _read_only(np.array((num_edges, self.edge_index[pair]), dtype=np.intp))
-                for pair in self.fidelity}
 
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
@@ -161,22 +151,23 @@ def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.n
     return d_hop.astype(float) + beta * d_fid
 
 
-def _swap_tables(matrix: np.ndarray, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _swap_deltas(matrix: np.ndarray, moves: np.ndarray) -> np.ndarray:
     (num_edges, n), now = moves.shape, matrix.reshape(-1, 1)
     after = matrix[moves[:, :, None], moves[:, None, :]].reshape(num_edges, n * n).T
-    absolute = np.concatenate((after, now), axis=1)  # row-major: a gather reads whole rows
-    return _read_only(absolute), _read_only(absolute[:, :-1] - now)
+    return _read_only(np.ascontiguousarray(after - now))  # row-major: a gather reads whole rows
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceSet:
     """A fabric's routing distances for one (k_swap, beta), read-only and equal
-    only to itself.  ``hop_tables`` and ``blend_tables`` are (absolute, delta)
-    over flat pairs a·n + b, built on first read: ``absolute[a·n + b, e]`` is
-    the matrix at (a, b) after a swap on edge e (``swap_moves``, the map's
-    table, which holds no reference to it), column E is the entry now, and
-    ``delta`` is after - now.  That is n²·(2E+1) entries per kind: about
-    113 KB for 4q6e, but 37 MB for a 127-qubit heavy-hex."""
+    only to itself.  Each is built on first read.  ``hop_delta`` and
+    ``blend_delta`` are swap tables over flat pairs a·n + b:
+    ``delta[a·n + b, e]`` is the matrix at (a, b) after a swap on edge e
+    (``swap_moves``, the map's table, which holds no reference to it) minus
+    the entry now.  That is n²·E entries per kind: about 55 KB for 4q6e, and
+    19 MB for a 127-qubit heavy-hex.  ``hop_rows`` and ``blend_rows`` are
+    the matrices as tuples of row tuples (ints and floats), which the
+    mirror rule sums one entry at a time."""
 
     d_hop: np.ndarray
     d_fid: np.ndarray
@@ -185,12 +176,20 @@ class DistanceSet:
     swap_moves: np.ndarray
 
     @cached_property
-    def hop_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return _swap_tables(self.d_hop, self.swap_moves)
+    def hop_delta(self) -> np.ndarray:
+        return _swap_deltas(self.d_hop, self.swap_moves)
 
     @cached_property
-    def blend_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return _swap_tables(self.d_blend, self.swap_moves)
+    def blend_delta(self) -> np.ndarray:
+        return _swap_deltas(self.d_blend, self.swap_moves)
+
+    @cached_property
+    def hop_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.d_hop.tolist()))
+
+    @cached_property
+    def blend_rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.d_blend.tolist()))
 
 
 # cmap -> {(k_swap, beta): set}.  Equal maps share an entry, which goes when
@@ -284,6 +283,8 @@ def build_snail_fabric(spec: ModuleSpec, num_modules: int) -> CouplingMap:
     """
     integer(num_modules, "num_modules", TopologyError, 1)
     n = spec.qubits_per_module
+    if num_modules * n > MAX_QUBITS:
+        raise TopologyError(f"num_modules {num_modules} of {n} qubits exceeds {MAX_QUBITS} qubits")
     edges: list[tuple[int, int, float]] = []
     for m in range(num_modules):
         base = m * n
@@ -333,7 +334,7 @@ def load_topology(source) -> CouplingMap:
     if not isinstance(source, dict) and not Path(source).is_file():
         raise TopologyError(f"unknown topology {str(source)!r} (not a Table-3 name or file)")
     data = load_json(source)
-    _check_version(data)
+    _check_version(data, source)
     if "edges" in data and "module" not in data:
         return _calibration_fabric(data, source)
     mod = _require(data, "module", "topology", source)
@@ -343,7 +344,7 @@ def load_topology(source) -> CouplingMap:
         spec = TABLE3_MODULES[mod]
     else:
         fields = (
-            read_field(mod, "qubits", as_integer, "module", source),
+            read_field(mod, "qubits", lambda v: as_integer(v, 0, MAX_QUBITS), "module", source),
             read_field(mod, "edges", _module_edges, "module", source),
             read_field(mod, "fidelities", _fidelities, "module", source),
             mod.get("name", "module"),
@@ -400,48 +401,68 @@ def read_field(record, key: str, convert, what: str, source):
     value = _require(record, key, what, source)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
-        reason = f": {exc}" if isinstance(exc, ValueError) else ""  # a TypeError says no more
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past any float
+        reason = "" if isinstance(exc, TypeError) else f": {exc}"  # a TypeError says no more
         raise TopologyError(
             f"{what} has a bad {key!r} value {value!r}{reason}{_in_file(source)}"
         ) from exc
 
 
-def as_integer(value, least: int = 0) -> int:
-    """A file's integer at least ``least``: an integer, an integral float or a
+def as_integer(value, least: int = 0, most: float = inf) -> int:
+    """A file's integer in ``least..most``: an integer, an integral float or a
     decimal string; anything else raises ValueError."""
     if isinstance(value, str) or isinstance(value, float) and value.is_integer():
         value = int(value)
-    return int(integer(value, "the value", ValueError, least))
+    return int(integer(value, "the value", ValueError, least, most))
+
+
+def _file_real(value) -> float:
+    """A file's real >= 0: a finite real or its decimal string, as a float; a
+    bool, NaN or an infinity raises ValueError."""
+    if isinstance(value, str):
+        value = float(value)
+    return float(real(value, "the value", ValueError))
+
+
+def _file_list(value) -> list | tuple:
+    """A file's list (a tuple passes too); a string, object or scalar, which
+    would iterate as characters, keys or not at all, raises ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{value!r} is not a list")
+    return value
 
 
 def _fidelities(value) -> tuple[float, ...]:
-    """A module's edge fidelities, each a real in (0, 1] (NaN refused)."""
-    fidelities = tuple(float(f) for f in value)
+    """A module's edge fidelities, a list of reals each in (0, 1]."""
+    fidelities = tuple(map(_file_real, _file_list(value)))
     if not all(0.0 < f <= 1.0 for f in fidelities):
         raise ValueError(f"{value!r} has a fidelity outside (0, 1]")
     return fidelities
 
 
 def _error_rate(value) -> float:
-    """A calibration error rate in [0, 1) (NaN refused)."""
-    error = float(value)
-    if not 0.0 <= error < 1.0:
+    """A calibration error rate, a real in [0, 1)."""
+    error = _file_real(value)
+    if not error < 1.0:
         raise ValueError(f"{value!r} is outside [0, 1)")
     return error
 
 
 def _module_edges(value) -> tuple[tuple[int, int], ...]:
-    """A module's (i, j) edge list, refusing an empty one: its fabric would
+    """A module's list of [i, j] pairs, refusing an empty one: its fabric would
     have no link to route on and no worst fidelity to join modules with."""
-    edges = tuple((as_integer(i), as_integer(j)) for i, j in value)
+    edges = []
+    for pair in _file_list(value):
+        if len(_file_list(pair)) != 2:
+            raise ValueError(f"edge {pair!r} is not a pair")
+        edges.append((as_integer(pair[0]), as_integer(pair[1])))
     if not edges:
         raise ValueError("a module needs at least one edge")
-    return edges
+    return tuple(edges)
 
 
-def _check_version(data: dict):
+def _check_version(data: dict, source):
     """The version must be the integer FORMAT_VERSION, or its decimal string."""
     version = data.get("format_version", FORMAT_VERSION)
     if str(version) != str(FORMAT_VERSION):
-        raise TopologyError(f"unsupported format_version {version!r}")
+        raise TopologyError(f"unsupported format_version {version!r}{_in_file(source)}")

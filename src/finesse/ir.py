@@ -81,6 +81,16 @@ class Gate:
         if self.mirrored and self.num_wires != 2:
             raise CircuitError("only 2-wire gates can be mirrored")
 
+    def _placed(self, id: int, wires: tuple[int, ...], mirrored: bool) -> "Gate":
+        """This gate as ``id`` on ``wires``, flagged ``mirrored``, built without
+        `__post_init__`, as `Layout.copy` skips its checks.  Its kind, params,
+        ``n`` and matrix were checked when it was built; the caller vouches
+        for the rest: as many distinct int wires, and a mirror flag only on a
+        2-wire gate."""
+        twin = Gate.__new__(Gate)
+        twin.__dict__.update(vars(self), id=id, wires=wires, mirrored=mirrored)
+        return twin
+
     @property
     def num_wires(self) -> int:
         return len(self.wires)
@@ -127,6 +137,7 @@ class CircuitDag:
                 last_on_wire[w] = g.id
         self._succ = {k: tuple(v) for k, v in succ.items()}
         self._pred_count = pred_count
+        self.roots = tuple(g for g in self.gates if pred_count[g.id] == 0)  # in gate order
 
     def gate(self, gate_id: int) -> Gate:
         return self._by_id[gate_id]
@@ -259,9 +270,9 @@ class Layout:
 
     The virtual -> physical map is kept both as a list and as an np.intp
     array, so the router can map one wire by a list index and many wires in
-    one gather.  The constructor checks the bijection; `copy` does not check
-    again, since a layout was checked when built and `swap_physical` keeps
-    it a bijection.
+    one gather; the physical -> virtual map is a list.  The constructor
+    checks the bijection; `copy` does not check again, since a layout was
+    checked when built and `swap_physical` keeps it a bijection.
     """
 
     __slots__ = ("_v2p", "_p2v", "_v2p_array")
@@ -290,6 +301,11 @@ class Layout:
     def physical_array(self) -> np.ndarray:
         """Virtual -> physical as an np.intp array (read-only by contract)."""
         return self._v2p_array
+
+    @property
+    def virtual_list(self) -> list[int]:
+        """Physical -> virtual as the layout's own list (read-only by contract)."""
+        return self._p2v
 
     def swap_physical(self, p0: int, p1: int) -> None:
         v0, v1 = self._p2v[p0], self._p2v[p1]

@@ -11,25 +11,37 @@ sum is unnormalized.
 A front holds under two gates on average, so numpy call overhead, not
 arithmetic, sets the cost of a step: a step makes few numpy calls, and none
 where a list does.  A pass starts from a copy of its layout, which
-`Layout.copy` does not check again.  Routability is a dict lookup: `run`
-executes the first front gate, in id order, whose physical pair (read from
-the layout's list) is a key of `CouplingMap.fidelity`.  Scoring reads the
-distance set's swap tables for the algorithm's matrix
-(`DistanceSet.hop_tables` or `blend_tables`).  The plan's memo holds, per
-front, one read-only array of wire pairs: the front's, then its extended
-set's.  `_scores` maps them through the layout to flat physical pairs and
-gathers their table rows at the wanted columns: one gather per score.  The
-swap candidates are the edges incident on the front's physical qubits
+`Layout.copy` does not check again, and its roots are `CircuitDag.roots`,
+kept once per DAG.  Routability is a dict lookup: `run` executes the first
+front gate, in id order, whose physical pair (read from the layout's list)
+is a key of `CouplingMap.fidelity`.  The plan's memo holds, per front, one
+read-only array of wire pairs: the front's, then its extended set's.
+
+A swap choice scores on numpy.  `_scores` maps the memo's pairs through the
+layout to flat physical pairs and gathers their rows of the distance set's
+swap table for the algorithm's matrix (`DistanceSet.hop_delta` or
+`blend_delta`) at the candidates' columns: one gather per score.  The swap
+candidates are the edges incident on the front's physical qubits
 (`CouplingMap.incident`), in `edge_pairs` order, which fixes the tie order;
-`_select_swap` reads their ``delta`` columns (a gate the swap does not touch
-reads exactly 0, so no mask is needed), and a mirror decision the
-``absolute`` columns now and after a swap on the gate's edge (one cached
-array per edge, `CouplingMap.swap_columns`).  `_heuristic` is one reduction:
-the front sum plus W times the extended-set average, one column per
-candidate, with the rows added in gate order (a pairwise sum would reorder
-them and move exact ties); a front of one gate, the common case, is its own
-sum.  `_select_swap` finds the least score and its exact ties on the score
-list (`_pick_minimum`) and takes the pair from `CouplingMap.edge_tuples`.
+a gate the swap does not touch reads exactly 0, so no mask is needed.
+`_heuristic` is one reduction: the front sum plus W times the extended-set
+average, one column per candidate, with the rows added in gate order (a
+pairwise sum, ``np.add.reduce`` or ``np.add.reduceat`` would reorder them
+and move exact ties); a front of one gate, the common case, is its own sum.
+`_select_swap` finds the least score and its exact ties on the score list
+(`_pick_minimum`) and takes the pair from `CouplingMap.edge_tuples`.
+
+A mirror decision sums on lists.  It reads two columns, now and after a
+swap on the gate's edge, so `_mirror_sums` walks the memo's pairs as a list,
+maps them through the layout's list and through a copy with the swap made
+(`Layout.virtual_list` names the two wires it moves), and reads the
+matrix's row tuples (`DistanceSet.hop_rows` or `blend_rows`), keeping four
+running sums: front and extended set, now and swapped.  It
+folds as `_heuristic` does, from 0 in gate order, then the front sum plus W
+times the extended set's average only when that set has gates.  Python's
+float ``+``, ``*`` and ``/`` are the IEEE doubles of numpy's float64, hop
+sums stay exact ints, and no distance is negative, so no sum becomes -0.0:
+every score equals the numpy fold's bit for bit.
 
 Predecessor counts are one dict, lowered once per executed gate by
 `ir.retire`, which walks the DAG's successor gates directly; `_retire` has it
@@ -52,13 +64,21 @@ wire-table row's decomposition count as placed and as mirrored.  Every trial,
 pass, fabric and algorithm routing the circuit shares it, so each front's set
 is walked once per plan, and no pass asks `weyl.gate_count`.
 
+A pass draws from its stream only to break a tie, and many passes never do,
+so `run_trials` hands each pass a stand-in that builds its
+``seeded_stream(seed, trial, pass)`` on the first draw; the trial's layout
+stream is built at once.  `route_pass` takes a plain `np.random.Generator`
+as well, and draws the same numbers from it.
+
 The final pass emits a compact record, one `RoutedOp` per op: its kind, its
 physical wires, its source gate (None for a routing swap) and its mirror
 flag.  As it emits a 2q op it adds edge log-weight times the op's count to
 the LF cost; that is emission order, the order in which `lf_cost` sums the
 circuit, so the float is the same.  The depth is `ir.circuit_depth` of the
 record.  `RoutingResult.circuit` builds the `CircuitDag` on first access, so
-a trial that is never read builds none.
+a trial that is never read builds none, and builds each gate from its source
+gate, already checked, on the op's wires (a fabric edge or the layout's
+images of the source's wires) without checking it again.
 """
 from __future__ import annotations
 
@@ -82,6 +102,7 @@ FIDELITY_AWARE = ("fasst", "finesse")
 MIRRORING = ("mirage", "finesse")
 
 _gate_id = attrgetter("id")
+_SWAP = Gate(id=0, kind="swap", wires=(0, 1))  # the source of every routing swap
 
 
 class RoutingError(ValueError):
@@ -176,7 +197,7 @@ class _Pass:
         cmap: CouplingMap,
         dists: DistanceSet,
         config: RouterConfig,
-        rng: np.random.Generator,
+        rng: np.random.Generator | _FirstDrawStream,
         layout: Layout,
         emit: bool,
         allow_mirror: bool,
@@ -191,7 +212,10 @@ class _Pass:
         self.rng = rng
         self.layout = layout.copy()
         self.allow_mirror = allow_mirror and config.algorithm in MIRRORING and config.aggression > 0
-        self.absolute, self.delta = dists.blend_tables if config.uses_blend else dists.hop_tables
+        self.delta = dists.blend_delta if config.uses_blend else dists.hop_delta
+        # The mirror rule's matrix as row tuples, read only by a mirroring pass.
+        self.distance_rows = ((dists.blend_rows if config.uses_blend else dists.hop_rows)
+                              if self.allow_mirror else None)
         self.flat = np.array((cmap.num_physical, 1), dtype=np.intp)  # (a, b) @ flat = a·n + b
         self.preds = dag.predecessor_counts()
         self.rows, self.wires = dag.two_qubit_rows, dag.wire_table
@@ -265,9 +289,7 @@ class _Pass:
         if self.config.aggression == 3:
             return True
         k_orig, k_mirr = self.counts[self.rows[g.id]]
-        scored = self._scores(self.absolute, self.cmap.swap_columns[p0, p1])
-        n = len(self.front)
-        score_now, score_mirr = self._heuristic(scored[:n], scored[n:]).tolist()
+        score_now, score_mirr = self._mirror_sums(p0, p1)
         if self.config.algorithm == "finesse":
             l_edge = self.cmap.log_weight[p0, p1]
             return score_mirr + k_mirr * l_edge <= score_now + k_orig * l_edge
@@ -277,12 +299,36 @@ class _Pass:
             return k_mirr < k_orig
         return score_mirr < score_now if self.config.aggression == 1 else score_mirr <= score_now
 
+    def _mirror_sums(self, p0: int, p1: int) -> tuple[float, float]:
+        """The lookahead score now and after a swap on (p0, p1), summed over
+        the matrix's row tuples as `_heuristic` folds its columns: from 0,
+        rows in gate order, then the front sum plus W times the extended
+        set's average when it has gates.  Python's float operations are the
+        IEEE doubles numpy's are, and hop sums stay exact ints."""
+        rows, now, p2v = self.distance_rows, self.layout.physical_list, self.layout.virtual_list
+        mirr = now[:]  # the layout after the swap
+        mirr[p2v[p0]], mirr[p2v[p1]] = p1, p0
+        pairs = self._lookahead().tolist()
+        n = len(self.front)
+        front = ext = front_mirr = ext_mirr = 0
+        for w0, w1 in pairs[:n]:
+            front += rows[now[w0]][now[w1]]
+            front_mirr += rows[mirr[w0]][mirr[w1]]
+        for w0, w1 in pairs[n:]:
+            ext += rows[now[w0]][now[w1]]
+            ext_mirr += rows[mirr[w0]][mirr[w1]]
+        m = len(pairs) - n
+        if not m:
+            return front, front_mirr
+        w = self.config.w
+        return front + w * ext / m, front_mirr + w * ext_mirr / m
+
     # scoring ----------------------------------------------------------
-    def _scores(self, table: np.ndarray, columns) -> np.ndarray:
-        """A swap table's rows at the lookahead's physical pairs under the
+    def _scores(self, columns) -> np.ndarray:
+        """The swap table's rows at the lookahead's physical pairs under the
         current layout, one per gate, at ``columns``."""
         flat = self.layout.physical_array[self._lookahead()] @ self.flat
-        return table[flat[:, None], columns]
+        return self.delta[flat[:, None], columns]
 
     def _heuristic(self, front_vals: np.ndarray, ext_vals: np.ndarray) -> np.ndarray:
         """Unnormalized front sum plus W-weighted extended-set average, one
@@ -298,7 +344,7 @@ class _Pass:
         incident = self.cmap.incident
         edges = sorted({e for pair in front_pairs for p in pair for e in incident[p]})
         n = len(self.front)
-        delta = self._scores(self.delta, edges)
+        delta = self._scores(edges)
         pick = _pick_minimum(self._heuristic(delta[:n], delta[n:]).tolist(), self.rng)
         return self.cmap.edge_tuples[edges[pick]]
 
@@ -322,8 +368,7 @@ class _Pass:
 
     # main loop ------------------------------------------------------
     def run(self) -> PassResult:
-        roots = [g for g in self.dag.gates if self.preds[g.id] == 0]
-        for g in roots:
+        for g in self.dag.roots:
             if g.id in self.rows:
                 insort(self.front, g, key=_gate_id)
             else:
@@ -368,13 +413,28 @@ def _ordered_sum(vals: np.ndarray) -> np.ndarray:
     """Column sums of (gates, columns) with the rows added one at a time in
     gate order, as a scalar loop would round them.  ``ndarray.sum`` sums a
     contiguous column pairwise, and Python's ``sum`` of floats is compensated
-    from 3.12 on; either would move exact ties.  A one-row block, a front of
-    one gate, is its own sum: its row comes back as it is."""
+    from 3.12 on; either would move exact ties.  A block has a row: a swap
+    is scored only for a front, and `_heuristic` skips an empty extended
+    set.  A one-row block, a front of one gate, is its own sum: its row
+    comes back as it is."""
     if len(vals) == 1:
         return vals[0]
-    if not len(vals):
-        return np.zeros(vals.shape[1])
     return np.add.accumulate(vals, axis=0)[-1]
+
+
+class _FirstDrawStream:
+    """``seeded_stream(seed, *key)`` as a pass reads it, built on the first
+    ``integers`` draw: a pass draws only to break a tie, and many never do."""
+
+    __slots__ = ("key", "stream")
+
+    def __init__(self, *key: int):
+        self.key, self.stream = key, None
+
+    def integers(self, high: int):
+        if self.stream is None:
+            self.stream = seeded_stream(*self.key)
+        return self.stream.integers(high)
 
 
 def route_pass(
@@ -382,7 +442,7 @@ def route_pass(
     cmap: CouplingMap,
     dists: DistanceSet,
     config: RouterConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _FirstDrawStream,
     initial_layout: Layout,
     emit: bool = True,
     allow_mirror: bool = True,
@@ -421,13 +481,13 @@ class RoutingResult:
 
     @cached_property
     def circuit(self) -> CircuitDag:
-        """The routed circuit as a DAG, built through `Gate` on first access."""
-        gates = [
-            Gate(id=i, kind="swap", wires=op.wires) if op.source is None else
-            Gate(id=i, kind=op.kind, wires=op.wires, params=op.source.params, n=op.source.n,
-                 matrix=op.source.matrix, mirrored=op.mirrored)
-            for i, op in enumerate(self.ops)
-        ]
+        """The routed circuit as a DAG, built on first access.  Each gate is
+        its source gate (a checked swap for a routing swap) placed on the op's
+        wires without checking again: those are a fabric edge or the layout's
+        images of the source's distinct wires, and only 2q ops carry a mirror
+        flag.  `CircuitDag` still checks the ids and the wire range."""
+        gates = [(_SWAP if op.source is None else op.source)._placed(i, op.wires, op.mirrored)
+                 for i, op in enumerate(self.ops)]
         return CircuitDag(len(self.final_layout), gates)
 
     @property
@@ -475,11 +535,11 @@ def run_trials(
     trials = []
     for t in range(config.num_seeds):
         layout = Layout(seeded_stream(seed, t, 0).permutation(n_phys).tolist())
-        fwd = route_pass(dag, cmap, dists, config, seeded_stream(seed, t, 1), layout,
+        fwd = route_pass(dag, cmap, dists, config, _FirstDrawStream(seed, t, 1), layout,
                          emit=False, plan=plan)
-        rev = route_pass(plan.reverse, cmap, dists, config, seeded_stream(seed, t, 2),
+        rev = route_pass(plan.reverse, cmap, dists, config, _FirstDrawStream(seed, t, 2),
                          fwd.final_layout, emit=False, allow_mirror=False, plan=plan)
-        final = route_pass(dag, cmap, dists, config, seeded_stream(seed, t, 3),
+        final = route_pass(dag, cmap, dists, config, _FirstDrawStream(seed, t, 3),
                            rev.final_layout, emit=True, plan=plan)
         metrics = TrialMetrics(
             lf_cost=final.lf_cost,

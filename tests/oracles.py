@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import re
 from itertools import product
 from math import cos, pi, sin
 
@@ -130,6 +131,117 @@ def reference_lookahead(front, extended, layout, matrix, w: float) -> float:
             ext += matrix[v2p[g.wires[0]], v2p[g.wires[1]]]
         total += w * ext / len(extended)
     return float(total)
+
+
+# --- topology fixtures ----------------------------------------------------------
+
+FABRIC_CAP = 1 << 16  # the most qubits a fabric read from a file may hold
+
+
+def _fixture_integer(value):
+    """A fixture integer: an int (not a bool), an integral float or a decimal
+    string; None otherwise."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        return int(value) if math.isfinite(value) and value == int(value) else None
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+        return int(value)
+    return None
+
+
+def _fixture_real(value):
+    """A fixture real: an int or float (not a bool) or its decimal string,
+    finite as a float; None otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        real = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return real if math.isfinite(real) else None
+
+
+def _fixture_module(mod, table3):
+    """(qubits, edge pairs, fidelities) of a module, or the key whose own rule
+    the module breaks."""
+    if isinstance(mod, str):
+        if mod not in table3:
+            return "module"
+        spec = table3[mod]
+        return spec.qubits_per_module, list(spec.edges_per_module), list(spec.edge_fidelities)
+    if not isinstance(mod, dict):
+        return "module"
+    for key in ("qubits", "edges", "fidelities"):
+        if key not in mod:
+            return key
+    qubits = _fixture_integer(mod["qubits"])
+    if qubits is None or not 0 <= qubits <= FABRIC_CAP:
+        return "qubits"
+    edges = mod["edges"]
+    if not isinstance(edges, (list, tuple)) or not edges:
+        return "edges"
+    pairs = []
+    for pair in edges:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            return "edges"
+        i, j = (_fixture_integer(v) for v in pair)
+        if i is None or j is None or i < 0 or j < 0:
+            return "edges"
+        pairs.append((i, j))
+    fidelities = mod["fidelities"]
+    if not isinstance(fidelities, (list, tuple)):
+        return "fidelities"
+    fids = [_fixture_real(f) for f in fidelities]
+    if any(f is None or not 0.0 < f <= 1.0 for f in fids):
+        return "fidelities"
+    return qubits, pairs, fids
+
+
+def reference_fixture(data: dict, table3: dict):
+    """What a topology fixture (a ``module`` chained ``num_modules`` times)
+    describes, read one field at a time by the format's rules: ("fabric",
+    num_physical, edges) with the edges in construction order, ("field",
+    key) when one field breaks its own rule, or ("structure", None) when
+    every field holds but no fabric can be built from them.  ``table3`` maps
+    module names to specs, whose fields alone are read."""
+    if "format_version" in data and str(data["format_version"]) != "1":
+        return "field", "format_version"
+    if "module" not in data:
+        return "field", "module"
+    module = _fixture_module(data["module"], table3)
+    if isinstance(module, str):
+        return "field", module
+    if "num_modules" not in data:
+        return "field", "num_modules"
+    count = _fixture_integer(data["num_modules"])
+    if count is None or count < 1:
+        return "field", "num_modules"
+    qubits, pairs, fids = module
+    keys = {(min(i, j), max(i, j)) for i, j in pairs}
+    if (len(fids) != len(pairs) or len(keys) != len(pairs) or count * qubits > FABRIC_CAP
+            or any(i == j or max(i, j) >= qubits for i, j in pairs)):
+        return "structure", None
+    reached, stack = {0}, [0]  # the module must be connected; so is its chain
+    while stack:
+        q = stack.pop()
+        for i, j in keys:
+            for a, b in ((i, j), (j, i)):
+                if a == q and b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+    if len(reached) != qubits:
+        return "structure", None
+    assigned = list(zip(sorted(keys), sorted(fids, reverse=True)))
+    edges = []
+    for m in range(count):
+        base = m * qubits
+        edges += [(base + i, base + j, c) for (i, j), c in assigned]
+        if m + 1 < count:
+            edges.append((base + qubits - 1, base + qubits, min(fids)))
+    return "fabric", count * qubits, edges
 
 
 # --- circuit DAGs -----------------------------------------------------------
@@ -310,6 +422,7 @@ def reference_route(dag, cmap, config, seed: int) -> list:
                 front.append(gid)
             else:
                 done(gid)
+        front.sort()  # a 2q root may follow gates that `done` readied
         while front:
             pairs = [(layout[by_id[i].wires[0]], layout[by_id[i].wires[1]]) for i in front]
             routable = [n for n, pair in enumerate(pairs) if pair in weight]

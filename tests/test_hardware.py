@@ -28,6 +28,7 @@ from oracles import (
     coupling_map,
     edge_log_weights,
     random_connected_map,
+    reference_fixture,
     relaxed_distances,
 )
 
@@ -108,23 +109,21 @@ class TestEdgeTables:
         cmap = random_connected_map(np.random.default_rng(seed))
         n = cmap.num_physical
         pairs = sorted((min(i, j), max(i, j)) for i, j, _ in cmap.edges)
-        index = [[-1] * n for _ in range(n)]
         moves = []
-        for e, (a, b) in enumerate(pairs):
-            index[a][b] = index[b][a] = e
+        for a, b in pairs:
             row = list(range(n))
             row[a], row[b] = b, a
             moves.append(row)
         assert cmap.edge_pairs.tolist() == [list(p) for p in pairs]
-        assert cmap.edge_index.tolist() == index
+        assert cmap.edge_tuples == tuple(pairs)
         assert cmap.swap_moves.tolist() == moves
         assert cmap.log_weight == edge_log_weights(cmap)
         assert all(type(v) is float for v in cmap.log_weight.values())
-        for table in (cmap.edge_pairs, cmap.edge_index, cmap.swap_moves):
+        for table in (cmap.edge_pairs, cmap.swap_moves):
             assert table.dtype == np.intp
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
-        for name in ("edge_pairs", "edge_index", "swap_moves", "log_weight"):
+        for name in ("edge_pairs", "edge_tuples", "swap_moves", "log_weight"):
             assert getattr(cmap, name) is getattr(cmap, name)  # built once per map
 
     @settings(max_examples=60, deadline=None)
@@ -474,6 +473,93 @@ class TestCalibrationImport:
         assert calibration.num_physical == 2 and type(calibration.edges[0][0]) is int
 
 
+MISSING = object()
+# One of each kind of bad value: missing, null, bools, 0, a negative, a
+# non-integer float, NaN, both infinities, strings (empty, a word, decimal
+# ones, two characters that iterate as a pair, a Table-3 name), lists,
+# objects (one whose keys iterate as a pair) and huge integers (past int64,
+# past any float).
+BAD_FIELD_VALUES = (MISSING, None, True, False, 0, -1, 2.5, math.nan, math.inf, -math.inf,
+                    "", "a", "1", "2.5", "01", "4q5e", [], [1], [0, 1], {}, {"0": 0, "1": 1},
+                    10**30, 10**400)
+
+
+@st.composite
+def _fixtures(draw):
+    """A valid fixture: a connected module (a chain plus chords) or a Table-3
+    name, chained 1-3 times, with or without its version and name."""
+    if draw(st.booleans()):
+        fixture = {"module": draw(st.sampled_from(sorted(TABLE3_MODULES)))}
+    else:
+        qubits = draw(st.integers(2, 5))
+        chords = [(i, j) for i in range(qubits) for j in range(i + 2, qubits)]
+        drawn = draw(st.lists(st.sampled_from(chords), unique=True)) if chords else []
+        edges = [[i, i + 1] for i in range(qubits - 1)] + [list(pair) for pair in drawn]
+        module = {"qubits": qubits, "edges": edges,
+                  "fidelities": [draw(st.floats(0.9, 1.0)) for _ in edges]}
+        if draw(st.booleans()):
+            module["name"] = "m"
+        fixture = {"module": module}
+    fixture["num_modules"] = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        fixture["format_version"] = 1
+    return fixture
+
+
+@st.composite
+def _field_paths(draw, node):
+    """A path to a value inside ``node``, as a tuple of keys and indices: a
+    key of each container in turn, stopping below each level at even odds,
+    so that a top-level field is drawn as often as a deep one."""
+    path = ()
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+        if not isinstance(node, (dict, list)) or not node or draw(st.booleans()):
+            return path
+
+
+def _replaced(fixture, path, value):
+    """A deep copy of ``fixture`` with the field at ``path`` replaced by
+    ``value``, or removed when it is MISSING."""
+    out = json.loads(json.dumps(fixture))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+class TestFixtureProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(fixture=_fixtures(), data=st.data())
+    def test_one_bad_field_loads_as_read_or_is_refused_by_name(self, tmp_path_factory, fixture, data):
+        """A valid fixture with one field, at a drawn path, replaced by each
+        bad value in turn either loads as `reference_fixture` reads it, or
+        raises TopologyError naming the file and, when that field breaks its
+        own rule, the key; no other exception escapes."""
+        path = data.draw(_field_paths(fixture))
+        file = tmp_path_factory.mktemp("fixture") / "fixture.json"
+        for value in BAD_FIELD_VALUES:
+            payload = _replaced(fixture, path, value)
+            expected = reference_fixture(payload, TABLE3_MODULES)
+            file.write_text(json.dumps(payload))
+            try:
+                cmap = load_topology(file)
+            except TopologyError as error:
+                message = str(error)
+                assert expected[0] != "fabric", message
+                assert message.endswith(f" in {file}")
+                assert expected[0] == "structure" or expected[1] in message
+            else:
+                assert expected[0] == "fabric", (payload, expected)
+                assert (cmap.num_physical, list(cmap.edges)) == expected[1:]
+                assert all(type(i) is int and type(j) is int and type(c) is float for i, j, c in cmap.edges)
+
+
 def test_distance_set_builder():
     ds = build_distance_set(triangle(), k_swap=3, beta=1.0)
     assert ds.d_blend[0][2] == pytest.approx(ds.d_hop[0][2] + ds.d_fid[0][2])
@@ -503,52 +589,60 @@ def test_a_distance_set_is_equal_only_to_itself():
     assert {ds: "k3", other: "beta2"}[build_distance_set(cmap, 3, 1.0)] == "k3"
 
 
-def _swap_table_oracle(matrix, cmap):
-    """(absolute, delta) from scalar reads: column e reads matrix at the
+def _swap_delta_oracle(matrix, cmap):
+    """The delta table from scalar reads: column e reads matrix at the
     physical qubits of wires a and b after `Layout.swap_physical` on edge e,
-    the last absolute column reads it with no swap, and delta is after - now
-    one element at a time."""
+    minus the read with no swap, one element at a time."""
     n = cmap.num_physical
-    layouts = [Layout(range(n)) for _ in range(len(cmap.edge_pairs) + 1)]
+    layouts = [Layout(range(n)) for _ in range(len(cmap.edge_pairs))]
     for layout, (p, q) in zip(layouts, cmap.edge_pairs.tolist()):
         layout.swap_physical(p, q)
-    absolute = [[matrix[lay.physical_list[a], lay.physical_list[b]] for lay in layouts]
-                for a in range(n) for b in range(n)]
-    delta = [[after - row[-1] for after in row[:-1]] for row in absolute]
-    return np.array(absolute, dtype=matrix.dtype), np.array(delta, dtype=matrix.dtype)
+    delta = [[matrix[lay.physical_list[a], lay.physical_list[b]] - matrix[a, b] for lay in layouts]
+             for a in range(n) for b in range(n)]
+    return np.array(delta, dtype=matrix.dtype).reshape(n * n, len(layouts))
+
+
+TABLES = ("hop_delta", "blend_delta", "hop_rows", "blend_rows")
 
 
 class TestSwapTables:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_tables_equal_scalar_reads_after_each_swap(self, seed):
-        """Both kinds, hop (int64) and blend (float), equal the scalar oracle
-        bit for bit over flat rows a·n + b, and refuse a write."""
+        """Both delta kinds, hop (int64) and blend (float), equal the scalar
+        oracle bit for bit over flat rows a·n + b, are row-major and refuse a
+        write; the row tuples hold the matrices' entries as ints and floats."""
         rng = np.random.default_rng(seed)
         cmap = random_connected_map(rng)
         ds = build_distance_set(cmap, int(rng.integers(1, 4)), float(rng.uniform(0.0, 2.0)))
         n, num_edges = cmap.num_physical, len(cmap.edge_pairs)
-        for matrix, tables in ((ds.d_hop, ds.hop_tables), (ds.d_blend, ds.blend_tables)):
-            for table, expected, columns in zip(tables, _swap_table_oracle(matrix, cmap),
-                                                (num_edges + 1, num_edges)):
-                assert table.shape == (n * n, columns) and table.dtype == matrix.dtype
-                assert table.tobytes() == expected.tobytes()
-                with pytest.raises(ValueError, match="read-only"):
-                    table[0, 0] = 0
+        for matrix, table, rows, kind in ((ds.d_hop, ds.hop_delta, ds.hop_rows, int),
+                                          (ds.d_blend, ds.blend_delta, ds.blend_rows, float)):
+            assert table.shape == (n * n, num_edges) and table.dtype == matrix.dtype
+            assert table.flags.c_contiguous
+            assert table.tobytes() == _swap_delta_oracle(matrix, cmap).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+            assert rows == tuple(tuple(row) for row in matrix.tolist())
+            assert all(type(v) is kind for row in rows for v in row)
 
     def test_tables_are_built_on_first_read(self):
-        """No table exists when the set is built; a SABRE route builds the
-        hop tables alone, a FINESSE route the blend tables too, each once."""
+        """No table exists when the set is built.  A SABRE route builds the
+        hop deltas alone, MIRAGE the hop rows too, and FINESSE the blend
+        deltas and rows; each is built once."""
         cmap = coupling_map(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0.951, 0.952, 0.953, 0.954])
         config = router.RouterConfig(algorithm="sabre", num_seeds=2)
         ds = build_distance_set(cmap, swap_count(config.basis), config.beta)
-        assert "hop_tables" not in vars(ds) and "blend_tables" not in vars(ds)
+        built = lambda: {name for name in TABLES if name in vars(ds)}
+        assert built() == set()
         dag = CircuitDag(5, [Gate(id=i, kind="cx", wires=w) for i, w in enumerate([(0, 4), (1, 3), (4, 2)])])
         router.run_trials(dag, cmap, config)
-        assert "hop_tables" in vars(ds) and "blend_tables" not in vars(ds)
-        hop = ds.hop_tables
+        assert built() == {"hop_delta"}
+        hop = ds.hop_delta
+        router.run_trials(dag, cmap, router.RouterConfig(algorithm="mirage", num_seeds=2))
+        assert built() == {"hop_delta", "hop_rows"}
         router.run_trials(dag, cmap, router.RouterConfig(algorithm="finesse", num_seeds=2))
-        assert "blend_tables" in vars(ds) and ds.hop_tables is hop
+        assert built() == set(TABLES) and ds.hop_delta is hop
 
 
 # sha256 of d_hop, d_fid and d_blend bytes for the Table-3 fabrics at the

@@ -123,6 +123,16 @@ class TestRetireFront:
         # The counts left are the arcs from the front and its descendants.
         assert counts == reference_remaining_counts(dag, front) == {0: 0, 1: 0, 2: 1, 3: 1}
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_the_roots_are_the_front_with_nothing_executed(self, seed):
+        """`CircuitDag.roots`, kept once per DAG, and its reverse's are the
+        gates without a predecessor, in gate order."""
+        dag = _random_dag(np.random.default_rng(seed))
+        for planned in (dag, dag.reversed()):
+            assert isinstance(planned.roots, tuple)
+            assert list(planned.roots) == reference_front(planned, set())
+
 
 def _roots(dag):
     counts = dag.predecessor_counts()
@@ -282,6 +292,7 @@ class TestLayout:
         for p0, p1 in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), max_size=12)):
             lay.swap_physical(p0, p1)
             assert lay.physical_array.tolist() == lay.to_list()
+            assert [lay.virtual_list[p] for p in lay.to_list()] == list(range(n))
         assert lay.physical_array.dtype == np.intp
         assert lay.copy().physical_array is not lay.physical_array
 
