@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import freqalloc as fa
 from .checks import real
-from .hardware import as_integer, fabric_suite, load_json, load_topology, read_field
+from .hardware import as_integer, as_list, fabric_suite, load_json, load_topology, read_field
 from .qasm import load_qasm, serialize_qasm
 from .router import ALGORITHMS, RouterConfig, RoutingError, transpile
 from .verifier import DEFAULT_TOL
@@ -55,13 +55,24 @@ def _seed_option(text: str) -> int:
 
 def _bounds(value) -> fa.FrequencyBounds:
     """{"qubit": [lo, hi], "snail": [lo, hi]}; a band left out keeps its default."""
-    bands = dict(value)
+    if not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    bands = {band: as_list(pair) for band, pair in value.items()}
     return fa.FrequencyBounds(
         **{band: (parse_frequency(lo), parse_frequency(hi)) for band, (lo, hi) in bands.items()}
     )
 
 
+def _module_sizes(value) -> list[fa.FreqModule]:
+    """A non-empty list of module sizes, one all-pairs module each."""
+    if not as_list(value):
+        raise ValueError("no module to allocate")
+    return [fa.FreqModule(as_integer(n)) for n in value]
+
+
 def cmd_allocate(args) -> int:
+    """Allocate each module.  Its ``modulespec_n*.json`` fixture keeps each
+    gate on its own edge with its own fidelity, less the k worst gates."""
     source = args.config
     config = load_json(source) if source else {}
 
@@ -71,8 +82,7 @@ def cmd_allocate(args) -> int:
             return default
         return read_field(config, key, convert, "allocate config", source)
 
-    modules = read("module_sizes", lambda v: [fa.FreqModule(as_integer(n)) for n in v],
-                   [fa.FreqModule(n) for n in (2, 3, 4, 5)])
+    modules = read("module_sizes", _module_sizes, [fa.FreqModule(n) for n in (2, 3, 4, 5)])
     k = read("k", lambda v: fa.worst_gate_exclusion(as_integer(v), modules), 0)
     delta_q = read("delta_q", parse_frequency, fa.DEFAULT_DELTA_Q)
     restarts = read("restarts", lambda v: fa.restart_count(as_integer(v)), fa.NM_RESTARTS)

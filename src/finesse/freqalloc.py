@@ -745,22 +745,18 @@ def optimize_frequencies(
 def fidelity_table(
     report: GateInfidelityReport, name: str = "module", drop_worst: int = 0
 ):
-    """Emit the optimized module as a hardware ModuleSpec (C = 1 - eps_gate).
-
-    The fidelities form a multiset: ModuleSpec.assigned_edges re-pairs them
-    with the edges in lexicographic order, highest fidelity first, so which
-    gate a fidelity came from is not kept.
-    """
+    """Emit the optimized module as a hardware ModuleSpec: each gate, in
+    module gate order, beside its own fidelity C = 1 - eps_gate, less the
+    ``drop_worst`` gates of largest eps_gate (ties broken by gate pair)."""
     from .hardware import ModuleSpec
 
     if not report.gates:
         raise AllocationError("empty module: no gates to tabulate")
-    records = sorted(zip(report.eps_gate, report.gates))
-    records = records[: len(records) - worst_gate_exclusion(drop_worst, [report])]
-    num_qubits = max(max(a, b) for a, b in report.gates) + 1
+    best_first = sorted(range(len(report.gates)), key=lambda g: (report.eps_gate[g], report.gates[g]))
+    kept = sorted(best_first[: len(report.gates) - worst_gate_exclusion(drop_worst, [report])])
     return ModuleSpec(
-        qubits_per_module=num_qubits,
-        edges_per_module=tuple(g for _, g in records),
-        edge_fidelities=tuple(1.0 - e for e, _ in records),
+        qubits_per_module=max(max(a, b) for a, b in report.gates) + 1,
+        edges_per_module=tuple(report.gates[g] for g in kept),
+        edge_fidelities=tuple(1.0 - report.eps_gate[g] for g in kept),
         name=name,
     )

@@ -13,7 +13,8 @@ front, the remaining predecessor counts and the extended set by walks over
 those arcs, whole routes by a rewrite of `run_trials` over lists and dicts,
 circuits by dense Kronecker-product matrices,
 routed-circuit equivalence by loops over the computational basis of those
-matrices, and QASM angles by Python's own expression grammar.
+matrices, QASM angles by Python's own expression grammar, and topology
+fixtures and calibration snapshots by reading one field at a time.
 """
 from __future__ import annotations
 
@@ -200,6 +201,19 @@ def _fixture_module(mod, table3):
     return qubits, pairs, fids
 
 
+def _connected(keys, count: int) -> bool:
+    """Whether the undirected edges ``keys`` reach all ``count`` nodes from 0."""
+    reached, stack = {0}, [0]
+    while stack:
+        q = stack.pop()
+        for i, j in keys:
+            for a, b in ((i, j), (j, i)):
+                if a == q and b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+    return len(reached) == count
+
+
 def reference_fixture(data: dict, table3: dict):
     """What a topology fixture (a ``module`` chained ``num_modules`` times)
     describes, read one field at a time by the format's rules: ("fabric",
@@ -224,17 +238,9 @@ def reference_fixture(data: dict, table3: dict):
     if (len(fids) != len(pairs) or len(keys) != len(pairs) or count * qubits > FABRIC_CAP
             or any(i == j or max(i, j) >= qubits for i, j in pairs)):
         return "structure", None
-    reached, stack = {0}, [0]  # the module must be connected; so is its chain
-    while stack:
-        q = stack.pop()
-        for i, j in keys:
-            for a, b in ((i, j), (j, i)):
-                if a == q and b not in reached:
-                    reached.add(b)
-                    stack.append(b)
-    if len(reached) != qubits:
+    if not _connected(keys, qubits):  # the module must be connected; so is its chain
         return "structure", None
-    assigned = list(zip(sorted(keys), sorted(fids, reverse=True)))
+    assigned = list(zip(pairs, fids))  # fidelities[i] belongs to edges[i]
     edges = []
     for m in range(count):
         base = m * qubits
@@ -242,6 +248,49 @@ def reference_fixture(data: dict, table3: dict):
         if m + 1 < count:
             edges.append((base + qubits - 1, base + qubits, min(fids)))
     return "fabric", count * qubits, edges
+
+
+def reference_calibration(data: dict):
+    """What a calibration snapshot (``edges`` as {i, j, error} records, and
+    an optional ``num_physical``) describes, read one field at a time by the
+    format's rules: ("fabric", num_physical, edges, dropped) with each edge
+    as (min, max, 1 - error) in file order and ``dropped`` the records with
+    no error (kept out, each with a warning); ("field", key) when one field
+    breaks its own rule; or ("structure", None) when every field holds but
+    the edges make no fabric.  Without ``edges`` the data reads as a fixture,
+    which lacks its ``module``."""
+    if "format_version" in data and str(data["format_version"]) != "1":
+        return "field", "format_version"
+    if "edges" not in data:
+        return "field", "module"
+    if not isinstance(data["edges"], list):
+        return "field", "edges"
+    edges, dropped, count = [], 0, 0
+    for record in data["edges"]:
+        ends = []
+        for key in ("i", "j"):
+            end = _fixture_integer(record.get(key)) if isinstance(record, dict) else None
+            if end is None or not 0 <= end < FABRIC_CAP:
+                return "field", key
+            ends.append(end)
+        count = max(count, ends[0] + 1, ends[1] + 1)
+        if record.get("error") is None:
+            dropped += 1
+            continue
+        error = _fixture_real(record["error"])
+        if error is None or not 0.0 <= error < 1.0:
+            return "field", "error"
+        edges.append((min(ends), max(ends), 1.0 - error))
+    if "num_physical" in data:
+        count = _fixture_integer(data["num_physical"])
+        if count is None or not 0 <= count <= FABRIC_CAP:
+            return "field", "num_physical"
+    keys = {(i, j) for i, j, _ in edges}
+    if len(keys) != len(edges) or any(i == j or j >= count for i, j in keys):
+        return "structure", None
+    if count > 1 and not _connected(keys, count):
+        return "structure", None
+    return "fabric", count, edges, dropped
 
 
 # --- circuit DAGs -----------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 from finesse import cli, freqalloc as fa
 from finesse.checks import seeded_stream
 from finesse.hardware import (
-    CouplingMap, TABLE3_MODULES, TopologyError, as_integer, blended_distances, build_snail_fabric,
-    fidelity_distances, load_topology,
+    CouplingMap, ModuleSpec, TABLE3_MODULES, TopologyError, as_integer, blended_distances,
+    build_snail_fabric, fidelity_distances, load_topology,
 )
 from finesse.ir import CircuitDag, CircuitError, Gate, Layout
 from finesse.qasm import parse_qasm
@@ -45,6 +45,9 @@ INTEGER_SITES = [
      "an endpoint of edge (0,{v})", 0),
     ("fidelity_distances-k_swap", lambda v: fidelity_distances(load_topology("4q4e"), v), TopologyError,
      "k_swap", 1),
+    ("modulespec-qubits", lambda v: ModuleSpec(v, ((0, 1),), (0.9,)), TopologyError, "qubits_per_module", 2),
+    ("modulespec-endpoint", lambda v: ModuleSpec(2, ((0, v),), (0.9,)), TopologyError,
+     "an endpoint of module edge (0,{v})", 0),
     ("snail-num_modules", lambda v: build_snail_fabric(TABLE3_MODULES["4q4e"], v), TopologyError,
      "num_modules", 1),
     ("freqmodule-num_qubits", lambda v: fa.FreqModule(v), fa.AllocationError, "num_qubits", 2),
@@ -113,6 +116,7 @@ def test_every_site_takes_a_numpy_number():
     assert Gate(0, "root_iswap", (np.int64(0), 1), n=np.int64(2)).n == 2
     assert BasisGate("root_iswap", np.int32(2)).n == 2
     assert CouplingMap(np.int64(2), ((np.int64(0), 1, np.float64(0.9)),)).num_physical == 2
+    assert build_snail_fabric(ModuleSpec(np.int64(2), ((np.int64(0), 1),), (0.9,)), 2).edges[0] == (0, 1, 0.9)
     assert fa.FreqModule(np.int64(3)).num_qubits == 3
     assert cli.parse_frequency(np.float64(2e8)) == 2e8
 

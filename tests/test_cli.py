@@ -36,9 +36,8 @@ class TestAllocate:
             report = fa.build_report(assign, fa.FreqModule(n), params, fa.DEFAULT_DELTA_Q)
             assert payload["report"] == json.loads(json.dumps(report.to_dict()))
             spec = json.loads((out / f"modulespec_n{n}.json").read_text())["module"]
-            table = fa.fidelity_table(report, name=f"allocated_n{n}")
-            assert spec["fidelities"] == list(table.edge_fidelities)
-            assert spec["edges"] == [list(e) for e in table.edges_per_module]
+            assert spec["edges"] == [list(g) for g in report.gates]  # each gate with its own fidelity
+            assert spec["fidelities"] == [1.0 - e for e in report.eps_gate]
         rows = (out / "separations.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["2", "3"]
 
@@ -72,6 +71,12 @@ class TestAllocate:
         ({"constants": {"alpha": 1.0}}, "constants"),  # not a field: no loss reads it
         ({"constants": {"t1": True}}, "constants"),  # not T1 = 1 s
         ({"fit_params": {"coh_x0": True, "coh_x1": 1e4, "inc_x0": 1e6, "inc_x1": 1e5}}, "fit_params"),
+        # Lists are read as lists and objects as objects, not by characters or keys.
+        ({"module_sizes": "23"}, "module_sizes"),
+        ({"module_sizes": {"3": 0}}, "module_sizes"),
+        ({"module_sizes": []}, "module_sizes"),
+        ({"bounds": {"qubit": {"3.3 GHz": 0, "5.7 GHz": 1}}}, "bounds"),
+        ({"bounds": [["qubit", ["3.3 GHz", "5.7 GHz"]]]}, "bounds"),
     ])
     def test_bad_config_field_names_it_and_the_file(self, tmp_path, capsys, config, key):
         with pytest.raises(SystemExit) as exc:
@@ -198,10 +203,11 @@ class TestTranspileAndVerify:
         with pytest.raises(SystemExit) as exc:
             main(["transpile", str(circuit), "--topology", str(topology)])
         assert exc.value.code == EXIT_USAGE
-        assert "bad 'edges' value 5 in" in capsys.readouterr().err
+        assert "bad 'edges' value 5: 5 is not a list in" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fixture, message", [
-        ({"num_physical": -1, "edges": []}, "bad 'num_physical' value -1: the value must be an integer >= 0, not -1 in"),
+        ({"num_physical": -1, "edges": []},
+         "bad 'num_physical' value -1: the value must be an integer in 0..65536, not -1 in"),
         ({"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2},
          "bad 'edges' value []: a module needs at least one edge in"),
     ])

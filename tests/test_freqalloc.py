@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import warnings
@@ -6,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finesse import freqalloc as fa
+from finesse.hardware import TABLE3_MODULES, TopologyError, load_topology
 from oracles import (
     factorized_spectator_infidelity,
     reference_allocation_loss,
@@ -662,6 +664,11 @@ class TestOptimizer:
         assert not report.feasible
 
 
+# All-pairs modules and each Table-3 edge set, allocated as a module.
+ROUND_TRIP_MODULES = [*(fa.FreqModule(n) for n in range(2, 6)),
+                      *(fa.FreqModule(s.qubits_per_module, s.edges_per_module) for s in TABLE3_MODULES.values())]
+
+
 class TestFidelityTable:
     def _report(self, params):
         module = fa.FreqModule(3)
@@ -671,11 +678,8 @@ class TestFidelityTable:
     def test_edge_fidelity_is_one_minus_eps(self, params):
         report = self._report(params)
         spec = fa.fidelity_table(report)
-        # A multiset: ModuleSpec re-pairs fidelities with edges itself.
-        assert sorted(spec.edge_fidelities) == pytest.approx(
-            sorted(1 - e for e in report.eps_gate)
-        )
-        assert sorted(spec.edges_per_module) == sorted(fa.FreqModule(3).gates)
+        assert spec.edges_per_module == report.gates == fa.FreqModule(3).gates
+        assert spec.edge_fidelities == tuple(1 - e for e in report.eps_gate)
 
     def test_worst_gate_is_worst_edge(self, params):
         report = self._report(params)
@@ -685,8 +689,39 @@ class TestFidelityTable:
     def test_drop_worst_removes_edges(self, params):
         report = self._report(params)
         spec = fa.fidelity_table(report, drop_worst=1)
-        assert len(spec.edge_fidelities) == 2
-        assert min(spec.edge_fidelities) == pytest.approx(sorted(1 - e for e in report.eps_gate)[1])
+        worst = int(np.argmax(report.eps_gate))
+        kept = [g for g in range(3) if g != worst]
+        assert spec.edges_per_module == tuple(report.gates[g] for g in kept)
+        assert spec.edge_fidelities == tuple(1 - report.eps_gate[g] for g in kept)
+
+    @settings(max_examples=100, deadline=None)
+    @given(module=st.sampled_from(ROUND_TRIP_MODULES), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_each_kept_gate_reads_back_on_its_own_edge(self, params, module, seed, data):
+        """build_report -> fidelity_table -> fixture -> JSON -> load_topology:
+        each kept gate's edge carries exactly that gate's 1 - eps_gate, both
+        ways round, and the dropped gates are the k of largest eps_gate (ties
+        broken by gate pair).  A kept gate of eps_gate 1 has fidelity 0,
+        which the fixture format refuses."""
+        rng = np.random.default_rng(seed)
+        assign = fa.FrequencyAssignment(tuple(rng.uniform(*fa.DEFAULT_QUBIT_BAND, module.num_qubits)),
+                                        float(rng.uniform(*fa.DEFAULT_SNAIL_BAND)))
+        report = fa.build_report(assign, module, params)
+        k = data.draw(st.integers(0, min(1, len(module.gates) - 1)))
+        fixture = json.loads(json.dumps(fa.fidelity_table(report, drop_worst=k).to_fixture()))
+        ranked = {gate: (eps, gate) for gate, eps in zip(report.gates, report.eps_gate)}
+        kept = [tuple(edge) for edge in fixture["module"]["edges"]]
+        dropped = set(report.gates) - set(kept)
+        assert len(kept) == len(report.gates) - k and len(dropped) == k
+        assert all(ranked[d] > ranked[g] for d in dropped for g in kept)
+        fidelity = {gate: 1.0 - eps for gate, eps in zip(report.gates, report.eps_gate)}
+        if min(fidelity[g] for g in kept) <= 0.0:
+            with pytest.raises(TopologyError, match="fidelity outside"):
+                load_topology(fixture)
+            return
+        cmap = load_topology(fixture)
+        assert len(cmap.edges) == len(kept)
+        for a, b in kept:
+            assert cmap.fidelity[a, b] == fidelity[a, b] and cmap.fidelity[b, a] == fidelity[a, b]
 
     @pytest.mark.parametrize("drop_worst", [3, -1])
     def test_drop_worst_must_leave_a_gate(self, params, drop_worst):

@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -11,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from finesse import cli, freqalloc as fa, router
 from finesse.hardware import (
     CouplingMap,
+    ModuleSpec,
     TABLE3_MODULES,
     TopologyError,
     blended_distances,
@@ -28,6 +34,7 @@ from oracles import (
     coupling_map,
     edge_log_weights,
     random_connected_map,
+    reference_calibration,
     reference_fixture,
     relaxed_distances,
 )
@@ -246,6 +253,15 @@ class TestBlended:
             blended_distances(np.zeros((2, 2)), np.zeros((2, 2)), beta)
 
 
+# sha256 of repr(fabric_suite()[name].edges): the fabrics every bench routes.
+TABLE3_EDGE_DIGESTS = {
+    "4q4e": "005f943f33ea9d661d9591f40bb1ed2098002f36b3bd18cce98b06dc659178ac",
+    "4q5e": "5adc008e2ba1643276035ac550ef836d4a0c97e86485e1bd704d5fc60d1946d2",
+    "4q6e": "abad0b19db15b8d1b822b9d817f0ac98c5479cf08413f39155cca3641dfeb50b",
+    "5q7e": "c65446913c9219c37dcf5bbfbd3a15b2b358098546a58234fc551488694c4fb0",
+}
+
+
 class TestSnailFabric:
     def test_4q4e_single_module(self):
         cmap = build_snail_fabric(TABLE3_MODULES["4q4e"], 1)
@@ -275,6 +291,22 @@ class TestSnailFabric:
     def test_table3_sizes(self):
         for name, spec in TABLE3_MODULES.items():
             assert len(spec.edge_fidelities) == len(spec.edges_per_module)
+
+    @pytest.mark.parametrize("name", sorted(TABLE3_EDGE_DIGESTS))
+    def test_table3_fabric_edges_are_pinned(self, name):
+        """Each edge tuple, fidelity and order, as the fabrics have always held
+        them: the Table-3 modules pair fidelities with their edges in place."""
+        edges = fabric_suite()[name].edges
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == TABLE3_EDGE_DIGESTS[name]
+
+    def test_each_fidelity_stays_on_its_own_edge(self):
+        spec = ModuleSpec(3, ((1, 2), (0, 1)), (0.9, 0.99))
+        assert build_snail_fabric(spec, 2).edges == (
+            (1, 2, 0.9), (0, 1, 0.99), (2, 3, 0.9), (4, 5, 0.9), (3, 4, 0.99))
+
+    def test_a_module_needs_an_edge(self):
+        with pytest.raises(TopologyError, match="^a module needs at least one edge$"):
+            build_snail_fabric(ModuleSpec(4, (), ()), 2)
 
     @pytest.mark.parametrize("name", sorted(TABLE3_MODULES))
     def test_load_topology_builds_only_the_named_fabric(self, name):
@@ -445,8 +477,15 @@ class TestCalibrationImport:
         ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 1}, None),
         ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 3}, None),
         ({"edges": [{"i": 0, "j": 0, "error": 0.01}]}, None),
+        # A snapshot's counts are capped before they size an array, and its
+        # edges are a list, not a string read by its characters.
+        ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 10**30}, "num_physical"),
+        ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 70000}, "num_physical"),
+        ({"edges": [{"i": 0, "j": 70000, "error": 0.01}]}, "j"),
+        ({"edges": "01"}, "edges"),
     ], ids=["no-modules", "fidelity-1.5", "fidelity-nan", "two-fidelities-one-edge", "edge-out-of-range",
-            "disconnected-module", "error-1.5", "edge-past-num-physical", "disconnected-snapshot", "self-loop"])
+            "disconnected-module", "error-1.5", "edge-past-num-physical", "disconnected-snapshot", "self-loop",
+            "num-physical-1e30", "num-physical-70000", "endpoint-70000", "edges-a-string"])
     def test_every_refusal_names_the_file(self, tmp_path, capsys, payload, key):
         """A value out of range names its key and the file; a fabric that
         cannot be built (an edge out of range, a disconnected graph) names the
@@ -465,12 +504,44 @@ class TestCalibrationImport:
         assert exit_.value.code == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"edges": [{"i": 0, "j": 1, "error": 0.01}], "num_physical": 10**10}, "num_physical"),
+        ({"edges": [{"i": 0, "j": 10**9, "error": 0.01}]}, "j"),
+    ], ids=["num-physical-1e10", "endpoint-1e9"])
+    def test_a_huge_count_is_refused_before_it_sizes_an_array(self, tmp_path, payload, key):
+        """`finesse transpile --topology` exits 2 naming the key and the file.
+        A fabric of that size would take 3.7 GiB or more, so the command runs
+        in a child process under a 2 GiB address-space limit."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        circuit = tmp_path / "c.qasm"
+        circuit.write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n")
+        src = Path(fa.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_FINESSE, str(2 << 30), "transpile", str(circuit), "--topology", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        assert f"bad '{key}' value" in proc.stderr and f" in {path}" in proc.stderr
+
     def test_integral_floats_load_as_integers(self):
         payload = {"module": {"qubits": 2.0, "edges": [[0.0, 1]], "fidelities": [0.99]}, "num_modules": 2.0}
         exact = {"module": {"qubits": 2, "edges": [[0, 1]], "fidelities": [0.99]}, "num_modules": 2}
         assert load_topology(payload) == load_topology(exact)
         calibration = load_topology({"edges": [{"i": 0.0, "j": 1, "error": 0.01}], "num_physical": 2.0})
         assert calibration.num_physical == 2 and type(calibration.edges[0][0]) is int
+
+
+# `python -m finesse` in a process that first caps its own address space at
+# the byte count given as its first argument.
+CAPPED_FINESSE = """
+import resource, runpy, sys
+limit = int(sys.argv.pop(1))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+runpy.run_module("finesse", run_name="__main__")
+"""
 
 
 MISSING = object()
@@ -484,6 +555,13 @@ BAD_FIELD_VALUES = (MISSING, None, True, False, 0, -1, 2.5, math.nan, math.inf, 
                     10**30, 10**400)
 
 
+def _chain_and_chords(draw, qubits):
+    """The pairs (i, i + 1) of a chain over ``qubits``, then drawn chords."""
+    chords = [(i, j) for i in range(qubits) for j in range(i + 2, qubits)]
+    drawn = draw(st.lists(st.sampled_from(chords), unique=True)) if chords else []
+    return [(i, i + 1) for i in range(qubits - 1)] + drawn
+
+
 @st.composite
 def _fixtures(draw):
     """A valid fixture: a connected module (a chain plus chords) or a Table-3
@@ -492,9 +570,7 @@ def _fixtures(draw):
         fixture = {"module": draw(st.sampled_from(sorted(TABLE3_MODULES)))}
     else:
         qubits = draw(st.integers(2, 5))
-        chords = [(i, j) for i in range(qubits) for j in range(i + 2, qubits)]
-        drawn = draw(st.lists(st.sampled_from(chords), unique=True)) if chords else []
-        edges = [[i, i + 1] for i in range(qubits - 1)] + [list(pair) for pair in drawn]
+        edges = [list(pair) for pair in _chain_and_chords(draw, qubits)]
         module = {"qubits": qubits, "edges": edges,
                   "fidelities": [draw(st.floats(0.9, 1.0)) for _ in edges]}
         if draw(st.booleans()):
@@ -504,6 +580,25 @@ def _fixtures(draw):
     if draw(st.booleans()):
         fixture["format_version"] = 1
     return fixture
+
+
+@st.composite
+def _snapshots(draw):
+    """A valid calibration snapshot: a chain plus chords over 2-5 qubits, each
+    edge in either orientation with an error in [0, 0.1], perhaps one record
+    with no error (dropped), with or without num_physical and the version."""
+    qubits = draw(st.integers(2, 5))
+    records = [{"i": i, "j": j, "error": draw(st.floats(0.0, 0.1))}
+               for i, j in (pair[::-1] if draw(st.booleans()) else pair
+                            for pair in _chain_and_chords(draw, qubits))]
+    if draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), {"i": 1, "j": 0, "error": None})
+    snapshot = {"edges": records}
+    if draw(st.booleans()):
+        snapshot["num_physical"] = qubits
+    if draw(st.booleans()):
+        snapshot["format_version"] = 1
+    return snapshot
 
 
 @st.composite
@@ -558,6 +653,39 @@ class TestFixtureProperty:
                 assert expected[0] == "fabric", (payload, expected)
                 assert (cmap.num_physical, list(cmap.edges)) == expected[1:]
                 assert all(type(i) is int and type(j) is int and type(c) is float for i, j, c in cmap.edges)
+
+
+class TestCalibrationProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot=_snapshots(), data=st.data())
+    def test_one_bad_field_loads_as_read_or_is_refused_by_name(self, tmp_path_factory, snapshot, data):
+        """A valid snapshot with one field, at a drawn path, replaced by each
+        bad value in turn (and a count past MAX_QUBITS) either loads as
+        `reference_calibration` reads it, with one warning per dropped
+        record, or raises TopologyError naming the file and, when that field
+        breaks its own rule, the key; no other exception escapes."""
+        path = data.draw(_field_paths(snapshot))
+        file = tmp_path_factory.mktemp("calibration") / "snapshot.json"
+        for value in (*BAD_FIELD_VALUES, 70000):
+            payload = _replaced(snapshot, path, value)
+            expected = reference_calibration(payload)
+            file.write_text(json.dumps(payload))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    cmap = load_topology(file)
+                except TopologyError as error:
+                    message = str(error)
+                    assert expected[0] != "fabric", message
+                    assert message.endswith(f" in {file}")
+                    key = expected[1]
+                    assert expected[0] == "structure" or f"'{key}'" in message or f" {key} " in message
+                else:
+                    assert expected[0] == "fabric", (payload, expected)
+                    assert (cmap.num_physical, list(cmap.edges)) == expected[1:3]
+                    assert all(type(i) is int and type(j) is int and type(c) is float for i, j, c in cmap.edges)
+                    assert [str(w.message).endswith("has no calibration; dropped") for w in caught] \
+                        == [True] * expected[3]
 
 
 def test_distance_set_builder():
