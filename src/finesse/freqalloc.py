@@ -96,10 +96,9 @@ RESONANCE_RULES = {
 
 @dataclass(frozen=True)
 class SpectatorTerm:
-    """One catalog row: operator form, normalized prefactor, resonance rule."""
+    """One catalog row: category, normalized prefactor, resonance rule."""
 
     category: str        # driven | intra_module | inter_module
-    operator_form: str
     normalized_prefactor: float
     rule: str
 
@@ -118,21 +117,22 @@ class SpectatorTerm:
 
 
 # Order-of-magnitude catalog for driven, intra-module, and inter-module
-# spectator terms, sorted by normalized prefactor within each block.
+# spectator terms, sorted by normalized prefactor within each block; each
+# row's comment is the term's operator form.
 SPECTATOR_CATALOG = (
-    SpectatorTerm("driven", "qa^ qb + qa qb^", 1.0, "pair_conversion"),
-    SpectatorTerm("intra_module", "s^ + s", 100.0, "snail_sub2"),
-    SpectatorTerm("intra_module", "s^ qa + s qa^", 10.0, "snail_qubit"),
-    SpectatorTerm("intra_module", "qa^ + qa", 10.0, "qubit_sub2"),
-    SpectatorTerm("intra_module", "s^ qa + s qa^", 0.067, "snail_qubit_half"),
-    SpectatorTerm("intra_module", "qa^ + qa", 0.044, "qubit_sub3"),
-    SpectatorTerm("intra_module", "s^ + s", 0.018, "snail_sub3"),
-    SpectatorTerm("inter_module", "sn^ + sn", 1.0, "neighbor_snail_sub2"),
-    SpectatorTerm("inter_module", "s^ qc + s qc^", 0.1, "neighbor_snail_qubit"),
-    SpectatorTerm("inter_module", "qc^ + qc", 0.1, "neighbor_qubit_sub2"),
-    SpectatorTerm("inter_module", "qa^ qc + qa qc^", 0.01, "cross_module_conversion"),
-    SpectatorTerm("inter_module", "sn^ qa + sn qa^", 0.001, "neighbor_snail_conversion"),
-    SpectatorTerm("inter_module", "qc^ qd + qc qd^", 0.0001, "neighbor_pair_conversion"),
+    SpectatorTerm("driven", 1.0, "pair_conversion"),                    # qa^ qb + qa qb^
+    SpectatorTerm("intra_module", 100.0, "snail_sub2"),                 # s^ + s
+    SpectatorTerm("intra_module", 10.0, "snail_qubit"),                 # s^ qa + s qa^
+    SpectatorTerm("intra_module", 10.0, "qubit_sub2"),                  # qa^ + qa
+    SpectatorTerm("intra_module", 0.067, "snail_qubit_half"),           # s^ qa + s qa^
+    SpectatorTerm("intra_module", 0.044, "qubit_sub3"),                 # qa^ + qa
+    SpectatorTerm("intra_module", 0.018, "snail_sub3"),                 # s^ + s
+    SpectatorTerm("inter_module", 1.0, "neighbor_snail_sub2"),          # sn^ + sn
+    SpectatorTerm("inter_module", 0.1, "neighbor_snail_qubit"),         # s^ qc + s qc^
+    SpectatorTerm("inter_module", 0.1, "neighbor_qubit_sub2"),          # qc^ + qc
+    SpectatorTerm("inter_module", 0.01, "cross_module_conversion"),     # qa^ qc + qa qc^
+    SpectatorTerm("inter_module", 0.001, "neighbor_snail_conversion"),  # sn^ qa + sn qa^
+    SpectatorTerm("inter_module", 0.0001, "neighbor_pair_conversion"),  # qc^ qd + qc qd^
 )
 
 INTRA_CATALOG = tuple(t for t in SPECTATOR_CATALOG if t.category in ("driven", "intra_module"))
@@ -747,8 +747,11 @@ def fidelity_table(
 ):
     """Emit the optimized module as a hardware ModuleSpec: each gate, in
     module gate order, beside its own fidelity C = 1 - eps_gate, less the
-    ``drop_worst`` gates of largest eps_gate (ties broken by gate pair)."""
-    from .hardware import ModuleSpec
+    ``drop_worst`` gates of largest eps_gate (ties broken by gate pair).  C
+    is floored at `hardware.FIDELITY_FLOOR`, as `CouplingMap.log_weight`
+    floors it, so a gate whose eps_gate saturates at 1 writes an edge the
+    fixture format reads and routes as the model's gate would."""
+    from .hardware import FIDELITY_FLOOR, ModuleSpec
 
     if not report.gates:
         raise AllocationError("empty module: no gates to tabulate")
@@ -757,6 +760,6 @@ def fidelity_table(
     return ModuleSpec(
         qubits_per_module=max(max(a, b) for a, b in report.gates) + 1,
         edges_per_module=tuple(report.gates[g] for g in kept),
-        edge_fidelities=tuple(1.0 - report.eps_gate[g] for g in kept),
+        edge_fidelities=tuple(max(1.0 - report.eps_gate[g], FIDELITY_FLOOR) for g in kept),
         name=name,
     )

@@ -171,7 +171,6 @@ class DistanceSet:
     mirror rule sums one entry at a time."""
 
     d_hop: np.ndarray
-    d_fid: np.ndarray
     d_blend: np.ndarray
     k_swap: int
     swap_moves: np.ndarray
@@ -203,9 +202,8 @@ def build_distance_set(cmap: CouplingMap, k_swap: int, beta: float = 1.0) -> Dis
     sets = _DISTANCE_SETS.setdefault(cmap, {})
     if (k_swap, beta) not in sets:
         d_hop = hop_distances(cmap)
-        d_fid = fidelity_distances(cmap, k_swap)
-        arrays = (d_hop, d_fid, blended_distances(d_hop, d_fid, beta))
-        sets[k_swap, beta] = DistanceSet(*map(_read_only, arrays), k_swap, cmap.swap_moves)
+        d_blend = blended_distances(d_hop, fidelity_distances(cmap, k_swap), beta)
+        sets[k_swap, beta] = DistanceSet(_read_only(d_hop), _read_only(d_blend), k_swap, cmap.swap_moves)
     return sets[k_swap, beta]
 
 
@@ -298,7 +296,8 @@ def fabric_suite() -> dict[str, CouplingMap]:
 
 
 def _calibration_fabric(data: dict, source) -> CouplingMap:
-    """A calibration snapshot's coupling map, with C = 1 - error per edge."""
+    """A calibration snapshot's coupling map, with C = 1 - error per edge; as
+    a module does, it needs at least one calibrated edge."""
     edges = []
     num = 0
     for rec in read_field(data, "edges", as_list, "calibration", source):
@@ -312,6 +311,8 @@ def _calibration_fabric(data: dict, source) -> CouplingMap:
         edges.append((min(i, j), max(i, j), 1.0 - e))
     if "num_physical" in data:
         num = read_field(data, "num_physical", lambda v: as_integer(v, 0, MAX_QUBITS), "calibration", source)
+    if not edges:
+        raise TopologyError(f"calibration has no edge with an error rate{_in_file(source)}")
     with _naming_file(source):
         return CouplingMap(num, tuple(edges))
 

@@ -2,8 +2,9 @@
 
 The DAG links each gate to its nearest successor per wire, holding the
 successor `Gate` itself, so a walk needs no id lookup.  Two walks read those
-arcs: `retire` executes gates and lowers their successors' remaining
-predecessor counts, so the router keeps its front in O(degree) per gate, and
+arcs: `retire` executes a gate and lowers its successors' remaining
+predecessor counts, running the 1q gates and barriers it readies, so the
+router keeps its front of 2q gates in O(degree) per gate, and
 `extended_set` is the leveled lookahead walk from a front over those counts.
 For the router the DAG also holds, built on first use, the wires of its 2q
 gates as one integer table.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +46,10 @@ class Gate:
     order ``n``), ``barrier``, or ``unitary`` (opaque 4x4 matrix).  A gate with
     ``mirrored=True`` executes SWAP times its base unitary on its wires and
     implicitly permutes the two outputs.
+
+    The constructor is the one rule for a gate's shape, which every reader
+    relies on: a known kind, its wire count, distinct wires, and
+    ``PARAM_COUNTS.get(kind, 0)`` parameters (none on a barrier).
     """
 
     id: int
@@ -63,15 +68,16 @@ class Gate:
             if len(self.wires) not in (1, 2):
                 raise CircuitError("barrier nodes carry 1 or 2 wires")
         elif len(self.wires) != expected:
-            raise CircuitError(f"{self.kind} expects {expected} wires, got {len(self.wires)}")
+            raise CircuitError(f"{self.kind} expects {expected} wire(s), got {len(self.wires)}")
         for w in self.wires:
             integer(w, "a gate wire", CircuitError, 0)
         if len(set(self.wires)) != len(self.wires):
-            raise CircuitError(f"gate {self.kind} wires must be distinct: {self.wires}")
+            raise CircuitError(f"{self.kind} wires must be distinct, not {self.wires}")
         if self.kind == "root_iswap":
             integer(self.n, "root_iswap order", CircuitError, 1)
-        if self.kind in PARAM_COUNTS and len(self.params) != PARAM_COUNTS[self.kind]:
-            raise CircuitError(f"{self.kind} expects {PARAM_COUNTS[self.kind]} parameter(s)")
+        want = PARAM_COUNTS.get(self.kind, 0)
+        if len(self.params) != want:
+            raise CircuitError(f"{self.kind} expects {want} parameter(s), got {len(self.params)}")
         if self.kind == "unitary":
             m = self.matrix
             if m is None or m.shape != (4, 4):
@@ -178,24 +184,21 @@ def build_dag(num_qubits: int, ops: Iterable[tuple]) -> CircuitDag:
     return CircuitDag(num_qubits, gates)
 
 
-def retire(
-    dag: CircuitDag, counts: dict[int, int], gate_ids: Iterable[int], hold: Callable[[int], bool]
-) -> tuple[list[Gate], list[Gate]]:
-    """Execute gate_ids, lowering ``counts`` (remaining predecessors) in place.
+def retire(dag: CircuitDag, counts: dict[int, int], gate_id: int) -> tuple[list[Gate], list[Gate]]:
+    """Execute gate_id, lowering ``counts`` (remaining predecessors) in place.
 
-    A successor that becomes ready is held if ``hold(id)``; otherwise it is
-    executed in turn, last ready first.  Returns the held gates and the
-    executed successors, each in the order the walk reached them.  Retiring
-    the roots of a downward-closed executed set, holding every gate outside
-    it, leaves the front as the unexecuted gates whose count is 0.
+    A 2q successor that becomes ready (a key of ``dag.two_qubit_rows``) is
+    held; a 1q gate or barrier is executed in turn, last ready first.
+    Returns the held gates and the executed successors, each in the order
+    the walk reached them.
     """
-    held, executed, stack = [], [], list(gate_ids)
+    two_qubit, held, executed, stack = dag.two_qubit_rows, [], [], [gate_id]
     while stack:
         for g in dag._succ[stack.pop()]:
             s = g.id
             counts[s] -= 1
             if counts[s] == 0:
-                if hold(s):
+                if s in two_qubit:
                     held.append(g)
                 else:
                     executed.append(g)

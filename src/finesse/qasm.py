@@ -16,7 +16,9 @@ Every malformed input raises ``QasmError`` with a line and column: syntax
 errors (a list takes one comma between items, none trailing); an unknown
 symbol or argument in a gate body, when the gate is defined; division by
 zero, overflow, a math domain error or a result that is not a finite real
-number, at the literal, operator or function that produces it.
+number, at the literal, operator or function that produces it.  A gate's
+shape (wire count, distinct wires, parameter count) is `ir.Gate`'s rule: a
+malformed gate is refused with the IR's message at the gate's position.
 ``load_qasm`` reads a file and puts its name ahead of the position.
 """
 from __future__ import annotations
@@ -29,11 +31,12 @@ from dataclasses import dataclass
 from math import pi
 from pathlib import Path
 
-from .ir import ONE_QUBIT_KINDS, PARAM_COUNTS, TWO_QUBIT_KINDS, CircuitDag, CircuitError, Gate
+from .ir import ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, CircuitDag, CircuitError, Gate
 
 MAX_MACRO_DEPTH = 16
 
-_NAMED_2Q = TWO_QUBIT_KINDS - {"root_iswap", "unitary"}
+# The kinds the dialect spells as a gate name; root-iswap orders take a pragma.
+_SPELLED = ONE_QUBIT_KINDS | (TWO_QUBIT_KINDS - {"root_iswap", "unitary"})
 # Aliases lowered onto the u gate.
 _U_ALIASES = {"u3": 3, "u2": 2, "u1": 1, "p": 1}
 _FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
@@ -281,18 +284,18 @@ class _Parser:
             raise QasmError(str(exc), tok.line, tok.col) from exc
 
     def _apply_named(self, name: str, params: list[float], wires: list[int], tok: _Token, depth: int):
+        """Apply gate, barrier or macro ``name``; `Gate` checks each gate's
+        wires and parameters, and `_emit` gives its refusal at ``tok``."""
         if depth > MAX_MACRO_DEPTH:
             raise QasmError(f"macro recursion deeper than {MAX_MACRO_DEPTH}", tok.line, tok.col)
         if name == "barrier":
-            if params:
-                raise QasmError("barrier takes no parameters", tok.line, tok.col)
             if len(set(wires)) != len(wires):
                 raise QasmError("barrier wires must be distinct", tok.line, tok.col)
             # Lower to a down-then-up chain of barriers on at most 2 wires; the
             # chain is totally ordered, so every pre-gate precedes every post-gate.
             chain = list(zip(wires, wires[1:])) or [tuple(wires)]
             for pair in chain + chain[-2::-1]:
-                self._emit("barrier", pair, tok)
+                self._emit("barrier", pair, tok, params)
             return
         if name in self.macros:
             macro = self.macros[name]
@@ -302,8 +305,6 @@ class _Parser:
                 values = [p(params) for p in sub_params]
                 self._apply_named(sub_name, values, [wires[a] for a in sub_args], sub_tok, depth + 1)
             return
-        if len(set(wires)) != len(wires):
-            raise QasmError(f"{name} wires must be distinct", tok.line, tok.col)
         if name in _U_ALIASES:
             if len(params) != _U_ALIASES[name]:
                 raise QasmError(f"{name} expects {_U_ALIASES[name]} parameter(s)", tok.line, tok.col)
@@ -312,27 +313,15 @@ class _Parser:
             elif name == "u2":
                 params = [pi / 2, params[0], params[1]]
             name = "u"
-        if name in ONE_QUBIT_KINDS:
-            want = PARAM_COUNTS.get(name, 0)
-            if len(params) != want:
-                raise QasmError(f"{name} expects {want} parameter(s)", tok.line, tok.col)
-            if len(wires) != 1:
-                raise QasmError(f"{name} expects 1 qubit", tok.line, tok.col)
-            self._emit(name, (wires[0],), tok, params)
-            return
-        if name in _NAMED_2Q or name in self.root_names:
-            if params:
-                raise QasmError(f"{name} takes no parameters", tok.line, tok.col)
-            if len(wires) != 2:
-                raise QasmError(f"{name} expects 2 qubits", tok.line, tok.col)
-            n = self.root_names.get(name, 1)
-            if name in self.root_names:
-                name = "iswap" if n == 1 else "root_iswap"
-            self._emit(name, tuple(wires), tok, n=n)
-            return
-        if len(wires) >= 3:
-            raise QasmError(f"{name}: gates on 3+ qubits are unsupported", tok.line, tok.col)
-        raise QasmError(f"unsupported gate {name!r}", tok.line, tok.col)
+        n = 1
+        if name in self.root_names and name not in ONE_QUBIT_KINDS:
+            n = self.root_names[name]
+            name = "iswap" if n == 1 else "root_iswap"
+        elif name not in _SPELLED:
+            if len(wires) >= 3:
+                raise QasmError(f"{name}: gates on 3+ qubits are unsupported", tok.line, tok.col)
+            raise QasmError(f"unsupported gate {name!r}", tok.line, tok.col)
+        self._emit(name, tuple(wires), tok, params, n)
 
     # statements -----------------------------------------------------
     def parse(self) -> CircuitDag:

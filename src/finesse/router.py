@@ -44,12 +44,13 @@ sums stay exact ints, and no distance is negative, so no sum becomes -0.0:
 every score equals the numpy fold's bit for bit.
 
 Predecessor counts are one dict, lowered once per executed gate by
-`ir.retire`, which walks the DAG's successor gates directly; `_retire` has it
-execute every 1q gate and barrier the moment it is ready, and inserts each
-2q gate it readies into the front in id order (`bisect.insort`).  Wherever
-the pass scores, every unexecuted gate therefore descends from a front gate,
-and the front (ready 2q gates, sorted by id) fixes the executed set and every
-remaining count.  The extended set is then a function of (DAG, size, front).
+`ir.retire`, which walks the DAG's successor gates directly: it executes
+every 1q gate and barrier the moment it is ready and holds each 2q gate it
+readies, which `_retire` inserts into the front in id order
+(`bisect.insort`).  Wherever the pass scores, every unexecuted gate
+therefore descends from a front gate, and the front (ready 2q gates, sorted
+by id) fixes the executed set and every remaining count.  The extended set
+is then a function of (DAG, size, front).
 A routable gate is retired before its mirror decision, so the decision
 scores the front and the extended set its successors will see.  The mirror
 rule compares absolute sums: written as a delta, the FINESSE rule flips on
@@ -246,7 +247,7 @@ class _Pass:
         readies join the front, which stays sorted by id; the 1q gates and
         barriers it readies are executed in the same walk and returned in walk
         order, to be emitted under the layout that follows the gate."""
-        held, local = retire(self.dag, self.preds, [gate_id], self.rows.__contains__)
+        held, local = retire(self.dag, self.preds, gate_id)
         for g in held:
             insort(self.front, g, key=_gate_id)
         self.scored_wires = None

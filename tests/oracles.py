@@ -257,8 +257,8 @@ def reference_calibration(data: dict):
     as (min, max, 1 - error) in file order and ``dropped`` the records with
     no error (kept out, each with a warning); ("field", key) when one field
     breaks its own rule; or ("structure", None) when every field holds but
-    the edges make no fabric.  Without ``edges`` the data reads as a fixture,
-    which lacks its ``module``."""
+    the edges make no fabric, or no edge has an error.  Without ``edges``
+    the data reads as a fixture, which lacks its ``module``."""
     if "format_version" in data and str(data["format_version"]) != "1":
         return "field", "format_version"
     if "edges" not in data:
@@ -286,14 +286,18 @@ def reference_calibration(data: dict):
         if count is None or not 0 <= count <= FABRIC_CAP:
             return "field", "num_physical"
     keys = {(i, j) for i, j, _ in edges}
-    if len(keys) != len(edges) or any(i == j or j >= count for i, j in keys):
+    if not keys or len(keys) != len(edges) or any(i == j or j >= count for i, j in keys):
         return "structure", None
-    if count > 1 and not _connected(keys, count):
+    if not _connected(keys, count):
         return "structure", None
     return "fabric", count, edges, dropped
 
 
 # --- circuit DAGs -----------------------------------------------------------
+
+# OpenQASM 2's parameter count per named gate (Cross et al., arXiv:1707.03429);
+# every other kind, barriers included, takes none.
+QASM_PARAMETERS = {"rx": 1, "ry": 1, "rz": 1, "u": 3}
 
 
 def dag_arcs(dag) -> dict:

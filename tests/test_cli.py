@@ -210,6 +210,7 @@ class TestTranspileAndVerify:
          "bad 'num_physical' value -1: the value must be an integer in 0..65536, not -1 in"),
         ({"module": {"qubits": 0, "edges": [], "fidelities": []}, "num_modules": 2},
          "bad 'edges' value []: a module needs at least one edge in"),
+        ({"edges": []}, "calibration has no edge with an error rate in"),
     ])
     def test_topology_without_a_fabric_is_usage_error(self, tmp_path, capsys, fixture, message):
         circuit, topology = tmp_path / "small.qasm", tmp_path / "empty.json"

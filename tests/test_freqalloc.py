@@ -10,7 +10,7 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from finesse import freqalloc as fa
-from finesse.hardware import TABLE3_MODULES, TopologyError, load_topology
+from finesse.hardware import FIDELITY_FLOOR, TABLE3_MODULES, load_topology
 from oracles import (
     factorized_spectator_infidelity,
     reference_allocation_loss,
@@ -694,14 +694,23 @@ class TestFidelityTable:
         assert spec.edges_per_module == tuple(report.gates[g] for g in kept)
         assert spec.edge_fidelities == tuple(1 - report.eps_gate[g] for g in kept)
 
+    def test_a_saturated_gate_reads_back_at_the_floor(self, params):
+        """Two of three gates saturate at eps_gate 1: their edges load at
+        FIDELITY_FLOOR, and the third keeps its bits."""
+        report = fa.build_report(fa.FrequencyAssignment((4.5e9, 5.6e9, 3.6e9), 4.7e9), fa.FreqModule(3), params)
+        assert report.eps_gate[:2] == (1.0, 1.0) and report.eps_gate[2] < 1.0
+        cmap = load_topology(json.loads(json.dumps(fa.fidelity_table(report).to_fixture())))
+        floored = (FIDELITY_FLOOR, FIDELITY_FLOOR, 1.0 - report.eps_gate[2])
+        assert all(cmap.fidelity[gate] == c for gate, c in zip(report.gates, floored))
+
     @settings(max_examples=100, deadline=None)
     @given(module=st.sampled_from(ROUND_TRIP_MODULES), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_each_kept_gate_reads_back_on_its_own_edge(self, params, module, seed, data):
         """build_report -> fidelity_table -> fixture -> JSON -> load_topology:
         each kept gate's edge carries exactly that gate's 1 - eps_gate, both
         ways round, and the dropped gates are the k of largest eps_gate (ties
-        broken by gate pair).  A kept gate of eps_gate 1 has fidelity 0,
-        which the fixture format refuses."""
+        broken by gate pair).  A kept gate of eps_gate 1 reads back as
+        FIDELITY_FLOOR, the fidelity its edge routes by."""
         rng = np.random.default_rng(seed)
         assign = fa.FrequencyAssignment(tuple(rng.uniform(*fa.DEFAULT_QUBIT_BAND, module.num_qubits)),
                                         float(rng.uniform(*fa.DEFAULT_SNAIL_BAND)))
@@ -713,11 +722,7 @@ class TestFidelityTable:
         dropped = set(report.gates) - set(kept)
         assert len(kept) == len(report.gates) - k and len(dropped) == k
         assert all(ranked[d] > ranked[g] for d in dropped for g in kept)
-        fidelity = {gate: 1.0 - eps for gate, eps in zip(report.gates, report.eps_gate)}
-        if min(fidelity[g] for g in kept) <= 0.0:
-            with pytest.raises(TopologyError, match="fidelity outside"):
-                load_topology(fixture)
-            return
+        fidelity = {gate: max(1.0 - eps, FIDELITY_FLOOR) for gate, eps in zip(report.gates, report.eps_gate)}
         cmap = load_topology(fixture)
         assert len(cmap.edges) == len(kept)
         for a, b in kept:

@@ -433,6 +433,21 @@ class TestCalibrationImport:
         with pytest.raises(TopologyError, match=f"calibration edge has no '{key}' key in .*calibration.json"):
             load_topology(path)
 
+    @pytest.mark.parametrize("payload", [
+        {"edges": []},
+        {"edges": [], "num_physical": 1},
+        {"edges": [{"i": 0, "j": 1}]},
+    ], ids=["none", "one-qubit", "uncalibrated"])
+    def test_a_calibration_without_a_calibrated_edge_is_refused(self, tmp_path, payload):
+        """As a module needs an edge, so does a snapshot: one refusal names the file."""
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TopologyError, match=f"^calibration has no edge with an error rate in {path}$"):
+                load_topology(path)
+        assert reference_calibration(payload) == ("structure", None)
+
 
     @pytest.mark.parametrize("payload, key", [
         ({"edges": [{"i": "x", "j": 1, "error": 0.01}]}, "i"),
@@ -690,7 +705,7 @@ class TestCalibrationProperty:
 
 def test_distance_set_builder():
     ds = build_distance_set(triangle(), k_swap=3, beta=1.0)
-    assert ds.d_blend[0][2] == pytest.approx(ds.d_hop[0][2] + ds.d_fid[0][2])
+    assert ds.d_blend[0][2] == pytest.approx(ds.d_hop[0][2] + fidelity_distances(triangle(), 3)[0][2])
     assert np.array_equal(ds.d_blend.T, ds.d_blend)
 
 
@@ -704,7 +719,7 @@ def test_equal_fabrics_share_one_read_only_distance_set():
     assert build_distance_set(fabric["4q5e"], 3) is not ds
     assert build_distance_set(fabric["4q4e"], 4) is not ds
     assert build_distance_set(fabric["4q4e"], 3, 0.5) is not ds
-    for array in (ds.d_hop, ds.d_fid, ds.d_blend):
+    for array in (ds.d_hop, ds.d_blend):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 1] = 0
 
@@ -793,7 +808,8 @@ DISTANCE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(DISTANCE_DIGESTS))
 def test_table3_distance_bytes_are_pinned(name):
-    ds = build_distance_set(fabric_suite()[name], swap_count(BasisGate.from_name("siswap")), 1.0)
+    cmap, k_swap = fabric_suite()[name], swap_count(BasisGate.from_name("siswap"))
+    ds = build_distance_set(cmap, k_swap, 1.0)
     assert ds.d_hop.dtype == np.int64
-    arrays = (ds.d_hop, ds.d_fid, ds.d_blend)
+    arrays = (ds.d_hop, fidelity_distances(cmap, k_swap), ds.d_blend)
     assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == DISTANCE_DIGESTS[name]

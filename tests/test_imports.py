@@ -205,6 +205,56 @@ def test_every_function_is_read_or_declared():
     assert uncalled(sources, [p.read_text() for p in READERS], set(finesse.__all__)) == []
 
 
+def unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.field`` of each field of a top-level ``@dataclass``
+    class in ``sources`` (module name -> text) that no reader reads as an
+    attribute or gives as a string, as ``getattr`` takes it."""
+    loaded, strings = set(), set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    out = []
+    for module, text in sources.items():
+        for cls in ast.parse(text).body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+                    for d in (getattr(d, "func", d) for d in cls.decorator_list)):
+                out.extend(f"{module}.{cls.name}.{f.target.id}" for f in cls.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                           and f.target.id not in loaded | strings)
+    return out
+
+
+def test_the_check_sees_an_unread_field():
+    source = """
+from dataclasses import dataclass
+import dataclasses
+@dataclass(frozen=True)
+class A:
+    read: int
+    named: int
+    written: int
+    unread: int = 0
+    def __post_init__(self):
+        self.written = 1
+@dataclasses.dataclass
+class B:
+    field: int
+class Plain:
+    field: int
+"""
+    readers = [source, "a.read\ngetattr(a, 'named')\n"]
+    assert unread_fields({"m": source}, readers) == ["m.A.written", "m.A.unread", "m.B.field"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unread_fields(sources, [p.read_text() for p in READERS]) == []
+
+
 def test_every_declared_name_resolves_and_an_unread_one_says_why():
     """Each name in `finesse.__all__` is a package attribute, and each that no
     code in src/ or perfbench/ reads carries a reason on its line."""

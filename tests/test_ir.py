@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finesse.ir import (
+    ONE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
     CircuitDag,
     CircuitError,
     Gate,
@@ -16,6 +18,7 @@ from finesse.ir import (
 )
 
 from oracles import (
+    QASM_PARAMETERS,
     arc_set,
     dag_arcs,
     reference_extended_set,
@@ -29,13 +32,28 @@ def chain_dag():
 
 
 def retired_front(dag, executed):
-    """`retire` from the roots over a downward-closed ``executed``, holding
-    every other gate: the unexecuted gates left at count 0, in gate order,
-    and the counts."""
-    counts = dag.predecessor_counts()
-    roots = [g.id for g in dag.gates if counts[g.id] == 0 and g.id in executed]
-    retire(dag, counts, roots, lambda gid: gid not in executed)
-    return [g for g in dag.gates if g.id not in executed and counts[g.id] == 0], counts
+    """The router's walk: `retire` every 1q or barrier root, then each held
+    2q gate of a downward-closed ``executed`` while one is held.  Returns the
+    held 2q gates left, in gate order, the counts, and every gate executed:
+    ``executed`` and the 1q gates and barriers the walk ran."""
+    counts, held, done = dag.predecessor_counts(), [], set()
+
+    def run(gid):
+        done.add(gid)
+        readied, local = retire(dag, counts, gid)
+        held.extend(readied)
+        done.update(g.id for g in local)
+
+    for g in dag.roots:
+        if g.id in dag.two_qubit_rows:
+            held.append(g)
+        else:
+            run(g.id)
+    while ready := [g for g in held if g.id in executed]:
+        held.remove(ready[0])
+        run(ready[0].id)
+    left = {g.id for g in held}
+    return [g for g in dag.gates if g.id in left], counts, done
 
 
 class TestGate:
@@ -70,6 +88,18 @@ class TestGate:
         with pytest.raises(CircuitError):
             Gate(id=0, kind="rx", wires=(0,), params=())
 
+    @pytest.mark.parametrize("kind", sorted(ONE_QUBIT_KINDS | TWO_QUBIT_KINDS | {"barrier"}))
+    def test_every_kind_refuses_a_parameter_count_not_its_own(self, kind):
+        """Each kind builds with its OpenQASM 2 count and refuses one more
+        and, when it takes any, one fewer."""
+        wires = (0,) if kind in ONE_QUBIT_KINDS else (0, 1)
+        matrix = np.eye(4, dtype=complex) if kind == "unitary" else None
+        own = QASM_PARAMETERS.get(kind, 0)
+        assert Gate(0, kind, wires, params=(0.5,) * own, matrix=matrix).params == (0.5,) * own
+        for count in {own + 1, max(own - 1, 0)} - {own}:
+            with pytest.raises(CircuitError, match=rf"^{kind} expects {own} parameter\(s\), got {count}$"):
+                Gate(0, kind, wires, params=(0.5,) * count, matrix=matrix)
+
 
 class TestDag:
     def test_chain_arcs(self):
@@ -81,7 +111,8 @@ class TestDag:
         # h; x; cx on wire 0: h -> x -> cx, no transitive h -> cx arc
         dag = build_dag(2, [("h", (0,)), ("x", (0,)), ("cx", (0, 1))])
         assert dag.predecessor_counts() == {0: 0, 1: 1, 2: 1}
-        assert retire(dag, dag.predecessor_counts(), [0], lambda gid: True)[0] == [dag.gate(1)]
+        # Retiring the h readies the x alone; the walk runs it, which readies the cx.
+        assert retire(dag, dag.predecessor_counts(), 0) == ([dag.gate(2)], [dag.gate(1)])
 
     def test_shared_two_wires_single_successor_counted_twice(self):
         dag = build_dag(2, [("cx", (0, 1)), ("cx", (0, 1))])
@@ -89,7 +120,7 @@ class TestDag:
         counts = dag.predecessor_counts()
         assert counts[1] == 2
         # One retirement of gate 0 lowers both arcs: gate 1 is then ready.
-        assert retire(dag, counts, [0], lambda gid: True) == ([dag.gate(1)], [])
+        assert retire(dag, counts, 0) == ([dag.gate(1)], [])
         assert counts[1] == 0
 
     def test_wire_out_of_range(self):
@@ -101,15 +132,20 @@ class TestDag:
         assert [g.kind for g in dag.reversed().gates] == ["x", "cx", "h"]
 
 class TestRetireFront:
-    """`retire` from the roots leaves the front that `reference_front` finds."""
+    """The router's walk by `retire` leaves the front that `reference_front`
+    finds once every gate it ran has executed."""
 
     def test_first_gate_ready(self):
+        # The h root runs at once, so the cx is the first gate held.
         dag = chain_dag()
-        assert retired_front(dag, set())[0] == reference_front(dag, set()) == [dag.gate(0)]
+        front, _, done = retired_front(dag, set())
+        assert done == {0} and front == reference_front(dag, done) == [dag.gate(1)]
 
     def test_after_h_cx_ready(self):
+        # Retiring the cx runs the x it readies.
         dag = chain_dag()
-        assert retired_front(dag, {0})[0] == reference_front(dag, {0}) == [dag.gate(1)]
+        front, _, done = retired_front(dag, {0, 1})
+        assert done == {0, 1, 2} and front == reference_front(dag, done) == []
 
     def test_parallel_gates_both_ready(self):
         dag = build_dag(4, [("cx", (0, 1)), ("cx", (2, 3))])
@@ -118,7 +154,7 @@ class TestRetireFront:
     def test_partition_of_gates(self):
         dag = build_dag(4, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (2, 3)), ("cx", (0, 1))])
         executed = {0}
-        front, counts = retired_front(dag, executed)
+        front, counts, _ = retired_front(dag, executed)
         assert front == reference_front(dag, executed) == [dag.gate(1)]
         # The counts left are the arcs from the front and its descendants.
         assert counts == reference_remaining_counts(dag, front) == {0: 0, 1: 0, 2: 1, 3: 1}
@@ -190,10 +226,10 @@ class TestExtendedSet:
         expected = reference_extended_set(dag, front, size, preds)
         assert extended_set(dag, front, size, preds) == expected
         assert preds == before
-        if full:  # the front alone then fixes the counts
-            retired, counts = retired_front(dag, executed)
-            assert retired == reference_front(dag, executed) == [g for g in dag.gates if g.id in ready]
-            assert counts == reference_remaining_counts(dag, front) == preds
+        # The router's walk past the prefix: its front alone fixes the counts.
+        held, counts, done = retired_front(dag, executed)
+        assert done >= executed and held == reference_front(dag, done)
+        assert counts == reference_remaining_counts(dag, held)
 
 
 def _random_dag(rng):

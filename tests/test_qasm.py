@@ -1,12 +1,13 @@
+import inspect
 import re
 from math import pi
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from finesse.ir import build_dag
-from finesse.qasm import QasmError, load_qasm, parse_qasm, serialize_qasm
-from oracles import arc_set, dag_arcs, reference_angle, same_circuit
+from finesse.ir import ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, CircuitDag, CircuitError, Gate, build_dag
+from finesse.qasm import QasmError, _Parser, load_qasm, parse_qasm, serialize_qasm
+from oracles import QASM_PARAMETERS, arc_set, dag_arcs, reference_angle, same_circuit
 
 
 def _gates(dag):
@@ -231,8 +232,46 @@ class TestMalformed:
         assert (err.value.line, err.value.col) == (3, 1)
 
     def test_barrier_takes_no_parameters(self):
-        with pytest.raises(QasmError, match="barrier takes no parameters"):
+        with pytest.raises(QasmError, match="barrier expects 0 parameter") as err:
             parse_qasm("qreg q[2]; barrier(1) q;")
+        assert (err.value.line, err.value.col) == (1, 12)
+
+    # Each input a check of the reader's own refused before `Gate` owned the
+    # rule, at the position it gave then.
+    @pytest.mark.parametrize("text, line, col", [
+        ("cx q[0],q[0];", 2, 1),
+        ("swap q[2],\n q[2];", 2, 1),
+        ("foo q[0],q[0];", 2, 1),
+        ("gate g a,b { cx a,b; }\ng q[1],q[1];", 2, 14),
+        ("h(0.5) q[0];", 2, 1),
+        ("rz(1,2) q[0];", 2, 1),
+        ("x(pi) q;", 2, 1),
+        ("gate g(t) a { h(t) a; }\ng(1) q[0];", 2, 15),
+        ("h q[0],q[1];", 2, 1),
+        ("p(1) q[0],q[1];", 2, 1),
+        ("gate g a,b { t a,b; }\ng q[0],q[1];", 2, 14),
+        ("cx(0.1) q[0],q[1];", 2, 1),
+        ("siswap(1) q[0],q[1];", 2, 1),
+        ("//!root-iswap r3 3\nr3(1) q[0],q[1];", 3, 1),
+        ("gate g a,b { ecr(1) a,b; }\ng q[2],q[0];", 2, 14),
+        ("cx q[0];", 2, 1),
+        ("cz q[0],q[1],q[2];", 2, 1),
+        ("cx q;", 2, 1),
+        ("barrier(1,2) q[0],q[1];", 2, 1),
+        ("gate g a,b { barrier(1) a,b; }\ng q[0],q[1];", 2, 14),
+    ])
+    def test_a_malformed_gate_is_refused_at_its_position(self, text, line, col):
+        with pytest.raises(QasmError) as err:
+            parse_qasm("qreg q[3];\n" + text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_the_reader_holds_no_copy_of_the_gate_rule(self):
+        """`Gate` checks wire and parameter counts and distinct wires; the
+        reader keeps only what the IR cannot see, such as a barrier's repeat."""
+        source = inspect.getsource(_Parser._apply_named)
+        for copy in ("takes no parameters", "expects 1 qubit", "expects 2 qubits", "PARAM_COUNTS"):
+            assert copy not in source
+        assert source.count("len(set(wires))") == 1 and "barrier wires must be distinct" in source
 
 
 class TestAngles:
@@ -347,7 +386,58 @@ class TestBarriers:
         assert _outcome(macro) == _outcome(inlined)
 
 
+# Every kind the dialect spells, and the orders a root-iswap pragma writes.
+_SPELLED = ["h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u",
+            "cx", "cz", "swap", "iswap", "ecr", "root_iswap", "barrier"]
+
+
+@st.composite
+def _spelled_gates(draw):
+    """(width, gate specs) over `_SPELLED`: finite angles, mostly as many as
+    the kind takes, root-iswap orders 2..8, barriers on 1 or 2 wires, and
+    mirrored 2q gates."""
+    width = draw(st.integers(2, 5))
+    specs = []
+    for gid in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(_SPELLED))
+        one = kind in ONE_QUBIT_KINDS or kind == "barrier" and draw(st.booleans())
+        wires = tuple(draw(st.permutations(range(width)))[: 1 if one else 2])
+        count = QASM_PARAMETERS.get(kind, 0) if draw(st.integers(0, 3)) else draw(st.integers(0, 3))
+        params = tuple(draw(st.floats(allow_nan=False, allow_infinity=False)) for _ in range(count))
+        n = draw(st.integers(2, 8)) if kind == "root_iswap" else 1
+        mirrored = kind in TWO_QUBIT_KINDS and draw(st.booleans())
+        specs.append((gid, kind, wires, params, n, mirrored))
+    return width, specs
+
+
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_spelled_gates())
+    # The gates `serialize_qasm` once wrote as `h(0.5) q[0];` and the like.
+    @example((2, [(0, "h", (0,), (0.5,), 1, False), (1, "cx", (0, 1), (1.0,), 1, False),
+                  (2, "barrier", (0, 1), (0.5,), 1, False)]))
+    def test_what_the_serializer_writes_the_reader_reads(self, drawn):
+        """`Gate` refuses a parameter count other than the kind's own; every
+        DAG it builds reads back with the same kinds, wires, orders and
+        parameter bits, a mirrored gate as its base gate, then a swap."""
+        assert set(_SPELLED) == ONE_QUBIT_KINDS | TWO_QUBIT_KINDS - {"unitary"} | {"barrier"}
+        width, specs = drawn
+        gates = []
+        for gid, kind, wires, params, n, mirrored in specs:
+            if len(params) == QASM_PARAMETERS.get(kind, 0):
+                gates.append(Gate(gid, kind, wires, params, n, mirrored=mirrored))
+            else:
+                with pytest.raises(CircuitError, match=f"^{kind} expects"):
+                    Gate(gid, kind, wires, params, n, mirrored=mirrored)
+        dag = CircuitDag(width, gates)
+        want = []
+        for g in dag.gates:
+            want.append((g.kind, g.wires, g.n, False, [p.hex() for p in g.params]))
+            if g.mirrored:
+                want.append(("swap", g.wires, 1, False, []))
+        again = parse_qasm(serialize_qasm(dag))
+        assert again.num_qubits == dag.num_qubits and _gates(again) == want
+
     def test_parse_serialize_parse_isomorphic(self):
         text = """
         qreg q[3];
