@@ -1,5 +1,9 @@
 """Fidelity-weighted coupling graphs and routing distance matrices.
 
+Distances are searched in plain Python over `CouplingMap.neighbors`: hop
+counts by one breadth-first search per source, fidelity distances by one
+binary-heap Dijkstra per source.
+
 `load_topology` is the one reader of fabrics, in three forms: a Table-3
 name, a topology fixture (``module`` chained ``num_modules`` times, its
 ``fidelities[i]`` on its ``edges[i]``), or a calibration snapshot (per-edge
@@ -12,13 +16,12 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from math import inf, log
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .checks import integer, real
 
@@ -28,6 +31,10 @@ FORMAT_VERSION = 1
 # many takes 34 GB), so a count from a file is refused before it sizes an
 # array or a loop.
 MAX_QUBITS = 1 << 16
+# The most bytes one distance set may hold: its two n x n matrices and its two
+# n²·E swap tables, 8 bytes an entry.  A larger fabric is refused before the
+# first search, which on such a fabric would run for minutes.
+DISTANCE_SET_BYTES = 1 << 30
 
 
 class TopologyError(ValueError):
@@ -59,9 +66,9 @@ class CouplingMap:
         # Numpy integers pass the checks; stored as Python ints, they never
         # reach a swap trace or a layout a route returns.
         object.__setattr__(self, "edges", tuple((int(i), int(j), c) for i, j, c in self.edges))
-        graph = _graph(self, [1.0] * len(self.edges))
-        if self.num_physical > 1 and connected_components(graph, return_labels=False) != 1:
-            raise TopologyError("coupling graph is disconnected")
+        if n and -1 in (hops := _hops(self.neighbors, 0)):
+            raise TopologyError(f"coupling graph is disconnected: qubit {hops.index(-1)}"
+                                " is not reachable from qubit 0")
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -116,32 +123,56 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _graph(cmap: CouplingMap, values) -> csr_matrix:
-    """Symmetric sparse adjacency with values[e] on both arcs of cmap.edges[e].
-
-    A zero weight (an edge of fidelity 1) is stored as an explicit zero, which
-    csgraph still reads as an edge.
-    """
-    i, j = np.array([e[:2] for e in cmap.edges], dtype=np.intp).reshape(-1, 2).T
-    data = np.array(values, dtype=float)
-    arcs = (np.concatenate([i, j]), np.concatenate([j, i]))
-    return csr_matrix((np.concatenate([data, data]), arcs), shape=(cmap.num_physical,) * 2)
+def _hops(neighbors, source: int) -> list[int]:
+    """Hop counts from ``source`` by breadth-first search, -1 where unreached."""
+    hops = [-1] * len(neighbors)
+    hops[source], frontier, d = 0, [source], 0
+    while frontier:
+        d += 1
+        reached = []
+        for u in frontier:
+            for v in neighbors[u]:
+                if hops[v] < 0:
+                    hops[v] = d
+                    reached.append(v)
+        frontier = reached
+    return hops
 
 
 def hop_distances(cmap: CouplingMap) -> np.ndarray:
-    """All-pairs unweighted shortest paths (hop counts) as int64."""
-    return shortest_path(_graph(cmap, [1.0] * len(cmap.edges)), unweighted=True).astype(np.int64)
+    """All-pairs unweighted shortest paths (hop counts) as int64, one
+    breadth-first search per source."""
+    n = cmap.num_physical
+    return np.array([_hops(cmap.neighbors, s) for s in range(n)], dtype=np.int64).reshape(n, n)
 
 
 def fidelity_distances(cmap: CouplingMap, k_swap: int) -> np.ndarray:
-    """All-pairs Dijkstra with edge weight k_swap * L_ij, L from cmap.log_weight.
+    """All-pairs shortest paths with edge weight k_swap * L_ij, L from
+    cmap.log_weight: one binary-heap Dijkstra per source.
 
     Row s is the fixpoint d[s] = 0, d[v] = min over neighbours u of v of the
     rounded d[u] + k_swap * L_uv: the weights are nonnegative and rounding is
-    monotone, so no order of settling equal-cost paths can change a value.
+    monotone, so no order of settling equal-cost paths can change a value,
+    and the heap needs no tie-break.
     """
     integer(k_swap, "k_swap", TopologyError, 1)
-    return dijkstra(_graph(cmap, [k_swap * cmap.log_weight[i, j] for i, j, _ in cmap.edges]))
+    n = cmap.num_physical
+    arcs = [[(v, k_swap * cmap.log_weight[u, v]) for v in cmap.neighbors[u]] for u in range(n)]
+    rows = []
+    for s in range(n):
+        dist = [inf] * n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue  # a stale entry: u was settled nearer
+            for v, w in arcs[u]:
+                if (dv := d + w) < dist[v]:
+                    dist[v] = dv
+                    heappush(heap, (dv, v))
+        rows.append(dist)
+    return np.array(rows, dtype=float).reshape(n, n)
 
 
 def blended_distances(d_hop: np.ndarray, d_fid: np.ndarray, beta: float) -> np.ndarray:
@@ -201,6 +232,10 @@ def build_distance_set(cmap: CouplingMap, k_swap: int, beta: float = 1.0) -> Dis
     """The one distance set of (cmap, k_swap, beta), built on first use."""
     sets = _DISTANCE_SETS.setdefault(cmap, {})
     if (k_swap, beta) not in sets:
+        n, num_edges = cmap.num_physical, len(cmap.edges)
+        if (size := 8 * n * n * (2 + 2 * num_edges)) > DISTANCE_SET_BYTES:
+            raise TopologyError(f"a distance set of {n} qubits and {num_edges} edges takes {size} bytes,"
+                                f" over the {DISTANCE_SET_BYTES}-byte budget")
         d_hop = hop_distances(cmap)
         d_blend = blended_distances(d_hop, fidelity_distances(cmap, k_swap), beta)
         sets[k_swap, beta] = DistanceSet(_read_only(d_hop), _read_only(d_blend), k_swap, cmap.swap_moves)

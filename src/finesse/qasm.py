@@ -278,10 +278,16 @@ class _Parser:
 
     # gate emission --------------------------------------------------
     def _emit(self, kind: str, wires: tuple[int, ...], tok: _Token, params=(), n=1):
+        """Append a ``kind`` gate.  `Gate` refuses a bad shape at ``tok``, and
+        a count or wire refusal names the gate as ``tok`` spells it: ``p``,
+        not the ``u`` it lowers to."""
         try:
             self.ops.append(Gate(id=len(self.ops), kind=kind, wires=wires, params=tuple(params), n=n))
         except CircuitError as exc:
-            raise QasmError(str(exc), tok.line, tok.col) from exc
+            message = str(exc)
+            if message.startswith((f"{kind} expects ", f"{kind} wires ")):
+                message = tok.text + message[len(kind):]
+            raise QasmError(message, tok.line, tok.col) from exc
 
     def _apply_named(self, name: str, params: list[float], wires: list[int], tok: _Token, depth: int):
         """Apply gate, barrier or macro ``name``; `Gate` checks each gate's

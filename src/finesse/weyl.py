@@ -13,7 +13,6 @@ from functools import cached_property, lru_cache
 from math import pi
 
 import numpy as np
-import scipy.linalg
 
 from . import gates
 from .checks import integer
@@ -90,8 +89,7 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
     su = u / np.linalg.det(u) ** 0.25
     m = _MAGIC_DAG @ su @ MAGIC
     m2 = m.T @ m
-    schur_t = scipy.linalg.schur(m2, output="complex")[0]
-    two_theta = np.sort(np.angle(np.diag(schur_t)))[::-1]
+    two_theta = np.sort(np.angle(np.linalg.eigvals(m2)))[::-1]
     th = two_theta / 2.0
     # Any lift and any pairing land in the same local-equivalence orbit;
     # canonicalize absorbs the residual shifts, flips, and permutations.

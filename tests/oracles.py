@@ -1,11 +1,11 @@
 """Independent oracles the tests check library results against.
 
 Each oracle deliberately avoids the code path it validates: path minima by
-exhaustive enumeration and by Bellman-Ford relaxation, two-qubit class
-labels by Makhlin invariants, basis counts by sampled reachability with
-Nelder-Mead polish, spectator infidelity by a closed form of the factorized
-matrix exponential, the allocation loss by explicit loops over every
-resonance, gate and qubit pair, the lockstep Nelder-Mead by one
+exhaustive enumeration, by Bellman-Ford relaxation and by
+``scipy.sparse.csgraph``, two-qubit class labels by Makhlin invariants,
+basis counts by sampled reachability with Nelder-Mead polish, spectator
+infidelity by the 16-dimensional matrix exponential, the allocation loss
+by explicit loops over every resonance, gate and qubit pair, the lockstep Nelder-Mead by one
 ``scipy.optimize.minimize`` call per start, the routing lookahead by a scalar loop over
 the front and extended gates, a DAG's arcs by chaining each gate to the last
 one on each of its wires (never by reading the DAG's own arc table), the
@@ -26,7 +26,10 @@ from itertools import product
 from math import cos, pi, sin
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from finesse import gates
 from finesse.weyl import MAGIC, weyl_coordinates
@@ -71,6 +74,28 @@ def brute_force_fidelity_distance(cmap, k_swap: int, src: int, dst: int) -> floa
         cost = sum(k_swap * weight[a, b] for a, b in zip(path, path[1:]))
         best = min(best, cost)
     return best
+
+
+def _csgraph(cmap, weight) -> csr_matrix:
+    """Symmetric sparse adjacency with weight(i, j) on both arcs of each edge.
+    A zero weight (an edge of fidelity 1) is stored as an explicit zero,
+    which csgraph still reads as an edge."""
+    pairs = np.array([e[:2] for e in cmap.edges], dtype=np.intp).reshape(-1, 2)
+    data = np.array([weight(i, j) for i, j in pairs.tolist()], dtype=float)
+    arcs = (np.concatenate([pairs[:, 0], pairs[:, 1]]), np.concatenate([pairs[:, 1], pairs[:, 0]]))
+    return csr_matrix((np.concatenate([data, data]), arcs), shape=(cmap.num_physical,) * 2)
+
+
+def csgraph_hop_distances(cmap) -> np.ndarray:
+    """All-pairs hop counts by `scipy.sparse.csgraph.shortest_path`, as int64."""
+    return shortest_path(_csgraph(cmap, lambda u, v: 1.0), unweighted=True).astype(np.int64)
+
+
+def csgraph_fidelity_distances(cmap, k_swap: int) -> np.ndarray:
+    """All-pairs shortest paths of weight k_swap * L by
+    `scipy.sparse.csgraph.dijkstra`, L read from the raw edge list."""
+    w = edge_log_weights(cmap)
+    return dijkstra(_csgraph(cmap, lambda u, v: k_swap * w[u, v]))
 
 
 def relaxed_distances(cmap, weight) -> np.ndarray:
@@ -649,13 +674,30 @@ class CoverageOracle:
         raise ValueError("target unreachable within three applications")
 
 
-# --- bounded-spectator closed form -----------------------------------------
+# --- bounded-spectator matrix exponential -----------------------------------
 
 
-def factorized_spectator_infidelity(amp: float) -> float:
-    """Closed form of the 16-dim oracle: target and spectator commute, so
-    eps = 1 - (1 + 4 (1 + cos amp)^2) / 17."""
-    return 1.0 - (1.0 + 4.0 * (1.0 + np.cos(amp)) ** 2) / 17.0
+def _hopping(mode_a: int, mode_b: int) -> np.ndarray:
+    """q_a^dag q_b + h.c. on the 4-mode, 2-level-per-mode space."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    ops = [np.eye(2, dtype=complex)] * 4
+    ops[mode_a], ops[mode_b] = lower.T.conj(), lower
+    term = ops[0]
+    for op in ops[1:]:
+        term = np.kron(term, op)
+    return term + term.conj().T
+
+
+def expm_spectator_infidelity(amp: float) -> float:
+    """Average gate infidelity 1 - (d + |Tr[U V^dag]|^2) / (d(d+1)) of
+    V = exp(-i(pi/2 T + amp S)) against U = exp(-i pi/2 T), T the hopping
+    of modes 0 and 1 and S that of modes 2 and 3, both 16x16 propagators by
+    `scipy.linalg.expm`."""
+    target_op, spectator_op = _hopping(0, 1), _hopping(2, 3)
+    u = scipy.linalg.expm(-1j * (pi / 2.0) * target_op)
+    v = scipy.linalg.expm(-1j * ((pi / 2.0) * target_op + amp * spectator_op))
+    d = u.shape[0]
+    return float(1.0 - (d + abs(np.trace(u @ v.conj().T)) ** 2) / (d * (d + 1)))
 
 
 # --- Algorithm-1 allocation loss --------------------------------------------

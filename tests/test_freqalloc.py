@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from finesse import freqalloc as fa
 from finesse.hardware import FIDELITY_FLOOR, TABLE3_MODULES, load_topology
 from oracles import (
-    factorized_spectator_infidelity,
+    expm_spectator_infidelity,
     reference_allocation_loss,
     reference_optimize,
     reference_resonances,
@@ -222,12 +222,22 @@ class TestPumpAndGateTime:
 
 class TestCalibration:
     def test_oracle_matches_closed_form(self):
+        """The closed form equals the 16-dimensional matrix exponential over
+        the default grid of each catalog ratio, and off it."""
         c = fa.PhysicalConstants()
-        for delta in (2e8, 5e8, 2e9):
-            amp = 2 * c.drive_rate / (fa.TWO_PI * delta)
-            assert fa.bounded_spectator_infidelity(delta, 1.0, c) == pytest.approx(
-                factorized_spectator_infidelity(amp), abs=1e-12
-            )
+        for ratio in (0.044, 0.067, 1.0, 10.0):
+            for delta in [*fa._default_coherent_grid(ratio, c), 2e8, 5e8, 2e9]:
+                amp = 2 * ratio * c.drive_rate / (fa.TWO_PI * delta)
+                assert fa.bounded_spectator_infidelity(delta, ratio, c) == pytest.approx(
+                    expm_spectator_infidelity(amp), rel=1e-12, abs=1e-15
+                )
+
+    def test_default_calibration_bits_are_pinned(self):
+        """Every allocation reads these bits: the calibration at the default
+        constants, as the matrix-exponential oracle first gave it."""
+        p = fa.calibrate_cost_model()
+        assert [float(v).hex() for v in (p.coh_x0, p.coh_x1, p.inc_x0, p.inc_x1)] == [
+            "0x1.2a2fc1f91961dp+40", "0x1.0e911ab06b1a5p+15", "0x1.7d784b769ae88p+20", "0x1.7e2cf91e6f3aep+19"]
 
     def test_no_spectator_degenerate_fit(self):
         x0, x1 = fa.calibrate_coherent_model(0.0)

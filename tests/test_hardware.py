@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest.mock import patch
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finesse import cli, freqalloc as fa, router
+from finesse import cli, freqalloc as fa, hardware, router
 from finesse.hardware import (
+    DISTANCE_SET_BYTES,
     CouplingMap,
     ModuleSpec,
     TABLE3_MODULES,
@@ -32,6 +34,8 @@ from finesse.weyl import BasisGate, swap_count
 from oracles import (
     brute_force_fidelity_distance,
     coupling_map,
+    csgraph_fidelity_distances,
+    csgraph_hop_distances,
     edge_log_weights,
     random_connected_map,
     reference_calibration,
@@ -57,6 +61,22 @@ class TestCouplingMap:
     def test_rejects_disconnected(self):
         with pytest.raises(TopologyError):
             coupling_map(4, [(0, 1), (2, 3)], [0.9, 0.9])
+
+    @pytest.mark.parametrize("n, pairs, missing", [
+        (5, [(0, 1), (1, 2), (3, 4)], 3),
+        (3, [(1, 2)], 1),
+        (6, [(0, 4), (4, 5), (1, 2), (2, 3)], 1),
+        (2, [], 1),
+    ])
+    def test_a_disconnected_map_names_a_qubit_it_cannot_reach(self, n, pairs, missing):
+        """The refusal names the least qubit that no path joins to qubit 0."""
+        message = f"coupling graph is disconnected: qubit {missing} is not reachable from qubit 0"
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            coupling_map(n, pairs, [0.9] * len(pairs))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_map_of_at_most_one_qubit_needs_no_edge(self, n):
+        assert hop_distances(CouplingMap(n, ())).shape == (n, n)
 
     @pytest.mark.parametrize("num_physical", [True, 2.5, -1])
     def test_num_physical_must_be_a_nonnegative_integer(self, num_physical):
@@ -210,6 +230,25 @@ class TestFidelityDistances:
             for k in (1, 3):
                 expected = relaxed_distances(cmap, lambda u, v: k * w[u, v])
                 assert fidelity_distances(cmap, k).tobytes() == expected.tobytes()
+
+    def test_bits_equal_scipy_csgraph(self):
+        """Both matrices equal `scipy.sparse.csgraph`'s bit for bit, dtype
+        included, on the Table-3 fabrics and on random connected maps, half of
+        them with fidelities drawn from a few values, 1 (a zero weight)
+        among them, so that equal-cost paths abound."""
+        rng = np.random.default_rng(31)
+        maps = list(fabric_suite().values())
+        for i in range(120):
+            cmap = random_connected_map(rng, max_nodes=24)
+            if i % 2:
+                fidelities = rng.choice([1.0, 0.995, 0.99, 0.98], size=len(cmap.edges))
+                cmap = coupling_map(cmap.num_physical, [e[:2] for e in cmap.edges], fidelities.tolist())
+            maps.append(cmap)
+        for cmap in maps:
+            hops = hop_distances(cmap)
+            assert hops.dtype == np.int64 and hops.tobytes() == csgraph_hop_distances(cmap).tobytes()
+            for k in (1, 2, 3, 7):
+                assert fidelity_distances(cmap, k).tobytes() == csgraph_fidelity_distances(cmap, k).tobytes()
 
     def test_path_bound_property(self):
         rng = np.random.default_rng(12)
@@ -730,6 +769,46 @@ def test_a_distance_set_is_equal_only_to_itself():
     ds, other = build_distance_set(cmap, 3), build_distance_set(cmap, 3, 2.0)
     assert (ds == other) is False and (ds == ds) is True and (ds != other) is True
     assert {ds: "k3", other: "beta2"}[build_distance_set(cmap, 3, 1.0)] == "k3"
+
+
+def heavy_hex_like() -> CouplingMap:
+    """129 qubits: seven rows of 15 in a line, each pair of rows joined by
+    four bridge qubits, 146 edges."""
+    rows, width = 7, 15
+    edges = [(r * width + c, r * width + c + 1) for r in range(rows) for c in range(width - 1)]
+    bridge = rows * width
+    for r in range(rows - 1):
+        for c in ((0, 4, 8, 12) if r % 2 == 0 else (2, 6, 10, 14)):
+            edges += [(r * width + c, bridge), (bridge, (r + 1) * width + c)]
+            bridge += 1
+    return coupling_map(bridge, edges, [0.99] * len(edges))
+
+
+class TestDistanceSetBudget:
+    def test_a_fabric_past_the_budget_is_refused_before_any_search(self):
+        """800 qubits and 999 edges would take 10 GB: refused by size, with
+        no search run and no array made."""
+        cmap = build_snail_fabric(TABLE3_MODULES["4q4e"], 200)
+        size = 8 * 800 * 800 * (2 + 2 * 999)
+        assert size > DISTANCE_SET_BYTES
+        searched = AssertionError("a search ran")
+        tracemalloc.start()
+        try:
+            with patch.object(hardware, "hop_distances", side_effect=searched), \
+                    patch.object(hardware, "fidelity_distances", side_effect=searched), \
+                    pytest.raises(TopologyError, match=f"^a distance set of 800 qubits and 999 edges takes {size} bytes"):
+                build_distance_set(cmap, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_129_qubit_heavy_hex_is_within_the_budget(self):
+        cmap = heavy_hex_like()
+        assert (cmap.num_physical, len(cmap.edges)) == (129, 146)
+        ds = build_distance_set(cmap, 3)
+        assert ds.d_hop.tobytes() == csgraph_hop_distances(cmap).tobytes()
+        assert ds.d_blend.tobytes() == (ds.d_hop + csgraph_fidelity_distances(cmap, 3)).tobytes()
 
 
 def _swap_delta_oracle(matrix, cmap):

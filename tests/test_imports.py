@@ -4,8 +4,8 @@ of a src/finesse function is passed by some call in src/, tests/ or
 perfbench/, every function and method is read in src/ or perfbench/ or
 declared in `finesse.__all__`, only the one reader of each outside format
 reads a file, only `finesse.checks` decides what a number is or seeds a
-stream, only the verification policy reads what it decides by, and importing
-finesse loads no scipy.optimize."""
+stream, only the verification policy reads what it decides by, and finesse
+neither imports nor depends on scipy, which only the tests use."""
 import ast
 import os
 import re
@@ -307,18 +307,57 @@ def test_only_the_format_readers_read_files():
     assert file_readers({p.stem: p.read_text() for p in MODULES}) == FILE_READERS
 
 
-def test_no_module_loads_scipy_optimize():
-    """scipy.optimize takes about 0.2 s to import and only the tests use it,
-    as an oracle; a fresh interpreter imports finesse and every submodule."""
+def test_no_module_loads_scipy():
+    """scipy takes about 0.3 s to import and only the tests use it, as an
+    oracle: a fresh interpreter that imports finesse and every submodule
+    holds no scipy module."""
     code = (
         "import importlib, pkgutil, sys, finesse\n"
         "for m in pkgutil.iter_modules(finesse.__path__):\n"
         "    importlib.import_module('finesse.' + m.name)\n"
-        "print(sorted(name for name in sys.modules if name.startswith('scipy.optimize')))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines of every ``import scipy...`` or ``from scipy... import``, at any
+    depth of the module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").split(".")[0] == "scipy"]
+
+
+def test_the_check_sees_a_scipy_import():
+    source = """
+import numpy, scipy.linalg
+from scipy.sparse import csr_matrix
+import scipyx
+from .scipy import x
+def f():
+    from scipy import optimize
+    import os, scipy as sp
+"""
+    assert scipy_imports(source) == [2, 3, 7, 8]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_scipy_is_a_test_dependency_only():
+    """The package needs numpy alone at run time; the tests' oracles need
+    scipy."""
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    name = lambda requirement: re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower()
+    assert [name(r) for r in project["dependencies"]] == ["numpy"]
+    assert "scipy" in map(name, project["optional-dependencies"]["test"])
 
 
 # The one module that decides what an integer or a real is at the API, and

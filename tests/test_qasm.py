@@ -265,6 +265,27 @@ class TestMalformed:
             parse_qasm("qreg q[3];\n" + text)
         assert (err.value.line, err.value.col) == (line, col)
 
+    @pytest.mark.parametrize("text, message", [
+        ("p(1) q[0],q[1];", "3:1: p expects 1 wire(s), got 2"),
+        ("siswap(1) q[0],q[1];", "3:1: siswap expects 0 parameter(s), got 1"),
+        ("u2(1,2) q[0],q[1];", "3:1: u2 expects 1 wire(s), got 2"),
+        ("siswap q[1],q[1];", "3:1: siswap wires must be distinct, not (1, 1)"),
+        ("cx(0.1) q[0],q[1];", "3:1: cx expects 0 parameter(s), got 1"),
+        ("gate g a,b { u1(1) a,b; }\ng q[0],q[1];", "3:14: u1 expects 1 wire(s), got 2"),
+    ])
+    def test_a_refusal_names_the_gate_the_file_spells(self, text, message):
+        """An alias or root name lowered to another kind is refused under its
+        own name, at its own token, not as the ``u`` or ``root_iswap`` it
+        becomes."""
+        with pytest.raises(QasmError) as err:
+            parse_qasm("OPENQASM 2.0;\nqreg q[2];\n" + text)
+        assert str(err.value) == message
+
+    def test_a_pragma_root_is_refused_by_its_name(self):
+        with pytest.raises(QasmError) as err:
+            parse_qasm("//!root-iswap r3 3\nqreg q[2];\nr3(1) q[0],q[1];")
+        assert str(err.value) == "3:1: r3 expects 0 parameter(s), got 1"
+
     def test_the_reader_holds_no_copy_of_the_gate_rule(self):
         """`Gate` checks wire and parameter counts and distinct wires; the
         reader keeps only what the IR cannot see, such as a barrier's repeat."""
